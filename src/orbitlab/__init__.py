@@ -3,11 +3,9 @@
 The library splits into a sparse exact layer (sequence vectors, symbolic
 operators, coordinate subspaces, hitting-time construction, criterion
 checks) and a dense numerical layer (finite-matrix obstructions) backed by
-an optional compiled kernel.  ``orbitlab.cli`` drives both from JSON
-configs.
+numpy kernels.  ``orbitlab.cli`` drives both from JSON configs.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .constructor import (
     CertReport,
     HittingSchedule,
@@ -35,7 +33,6 @@ from .errors import (
     OrbitlabError,
     ScheduleUnderflow,
     UnsupportedOperator,
-    VerdictFail,
 )
 from .obstructions import (
     DichotomyVerdict,
@@ -84,7 +81,6 @@ from .subspace import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "kernel_backend",
     "__version__",
     # seqspace
     "SeqVec",
@@ -151,5 +147,4 @@ __all__ = [
     "NotInGeneralizedKernel",
     "ComplementNotInvariant",
     "ConfigError",
-    "VerdictFail",
 ]

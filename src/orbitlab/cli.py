@@ -10,8 +10,9 @@ configuration, with any other keys supplied on top taking precedence.  Each
 run writes ``report.json`` and ``table.csv`` to the output directory (the
 ``ORBITLAB_OUT`` environment variable overrides ``--out-dir``), prints a
 verdict line, and exits 0 on pass, 1 on a negative verdict, 2 on a bad
-config.  Outputs carry no timestamps and all randomness is seeded, so a
-given config always produces byte-identical files.
+config or on a run that rejects its parameters.  Outputs carry no
+timestamps and all randomness is seeded, so a given config always produces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -420,12 +421,6 @@ class RunResult:
     table_header: list
     table_rows: list
 
-    def raise_for_verdict(self) -> None:
-        from .errors import VerdictFail
-
-        if not self.passed:
-            raise VerdictFail("run verdict is negative")
-
 
 def _plain(obj):
     """Coerce numpy scalars and tuples so json sees only builtin types."""
@@ -781,7 +776,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OrbitlabError as exc:
+    except (OrbitlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,3 @@ class ComplementNotInvariant(OrbitlabError):
 
 class ConfigError(OrbitlabError):
     """A run configuration is malformed or inconsistent."""
-
-
-class VerdictFail(OrbitlabError):
-    """A run completed but its verdict is negative."""

@@ -10,7 +10,7 @@ forbidden index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Iterator, Union
 
@@ -240,26 +240,16 @@ def dyadic_net(
 
 
 _PATTERN_KINDS = {
-    "prefix": (PrefixZero, ("m",)),
-    "residue": (ResidueZero, ("a", "b")),
-    "supportIn": (SupportIn, ("b",)),
-    "rightBlock": (RightBlockZero, ("split",)),
-}
-
-_FIELD_BY_TYPE = {
-    PrefixZero: ("prefix", ("m",)),
-    ResidueZero: ("residue", ("a", "b")),
-    SupportIn: ("supportIn", ("b",)),
-    RightBlockZero: ("rightBlock", ("split",)),
+    "prefix": PrefixZero,
+    "residue": ResidueZero,
+    "supportIn": SupportIn,
+    "rightBlock": RightBlockZero,
 }
 
 
 def pattern_to_config(pattern: ZeroPattern) -> dict:
-    kind, fields = _FIELD_BY_TYPE[type(pattern)]
-    out = {"kind": kind}
-    for f in fields:
-        out[f] = getattr(pattern, f)
-    return out
+    (kind,) = [k for k, cls in _PATTERN_KINDS.items() if type(pattern) is cls]
+    return {"kind": kind, **{f.name: getattr(pattern, f.name) for f in fields(pattern)}}
 
 
 def pattern_from_config(cfg: dict) -> ZeroPattern:
@@ -268,12 +258,13 @@ def pattern_from_config(cfg: dict) -> ZeroPattern:
     kind = cfg["kind"]
     if kind not in _PATTERN_KINDS:
         raise ConfigError(f"unknown pattern kind {kind!r}")
-    cls, fields = _PATTERN_KINDS[kind]
-    missing = [f for f in fields if f not in cfg]
-    extra = [k for k in cfg if k not in (*fields, "kind")]
+    cls = _PATTERN_KINDS[kind]
+    names = [f.name for f in fields(cls)]
+    missing = [f for f in names if f not in cfg]
+    extra = [k for k in cfg if k not in (*names, "kind")]
     if missing or extra:
         raise ConfigError(f"pattern {kind!r}: missing {missing}, unexpected {extra}")
     try:
-        return cls(**{f: int(cfg[f]) for f in fields})
+        return cls(**{f: int(cfg[f]) for f in names})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"pattern {kind!r}: {exc}") from exc

@@ -74,6 +74,16 @@ class TestConfigErrors:
             {"command": "preset", "preset": "no-such-preset"},
             {"command": "findim", "pattern": {"kind": "prefix", "m": 1}, "truncationDim": 40},
             {"command": "probe", "lambda": [2, 0], "pattern": {"kind": "prefix", "m": 1}, "probe": {"uRadius": 0}},
+            # Accepted by the parser, rejected by the run with ValueError.
+            {"command": "criterion", "lambda": [2, 0], "pattern": {"kind": "prefix", "m": 3}, "horizon": 0},
+            {
+                "command": "findim",
+                "pattern": {"kind": "prefix", "m": 1},
+                "truncationDim": 8,
+                "supportBound": 8,
+                "horizon": 100,
+                "trials": 1,
+            },
         ],
         ids=[
             "unknown-command",
@@ -85,12 +95,17 @@ class TestConfigErrors:
             "missing-preset",
             "huge-matrix-dim",
             "zero-radius",
+            "no-criterion-exponents",
+            "net-over-point-cap",
         ],
     )
-    def test_rejected_configs(self, tmp_path, data):
+    def test_rejected_configs(self, tmp_path, capsys, data):
         rc, out = _run(tmp_path, data)
         assert rc == 2
         assert not (out / "report.json").exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(("config error: ", "error: "))
 
 
 class TestVerdicts:

@@ -156,6 +156,18 @@ class TestSpectralDichotomy:
         assert verdict.steps == 400
         assert verdict.last_norm == pytest.approx(verdict.first_norm, rel=1e-9)
 
+    def test_nan_norm_stops_at_first_step(self):
+        # (1e300 + 1e300j) * (1e10 + 1e10j) overflows to nan + inf j, so the
+        # first orbit norm is NaN; NaN compares inside any band.
+        mat = np.zeros((3, 3), dtype=np.complex128)
+        mat[0, 0] = 1e300 * (1 + 1j)
+        x = SeqVec({0: 1e10 * (1 + 1j)})
+        with np.errstate(over="ignore", invalid="ignore"):
+            verdict = spectral_dichotomy(FiniteMatrix.from_array(mat), x, n_steps=50)
+        assert verdict.steps == 1
+        assert verdict.classification == "toInfinity"
+        assert math.isnan(verdict.last_norm)
+
     def test_rejects_zero_vector(self):
         op = FiniteMatrix.from_array(np.eye(2).astype(np.complex128))
         with pytest.raises(ValueError):
