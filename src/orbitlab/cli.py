@@ -23,9 +23,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -81,167 +82,169 @@ from .subspace import (
 
 __all__ = ["ExperimentConfig", "RunResult", "run", "main"]
 
-COMMANDS = (
-    "construct",
-    "certify",
-    "criterion",
-    "probe",
-    "findim",
-    "spectrum",
-    "kernel",
-    "jordan",
-)
+
+def _finite(val, where: str) -> float:
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {val!r}")
+    try:
+        out = float(val)
+    except OverflowError:  # an integer literal past the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{where} must be finite, got {val!r}")
+    return out
 
 
 def _complex_from(value, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{where}: complex values are [re, im] pairs, got {value!r}")
-    return complex(value[0], value[1])
+    return complex(_finite(value[0], where), _finite(value[1], where))
 
 
 def _complex_to(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _as_int(val, where: str, minimum: int = 0) -> int:
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"{where} must be an integer, got {val!r}")
+    if val < minimum:
+        raise ConfigError(f"{where} must be >= {minimum}, got {val}")
+    return val
+
+
+def _as_float(val, where: str) -> float:
+    out = _finite(val, where)
+    if out <= 0:
+        raise ConfigError(f"{where} must be positive, got {val}")
+    return out
+
+
+def _at_least_one(val, where: str) -> int:
+    return _as_int(val, where, 1)
+
+
+def _complexes_from(values, where: str) -> tuple[complex, ...]:
+    return tuple(_complex_from(z, f"{where}[{i}]") for i, z in enumerate(values))
+
+
+def _matrix_from(rows, where: str) -> tuple[tuple[complex, ...], ...]:
+    # from_array rejects ragged, non-square and empty entry lists.
+    return FiniteMatrix.from_array([_complexes_from(row, where) for row in rows]).entries
+
+
 def operator_from_config(cfg, where: str = "operator") -> Operator:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError(f"{where}: expected an object with a kind, got {cfg!r}")
     kind = cfg["kind"]
+    if kind not in _OPERATOR_KINDS:
+        raise ConfigError(f"{where}: unknown operator kind {kind!r}")
+    cls, spec = _OPERATOR_KINDS[kind]
+    extra = sorted(set(cfg) - set(spec) - {"kind"})
+    if extra:
+        raise ConfigError(f"{where}: unexpected fields {extra} for kind {kind!r}")
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    for name, (attr, _) in spec.items():
+        if name not in cfg and attr in required:
+            raise ConfigError(f"{where}: missing field {name!r} for kind {kind!r}")
     try:
-        if kind == "backwardShift":
-            return BackwardShift(int(cfg.get("power", 1)))
-        if kind == "forwardShift":
-            return ForwardShift(int(cfg.get("power", 1)))
-        if kind == "identity":
-            return Identity()
-        if kind == "scalar":
-            return ScalarMultiple(
-                _complex_from(cfg["factor"], f"{where}.factor"),
-                operator_from_config(cfg["of"], f"{where}.of"),
-            )
-        if kind == "diagonal":
-            return Diagonal(
-                tuple(
-                    _complex_from(w, f"{where}.weights[{i}]")
-                    for i, w in enumerate(cfg["weights"])
-                )
-            )
-        if kind == "directSum":
-            return DirectSum(
-                operator_from_config(cfg["left"], f"{where}.left"),
-                operator_from_config(cfg["right"], f"{where}.right"),
-                int(cfg["split"]),
-            )
-        if kind == "finiteMatrix":
-            rows = [
-                [_complex_from(z, f"{where}.entries") for z in row]
-                for row in cfg["entries"]
-            ]
-            return FiniteMatrix.from_array(np.array(rows, dtype=np.complex128))
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing field {exc} for kind {kind!r}") from exc
+        return cls(
+            **{
+                attr: parse(cfg[name], f"{where}.{name}")
+                for name, (attr, (parse, _)) in spec.items()
+                if name in cfg
+            }
+        )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown operator kind {kind!r}")
 
 
 def operator_to_config(op: Operator) -> dict:
-    if isinstance(op, BackwardShift):
-        return {"kind": "backwardShift", "power": op.power}
-    if isinstance(op, ForwardShift):
-        return {"kind": "forwardShift", "power": op.power}
-    if isinstance(op, Identity):
-        return {"kind": "identity"}
-    if isinstance(op, ScalarMultiple):
-        return {
-            "kind": "scalar",
-            "factor": _complex_to(op.factor),
-            "of": operator_to_config(op.operand),
-        }
-    if isinstance(op, Diagonal):
-        return {"kind": "diagonal", "weights": [_complex_to(w) for w in op.weights]}
-    if isinstance(op, DirectSum):
-        return {
-            "kind": "directSum",
-            "left": operator_to_config(op.left),
-            "right": operator_to_config(op.right),
-            "split": op.split_index,
-        }
-    if isinstance(op, FiniteMatrix):
-        return {
-            "kind": "finiteMatrix",
-            "entries": [[_complex_to(z) for z in row] for row in op.entries],
-        }
+    for kind, (cls, spec) in _OPERATOR_KINDS.items():
+        if isinstance(op, cls):
+            out = {name: write(getattr(op, attr)) for name, (attr, (_, write)) in spec.items()}
+            return {"kind": kind, **out}
     raise TypeError(f"unknown operator {op!r}")
 
 
-_DEFAULTS: dict[str, dict[str, Any]] = {
-    "construct": {"targets": 20, "truncationDim": 512, "tol": 1e-9, "horizon": 0},
-    "certify": {"targets": 20, "truncationDim": 512, "tol": 1e-9, "horizon": 0},
-    "criterion": {"targets": 50, "truncationDim": 128, "tol": 1e-12, "horizon": 30},
-    "probe": {"targets": 0, "truncationDim": 256, "tol": 1e-9, "horizon": 50},
-    "findim": {"targets": 0, "truncationDim": 4, "tol": 1e-9, "horizon": 10000},
-    "spectrum": {"targets": 0, "truncationDim": 64, "tol": 1e-9, "horizon": 400},
-    "kernel": {"targets": 0, "truncationDim": 8, "tol": 1e-9, "horizon": 12},
-    "jordan": {"targets": 0, "truncationDim": 4, "tol": 1e-10, "horizon": 12},
+# Operator field types: (parser from JSON, writer to JSON).
+_INT = (_as_int, int)
+_COMPLEX = (_complex_from, _complex_to)
+_COMPLEXES = (_complexes_from, lambda zs: [_complex_to(z) for z in zs])
+_MATRIX = (_matrix_from, lambda rows: [[_complex_to(z) for z in row] for row in rows])
+_OPERATOR = (operator_from_config, operator_to_config)
+
+# Operator kind -> (class, {JSON field: (attribute, field type)}).
+_OPERATOR_KINDS = {
+    "backwardShift": (BackwardShift, {"power": ("power", _INT)}),
+    "forwardShift": (ForwardShift, {"power": ("power", _INT)}),
+    "identity": (Identity, {}),
+    "scalar": (ScalarMultiple, {"factor": ("factor", _COMPLEX), "of": ("operand", _OPERATOR)}),
+    "diagonal": (Diagonal, {"weights": ("weights", _COMPLEXES)}),
+    "directSum": (
+        DirectSum,
+        {
+            "left": ("left", _OPERATOR),
+            "right": ("right", _OPERATOR),
+            "split": ("split_index", _INT),
+        },
+    ),
+    "finiteMatrix": (FiniteMatrix, {"entries": ("entries", _MATRIX)}),
 }
 
-_PROBE_DEFAULTS = {
-    "uIndex": 1,
-    "vIndex": 2,
-    "uRadius": 0.25,
-    "vRadius": 0.25,
-    "gridLevel": 1,
-    "gridSupport": 4,
+# Probe key -> (parser, default).
+_PROBE_KEYS = {
+    "uIndex": (_as_int, 1),
+    "vIndex": (_as_int, 2),
+    "uRadius": (_as_float, 0.25),
+    "vRadius": (_as_float, 0.25),
+    "gridLevel": (_as_int, 1),
+    "gridSupport": (_as_int, 4),
 }
 
-_KNOWN_KEYS = {
-    "command",
-    "preset",
-    "operator",
-    "lambda",
-    "pattern",
-    "targets",
-    "supportBound",
-    "resolutionLevel",
-    "truncationDim",
-    "horizon",
-    "tol",
-    "seed",
-    "netLevel",
-    "epsilon",
-    "trials",
-    "probe",
-    "expect",
-    "eigenInstances",
-    "chainInstances",
-    "eigenTol",
-    "chainTol",
-}
 
-_NEEDS_MODULUS = ("construct", "certify", "criterion")
+def _as_probe(val, where: str) -> dict:
+    if not isinstance(val, dict):
+        raise ConfigError(f"{where} must be an object")
+    bad = set(val) - set(_PROBE_KEYS)
+    if bad:
+        raise ConfigError(f"unknown {where} keys: {sorted(bad)}")
+    # Values are kept as written, so the config echo prints an integer radius as one.
+    probe = {key: val.get(key, default) for key, (_, default) in _PROBE_KEYS.items()}
+    for key, (parse, _) in _PROBE_KEYS.items():
+        parse(probe[key], f"{where}.{key}")
+    return probe
 
 
-def _as_int(raw: dict, key: str, default: int, minimum: int) -> int:
-    val = raw.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{key} must be an integer, got {val!r}")
-    if val < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {val}")
+def _as_expect(val, where: str) -> str:
+    if val not in ("found", "none"):
+        raise ConfigError(f"{where} must be 'found' or 'none', got {val!r}")
     return val
 
 
-def _as_float(raw: dict, key: str, default: float, positive: bool = True) -> float:
-    val = raw.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {val!r}")
-    if positive and val <= 0:
-        raise ConfigError(f"{key} must be positive, got {val}")
-    return float(val)
+# JSON key -> (attribute, parser, default); a command's defaults override
+# these.  Every key is echoed in report["config"], except the keys that
+# some command lists as its own extras, which only that command echoes.
+_KEYS = {
+    "targets": ("targets", _as_int, 0),
+    "supportBound": ("support_bound", _at_least_one, 6),
+    "resolutionLevel": ("resolution_level", _as_int, 1),
+    "truncationDim": ("truncation_dim", _at_least_one, None),
+    "horizon": ("horizon", _as_int, 0),
+    "tol": ("tol", _as_float, 1e-9),
+    "seed": ("seed", _as_int, 0),
+    "netLevel": ("net_level", _as_int, 1),
+    "epsilon": ("epsilon", _as_float, 0.1),
+    "trials": ("trials", _at_least_one, 3),
+    "probe": ("probe", _as_probe, {}),
+    "expect": ("expect", _as_expect, "found"),
+    "eigenInstances": ("eigen_instances", _as_int, 100),
+    "chainInstances": ("chain_instances", _as_int, 50),
+    "eigenTol": ("eigen_tol", _as_float, 1e-8),
+    "chainTol": ("chain_tol", _as_float, 1e-7),
+}
+
+_KNOWN_KEYS = {"command", "preset", "lambda", "operator", "pattern", *_KEYS}
 
 
 @dataclass(frozen=True)
@@ -267,7 +270,6 @@ class ExperimentConfig:
     chain_instances: int
     eigen_tol: float
     chain_tol: float
-    normalized: dict = field(compare=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -286,101 +288,47 @@ class ExperimentConfig:
             base.update(overlay)
             raw = base
             command = raw["command"]
-        if command not in COMMANDS:
-            raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
+        if command not in _COMMANDS:
+            raise ConfigError(f"command must be one of {tuple(_COMMANDS)}, got {command!r}")
         unknown = set(raw) - _KNOWN_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        spec = _COMMANDS[command]
 
-        defaults = _DEFAULTS[command]
-        lam = None
-        if "lambda" in raw:
-            lam = _complex_from(raw["lambda"], "lambda")
-        if command in _NEEDS_MODULUS:
-            if lam is None:
-                raise ConfigError(f"{command} requires a lambda")
-            if abs(lam) <= 1.0:
-                raise ConfigError(
-                    f"{command} requires |lambda| > 1, got modulus {abs(lam)}"
-                )
+        operator, pattern = raw.get("operator"), raw.get("pattern")
+        given = {
+            "lambda": _complex_from(raw["lambda"], "lambda") if "lambda" in raw else None,
+            "operator": None if operator is None else operator_from_config(operator),
+            "pattern": None if pattern is None else pattern_from_config(pattern),
+        }
+        for key in spec.needs:
+            if given[key] is None:
+                raise ConfigError(f"{command} requires {key!r}")
+        lam = given["lambda"]
+        if "lambda" in spec.needs and abs(lam) <= 1.0:
+            raise ConfigError(f"{command} requires |lambda| > 1, got modulus {abs(lam)}")
 
-        operator = None
-        if "operator" in raw and raw["operator"] is not None:
-            operator = operator_from_config(raw["operator"])
-        if command == "spectrum" and operator is None:
-            raise ConfigError("spectrum requires an operator")
-
-        pattern = None
-        if "pattern" in raw and raw["pattern"] is not None:
-            pattern = pattern_from_config(raw["pattern"])
-        if command in ("construct", "certify", "criterion", "probe", "findim") and pattern is None:
-            raise ConfigError(f"{command} requires a pattern")
-
-        probe = dict(_PROBE_DEFAULTS)
-        if "probe" in raw:
-            if not isinstance(raw["probe"], dict):
-                raise ConfigError("probe must be an object")
-            bad = set(raw["probe"]) - set(_PROBE_DEFAULTS)
-            if bad:
-                raise ConfigError(f"unknown probe keys: {sorted(bad)}")
-            probe.update(raw["probe"])
-        for key in ("uIndex", "vIndex", "gridLevel", "gridSupport"):
-            if isinstance(probe[key], bool) or not isinstance(probe[key], int) or probe[key] < 0:
-                raise ConfigError(f"probe.{key} must be a non-negative integer")
-        for key in ("uRadius", "vRadius"):
-            if (
-                isinstance(probe[key], bool)
-                or not isinstance(probe[key], (int, float))
-                or probe[key] <= 0
-            ):
-                raise ConfigError(f"probe.{key} must be positive")
-
-        expect = raw.get("expect", "found")
-        if expect not in ("found", "none"):
-            raise ConfigError(f"expect must be 'found' or 'none', got {expect!r}")
-
-        truncation_dim = _as_int(raw, "truncationDim", defaults["truncationDim"], 1)
-        if command == "findim" and not 2 <= truncation_dim <= 12:
-            raise ConfigError("findim works on matrix dimensions 2..12")
-
-        cfg = cls(
+        scalars = {}
+        for key, (attr, parse, default) in _KEYS.items():
+            scalars[attr] = parse(raw.get(key, spec.defaults.get(key, default)), key)
+        return cls(
             command=command,
             preset=raw.get("preset"),
-            operator=operator,
+            operator=given["operator"],
             lam=lam,
-            pattern=pattern,
-            targets=_as_int(raw, "targets", defaults["targets"], 0),
-            support_bound=_as_int(raw, "supportBound", 6 if command != "findim" else 4, 1),
-            resolution_level=_as_int(raw, "resolutionLevel", 1, 0),
-            truncation_dim=truncation_dim,
-            horizon=_as_int(raw, "horizon", defaults["horizon"], 0),
-            tol=_as_float(raw, "tol", defaults["tol"]),
-            seed=_as_int(raw, "seed", 0, 0),
-            net_level=_as_int(raw, "netLevel", 1, 0),
-            epsilon=_as_float(raw, "epsilon", 0.1),
-            trials=_as_int(raw, "trials", 3, 1),
-            probe=probe,
-            expect=expect,
-            eigen_instances=_as_int(raw, "eigenInstances", 100, 0),
-            chain_instances=_as_int(raw, "chainInstances", 50, 0),
-            eigen_tol=_as_float(raw, "eigenTol", 1e-8),
-            chain_tol=_as_float(raw, "chainTol", 1e-7),
-            normalized={},
+            pattern=given["pattern"],
+            **scalars,
         )
-        object.__setattr__(cfg, "normalized", cfg._normalize())
-        return cfg
 
-    def _normalize(self) -> dict:
-        out: dict[str, Any] = {
-            "command": self.command,
-            "seed": self.seed,
-            "tol": self.tol,
-            "targets": self.targets,
-            "truncationDim": self.truncation_dim,
-            "horizon": self.horizon,
-            "supportBound": self.support_bound,
-            "resolutionLevel": self.resolution_level,
-        }
+    @cached_property
+    def normalized(self) -> dict:
+        """The config as report.json echoes it, defaults filled in."""
+        extras = {key for c in _COMMANDS.values() for key in c.echo}
+        own = _COMMANDS[self.command].echo
+        out: dict[str, Any] = {"command": self.command}
+        for key, (attr, _, _) in _KEYS.items():
+            if key not in extras or key in own:
+                out[key] = getattr(self, attr)
         if self.preset:
             out["preset"] = self.preset
         if self.lam is not None:
@@ -389,18 +337,6 @@ class ExperimentConfig:
             out["operator"] = operator_to_config(self.operator)
         if self.pattern is not None:
             out["pattern"] = pattern_to_config(self.pattern)
-        if self.command == "probe":
-            out["probe"] = dict(sorted(self.probe.items()))
-            out["expect"] = self.expect
-        if self.command == "findim":
-            out["netLevel"] = self.net_level
-            out["epsilon"] = self.epsilon
-            out["trials"] = self.trials
-        if self.command == "kernel":
-            out["eigenInstances"] = self.eigen_instances
-            out["chainInstances"] = self.chain_instances
-            out["eigenTol"] = self.eigen_tol
-            out["chainTol"] = self.chain_tol
         return out
 
     def default_operator(self) -> Operator:
@@ -437,6 +373,10 @@ def _plain(obj):
     return obj
 
 
+def _rows(header: list, records: list[dict]) -> list[list]:
+    return [[r[key] for key in header] for r in records]
+
+
 def _exponents(cfg: ExperimentConfig) -> list[int]:
     stride = cfg.pattern.b if isinstance(cfg.pattern, ResidueZero) else 1
     return [stride * k for k in range(1, cfg.horizon + 1)]
@@ -457,11 +397,8 @@ def _run_construct(cfg: ExperimentConfig) -> RunResult:
         for j, e in enumerate(schedule.entries)
     ]
     report = {"entries": entries, "count": len(entries)}
-    rows = [
-        [e["j"], e["k_j"], e["targetLength"], e["targetNorm"], e["bound"]]
-        for e in entries
-    ]
-    return RunResult(True, report, ["j", "k_j", "targetLength", "targetNorm", "bound"], rows)
+    header = ["j", "k_j", "targetLength", "targetNorm", "bound"]
+    return RunResult(True, report, header, _rows(header, entries))
 
 
 def _run_certify(cfg: ExperimentConfig) -> RunResult:
@@ -531,6 +468,8 @@ def _random_member(rng: np.random.Generator, pattern: ZeroPattern, dim: int) -> 
 
 
 def _run_findim(cfg: ExperimentConfig) -> RunResult:
+    if not 2 <= cfg.truncation_dim <= 12:
+        raise ConfigError("findim works on matrix dimensions 2..12")
     rng = np.random.default_rng(cfg.seed)
     dim = cfg.truncation_dim
     trials = []
@@ -572,19 +511,8 @@ def _run_findim(cfg: ExperimentConfig) -> RunResult:
         "netLevel": cfg.net_level,
         "trials": trials,
     }
-    rows = [
-        [
-            tr["trial"],
-            tr["rankAtDimMinus1"],
-            tr["rankAtTwiceDim"],
-            tr["stabilized"],
-            tr["densityDefect"],
-            tr["pass"],
-        ]
-        for tr in trials
-    ]
     header = ["trial", "rankAtDimMinus1", "rankAtTwiceDim", "stabilized", "densityDefect", "pass"]
-    return RunResult(passed, report, header, rows)
+    return RunResult(passed, report, header, _rows(header, trials))
 
 
 def _run_spectrum(cfg: ExperimentConfig) -> RunResult:
@@ -617,12 +545,8 @@ def _run_spectrum(cfg: ExperimentConfig) -> RunResult:
         "annulusCount": annulus,
         "probes": results,
     }
-    rows = [
-        [r["probe"], r["classification"], r["firstNorm"], r["lastNorm"], r["ratioTrend"]]
-        for r in results
-    ]
     header = ["probe", "classification", "firstNorm", "lastNorm", "ratioTrend"]
-    return RunResult(passed, report, header, rows)
+    return RunResult(passed, report, header, _rows(header, results))
 
 
 def _run_kernel(cfg: ExperimentConfig) -> RunResult:
@@ -706,21 +630,46 @@ def _run_jordan(cfg: ExperimentConfig) -> RunResult:
     return RunResult(passed, report, header, rows)
 
 
-_RUNNERS = {
-    "construct": _run_construct,
-    "certify": _run_certify,
-    "criterion": _run_criterion,
-    "probe": _run_probe,
-    "findim": _run_findim,
-    "spectrum": _run_spectrum,
-    "kernel": _run_kernel,
-    "jordan": _run_jordan,
+@dataclass(frozen=True)
+class _Command:
+    run: Callable[[ExperimentConfig], RunResult]
+    needs: tuple[str, ...]  # of "lambda" (with modulus > 1), "pattern", "operator"
+    defaults: dict  # overrides of the _KEYS defaults
+    echo: tuple[str, ...] = ()  # _KEYS that only this command echoes
+
+
+_SHIFT_NEEDS = ("lambda", "pattern")
+_COMMANDS = {
+    "construct": _Command(_run_construct, _SHIFT_NEEDS, {"targets": 20, "truncationDim": 512}),
+    "certify": _Command(_run_certify, _SHIFT_NEEDS, {"targets": 20, "truncationDim": 512}),
+    "criterion": _Command(
+        _run_criterion,
+        _SHIFT_NEEDS,
+        {"targets": 50, "truncationDim": 128, "tol": 1e-12, "horizon": 30},
+    ),
+    "probe": _Command(
+        _run_probe, ("pattern",), {"truncationDim": 256, "horizon": 50}, ("probe", "expect")
+    ),
+    "findim": _Command(
+        _run_findim,
+        ("pattern",),
+        {"truncationDim": 4, "horizon": 10000, "supportBound": 4},
+        ("netLevel", "epsilon", "trials"),
+    ),
+    "spectrum": _Command(_run_spectrum, ("operator",), {"truncationDim": 64, "horizon": 400}),
+    "kernel": _Command(
+        _run_kernel,
+        (),
+        {"truncationDim": 8, "horizon": 12},
+        ("eigenInstances", "chainInstances", "eigenTol", "chainTol"),
+    ),
+    "jordan": _Command(_run_jordan, (), {"truncationDim": 4, "horizon": 12, "tol": 1e-10}),
 }
 
 
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute one configured experiment and wrap its verdict and tables."""
-    result = _RUNNERS[cfg.command](cfg)
+    result = _COMMANDS[cfg.command].run(cfg)
     report = {
         "command": cfg.command,
         "preset": cfg.preset,

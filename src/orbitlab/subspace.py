@@ -264,7 +264,10 @@ def pattern_from_config(cfg: dict) -> ZeroPattern:
     extra = [k for k in cfg if k not in (*names, "kind")]
     if missing or extra:
         raise ConfigError(f"pattern {kind!r}: missing {missing}, unexpected {extra}")
+    not_int = [f for f in names if isinstance(cfg[f], bool) or not isinstance(cfg[f], int)]
+    if not_int:
+        raise ConfigError(f"pattern {kind!r}: {not_int} must be integers")
     try:
-        return cls(**{f: int(cfg[f]) for f in names})
+        return cls(**{f: cfg[f] for f in names})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"pattern {kind!r}: {exc}") from exc

@@ -1,8 +1,19 @@
 import json
+import math
 
 import pytest
 
-from orbitlab.cli import main
+from orbitlab.cli import main, operator_from_config, operator_to_config
+from orbitlab.errors import ConfigError
+from orbitlab.seqspace import (
+    BackwardShift,
+    Diagonal,
+    DirectSum,
+    FiniteMatrix,
+    ForwardShift,
+    Identity,
+    ScalarMultiple,
+)
 
 
 def _write_cfg(tmp_path, data, name="cfg.json"):
@@ -51,6 +62,190 @@ class TestDeterminism:
         assert rep["config"]["pattern"] == {"kind": "prefix", "m": 3}
 
 
+_PREFIX3 = {"kind": "prefix", "m": 3}
+IDENTITY = {"kind": "identity"}
+_COMMON = {
+    "horizon": 0,
+    "resolutionLevel": 1,
+    "seed": 0,
+    "supportBound": 6,
+    "targets": 0,
+    "tol": 1e-9,
+}
+_SCALED = {"lambda": [2.0, 0.0], "pattern": _PREFIX3}
+
+# One minimal config per command and the whole config echo it must produce:
+# the defaults each command fills in and the extra keys it echoes.
+ECHOES = {
+    "construct": (
+        {"command": "construct", "lambda": [2, 0], "pattern": _PREFIX3},
+        {**_COMMON, **_SCALED, "command": "construct", "targets": 20, "truncationDim": 512},
+    ),
+    "certify": (
+        {"command": "certify", "lambda": [2, 0], "pattern": _PREFIX3},
+        {**_COMMON, **_SCALED, "command": "certify", "targets": 20, "truncationDim": 512},
+    ),
+    "criterion": (
+        {"command": "criterion", "lambda": [2, 0], "pattern": _PREFIX3},
+        {
+            **_COMMON,
+            **_SCALED,
+            "command": "criterion",
+            "targets": 50,
+            "truncationDim": 128,
+            "horizon": 30,
+            "tol": 1e-12,
+        },
+    ),
+    "probe": (
+        {"command": "probe", "lambda": [2, 0], "pattern": _PREFIX3},
+        {
+            **_COMMON,
+            **_SCALED,
+            "command": "probe",
+            "truncationDim": 256,
+            "horizon": 50,
+            "probe": {
+                "gridLevel": 1,
+                "gridSupport": 4,
+                "uIndex": 1,
+                "uRadius": 0.25,
+                "vIndex": 2,
+                "vRadius": 0.25,
+            },
+            "expect": "found",
+        },
+    ),
+    "findim": (
+        {"command": "findim", "pattern": _PREFIX3},
+        {
+            **_COMMON,
+            "command": "findim",
+            "pattern": _PREFIX3,
+            "supportBound": 4,
+            "truncationDim": 4,
+            "horizon": 10000,
+            "netLevel": 1,
+            "epsilon": 0.1,
+            "trials": 3,
+        },
+    ),
+    "spectrum": (
+        {"command": "spectrum", "operator": {"kind": "identity"}},
+        {
+            **_COMMON,
+            "command": "spectrum",
+            "operator": {"kind": "identity"},
+            "truncationDim": 64,
+            "horizon": 400,
+        },
+    ),
+    "kernel": (
+        {"command": "kernel"},
+        {
+            **_COMMON,
+            "command": "kernel",
+            "truncationDim": 8,
+            "horizon": 12,
+            "eigenInstances": 100,
+            "chainInstances": 50,
+            "eigenTol": 1e-8,
+            "chainTol": 1e-7,
+        },
+    ),
+    "jordan": (
+        {"command": "jordan"},
+        {**_COMMON, "command": "jordan", "truncationDim": 4, "horizon": 12, "tol": 1e-10},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(ECHOES))
+def test_config_echo(tmp_path, command):
+    data, echo = ECHOES[command]
+    rc, out = _run(tmp_path, data)
+    assert rc in (0, 1)
+    assert _report(out)["config"] == echo
+
+
+class TestOperatorConfig:
+    SHIFT = {"kind": "backwardShift", "power": 1}
+    SCALED_SHIFT = {"kind": "scalar", "factor": [2.0, 0.0], "of": SHIFT}
+    CASES = [
+        (BackwardShift(2), {"kind": "backwardShift", "power": 2}),
+        (ForwardShift(1), {"kind": "forwardShift", "power": 1}),
+        (Identity(), {"kind": "identity"}),
+        (ScalarMultiple(2.0, BackwardShift(1)), SCALED_SHIFT),
+        (
+            Diagonal((1.0, 0.5 - 0.25j)),
+            {"kind": "diagonal", "weights": [[1.0, 0.0], [0.5, -0.25]]},
+        ),
+        (
+            DirectSum(ScalarMultiple(2.0, BackwardShift(1)), Identity(), 512),
+            {"kind": "directSum", "left": SCALED_SHIFT, "right": IDENTITY, "split": 512},
+        ),
+        (
+            ScalarMultiple(0.5j, DirectSum(ForwardShift(3), ScalarMultiple(-1.0, Identity()), 2)),
+            {
+                "kind": "scalar",
+                "factor": [0.0, 0.5],
+                "of": {
+                    "kind": "directSum",
+                    "left": {"kind": "forwardShift", "power": 3},
+                    "right": {"kind": "scalar", "factor": [-1.0, 0.0], "of": IDENTITY},
+                    "split": 2,
+                },
+            },
+        ),
+        (
+            FiniteMatrix(((2.0, 1.0), (0.0, 2.0 + 1.0j))),
+            {
+                "kind": "finiteMatrix",
+                "entries": [[[2.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [2.0, 1.0]]],
+            },
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "op, cfg", CASES, ids=[f"{i}-{c[1]['kind']}" for i, c in enumerate(CASES)]
+    )
+    def test_round_trip(self, op, cfg):
+        assert operator_to_config(op) == cfg
+        assert operator_from_config(cfg) == op
+
+    def test_power_defaults_to_one(self):
+        assert operator_from_config({"kind": "backwardShift"}) == BackwardShift(1)
+        assert operator_from_config({"kind": "forwardShift"}) == ForwardShift(1)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"kind": "rotate"},
+            {"power": 1},
+            {"kind": "scalar", "factor": [2, 0]},
+            {"kind": "directSum", "left": IDENTITY, "right": IDENTITY},
+            {"kind": "diagonal"},
+            {"kind": "finiteMatrix"},
+            {"kind": "finiteMatrix", "entries": []},
+            {"kind": "finiteMatrix", "entries": [[[1, 0], [0, 0]]]},
+            {"kind": "backwardShift", "power": 1.9},
+            {"kind": "forwardShift", "power": True},
+            {"kind": "backwardShift", "power": 0},
+            {"kind": "directSum", "left": IDENTITY, "right": IDENTITY, "split": "4"},
+            {"kind": "identity", "power": 3},
+            {"kind": "scalar", "factor": [math.inf, 0], "of": IDENTITY},
+            {"kind": "scalar", "factor": [10**400, 0], "of": IDENTITY},
+            {"kind": "diagonal", "weights": [[1, 0], [math.nan, 0]]},
+            "identity",
+            ["identity"],
+            None,
+        ],
+    )
+    def test_bad_configs_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            operator_from_config(bad)
+
+
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):
         rc = main([str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)])
@@ -74,6 +269,27 @@ class TestConfigErrors:
             {"command": "preset", "preset": "no-such-preset"},
             {"command": "findim", "pattern": {"kind": "prefix", "m": 1}, "truncationDim": 40},
             {"command": "probe", "lambda": [2, 0], "pattern": {"kind": "prefix", "m": 1}, "probe": {"uRadius": 0}},
+            # Non-finite numbers (json.loads reads NaN and Infinity).
+            {"command": "construct", "lambda": [math.nan, 0], "pattern": _PREFIX3, "targets": 3},
+            {"command": "certify", "lambda": [2, 0], "pattern": _PREFIX3, "tol": math.nan},
+            {"command": "findim", "pattern": _PREFIX3, "epsilon": math.inf},
+            {"command": "probe", **_SCALED, "probe": {"uRadius": math.nan}},
+            {"command": "kernel", "eigenTol": math.nan},
+            {"command": "jordan", "tol": 10**400},
+            # Non-integer or unknown fields in pattern and operator objects.
+            {"command": "construct", "lambda": [2, 0], "pattern": {"kind": "prefix", "m": 2.9}},
+            {"command": "spectrum", "operator": {"kind": "backwardShift", "power": 1.9}},
+            {"command": "spectrum", "operator": {"kind": "backwardShift", "power": True}},
+            {
+                "command": "spectrum",
+                "operator": {
+                    "kind": "directSum",
+                    "left": {"kind": "identity"},
+                    "right": {"kind": "identity"},
+                    "split": "4",
+                },
+            },
+            {"command": "spectrum", "operator": {"kind": "identity", "power": 3}},
             # Accepted by the parser, rejected by the run with ValueError.
             {"command": "criterion", "lambda": [2, 0], "pattern": {"kind": "prefix", "m": 3}, "horizon": 0},
             {
@@ -95,6 +311,17 @@ class TestConfigErrors:
             "missing-preset",
             "huge-matrix-dim",
             "zero-radius",
+            "nan-lambda",
+            "nan-tol",
+            "infinite-epsilon",
+            "nan-probe-radius",
+            "nan-eigen-tol",
+            "tol-past-float-range",
+            "fractional-pattern-field",
+            "fractional-power",
+            "boolean-power",
+            "string-split",
+            "unknown-operator-field",
             "no-criterion-exponents",
             "net-over-point-cap",
         ],

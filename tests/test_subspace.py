@@ -230,6 +230,9 @@ class TestSerialization:
             {"kind": "prefix"},
             {"kind": "prefix", "m": 3, "extra": 1},
             {"kind": "residue", "a": 2, "b": 2},
+            {"kind": "prefix", "m": 2.9},
+            {"kind": "prefix", "m": True},
+            {"kind": "rightBlock", "split": "4"},
             "prefix",
         ):
             with pytest.raises(ConfigError):
