@@ -45,6 +45,7 @@ from .obstructions import (
     planted_chain_instance,
     planted_eigen_instance,
     spectral_dichotomy,
+    unit_ball_net,
 )
 from .seqspace import (
     BackwardShift,
@@ -74,6 +75,7 @@ from .subspace import (
     dense_family,
     dyadic_net,
     invariance_check,
+    invariance_scan,
     membership_defect,
     project,
 )
@@ -108,6 +110,7 @@ __all__ = [
     "membership_defect",
     "project",
     "invariance_check",
+    "invariance_scan",
     "DenseFamilySpec",
     "dense_family",
     "dyadic_net",
@@ -134,6 +137,7 @@ __all__ = [
     "spectral_dichotomy",
     "orbit_span_rank",
     "density_defect",
+    "unit_ball_net",
     "compression_orbit_check",
     "planted_eigen_instance",
     "planted_chain_instance",

@@ -54,6 +54,7 @@ from .obstructions import (
     planted_chain_instance,
     planted_eigen_instance,
     spectral_dichotomy,
+    unit_ball_net,
 )
 from .presets import preset_config
 from .seqspace import (
@@ -295,9 +296,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         spec = _COMMANDS[command]
 
-        operator, pattern = raw.get("operator"), raw.get("pattern")
+        # An explicit null reads as absent, so a preset overlay can drop a key.
+        lam, operator, pattern = raw.get("lambda"), raw.get("operator"), raw.get("pattern")
         given = {
-            "lambda": _complex_from(raw["lambda"], "lambda") if "lambda" in raw else None,
+            "lambda": None if lam is None else _complex_from(lam, "lambda"),
             "operator": None if operator is None else operator_from_config(operator),
             "pattern": None if pattern is None else pattern_from_config(pattern),
         }
@@ -473,6 +475,7 @@ def _run_findim(cfg: ExperimentConfig) -> RunResult:
     rng = np.random.default_rng(cfg.seed)
     dim = cfg.truncation_dim
     trials = []
+    net = None  # one net for every trial, built where the first trial needs it
     for t in range(cfg.trials):
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         for i in range(dim):
@@ -491,8 +494,10 @@ def _run_findim(cfg: ExperimentConfig) -> RunResult:
         stabilized = rank_small == rank_large
 
         points = _kernels.orbit_points(m, x.to_dense(dim), cfg.horizon)
+        if net is None:
+            net = unit_ball_net(cfg.pattern, cfg.support_bound, cfg.net_level)
         defect = density_defect(
-            points, cfg.pattern, cfg.net_level, cfg.support_bound, cfg.epsilon
+            points, cfg.pattern, cfg.net_level, cfg.support_bound, cfg.epsilon, net=net
         )
         trials.append(
             {

@@ -242,16 +242,20 @@ def certify(
 ) -> CertReport:
     """Replay the orbit at every hitting time and compare against the targets.
 
-    Each power is recomputed from ``vec`` by honest iteration; nothing is
-    reused across rows, so a corrupted input shows up in every window it
-    touches.  ``op`` defaults to the scaled backward shift the schedule was
+    The orbit is iterated honestly, once: each row advances the previous
+    row's image by the gap between their hitting times.  Every operator step
+    is a pure function of its input, so a row is bit-identical to replaying
+    its power from ``vec``, and a corruption still reaches every later
+    window.  ``op`` defaults to the scaled backward shift the schedule was
     built for.
     """
     if op is None:
         op = ScalarMultiple(lam, BackwardShift(1))
     rows = []
+    image, reached = vec, 0
     for j, entry in enumerate(schedule.entries):
-        image = apply_power(op, entry.time, vec)
+        image = apply_power(op, entry.time - reached, image)
+        reached = entry.time
         defect = membership_defect(image, pattern)
         distance = norm(image - entry.target)
         passed = defect <= float_tol and distance <= entry.bound + float_tol

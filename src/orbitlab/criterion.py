@@ -25,7 +25,8 @@ from .seqspace import (
 from .subspace import (
     ZeroPattern,
     dyadic_net,
-    invariance_check,
+    invariance_check,  # unused here, but perfbench's tracer wraps this binding
+    invariance_scan,
     membership_defect,
 )
 
@@ -192,8 +193,10 @@ def check_criterion(
     for i, x in enumerate(xs):
         first_zero = None
         final = 0.0
+        image, reached = x, 0
         for n in nks:
-            image = apply_power(op, n, x)
+            image = apply_power(op, n - reached, image)
+            reached = n
             final = norm(image)
             if first_zero is None and not image:
                 first_zero = n
@@ -227,8 +230,8 @@ def check_criterion(
     )
 
     invariance = tuple(
-        InvarianceRecord(k, n, invariance_check(op, pattern, n, dim))
-        for k, n in enumerate(nks)
+        InvarianceRecord(k, n, invariant)
+        for k, (n, invariant) in enumerate(zip(nks, invariance_scan(op, pattern, nks, dim)))
     )
     invariance_ok = all(c.invariant for c in invariance)
 
@@ -278,12 +281,15 @@ def transitivity_probe(
     except UnsupportedOperator:
         backsolvable = False
 
-    for n in range(horizon + 1):
-        if not invariance_check(op, pattern, n, dim):
+    v_image, v_reached = v_center, 0
+    for n, invariant in enumerate(invariance_scan(op, pattern, range(horizon + 1), dim)):
+        if not invariant:
             continue
         candidates = [v_center + g for g in grid]
         if backsolvable and n >= 1:
-            residual = u_center - apply_power(op, n, v_center)
+            v_image = apply_power(op, n - v_reached, v_image)
+            v_reached = n
+            residual = u_center - v_image
             candidates.append(v_center + backsolve(op, n, residual))
         for w in candidates:
             if membership_defect(w, pattern) != 0.0:

@@ -41,6 +41,7 @@ __all__ = [
     "DichotomyVerdict",
     "spectral_dichotomy",
     "orbit_span_rank",
+    "unit_ball_net",
     "density_defect",
     "compression_orbit_check",
     "planted_eigen_instance",
@@ -243,6 +244,13 @@ def _pivoted_rank(cols: np.ndarray, rel_tol: float) -> int:
     return rank
 
 
+def unit_ball_net(pattern: ZeroPattern, support_bound: int, net_level: int) -> np.ndarray:
+    """The ``dyadic_net`` that ``density_defect`` covers, as dense rows of
+    width ``support_bound``."""
+    net = dyadic_net(pattern, support_bound, net_level)
+    return np.array([v.to_dense(support_bound) for v in net], dtype=np.complex128)
+
+
 def density_defect(
     points: Sequence[SeqVec] | np.ndarray,
     pattern: ZeroPattern,
@@ -250,16 +258,20 @@ def density_defect(
     support_bound: int,
     eps: float,
     membership_tol: float = 1e-9,
+    net: np.ndarray | None = None,
 ) -> float:
     """Fraction of a unit-ball dyadic net left uncovered by the orbit points.
 
     Points outside the subspace (beyond ``membership_tol``) cannot cover
     anything and are discarded first; an empty remaining cloud leaves the
-    whole net uncovered (defect 1).
+    whole net uncovered (defect 1).  ``net``, when given, must be
+    ``unit_ball_net(pattern, support_bound, net_level)``; a caller covering
+    several orbits with one net builds it once.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    net = dyadic_net(pattern, support_bound, net_level)
+    if net is None:
+        net = unit_ball_net(pattern, support_bound, net_level)
 
     if isinstance(points, np.ndarray):
         arr = np.asarray(points, dtype=np.complex128)
@@ -287,7 +299,8 @@ def density_defect(
         return 1.0
 
     net_dim = max(dim, support_bound)
-    net_arr = np.array([v.to_dense(net_dim) for v in net], dtype=np.complex128)
+    net_arr = np.zeros((len(net), net_dim), dtype=np.complex128)
+    net_arr[:, :support_bound] = net
     if member_points.shape[1] < net_dim:
         padded = np.zeros((member_points.shape[0], net_dim), dtype=np.complex128)
         padded[:, : member_points.shape[1]] = member_points

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -60,7 +61,12 @@ class SeqVec:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[int, complex] | Iterable[tuple[int, complex]] = ()):
-        items = entries.items() if isinstance(entries, Mapping) else entries
+        # A plain dict is the common internal case; test it before the
+        # costlier ABC check.
+        if type(entries) is dict or isinstance(entries, Mapping):
+            items = entries.items()
+        else:
+            items = entries
         acc: dict[int, complex] = {}
         for index, raw in items:
             i = int(index)
@@ -355,7 +361,8 @@ def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
 
     Pure shifts collapse to a single shift by ``n * power``; that is the
     same index arithmetic the loop would perform, just without the loop.
-    Every other kind is iterated honestly.
+    Every other kind is iterated honestly, stopping early once the image is
+    the zero vector: every kind maps zero to zero, so the stop is exact.
     """
     if n < 0:
         raise ValueError("power must be >= 0")
@@ -369,6 +376,8 @@ def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
         return vec
     out = vec
     for _ in range(n):
+        if not out:
+            break
         out = op.apply(out)
     return out
 

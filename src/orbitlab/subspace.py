@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from itertools import product
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import ConfigError
 from .seqspace import Operator, SeqVec, apply_power
@@ -27,6 +27,7 @@ __all__ = [
     "membership_defect",
     "project",
     "invariance_check",
+    "invariance_scan",
     "DenseFamilySpec",
     "dense_family",
     "family_level_size",
@@ -120,13 +121,45 @@ def project(vec: SeqVec, pattern: ZeroPattern) -> SeqVec:
 def invariance_check(op: Operator, pattern: ZeroPattern, n: int, dim: int) -> bool:
     """Does the n-th power map the truncated subspace into the subspace?
 
-    Checks every allowed basis vector below ``dim``; exactness of sparse
-    membership makes this a yes/no answer, not a tolerance call.
+    Checks every allowed basis vector below ``dim``, stopping at the first
+    one whose image leaves the subspace; exactness of sparse membership
+    makes this a yes/no answer, not a tolerance call.
     """
-    for i in allowed_indices(pattern, dim):
-        if membership_defect(apply_power(op, n, SeqVec.basis(i)), pattern) != 0.0:
-            return False
-    return True
+    return next(invariance_scan(op, pattern, (n,), dim))
+
+
+def invariance_scan(
+    op: Operator, pattern: ZeroPattern, powers: Iterable[int], dim: int
+) -> Iterator[bool]:
+    """``invariance_check`` at each of the increasing ``powers``, lazily.
+
+    Each allowed basis vector keeps its latest image and the power it has
+    reached.  At power n the basis is walked in ``invariance_check``'s order,
+    an image is advanced from its stored power to n only when the walk
+    reaches it, and the walk stops at the first non-member.  So no power
+    costs more operator applications than checking it from scratch, an
+    image is never computed past the largest power that needs it, and an
+    operator that raises on some basis vector raises exactly where the
+    check from scratch would.
+    """
+    allowed = allowed_indices(pattern, dim)
+    orbits: list[tuple[int, SeqVec]] = []  # (power, image) of allowed[k], as reached
+    last = 0
+    for n in powers:
+        if n < last:
+            raise ValueError(f"powers must be increasing and >= 0, got {n} after {last}")
+        last = n
+        invariant = True
+        for k, i in enumerate(allowed):
+            if k == len(orbits):
+                orbits.append((0, SeqVec.basis(i)))
+            power, image = orbits[k]
+            image = apply_power(op, n - power, image)
+            orbits[k] = (n, image)
+            if membership_defect(image, pattern) != 0.0:
+                invariant = False
+                break
+        yield invariant
 
 
 # --------------------------------------------------------------------------

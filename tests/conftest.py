@@ -56,3 +56,14 @@ def rand_member(rng, pattern, bound, max_terms=4, scale=1.0):
         (int(i), scale * complex(rng.standard_normal(), rng.standard_normal()))
         for i in idx
     )
+
+
+class CountingOp:
+    """Wraps an operator and counts its applications."""
+
+    def __init__(self, op):
+        self.op, self.calls = op, 0
+
+    def apply(self, vec):
+        self.calls += 1
+        return self.op.apply(vec)

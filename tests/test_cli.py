@@ -334,6 +334,18 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
         assert err.startswith(("config error: ", "error: "))
 
+    def test_null_lambda_reads_as_absent(self, tmp_path, capsys):
+        rc, out = _run(tmp_path, {"command": "jordan", "lambda": None}, out="null")
+        assert rc == 0
+        rc, plain = _run(tmp_path, {"command": "jordan"}, out="plain")
+        assert (out / "report.json").read_bytes() == (plain / "report.json").read_bytes()
+
+        data = {"command": "preset", "preset": "certify-prefix3", "lambda": None}
+        rc, out = _run(tmp_path, data, out="needs")
+        assert rc == 2
+        assert not (out / "report.json").exists()
+        assert capsys.readouterr().err == "config error: certify requires 'lambda'\n"
+
 
 class TestVerdicts:
     def test_failing_run_exits_one_but_reports(self, tmp_path):
@@ -376,6 +388,21 @@ class TestVerdicts:
             "expect": "none",
         }
         rc, out = _run(tmp_path, miss, out="miss")
+        assert rc == 0
+        assert _report(out)["report"]["found"] is False
+
+    def test_matrix_probe_never_reaches_past_its_block(self, tmp_path):
+        # [[1, 1], [0, 1]] moves e_1 onto index 0, so every power n >= 1 fails
+        # invariance at the first allowed basis vector, before e_2, which lies
+        # outside the 2x2 block and would raise.
+        data = {
+            "command": "probe",
+            "operator": {"kind": "finiteMatrix", "entries": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]},
+            "pattern": {"kind": "prefix", "m": 1},
+            "truncationDim": 8,
+            "expect": "none",
+        }
+        rc, out = _run(tmp_path, data)
         assert rc == 0
         assert _report(out)["report"]["found"] is False
 

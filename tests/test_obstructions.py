@@ -23,7 +23,9 @@ from orbitlab import (
     planted_chain_instance,
     planted_eigen_instance,
     spectral_dichotomy,
+    unit_ball_net,
 )
+from orbitlab import cli, obstructions
 from conftest import rand_dense_vec, spread_matrix
 
 
@@ -248,6 +250,41 @@ class TestDensityDefect:
         a = density_defect(points, self.PATTERN, 1, 2, eps=0.2)
         b = density_defect(arr, self.PATTERN, 1, 2, eps=0.2)
         assert a == b
+
+    def test_unit_ball_net_rows(self):
+        net = unit_ball_net(PrefixZero(1), 3, 1)
+        sparse = dyadic_net(PrefixZero(1), 3, 1)
+        assert net.shape == (len(sparse), 3)
+        assert all(SeqVec.from_dense(row) == v for row, v in zip(net, sparse))
+
+    @pytest.mark.parametrize("width", [2, 5])
+    def test_given_net_matches_built_net(self, rng, width):
+        pattern = PrefixZero(1)
+        arr = 0.4 * (rng.standard_normal((30, width)) + 1j * rng.standard_normal((30, width)))
+        arr[:, 0] = 0.0
+        net = unit_ball_net(pattern, 3, 1)
+        for eps in (0.05, 0.2, 0.5):
+            built = density_defect(arr, pattern, 1, 3, eps)
+            assert density_defect(arr, pattern, 1, 3, eps, net=net) == built
+
+    def test_findim_builds_one_net_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_net(*args):
+            calls.append(args)
+            return dyadic_net(*args)
+
+        monkeypatch.setattr(obstructions, "dyadic_net", counting_net)
+        cfg = tmp_path / "findim.json"
+        cfg.write_text(
+            '{"command": "findim", "pattern": {"kind": "prefix", "m": 1}, '
+            '"truncationDim": 4, "horizon": 200, "trials": 3}',
+            encoding="utf-8",
+        )
+        assert cli.main([str(cfg), "--out-dir", str(tmp_path)]) in (0, 1)
+        assert len(calls) == 1
+        assert cli.main([str(cfg), "--out-dir", str(tmp_path)]) in (0, 1)
+        assert len(calls) == 2
 
 
 class TestCompression:

@@ -1,4 +1,5 @@
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -23,12 +24,23 @@ from orbitlab import (
     norm,
     to_matrix,
 )
-from conftest import rand_vec
+from conftest import CountingOp, rand_vec
 
 finite_complex = st.complex_numbers(
     allow_nan=False, allow_infinity=False, max_magnitude=1e6
 )
 sparse_vecs = st.dictionaries(st.integers(0, 40), finite_complex, max_size=8).map(SeqVec)
+
+
+ALL_KINDS = [
+    BackwardShift(2),
+    ForwardShift(1),
+    Identity(),
+    ScalarMultiple(1 + 1j, BackwardShift()),
+    Diagonal((2.0, 0.5j)),
+    DirectSum(ForwardShift(1), BackwardShift(1), 2),
+    FiniteMatrix.from_array([[1, 1], [0, 1]]),
+]
 
 
 class TestSeqVec:
@@ -40,6 +52,14 @@ class TestSeqVec:
     def test_duplicate_indices_accumulate(self):
         v = SeqVec([(2, 1.0), (2, 2.5)])
         assert v[2] == 3.5
+
+    def test_any_mapping_or_pairs_build_the_same_vector(self):
+        entries = {0: 1.5, 4: -2j, 9: 0.0}
+        v = SeqVec(entries)
+        assert SeqVec(MappingProxyType(entries)) == v
+        assert SeqVec(entries.items()) == v
+        assert SeqVec(iter(list(entries.items()))) == v
+        assert v.items() == ((0, 1.5 + 0j), (4, -2j))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -174,6 +194,35 @@ class TestApplyPower:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             apply_power(Identity(), -1, SeqVec.zero())
+
+    @pytest.mark.parametrize("op", ALL_KINDS, ids=lambda op: type(op).__name__)
+    def test_every_kind_maps_zero_to_zero(self, op):
+        assert not op.apply(SeqVec())
+
+    @pytest.mark.parametrize(
+        "op, vec, dies_after",
+        [
+            (ScalarMultiple(2, BackwardShift()), SeqVec({0: 1.0, 4: 1j}), 5),
+            (Diagonal((0.5, 0.0, 3.0)), SeqVec({1: 1.0, 5: 2.0}), 1),
+            (
+                DirectSum(ScalarMultiple(2, BackwardShift()), Diagonal((1.0,)), 3),
+                SeqVec({2: 1.0, 4: 1.0}),
+                3,
+            ),
+            (FiniteMatrix.from_array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), SeqVec({2: 1j}), 3),
+            (ScalarMultiple(-1j, DirectSum(Identity(), BackwardShift(2), 1)), SeqVec({5: 1.0}), 3),
+        ],
+    )
+    def test_stops_at_zero_like_the_plain_loop(self, op, vec, dies_after):
+        counted = CountingOp(op)
+        for n in range(dies_after + 4):
+            expected = vec
+            for _ in range(n):
+                expected = op.apply(expected)
+            counted.calls = 0
+            assert apply_power(counted, n, vec) == expected
+            assert bool(expected) == (n < dies_after)
+            assert counted.calls == min(n, dies_after)
 
 
 class TestAdjoint:

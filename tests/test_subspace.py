@@ -17,6 +17,7 @@ from orbitlab import (
     dense_family,
     dyadic_net,
     invariance_check,
+    invariance_scan,
     membership_defect,
     norm,
     project,
@@ -119,6 +120,16 @@ class TestInvariance:
     def test_shift_square_on_stride_two_support(self):
         op = ScalarMultiple(2, BackwardShift(2))
         assert all(invariance_check(op, SupportIn(2), n, 32) for n in range(1, 8))
+
+    def test_scan_answers_each_power(self):
+        scan = invariance_scan(BackwardShift(), ResidueZero(0, 2), range(9), 16)
+        assert list(scan) == [n % 2 == 0 for n in range(9)]
+
+    def test_scan_rejects_decreasing_powers(self):
+        with pytest.raises(ValueError):
+            list(invariance_scan(BackwardShift(), PrefixZero(1), [3, 2], 8))
+        with pytest.raises(ValueError):
+            invariance_check(BackwardShift(), PrefixZero(1), -1, 8)
 
 
 class TestDenseFamily:
