@@ -267,6 +267,12 @@ def transitivity_probe(
     the candidate, the ball constraints, and invariance of the subspace at
     that power, so a returned n is a certificate; ``None`` only means the
     searched candidates missed.
+
+    Membership and the V-ball do not depend on n, so the grid candidates
+    are filtered once, and each survivor's image is carried from one
+    invariant power to the next.  Within a power the survivors are tried in
+    grid order and the preimage last, so the first hit, and any error an
+    image raises, come where checking every power from scratch puts them.
     """
     if u_radius <= 0 or v_radius <= 0:
         raise ValueError("ball radii must be positive")
@@ -281,24 +287,37 @@ def transitivity_probe(
     except UnsupportedOperator:
         backsolvable = False
 
-    v_image, v_reached = v_center, 0
+    def hits(image: SeqVec) -> bool:
+        return membership_defect(image, pattern) == 0.0 and norm(image - u_center) < u_radius
+
+    # Images at power ``reached`` of the grid candidates in the subspace and
+    # the V-ball, filtered at n = 0: T^0 = I, so that power comes first and
+    # is always invariant.
+    survivors: list[SeqVec] = []
+    v_image, reached = v_center, 0
     for n, invariant in enumerate(invariance_scan(op, pattern, range(horizon + 1), dim)):
         if not invariant:
             continue
-        candidates = [v_center + g for g in grid]
-        if backsolvable and n >= 1:
-            v_image = apply_power(op, n - v_reached, v_image)
-            v_reached = n
-            residual = u_center - v_image
-            candidates.append(v_center + backsolve(op, n, residual))
-        for w in candidates:
-            if membership_defect(w, pattern) != 0.0:
-                continue
-            if norm(w - v_center) >= v_radius:
-                continue
-            image = apply_power(op, n, w)
-            if membership_defect(image, pattern) != 0.0:
-                continue
-            if norm(image - u_center) < u_radius:
+        if n == 0:
+            for w in [v_center + g for g in grid]:
+                if membership_defect(w, pattern) == 0.0 and norm(w - v_center) < v_radius:
+                    if hits(w):
+                        return 0
+                    survivors.append(w)
+            continue
+        if backsolvable:
+            v_image = apply_power(op, n - reached, v_image)
+            preimage = v_center + backsolve(op, n, u_center - v_image)
+        for k, image in enumerate(survivors):
+            survivors[k] = image = apply_power(op, n - reached, image)
+            if hits(image):
                 return n
+        reached = n
+        if (
+            backsolvable
+            and membership_defect(preimage, pattern) == 0.0
+            and norm(preimage - v_center) < v_radius
+            and hits(apply_power(op, n, preimage))
+        ):
+            return n
     return None

@@ -80,6 +80,18 @@ class SeqVec:
         self._entries = {i: z for i, z in acc.items() if abs(z) >= PRUNE_MODULUS}
 
     @classmethod
+    def _from_canonical(cls, entries: dict[int, complex]) -> "SeqVec":
+        """Wrap a dict that is already canonical, without re-validating it.
+
+        Every key must be an int >= 0 and every value a finite complex of
+        modulus at least ``PRUNE_MODULUS``: a re-indexing of another vector's
+        entries, or values that passed the same checks one at a time.
+        """
+        vec = object.__new__(cls)
+        vec._entries = entries
+        return vec
+
+    @classmethod
     def zero(cls) -> "SeqVec":
         return cls()
 
@@ -189,7 +201,7 @@ class BackwardShift:
 
     def apply(self, vec: SeqVec) -> SeqVec:
         p = self.power
-        return SeqVec((i - p, z) for i, z in vec.items() if i >= p)
+        return SeqVec._from_canonical({i - p: z for i, z in vec.items() if i >= p})
 
     def adjoint(self) -> "ForwardShift":
         return ForwardShift(self.power)
@@ -207,7 +219,7 @@ class ForwardShift:
 
     def apply(self, vec: SeqVec) -> SeqVec:
         p = self.power
-        return SeqVec((i + p, z) for i, z in vec.items())
+        return SeqVec._from_canonical({i + p: z for i, z in vec.items()})
 
     def adjoint(self) -> "BackwardShift":
         return BackwardShift(self.power)
@@ -356,20 +368,96 @@ def adjoint_apply(op: Operator, vec: SeqVec) -> SeqVec:
     return op.adjoint().apply(vec)
 
 
+def _scaled_shift_parts(op: Operator) -> tuple[tuple[complex, ...], int] | None:
+    """``(factors, p)`` when ``op`` is nested ``ScalarMultiple``s over one ``BackwardShift(p)``.
+
+    The factors are listed innermost first, the order in which one
+    application multiplies them in.  Any other operator, including a
+    subclass or a wrapper, gives ``None``.
+    """
+    factors = []
+    while type(op) is ScalarMultiple:
+        factors.append(op.factor)
+        op = op.operand
+    if type(op) is not BackwardShift:
+        return None
+    return tuple(reversed(factors)), op.power
+
+
+def _rounds(z: complex, seq, start: int, stop: int) -> tuple[complex | None, int]:
+    """Multiply ``z`` by ``seq[start:stop]`` one round at a time, with SeqVec's checks.
+
+    Returns ``(z, stop)`` when every product is kept.  Otherwise returns
+    ``(None, r)`` if round r's product is pruned, or ``(product, r)`` if it
+    fails a check, which ``_fail`` raises.  A product is bad iff its modulus
+    is not finite, or too large to compute for a finite product.
+    """
+    for r in range(start, stop):
+        z = z * seq[r]
+        try:
+            a = abs(z)
+        except OverflowError:
+            return z, r
+        if a < PRUNE_MODULUS:
+            return None, r
+        if not a < math.inf:
+            return z, r
+    return z, stop
+
+
+def _fail(z: complex) -> None:
+    """Raise what building a SeqVec raises for the bad product ``z``."""
+    _checked(z)  # ValueError for a non-finite product
+    abs(z)  # OverflowError from the prune test for a finite one
+
+
+def _scaled_shift_power(factors: tuple[complex, ...], p: int, n: int, vec: SeqVec) -> SeqVec:
+    """``apply_power`` of the scaled shift ``(factors, p)``, bit for bit.
+
+    Entry i takes part in min(n, i // p) steps of the honest loop and lands
+    at i - n p if it survives all n.  Its value goes through the same
+    products in the same order, so only the bookkeeping is saved.  The
+    loop raises at the first bad round; within a round it checks every
+    product for finiteness in ascending index before any prune test, so
+    the first error is the least (round, finite, index).
+    """
+    seq = factors * n
+    m = len(factors)
+    cut = n * p
+    out: dict[int, complex] = {}
+    bad = []
+    for i, z in vec.items():
+        stop = min(n, i // p) * m
+        z, r = _rounds(z, seq, 0, stop)
+        if r == stop:
+            if i >= cut:
+                out[i - cut] = z
+        elif z is not None:
+            bad.append((r, cmath.isfinite(z), i, z))
+    if bad:
+        _fail(min(bad)[3])
+    return SeqVec._from_canonical(out)
+
+
 def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
     """Apply ``op`` n times.
 
-    Pure shifts collapse to a single shift by ``n * power``; that is the
-    same index arithmetic the loop would perform, just without the loop.
-    Every other kind is iterated honestly, stopping early once the image is
-    the zero vector: every kind maps zero to zero, so the stop is exact.
+    Nested scalar multiples of one backward shift (the paper's lam B and
+    lam B^2, and a bare shift) run as index arithmetic plus one value
+    trajectory per entry: the same products in the same order as n honest
+    applications, so the result is bit-identical and raises the same
+    error at the same point, but only one vector is built.  Forward shifts
+    collapse to a single shift by ``n * power``.  Every other kind is
+    iterated honestly, stopping early once the image is the zero vector:
+    every kind maps zero to zero, so the stop is exact.
     """
     if n < 0:
         raise ValueError("power must be >= 0")
     if n == 0:
         return vec
-    if isinstance(op, BackwardShift):
-        return BackwardShift(op.power * n).apply(vec)
+    parts = _scaled_shift_parts(op)
+    if parts is not None:
+        return _scaled_shift_power(*parts, n, vec)
     if isinstance(op, ForwardShift):
         return ForwardShift(op.power * n).apply(vec)
     if isinstance(op, Identity):

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterable, Iterator, Union
 
 from .errors import ConfigError
-from .seqspace import Operator, SeqVec, apply_power
+from .seqspace import Operator, SeqVec, _fail, _rounds, _scaled_shift_parts, apply_power
 
 __all__ = [
     "PrefixZero",
@@ -133,23 +133,41 @@ def invariance_scan(
 ) -> Iterator[bool]:
     """``invariance_check`` at each of the increasing ``powers``, lazily.
 
-    Each allowed basis vector keeps its latest image and the power it has
-    reached.  At power n the basis is walked in ``invariance_check``'s order,
-    an image is advanced from its stored power to n only when the walk
-    reaches it, and the walk stops at the first non-member.  So no power
-    costs more operator applications than checking it from scratch, an
-    image is never computed past the largest power that needs it, and an
-    operator that raises on some basis vector raises exactly where the
-    check from scratch would.
+    At power n the allowed basis is walked in ``invariance_check``'s order
+    and the walk stops at the first non-member, so an operator that raises
+    on some basis vector raises exactly where the check from scratch would.
+
+    A scaled backward shift (nested scalar multiples of one
+    ``BackwardShift(p)``) moves basis vector i to i - n p, or out of the
+    sequence if i < n p.  Every basis vector starts at 1.0, so all of them
+    share one value trajectory, of which vector i has gone through the first
+    min(n, i // p) steps.  Such an operator is answered by index arithmetic
+    over that trajectory, computed once and only as far as the powers need.
+
+    Any other operator keeps, per allowed basis vector, its latest image and
+    the power it has reached; an image is advanced to n only when the walk
+    reaches it.  So no power costs more operator applications than checking
+    it from scratch, and an image is never computed past the largest power
+    that needs it.
     """
     allowed = allowed_indices(pattern, dim)
-    orbits: list[tuple[int, SeqVec]] = []  # (power, image) of allowed[k], as reached
+    parts = _scaled_shift_parts(op)
+    if parts is None:
+        decide = _carried_decider(op, pattern, allowed)
+    else:
+        decide = _trajectory_decider(*parts, pattern, allowed)
     last = 0
     for n in powers:
         if n < last:
             raise ValueError(f"powers must be increasing and >= 0, got {n} after {last}")
         last = n
-        invariant = True
+        yield decide(n)
+
+
+def _carried_decider(op: Operator, pattern: ZeroPattern, allowed: list[int]):
+    orbits: list[tuple[int, SeqVec]] = []  # (power, image) of allowed[k], as reached
+
+    def decide(n: int) -> bool:
         for k, i in enumerate(allowed):
             if k == len(orbits):
                 orbits.append((0, SeqVec.basis(i)))
@@ -157,9 +175,42 @@ def invariance_scan(
             image = apply_power(op, n - power, image)
             orbits[k] = (n, image)
             if membership_defect(image, pattern) != 0.0:
-                invariant = False
-                break
-        yield invariant
+                return False
+        return True
+
+    return decide
+
+
+def _trajectory_decider(
+    factors: tuple[complex, ...], p: int, pattern: ZeroPattern, allowed: list[int]
+):
+    m = len(factors)
+    seq: list[complex] = []  # the factors, one per round
+    z: complex | None = 1 + 0j  # the shared value after ``done`` rounds
+    done = 0
+    ended = False  # round ``done`` pruned z (z is None) or failed a check (z is the product)
+
+    def decide(n: int) -> bool:
+        nonlocal z, done, ended
+        if not ended and done < n * m:
+            seq.extend(factors * (n - len(seq) // m))
+            z, done = _rounds(z, seq, done, n * m)
+            ended = done < n * m
+        cut = n * p
+        for i in allowed:
+            if ended and done < min(n, i // p) * m:
+                if z is None:
+                    continue  # pruned to the zero vector, which is a member
+                _fail(z)
+            if i >= cut and pattern.forbids(i - cut):
+                # Every later vector that lands on a forbidden index lands
+                # with the same value, so this defect decides them all.  It
+                # can read 0.0 if the value's squared modulus underflows.
+                image = SeqVec._from_canonical({i - cut: z})
+                return membership_defect(image, pattern) == 0.0
+        return True
+
+    return decide
 
 
 # --------------------------------------------------------------------------

@@ -300,6 +300,14 @@ class TestConfigErrors:
                 "horizon": 100,
                 "trials": 1,
             },
+            # Accepted by the parser, overflowing in the run.
+            {
+                "command": "probe",
+                "lambda": [1.3e154, 4.1e153],
+                "pattern": {"kind": "residue", "a": 0, "b": 2},
+                "truncationDim": 64,
+                "horizon": 6,
+            },
         ],
         ids=[
             "unknown-command",
@@ -324,6 +332,7 @@ class TestConfigErrors:
             "unknown-operator-field",
             "no-criterion-exponents",
             "net-over-point-cap",
+            "overflowing-probe",
         ],
     )
     def test_rejected_configs(self, tmp_path, capsys, data):

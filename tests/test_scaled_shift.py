@@ -1,0 +1,236 @@
+"""The scaled-shift fast path against honest iteration.
+
+``apply_power`` answers nested scalar multiples of one backward shift by
+index arithmetic plus one value trajectory per entry, ``invariance_scan``
+by one trajectory that all basis vectors share, and ``transitivity_probe``
+filters its grid once and carries the survivors' images.  These tests
+compare them with plain loops of ``op.apply`` written here, because
+``apply_power`` itself dispatches: results must agree bit for bit, and
+where the loop raises, the same exception type with the same message.
+"""
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from orbitlab import (
+    BackwardShift,
+    OrbitlabError,
+    PrefixZero,
+    ResidueZero,
+    RightBlockZero,
+    ScalarMultiple,
+    SeqVec,
+    SupportIn,
+    apply_power,
+    dyadic_net,
+    invariance_check,
+    invariance_scan,
+    membership_defect,
+    norm,
+    project,
+    transitivity_probe,
+)
+from orbitlab.criterion import backsolve
+from orbitlab.subspace import allowed_indices
+
+# Complex and zero factors, |lam| < 1 down to pruning, and factors that
+# overflow a few steps in, as non-finite or as finite products too large
+# for the prune test.
+factors = st.sampled_from(
+    [2.0, -0.5, 1j, 1 + 1j, 0.75 - 0.25j, 0.0, 1.3, 1e-170, 1e150, 1.3e154 + 4.1e153j]
+)
+scaled_shifts = st.builds(
+    lambda p, fs: _nest(BackwardShift(p), fs),
+    st.integers(1, 3),
+    st.lists(factors, max_size=3),
+)
+values = st.one_of(
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e308 + 1e308j, 1.7e308, -1.7e308j, 1e-299, 3e-300j]),
+)
+vectors = st.dictionaries(st.integers(0, 15), values, max_size=6).map(SeqVec)
+patterns = st.one_of(
+    st.builds(PrefixZero, st.integers(0, 4)),
+    st.integers(2, 4).flatmap(lambda b: st.builds(ResidueZero, st.integers(0, b - 1), st.just(b))),
+    st.builds(SupportIn, st.integers(1, 3)),
+    st.builds(RightBlockZero, st.integers(1, 8)),
+)
+powers = st.lists(st.integers(0, 12), max_size=6, unique=True).map(sorted)
+
+
+def _nest(op, fs):
+    for f in fs:
+        op = ScalarMultiple(f, op)
+    return op
+
+
+def _plain_power(op, n, vec):
+    out = vec
+    for _ in range(n):
+        out = op.apply(out)
+    return out
+
+
+def _bits(vec):
+    """Entries with their exact bits; ``==`` on complex cannot tell -0.0 from 0.0."""
+    return [(i, z.real.hex(), z.imag.hex()) for i, z in vec.items()]
+
+
+def _outcome(fn):
+    try:
+        result = fn()
+    except (OrbitlabError, ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return _bits(result) if isinstance(result, SeqVec) else result
+
+
+def _outcomes(results):
+    out = []
+    try:
+        for r in results:
+            out.append(r)
+    except (OrbitlabError, ValueError, ArithmeticError) as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def _plain_invariance(op, pattern, n, dim):
+    for i in allowed_indices(pattern, dim):
+        if membership_defect(_plain_power(op, n, SeqVec.basis(i)), pattern) != 0.0:
+            return False
+    return True
+
+
+@seed(11)
+@settings(max_examples=500, deadline=None)
+@given(scaled_shifts, st.integers(0, 12), vectors)
+def test_apply_power_matches_plain_loop(op, n, vec):
+    assert _outcome(lambda: apply_power(op, n, vec)) == _outcome(lambda: _plain_power(op, n, vec))
+
+
+@pytest.mark.parametrize(
+    "op, n, vec, expected",
+    [
+        # Entry 0 leaves through the first shift, before any product.
+        (ScalarMultiple(1e300, BackwardShift(1)), 5, {0: 1e300}, ()),
+        # Under B^2, entry 1 leaves at once and entry 3 overflows in its one step.
+        (ScalarMultiple(1e10, BackwardShift(2)), 3, {1: 1e300}, ()),
+        (
+            ScalarMultiple(1e10, BackwardShift(2)),
+            3,
+            {3: 1e300},
+            (ValueError, "non-finite coefficient (inf+0j)"),
+        ),
+        # |lam| < 1: entry 4 is pruned on its second step, entry 9 survives.
+        (ScalarMultiple(1e-160, BackwardShift(1)), 2, {4: 1.0, 9: 1e160}, (7,)),
+        # A finite product whose modulus overflows the prune test.
+        (
+            ScalarMultiple(1.3, BackwardShift(1)),
+            1,
+            {1: 1e308 + 1e308j},
+            (OverflowError, "absolute value too large"),
+        ),
+        # Within one round every product is checked for finiteness before any
+        # prune test, so index 3's inf wins over index 1's overflow.
+        (
+            ScalarMultiple(1.3, BackwardShift(1)),
+            2,
+            {2: 1e308 + 1e308j, 4: 1.7e308},
+            (ValueError, "non-finite coefficient (inf+0j)"),
+        ),
+        # Rounds come first: index 1's overflow under the inner factor wins
+        # over index 4's inf under the outer factor of the same step.
+        (
+            ScalarMultiple(1e10, ScalarMultiple(1.3, BackwardShift(1))),
+            1,
+            {1: 1e308 + 1e308j, 4: 1e300},
+            (OverflowError, "absolute value too large"),
+        ),
+    ],
+)
+def test_entries_die_and_fail_like_the_plain_loop(op, n, vec, expected):
+    vec = SeqVec(vec)
+    plain = _outcome(lambda: _plain_power(op, n, vec))
+    assert _outcome(lambda: apply_power(op, n, vec)) == plain
+    if isinstance(plain, list):
+        assert tuple(i for i, _, _ in plain) == expected
+    else:
+        assert plain == expected
+
+
+@seed(12)
+@settings(max_examples=400, deadline=None)
+@given(scaled_shifts, patterns, powers, st.integers(0, 16))
+def test_invariance_scan_matches_plain_checks(op, pattern, ns, dim):
+    expected = _outcomes(_plain_invariance(op, pattern, n, dim) for n in ns)
+    assert _outcomes(invariance_scan(op, pattern, ns, dim)) == expected
+    assert _outcomes(invariance_check(op, pattern, n, dim) for n in ns) == expected
+
+
+def test_invariance_scan_raises_only_where_a_basis_vector_overflows():
+    # 1e200 B overflows on a vector's second step: basis vector i takes
+    # min(n, i) steps, so dimension 2 never raises and dimension 3 raises
+    # from power 2 on.
+    op = ScalarMultiple(1e200, BackwardShift(1))
+    pattern = PrefixZero(0)
+    assert list(invariance_scan(op, pattern, range(6), 2)) == [True] * 6
+    scan = invariance_scan(op, pattern, range(6), 3)
+    assert [next(scan), next(scan)] == [True, True]
+    with pytest.raises(ValueError, match=r"non-finite coefficient \(inf\+0j\)"):
+        next(scan)
+
+
+def test_invariance_scan_reads_an_underflowing_defect_as_zero():
+    # 1e-170 B moves basis vector 1 onto forbidden index 0 with value 1e-170,
+    # whose squared modulus underflows: membership_defect reads 0.0 there,
+    # so the check from scratch calls every image a member.
+    op, pattern = ScalarMultiple(1e-170, BackwardShift(1)), PrefixZero(1)
+    assert _plain_invariance(op, pattern, 1, 2)
+    assert list(invariance_scan(op, pattern, [1], 2)) == [True]
+
+
+def _scratch_probe(op, pattern, u_center, u_radius, v_center, v_radius, horizon, dim, grid):
+    """``transitivity_probe`` with every power checked from scratch."""
+    level, support = grid
+    grid = [t * v_radius for t in dyadic_net(pattern, support, level)]
+    backsolvable = isinstance(op, BackwardShift) or isinstance(op.operand, BackwardShift)
+    for n in range(horizon + 1):
+        if not _plain_invariance(op, pattern, n, dim):
+            continue
+        candidates = [v_center + g for g in grid]
+        if backsolvable and n >= 1:
+            residual = u_center - _plain_power(op, n, v_center)
+            candidates.append(v_center + backsolve(op, n, residual))
+        for w in candidates:
+            if membership_defect(w, pattern) != 0.0:
+                continue
+            if norm(w - v_center) >= v_radius:
+                continue
+            image = _plain_power(op, n, w)
+            if membership_defect(image, pattern) != 0.0:
+                continue
+            if norm(image - u_center) < u_radius:
+                return n
+    return None
+
+
+@seed(13)
+@settings(max_examples=120, deadline=None)
+@given(
+    scaled_shifts,
+    patterns,
+    vectors,
+    vectors,
+    st.sampled_from([0.25, 1.0, 3.0]),
+    st.sampled_from([0.5, 1.0, 2.5]),
+    st.integers(0, 8),
+    st.integers(0, 16),
+    st.sampled_from([(0, 1), (0, 3), (1, 2)]),
+)
+def test_transitivity_probe_matches_scratch(op, pattern, u, v, u_rad, v_rad, horizon, dim, grid):
+    u_center, v_center = project(u, pattern), project(v, pattern)
+    args = (op, pattern, u_center, u_rad, v_center, v_rad, horizon, dim)
+    carried = _outcome(lambda: transitivity_probe(*args, *grid))
+    assert carried == _outcome(lambda: _scratch_probe(*args, grid))
+
