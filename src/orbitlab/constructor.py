@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import InvalidModulus, ScheduleUnderflow
 from .seqspace import (
@@ -123,17 +123,11 @@ def geometric_tail_bound(lam_abs: float, j: int) -> float:
     return lam_abs ** (-(j + 1)) / math.sqrt(1.0 - lam_abs**-2)
 
 
-def build_schedule(
-    lam: complex,
-    targets: Sequence[SeqVec],
-    selector: Callable[[int, int, int], int] | None = None,
-) -> HittingSchedule:
+def build_schedule(lam: complex, targets: Sequence[SeqVec]) -> HittingSchedule:
     """Choose hitting times for the targets in order.
 
-    ``selector(j, k_prev, floor)`` may propose the j-th time (``floor`` is
-    the first index past the previous window); whatever it returns is still
-    validated against both constraints.  The default takes the smallest
-    admissible time, which makes schedules reproducible.
+    Each time is the smallest admissible one past the previous window,
+    which makes schedules reproducible.
     """
     lam_abs = abs(lam)
     if lam_abs <= 1.0:
@@ -144,13 +138,9 @@ def build_schedule(
     count = len(targets) - 1
     times = [0]
     for j in range(1, len(targets)):
-        floor = times[-1] + length(targets[j - 1]) + 1
-        if selector is not None:
-            k = selector(j, times[-1], floor)
-        else:
-            k = floor
-            while norm(targets[j]) / _pow_abs(lam_abs, k - times[-1]) > lam_abs ** (-j):
-                k += 1
+        k = times[-1] + length(targets[j - 1]) + 1
+        while norm(targets[j]) / _pow_abs(lam_abs, k - times[-1]) > lam_abs ** (-j):
+            k += 1
         times.append(k)
 
     entries = tuple(

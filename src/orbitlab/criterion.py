@@ -14,11 +14,10 @@ from typing import Sequence
 
 from .errors import UnsupportedOperator
 from .seqspace import (
-    BackwardShift,
     ForwardShift,
     Operator,
-    ScalarMultiple,
     SeqVec,
+    _scaled_shift_parts,
     apply_power,
     norm,
 )
@@ -42,15 +41,13 @@ __all__ = [
 ]
 
 
-def _shift_scale(op: Operator) -> tuple[complex, int]:
-    """Decompose ``op`` as lam * B^b or fail."""
-    if isinstance(op, BackwardShift):
-        return 1.0 + 0j, op.power
-    if isinstance(op, ScalarMultiple) and isinstance(op.operand, BackwardShift):
-        return op.factor, op.operand.power
-    raise UnsupportedOperator(
-        f"backsolve needs a (scaled) backward shift, got {type(op).__name__}"
-    )
+def _shift_scale(op: Operator) -> tuple[complex, int] | None:
+    """``(lam, b)`` when ``op`` is lam * B^b with at most one factor, else ``None``."""
+    parts = _scaled_shift_parts(op)
+    if parts is None or len(parts[0]) > 1:
+        return None
+    factors, b = parts
+    return (factors[0] if factors else 1 + 0j), b
 
 
 def backsolve(op: Operator, n: int, target: SeqVec) -> SeqVec:
@@ -59,7 +56,12 @@ def backsolve(op: Operator, n: int, target: SeqVec) -> SeqVec:
     Defined for any nonzero scaling; whether the preimages decay is exactly
     what the criterion check observes, so no modulus gate is imposed here.
     """
-    lam, b = _shift_scale(op)
+    scale = _shift_scale(op)
+    if scale is None:
+        raise UnsupportedOperator(
+            f"backsolve needs a (scaled) backward shift, got {type(op).__name__}"
+        )
+    lam, b = scale
     if lam == 0:
         raise UnsupportedOperator("scaling factor 0 has no right inverse")
     if n < 0:
@@ -203,11 +205,8 @@ def check_criterion(
         decay.append(DecayRecord(i, final, first_zero))
     decay_ok = all(d.final_norm <= tol for d in decay)
 
-    lam_abs = None
-    try:
-        lam_abs = abs(_shift_scale(op)[0])
-    except UnsupportedOperator:
-        pass
+    scale = _shift_scale(op)
+    lam_abs = None if scale is None else abs(scale[0])
 
     recovery = []
     for i, y in enumerate(ys):
@@ -269,10 +268,11 @@ def transitivity_probe(
     searched candidates missed.
 
     Membership and the V-ball do not depend on n, so the grid candidates
-    are filtered once, and each survivor's image is carried from one
-    invariant power to the next.  Within a power the survivors are tried in
-    grid order and the preimage last, so the first hit, and any error an
-    image raises, come where checking every power from scratch puts them.
+    are filtered once and, since T^0 = I, tried as they are for n = 0.
+    Each survivor's image is then carried from one invariant power to the
+    next.  Within a power the survivors are tried in grid order and the
+    preimage last, so the first hit, and any error an image raises, come
+    where checking every power from scratch puts them.
     """
     if u_radius <= 0 or v_radius <= 0:
         raise ValueError("ball radii must be positive")
@@ -280,30 +280,22 @@ def transitivity_probe(
         raise ValueError("ball centers must lie in the subspace")
 
     grid = [t * v_radius for t in dyadic_net(pattern, grid_support, grid_level)]
-
-    backsolvable = True
-    try:
-        _shift_scale(op)
-    except UnsupportedOperator:
-        backsolvable = False
+    backsolvable = _shift_scale(op) is not None
 
     def hits(image: SeqVec) -> bool:
         return membership_defect(image, pattern) == 0.0 and norm(image - u_center) < u_radius
 
-    # Images at power ``reached`` of the grid candidates in the subspace and
-    # the V-ball, filtered at n = 0: T^0 = I, so that power comes first and
-    # is always invariant.
+    # Images at power ``reached`` of the grid candidates in the subspace and the V-ball.
     survivors: list[SeqVec] = []
+    for w in [v_center + g for g in grid]:
+        if membership_defect(w, pattern) == 0.0 and norm(w - v_center) < v_radius:
+            if hits(w):
+                return 0
+            survivors.append(w)
     v_image, reached = v_center, 0
-    for n, invariant in enumerate(invariance_scan(op, pattern, range(horizon + 1), dim)):
+    powers = range(1, horizon + 1)
+    for n, invariant in zip(powers, invariance_scan(op, pattern, powers, dim)):
         if not invariant:
-            continue
-        if n == 0:
-            for w in [v_center + g for g in grid]:
-                if membership_defect(w, pattern) == 0.0 and norm(w - v_center) < v_radius:
-                    if hits(w):
-                        return 0
-                    survivors.append(w)
             continue
         if backsolvable:
             v_image = apply_power(op, n - reached, v_image)

@@ -32,7 +32,7 @@ from .seqspace import (
     inner,
     norm,
 )
-from .subspace import ZeroPattern, dyadic_net, membership_defect
+from .subspace import ZeroPattern, dyadic_net
 
 __all__ = [
     "jordan_orbit",
@@ -53,19 +53,29 @@ KERNEL_TOL = 1e-10
 EXIT_LOW_FACTOR = 1e-6
 EXIT_HIGH_FACTOR = 1e6
 
+# Orbit-span rank: columns shorter than this times the longest are dependent.
+RANK_REL_TOL = 1e-10
 
-def _kernel_residual(step, y: np.ndarray, p: int) -> float:
-    w = y.copy()
+# Orbit points whose forbidden part is longer than this cannot cover the net.
+MEMBERSHIP_TOL = 1e-9
+
+
+def _kernel_residual(step, y: np.ndarray | SeqVec, p: int) -> float:
+    """Norm of ``step`` applied p times to ``y``, a dense or a sparse vector."""
     for _ in range(p):
-        w = step(w)
-    return float(np.linalg.norm(w))
+        y = step(y)
+    return norm(y) if isinstance(y, SeqVec) else float(np.linalg.norm(y))
 
 
-def _kernel_residual_seq(step, y: SeqVec, p: int) -> float:
-    w = y
-    for _ in range(p):
-        w = step(w)
-    return norm(w)
+def _pairings(op: Operator, x: SeqVec, y: SeqVec, n_max: int) -> list[complex]:
+    """<T^n x, y> for n = 0..n_max, one application per step."""
+    pairings = []
+    v = x
+    for n in range(n_max + 1):
+        if n > 0:
+            v = apply(op, v)
+        pairings.append(inner(v, y))
+    return pairings
 
 
 def jordan_orbit(op: FiniteMatrix, lam: complex, p: int, y: SeqVec, n: int) -> SeqVec:
@@ -113,11 +123,8 @@ def eigen_orbit_pairing(
     base = inner(x, y)
     lam_bar = lam.conjugate()
     worst = 0.0
-    v = x
-    for n in range(n_max + 1):
-        if n > 0:
-            v = apply(op, v)
-        worst = max(worst, abs(inner(v, y) - lam_bar**n * base))
+    for n, pairing in enumerate(_pairings(op, x, y, n_max)):
+        worst = max(worst, abs(pairing - lam_bar**n * base))
     return worst
 
 
@@ -134,15 +141,10 @@ def generalized_pairing_polynomial(
     if p < 1:
         raise ValueError("rank p must be >= 1")
     scale = max(1.0, norm(y))
-    if _kernel_residual_seq(lambda w: adjoint_apply(op, w) - lam * w, y, p) > KERNEL_TOL * scale:
+    if _kernel_residual(lambda w: adjoint_apply(op, w) - lam * w, y, p) > KERNEL_TOL * scale:
         raise NotInGeneralizedKernel(f"(T* - lam)^{p} y is not ~ 0")
 
-    pairings = []
-    v = x
-    for n in range(n_max + 1):
-        if n > 0:
-            v = apply(op, v)
-        pairings.append(inner(v, y))
+    pairings = _pairings(op, x, y, n_max)
 
     lam_bar = lam.conjugate()
     if lam == 0:
@@ -216,18 +218,18 @@ def spectral_dichotomy(op: FiniteMatrix, x: SeqVec, n_steps: int = 400) -> Dicho
     return DichotomyVerdict(cls, float(norms[0]), last, steps, trend)
 
 
-def orbit_span_rank(op: FiniteMatrix, x: SeqVec, n_steps: int, rel_tol: float = 1e-10) -> int:
+def orbit_span_rank(op: FiniteMatrix, x: SeqVec, n_steps: int) -> int:
     """Numerical rank of span{x, Tx, ..., T^n x} by pivoted Gram-Schmidt."""
     if n_steps < 0:
         raise ValueError("orbit length must be >= 0")
     points = _kernels.orbit_points(op.array, x.to_dense(op.dim), n_steps)
-    return _pivoted_rank(points.T, rel_tol)
+    return _pivoted_rank(points.T)
 
 
-def _pivoted_rank(cols: np.ndarray, rel_tol: float) -> int:
+def _pivoted_rank(cols: np.ndarray) -> int:
     work = np.array(cols, dtype=np.complex128)
     d, m = work.shape
-    threshold = rel_tol * max(
+    threshold = RANK_REL_TOL * max(
         (float(np.linalg.norm(work[:, j])) for j in range(m)), default=0.0
     )
     if threshold == 0.0:
@@ -257,14 +259,14 @@ def density_defect(
     net_level: int,
     support_bound: int,
     eps: float,
-    membership_tol: float = 1e-9,
     net: np.ndarray | None = None,
 ) -> float:
     """Fraction of a unit-ball dyadic net left uncovered by the orbit points.
 
-    Points outside the subspace (beyond ``membership_tol``) cannot cover
+    Points outside the subspace (beyond ``MEMBERSHIP_TOL``) cannot cover
     anything and are discarded first; an empty remaining cloud leaves the
-    whole net uncovered (defect 1).  ``net``, when given, must be
+    whole net uncovered (defect 1).  Sparse points become dense rows wide
+    enough for every point and the net.  ``net``, when given, must be
     ``unit_ball_net(pattern, support_bound, net_level)``; a caller covering
     several orbits with one net builds it once.
     """
@@ -273,40 +275,26 @@ def density_defect(
     if net is None:
         net = unit_ball_net(pattern, support_bound, net_level)
 
-    if isinstance(points, np.ndarray):
-        arr = np.asarray(points, dtype=np.complex128)
-        forbidden = [
-            i for i in range(arr.shape[1]) if pattern.forbids(i)
-        ]
-        if forbidden:
-            bad = np.sqrt(
-                np.sum(np.abs(arr[:, forbidden]) ** 2, axis=1)
-            ) > membership_tol
-            arr = arr[~bad]
-        dim = arr.shape[1]
-        member_points = arr
-    else:
-        kept = [v for v in points if membership_defect(v, pattern) <= membership_tol]
-        dim = max(
-            [support_bound]
-            + [v.support()[-1] + 1 for v in kept if v.support()]
-        )
-        member_points = np.array(
-            [v.to_dense(dim) for v in kept], dtype=np.complex128
-        ).reshape(len(kept), dim)
-
-    if member_points.shape[0] == 0:
+    if not isinstance(points, np.ndarray):
+        width = max([support_bound] + [v.support()[-1] + 1 for v in points if v])
+        points = np.array([v.to_dense(width) for v in points]).reshape(len(points), width)
+    arr = np.asarray(points, dtype=np.complex128)
+    forbidden = [i for i in range(arr.shape[1]) if pattern.forbids(i)]
+    if forbidden:
+        bad = np.sqrt(np.sum(np.abs(arr[:, forbidden]) ** 2, axis=1)) > MEMBERSHIP_TOL
+        arr = arr[~bad]
+    if arr.shape[0] == 0:
         return 1.0
 
-    net_dim = max(dim, support_bound)
+    net_dim = max(arr.shape[1], support_bound)
     net_arr = np.zeros((len(net), net_dim), dtype=np.complex128)
     net_arr[:, :support_bound] = net
-    if member_points.shape[1] < net_dim:
-        padded = np.zeros((member_points.shape[0], net_dim), dtype=np.complex128)
-        padded[:, : member_points.shape[1]] = member_points
-        member_points = padded
+    if arr.shape[1] < net_dim:
+        padded = np.zeros((arr.shape[0], net_dim), dtype=np.complex128)
+        padded[:, : arr.shape[1]] = arr
+        arr = padded
 
-    misses = _kernels.uncovered_count(net_arr, member_points, eps)
+    misses = _kernels.uncovered_count(net_arr, arr, eps)
     return misses / len(net)
 
 

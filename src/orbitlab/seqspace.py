@@ -389,8 +389,9 @@ def _rounds(z: complex, seq, start: int, stop: int) -> tuple[complex | None, int
 
     Returns ``(z, stop)`` when every product is kept.  Otherwise returns
     ``(None, r)`` if round r's product is pruned, or ``(product, r)`` if it
-    fails a check, which ``_fail`` raises.  A product is bad iff its modulus
-    is not finite, or too large to compute for a finite product.
+    fails a check, which ``_scaled_shift_power`` raises.  A product is bad
+    iff its modulus is not finite, or too large to compute for a finite
+    product.
     """
     for r in range(start, stop):
         z = z * seq[r]
@@ -403,12 +404,6 @@ def _rounds(z: complex, seq, start: int, stop: int) -> tuple[complex | None, int
         if not a < math.inf:
             return z, r
     return z, stop
-
-
-def _fail(z: complex) -> None:
-    """Raise what building a SeqVec raises for the bad product ``z``."""
-    _checked(z)  # ValueError for a non-finite product
-    abs(z)  # OverflowError from the prune test for a finite one
 
 
 def _scaled_shift_power(factors: tuple[complex, ...], p: int, n: int, vec: SeqVec) -> SeqVec:
@@ -435,7 +430,10 @@ def _scaled_shift_power(factors: tuple[complex, ...], p: int, n: int, vec: SeqVe
         elif z is not None:
             bad.append((r, cmath.isfinite(z), i, z))
     if bad:
-        _fail(min(bad)[3])
+        # Raise what building a SeqVec raises for the first bad product.
+        z = min(bad)[3]
+        _checked(z)  # ValueError for a non-finite product
+        abs(z)  # OverflowError from the prune test for a finite one
     return SeqVec._from_canonical(out)
 
 

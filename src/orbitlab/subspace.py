@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterable, Iterator, Union
 
 from .errors import ConfigError
-from .seqspace import Operator, SeqVec, _fail, _rounds, _scaled_shift_parts, apply_power
+from .seqspace import Operator, SeqVec, _scaled_shift_parts, apply_power
 
 __all__ = [
     "PrefixZero",
@@ -103,13 +103,13 @@ def allowed_indices(pattern: ZeroPattern, bound: int) -> list[int]:
 
 
 def membership_defect(vec: SeqVec, pattern: ZeroPattern) -> float:
-    """Norm of the forbidden part; exactly 0.0 iff the vector is a member."""
-    return math.sqrt(
-        math.fsum(
-            z.real * z.real + z.imag * z.imag
-            for i, z in vec.items()
-            if pattern.forbids(i)
-        )
+    """Norm of the forbidden part; exactly 0.0 iff the vector is a member.
+
+    ``math.hypot`` scales before it squares, so no stored entry, however
+    small, underflows to a zero defect.
+    """
+    return math.hypot(
+        *(c for i, z in vec.items() if pattern.forbids(i) for c in (z.real, z.imag))
     )
 
 
@@ -140,9 +140,11 @@ def invariance_scan(
     A scaled backward shift (nested scalar multiples of one
     ``BackwardShift(p)``) moves basis vector i to i - n p, or out of the
     sequence if i < n p.  Every basis vector starts at 1.0, so all of them
-    share one value trajectory, of which vector i has gone through the first
+    share one value, of which vector i has gone through the first
     min(n, i // p) steps.  Such an operator is answered by index arithmetic
-    over that trajectory, computed once and only as far as the powers need.
+    and that one value, carried by ``apply_power`` only as far as the last
+    allowed vector goes, so it raises at the powers where a basis vector's
+    own steps go bad.
 
     Any other operator keeps, per allowed basis vector, its latest image and
     the power it has reached; an image is advanced to n only when the walk
@@ -155,7 +157,7 @@ def invariance_scan(
     if parts is None:
         decide = _carried_decider(op, pattern, allowed)
     else:
-        decide = _trajectory_decider(*parts, pattern, allowed)
+        decide = _trajectory_decider(op, parts[1], pattern, allowed)
     last = 0
     for n in powers:
         if n < last:
@@ -181,34 +183,27 @@ def _carried_decider(op: Operator, pattern: ZeroPattern, allowed: list[int]):
     return decide
 
 
-def _trajectory_decider(
-    factors: tuple[complex, ...], p: int, pattern: ZeroPattern, allowed: list[int]
-):
-    m = len(factors)
-    seq: list[complex] = []  # the factors, one per round
-    z: complex | None = 1 + 0j  # the shared value after ``done`` rounds
-    done = 0
-    ended = False  # round ``done`` pruned z (z is None) or failed a check (z is the product)
+def _trajectory_decider(op: Operator, p: int, pattern: ZeroPattern, allowed: list[int]):
+    most = allowed[-1] // p if allowed else 0  # steps the last allowed vector can take
+    value = SeqVec.basis(0)  # every basis vector's value after ``reached`` steps, at index 0
+    reached = 0
 
     def decide(n: int) -> bool:
-        nonlocal z, done, ended
-        if not ended and done < n * m:
-            seq.extend(factors * (n - len(seq) // m))
-            z, done = _rounds(z, seq, done, n * m)
-            ended = done < n * m
+        nonlocal value, reached
+        # Vector i takes min(n, i // p) steps, so the last one takes the most.
+        # The value at index ``steps * p`` lands at 0 after exactly that many
+        # steps, and raises as the first vector that needs them does.
+        need = min(n, most)
+        if need > reached:
+            steps = need - reached
+            value = apply_power(op, steps, SeqVec.basis(steps * p, value[0]))
+            reached = need
+        # Every vector landing on a forbidden index lands with the same
+        # value, so the first one decides them all; a pruned value is the
+        # zero vector, a member.
         cut = n * p
-        for i in allowed:
-            if ended and done < min(n, i // p) * m:
-                if z is None:
-                    continue  # pruned to the zero vector, which is a member
-                _fail(z)
-            if i >= cut and pattern.forbids(i - cut):
-                # Every later vector that lands on a forbidden index lands
-                # with the same value, so this defect decides them all.  It
-                # can read 0.0 if the value's squared modulus underflows.
-                image = SeqVec._from_canonical({i - cut: z})
-                return membership_defect(image, pattern) == 0.0
-        return True
+        lands = next((i - cut for i in allowed if i >= cut and pattern.forbids(i - cut)), None)
+        return lands is None or membership_defect(SeqVec.basis(lands, value[0]), pattern) == 0.0
 
     return decide
 
@@ -296,12 +291,11 @@ def dense_family(spec: DenseFamilySpec, j: int) -> SeqVec:
     )
 
 
-def dyadic_net(
-    pattern: ZeroPattern,
-    support_bound: int,
-    level: int,
-    max_count: int = 2_000_000,
-) -> list[SeqVec]:
+# The most raw grid points ``dyadic_net`` will enumerate.
+NET_POINT_CAP = 2_000_000
+
+
+def dyadic_net(pattern: ZeroPattern, support_bound: int, level: int) -> list[SeqVec]:
     """All grid vectors of the given level inside the closed unit ball.
 
     Deterministic order (index-major, digits ascending).  Includes the zero
@@ -311,9 +305,9 @@ def dyadic_net(
     if not allowed:
         raise ValueError("no allowed indices below the support bound")
     g = _grid_side(level) ** 2
-    if g ** len(allowed) > max_count:
+    if g ** len(allowed) > NET_POINT_CAP:
         raise ValueError(
-            f"net of {g ** len(allowed)} raw points exceeds the cap {max_count}"
+            f"net of {g ** len(allowed)} raw points exceeds the cap {NET_POINT_CAP}"
         )
     values = [_digit_value(d, level) for d in range(g)]
     net = []

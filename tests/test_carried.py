@@ -17,23 +17,26 @@ from orbitlab import (
     DirectSum,
     FiniteMatrix,
     ForwardShift,
+    HittingSchedule,
     Identity,
     OrbitlabError,
     PrefixZero,
     ResidueZero,
     RightBlockZero,
     ScalarMultiple,
+    ScheduleEntry,
     SeqVec,
     SupportIn,
     apply_power,
-    build_schedule,
     certify,
     check_criterion,
     invariance_check,
     invariance_scan,
+    length,
     membership_defect,
     norm,
     project,
+    tail_bound,
 )
 from orbitlab.constructor import CertEntry
 from orbitlab.criterion import DecayRecord, InvarianceRecord
@@ -134,9 +137,16 @@ def test_invariance_scan_never_applies_more_than_from_scratch(op, pattern, ns, d
 )
 def test_certify_rows_match_replay_from_scratch(op, vec, targets, gaps, pattern):
     # Targets of norm < 1 and gaps of at least j past the window keep every
-    # proposed time admissible for |lambda| = 2.
-    schedule = build_schedule(
-        2.0, targets, lambda j, prev, floor: floor + j + gaps[j % len(gaps)]
+    # time admissible for |lambda| = 2.
+    times = [0]
+    for j in range(1, len(targets)):
+        times.append(times[-1] + length(targets[j - 1]) + 1 + j + gaps[j % len(gaps)])
+    schedule = HittingSchedule(
+        2.0,
+        tuple(
+            ScheduleEntry(k, f, tail_bound(2.0, j, len(targets) - 1))
+            for j, (k, f) in enumerate(zip(times, targets))
+        ),
     )
 
     def replay():

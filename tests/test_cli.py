@@ -308,6 +308,14 @@ class TestConfigErrors:
                 "truncationDim": 64,
                 "horizon": 6,
             },
+            # Accepted by the parser, underflowing in the run.
+            {
+                "command": "probe",
+                "lambda": [1e-170, 0],
+                "pattern": {"kind": "residue", "a": 0, "b": 2},
+                "truncationDim": 64,
+                "horizon": 6,
+            },
         ],
         ids=[
             "unknown-command",
@@ -333,6 +341,7 @@ class TestConfigErrors:
             "no-criterion-exponents",
             "net-over-point-cap",
             "overflowing-probe",
+            "underflowing-probe",
         ],
     )
     def test_rejected_configs(self, tmp_path, capsys, data):

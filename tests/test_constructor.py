@@ -81,13 +81,6 @@ class TestBuildSchedule:
             decay = norm(targets[j]) <= 2.0 ** (k - ks[j - 1]) * 2.0**-j
             assert not (room and decay)
 
-    def test_selector_hook(self):
-        targets = [SeqVec.basis(3), SeqVec.basis(4)]
-        sched = build_schedule(2.0, targets, selector=lambda j, prev, floor: floor + 3)
-        assert sched.times == (0, 8)
-        with pytest.raises(ValueError):
-            build_schedule(2.0, targets, selector=lambda j, prev, floor: prev + 1)
-
     @pytest.mark.parametrize("lam", [1.0, 0.5, complex(math.cos(1.0), math.sin(1.0))])
     def test_needs_expanding_modulus(self, lam):
         with pytest.raises(InvalidModulus):

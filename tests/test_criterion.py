@@ -22,12 +22,17 @@ from conftest import rand_vec
 DOUBLING = ScalarMultiple(2.0, BackwardShift())
 
 
+class OwnShift(BackwardShift):
+    """A subclass may override ``apply``, so it is not read as a shift."""
+
+
 class TestBacksolve:
     def test_frozen_value(self):
         assert backsolve(DOUBLING, 3, SeqVec.basis(0)) == SeqVec({3: 0.125})
 
     def test_plain_shift(self):
         assert backsolve(BackwardShift(), 2, SeqVec.basis(1)) == SeqVec.basis(3)
+        assert backsolve(BackwardShift(2), 2, SeqVec.basis(1)) == SeqVec.basis(5)
 
     def test_round_trip(self, rng):
         for _ in range(20):
@@ -48,6 +53,9 @@ class TestBacksolve:
             DirectSum(BackwardShift(), Identity(), 4),
             ScalarMultiple(0.0, BackwardShift()),
             Identity(),
+            ScalarMultiple(2.0, ScalarMultiple(1.5, BackwardShift())),
+            OwnShift(),
+            ScalarMultiple(2.0, OwnShift()),
         ],
     )
     def test_unsupported_operators(self, op):
@@ -108,6 +116,8 @@ class TestCheckCriterion:
         assert report.invariance_ok
         assert not report.recovery_ok
         assert not report.passes
+        # |lam| = 1: the preimages keep the samples' norms exactly.
+        assert all(r.norm_law_dev == 0.0 for r in report.recovery)
         for sample, rec in zip(samples, report.recovery):
             assert rec.final_preimage_norm == pytest.approx(norm(sample), rel=1e-12)
 

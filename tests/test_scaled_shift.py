@@ -181,13 +181,14 @@ def test_invariance_scan_raises_only_where_a_basis_vector_overflows():
         next(scan)
 
 
-def test_invariance_scan_reads_an_underflowing_defect_as_zero():
+def test_invariance_scan_sees_a_defect_whose_square_underflows():
     # 1e-170 B moves basis vector 1 onto forbidden index 0 with value 1e-170,
-    # whose squared modulus underflows: membership_defect reads 0.0 there,
-    # so the check from scratch calls every image a member.
+    # whose squared modulus underflows; its defect must still be nonzero.
     op, pattern = ScalarMultiple(1e-170, BackwardShift(1)), PrefixZero(1)
-    assert _plain_invariance(op, pattern, 1, 2)
-    assert list(invariance_scan(op, pattern, [1], 2)) == [True]
+    assert membership_defect(SeqVec.basis(0, 1e-170), pattern) == 1e-170
+    assert not _plain_invariance(op, pattern, 1, 2)
+    assert not invariance_check(op, pattern, 1, 2)
+    assert list(invariance_scan(op, pattern, [1], 2)) == [False]
 
 
 def _scratch_probe(op, pattern, u_center, u_radius, v_center, v_radius, horizon, dim, grid):
