@@ -10,8 +10,16 @@ import numpy as np
 BACKEND = "fallback"
 
 # Bounds the point-by-target distance block of ``uncovered_count`` to
-# about 1 MB of float64, whatever the number of targets.
-_BLOCK = 1 << 17
+# about 256 KB of float64, whatever the number of targets.
+_BLOCK = 1 << 15
+
+# Targets per norm-sorted block of ``uncovered_count``, and the relative
+# slack of its norm band.
+_TARGET_BLOCK = 64
+_SLACK = 1e-6
+
+# Steps between the tests of ``orbit_points`` for a zero row.
+_ZERO_CHECK = 64
 
 
 def orbit_norms(mat, vec, n_steps, exit_low, exit_high):
@@ -37,14 +45,30 @@ def orbit_norms(mat, vec, n_steps, exit_low, exit_high):
 
 
 def orbit_points(mat, vec, n_steps):
-    """The full orbit as rows: out[n] = M^n vec, n = 0..n_steps."""
+    """The orbit as rows: out[n] = M^n vec, for n = 0..n_steps or up to the
+    first row that is exactly zero.
+
+    A finite M maps zero to zero, so every row after a zero row is zero
+    too; the orbit ends at the first one and keeps it.  A subnormal row
+    does not end it, since a non-normal M can grow it back, and an M with
+    a non-finite entry never ends early.  The rows are tested for zero
+    once every ``_ZERO_CHECK`` steps.
+    """
     m = np.ascontiguousarray(mat, dtype=np.complex128)
     v = np.asarray(vec, dtype=np.complex128)
     out = np.empty((n_steps + 1, v.shape[0]), dtype=np.complex128)
     out[0] = v
-    for n in range(1, n_steps + 1):
-        np.matmul(m, out[n - 1], out=out[n])
-    return out
+    may_end = bool(np.isfinite(m).all())
+    start = done = 0  # rows 0..done are filled; rows before start are nonzero
+    while True:
+        if may_end and not out[done].any():
+            first = start + int(np.argmax(~out[start : done + 1].any(axis=1)))
+            return out[: first + 1]
+        if done == n_steps:
+            return out
+        start, done = done, min(done + _ZERO_CHECK, n_steps)
+        for n in range(start + 1, done + 1):
+            np.matmul(m, out[n - 1], out=out[n])
 
 
 def _real_rows(a):
@@ -64,29 +88,62 @@ def _real_rows(a):
 def uncovered_count(targets, points, eps):
     """How many target rows have no point row within distance eps.
 
-    Non-finite point coordinates never cover anything: their distances
-    come out NaN or inf and compare as not below the threshold.  Points
-    are taken in chunks, and covered targets are dropped after each chunk;
-    the scan stops once no target is left.
+    A pair (p, t) is tested in the expanded form
+    ||p||^2 + ||t||^2 - 2 Re <p, t> <= eps^2, but only when
+    | ||p|| - ||t|| | <= eps + _SLACK * (eps + ||p|| + ||t||).  The distance
+    is at least the difference of the norms, and the rounding error of the
+    expanded form is far below (_SLACK * (||p|| + ||t||))^2, so every pair
+    left out is one that the test rejects under any rounding.
+
+    Non-finite squared norms make the expanded form NaN or inf, which
+    compares as not below the threshold: such points never cover anything
+    and such targets are never covered.
+
+    The points are sorted by norm and the targets are taken in norm-sorted
+    blocks of ``_TARGET_BLOCK``; ``searchsorted`` finds each block's band of
+    points, which is scanned in chunks of at most ``_BLOCK`` pairs.  Covered
+    targets are dropped after each chunk, and a block ends once none of its
+    targets is left.
     """
     t = _real_rows(targets)
     p = _real_rows(points)
     if t.shape[0] == 0 or p.shape[0] == 0:
         return int(t.shape[0])
-    eps2 = float(eps) * float(eps)
-    start = 0
+    eps = float(eps)
+    eps2 = eps * eps
     with np.errstate(invalid="ignore", over="ignore"):
-        # |p - t|^2 expanded as ||p||^2 + ||t||^2 - 2 Re <p, t>
         tn = np.einsum("ij,ij->i", t, t)
         pn = np.einsum("ij,ij->i", p, p)
-        while start < p.shape[0] and t.shape[0]:
-            stop = start + max(1, _BLOCK // t.shape[0])
-            cross = p[start:stop] @ t.T
-            cross *= 2.0
-            d2 = np.add.outer(pn[start:stop], tn)
-            d2 -= cross
-            hit = (d2 <= eps2).any(axis=0)
-            if hit.any():
-                t, tn = t[~hit], tn[~hit]
-            start = stop
-    return int(t.shape[0])
+        finite = np.isfinite(tn)
+        uncovered = int(t.shape[0] - np.count_nonzero(finite))
+        t, tn = _by_norm(t, tn, finite)
+        p, pn = _by_norm(p, pn, np.isfinite(pn))
+        p_norm = np.sqrt(pn)
+        t_norm = np.sqrt(tn)
+        # The band edges solve | ||p|| - ||t|| | = eps + _SLACK * (eps + ||p|| + ||t||).
+        lo = np.searchsorted(p_norm, t_norm * ((1 - _SLACK) / (1 + _SLACK)) - eps, "left")
+        hi = np.searchsorted(p_norm, (t_norm + eps) * ((1 + _SLACK) / (1 - _SLACK)), "right")
+        for first in range(0, t.shape[0], _TARGET_BLOCK):
+            last = min(first + _TARGET_BLOCK, t.shape[0])
+            bt, btn = t[first:last], tn[first:last]
+            start, end = int(lo[first]), int(hi[last - 1])
+            while start < end and bt.shape[0]:
+                # |p - t|^2 expanded as ||p||^2 + ||t||^2 - 2 Re <p, t>
+                stop = min(end, start + max(1, _BLOCK // bt.shape[0]))
+                cross = p[start:stop] @ bt.T
+                cross *= 2.0
+                d2 = np.add.outer(pn[start:stop], btn)
+                d2 -= cross
+                hit = (d2 <= eps2).any(axis=0)
+                if hit.any():
+                    bt, btn = bt[~hit], btn[~hit]
+                start = stop
+            uncovered += bt.shape[0]
+    return uncovered
+
+
+def _by_norm(rows, sq_norms, keep):
+    """The kept rows and their squared norms, in increasing norm."""
+    kept = np.flatnonzero(keep)
+    order = kept[np.argsort(sq_norms[kept], kind="stable")]
+    return rows[order], sq_norms[order]

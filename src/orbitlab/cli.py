@@ -612,9 +612,11 @@ def _run_jordan(cfg: ExperimentConfig) -> RunResult:
             op = FiniteMatrix.from_array(block)
             y = SeqVec.basis(p - 1)
             worst = 0.0
+            power, reached = y, 0  # T^reached y, carried from one n to the next
             for n in range(p, cfg.horizon + 1):
                 closed = jordan_orbit(op, lam, p, y, n)
-                power = apply_power(op, n, y)
+                power = apply_power(op, n - reached, power)
+                reached = n
                 err = norm(closed - power) / max(norm(power), 1e-30)
                 worst = max(worst, err)
             results.append(

@@ -56,7 +56,11 @@ def backsolve(op: Operator, n: int, target: SeqVec) -> SeqVec:
     Defined for any nonzero scaling; whether the preimages decay is exactly
     what the criterion check observes, so no modulus gate is imposed here.
     """
-    scale = _shift_scale(op)
+    return _preimage(op, _shift_scale(op), n, target)
+
+
+def _preimage(op: Operator, scale: tuple[complex, int] | None, n: int, target: SeqVec) -> SeqVec:
+    """``backsolve`` for a caller that already holds ``scale = _shift_scale(op)``."""
     if scale is None:
         raise UnsupportedOperator(
             f"backsolve needs a (scaled) backward shift, got {type(op).__name__}"
@@ -68,7 +72,13 @@ def backsolve(op: Operator, n: int, target: SeqVec) -> SeqVec:
         raise ValueError("power must be >= 0")
     if n == 0:
         return target
-    return apply_power(ForwardShift(b), n, target) * lam ** (-n)
+    try:
+        factor = lam ** (-n)
+    except ArithmeticError as exc:  # lam^n underflows, or lam^-n overflows
+        raise ArithmeticError(
+            f"backsolve: lambda^-n is past the float range for lambda = {lam}, n = {n}"
+        ) from exc
+    return apply_power(ForwardShift(b), n, target) * factor
 
 
 @dataclass(frozen=True)
@@ -215,7 +225,7 @@ def check_criterion(
         worst_recovery = 0.0
         worst_law = 0.0
         for n in nks:
-            x_k = backsolve(op, n, y)
+            x_k = _preimage(op, scale, n, y)
             norms.append(norm(x_k))
             worst_recovery = max(worst_recovery, norm(apply_power(op, n, x_k) - y))
             if lam_abs is not None and y_norm > 0.0:
@@ -280,7 +290,7 @@ def transitivity_probe(
         raise ValueError("ball centers must lie in the subspace")
 
     grid = [t * v_radius for t in dyadic_net(pattern, grid_support, grid_level)]
-    backsolvable = _shift_scale(op) is not None
+    scale = _shift_scale(op)
 
     def hits(image: SeqVec) -> bool:
         return membership_defect(image, pattern) == 0.0 and norm(image - u_center) < u_radius
@@ -297,16 +307,16 @@ def transitivity_probe(
     for n, invariant in zip(powers, invariance_scan(op, pattern, powers, dim)):
         if not invariant:
             continue
-        if backsolvable:
+        if scale is not None:
             v_image = apply_power(op, n - reached, v_image)
-            preimage = v_center + backsolve(op, n, u_center - v_image)
+            preimage = v_center + _preimage(op, scale, n, u_center - v_image)
         for k, image in enumerate(survivors):
             survivors[k] = image = apply_power(op, n - reached, image)
             if hits(image):
                 return n
         reached = n
         if (
-            backsolvable
+            scale is not None
             and membership_defect(preimage, pattern) == 0.0
             and norm(preimage - v_center) < v_radius
             and hits(apply_power(op, n, preimage))

@@ -342,6 +342,10 @@ class FiniteMatrix:
         return SeqVec.from_dense(self.array @ vec.to_dense(self.dim))
 
     def adjoint(self) -> "FiniteMatrix":
+        return self._adjoint
+
+    @cached_property
+    def _adjoint(self) -> "FiniteMatrix":
         return FiniteMatrix.from_array(self.array.conj().T)
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import product
 from typing import Iterable, Iterator, Union
+
+import numpy as np
 
 from .errors import ConfigError
 from .seqspace import Operator, SeqVec, _scaled_shift_parts, apply_power
@@ -300,6 +301,12 @@ def dyadic_net(pattern: ZeroPattern, support_bound: int, level: int) -> list[Seq
 
     Deterministic order (index-major, digits ascending).  Includes the zero
     vector.  Guards against combinatorial blowup instead of thrashing.
+
+    The ball test runs in numpy, one coordinate at a time over the prefixes
+    still inside the ball.  Squared moduli of dyadic grid values, and sums
+    of a few of them, are exact in float64, so the test keeps exactly the
+    points an exactly rounded sum keeps, and a prefix already past 1 cannot
+    come back.  Only the kept points become ``SeqVec``s.
     """
     allowed = allowed_indices(pattern, support_bound)
     if not allowed:
@@ -310,11 +317,15 @@ def dyadic_net(pattern: ZeroPattern, support_bound: int, level: int) -> list[Seq
             f"net of {g ** len(allowed)} raw points exceeds the cap {NET_POINT_CAP}"
         )
     values = [_digit_value(d, level) for d in range(g)]
-    net = []
-    for combo in product(values, repeat=len(allowed)):
-        if math.fsum(z.real * z.real + z.imag * z.imag for z in combo) <= 1.0:
-            net.append(SeqVec(zip(allowed, combo)))
-    return net
+    squares = np.array([z.real * z.real + z.imag * z.imag for z in values])
+    digits = np.zeros((1, 0), dtype=np.intp)  # kept prefixes, in order
+    sums = np.zeros(1)  # their squared norms
+    for _ in allowed:
+        extended = sums[:, None] + squares
+        rows, cols = np.nonzero(extended <= 1.0)  # row-major: the prefixes' order
+        digits = np.column_stack([digits[rows], cols])
+        sums = extended[rows, cols]
+    return [SeqVec(zip(allowed, [values[d] for d in row])) for row in digits.tolist()]
 
 
 _PATTERN_KINDS = {

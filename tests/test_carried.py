@@ -1,13 +1,15 @@
 """Carried orbits against replay from scratch.
 
-``certify``, criterion condition I, condition III and the transitivity probe
-advance one stored image from each power to the next instead of recomputing
-T^n from the start vector.  These property tests compare them with the
+``certify``, criterion condition I, condition III, the transitivity probe and
+the ``jordan`` command advance one stored image from each power to the next
+instead of recomputing T^n from the start vector.  These property tests compare them with the
 from-scratch replay on random operator trees over all seven kinds, random
 start vectors and increasing powers: results must be equal exactly, and an
 operator that raises must raise the same exception type.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -27,17 +29,20 @@ from orbitlab import (
     ScheduleEntry,
     SeqVec,
     SupportIn,
+    adjoint_apply,
     apply_power,
     certify,
     check_criterion,
     invariance_check,
     invariance_scan,
+    jordan_orbit,
     length,
     membership_defect,
     norm,
     project,
     tail_bound,
 )
+from orbitlab.cli import _JORDAN_LAMBDAS, ExperimentConfig, run
 from orbitlab.constructor import CertEntry
 from orbitlab.criterion import DecayRecord, InvarianceRecord
 from orbitlab.subspace import allowed_indices
@@ -187,3 +192,36 @@ def test_criterion_decay_and_invariance_match_scratch(op, pattern, vecs, ns, dim
         return report.decay, report.invariance
 
     assert _result(carried) == _result(scratch)
+
+
+@pytest.mark.parametrize("horizon", [12, 40])
+def test_jordan_report_matches_replay_from_scratch(horizon):
+    cases = run(ExperimentConfig.from_dict({"command": "jordan", "horizon": horizon}))
+    cases = cases.report["report"]["cases"]
+    want = []
+    for p in range(1, 5):
+        for lam in _JORDAN_LAMBDAS:
+            op = FiniteMatrix.from_array(np.diag(np.full(p, lam)) + np.diag(np.ones(p - 1), 1))
+            y = SeqVec.basis(p - 1)
+            worst = 0.0
+            for n in range(p, horizon + 1):
+                power = apply_power(op, n, y)
+                err = norm(jordan_orbit(op, lam, p, y, n) - power) / max(norm(power), 1e-30)
+                worst = max(worst, err)
+            want.append((p, [lam.real, lam.imag], worst))
+    assert [(c["p"], c["lambda"], c["maxRelError"]) for c in cases] == want
+    assert len(cases) == 12
+
+
+def test_finite_matrix_adjoint_is_built_once(rng):
+    for dim in (1, 3, 6):
+        entries = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        op = FiniteMatrix.from_array(entries)
+        adj = op.adjoint()
+        assert op.adjoint() is adj
+        assert np.array_equal(adj.array, entries.conj().T)
+        fresh = FiniteMatrix.from_array(entries.conj().T)
+        for _ in range(3):
+            x = SeqVec.from_dense(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+            assert adjoint_apply(op, x) == fresh.apply(x)
+        assert op == FiniteMatrix.from_array(entries)

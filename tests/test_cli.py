@@ -246,6 +246,14 @@ class TestOperatorConfig:
             operator_from_config(bad)
 
 
+# The whole error line of the rejected configs whose text is pinned.
+_REJECTION_TEXT = {
+    "underflowing-probe": (
+        "error: backsolve: lambda^-n is past the float range for lambda = (1e-170+0j), n = 2\n"
+    ),
+}
+
+
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):
         rc = main([str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)])
@@ -344,13 +352,15 @@ class TestConfigErrors:
             "underflowing-probe",
         ],
     )
-    def test_rejected_configs(self, tmp_path, capsys, data):
+    def test_rejected_configs(self, tmp_path, capsys, data, request):
         rc, out = _run(tmp_path, data)
         assert rc == 2
         assert not (out / "report.json").exists()
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(("config error: ", "error: "))
+        if request.node.callspec.id in _REJECTION_TEXT:
+            assert err == _REJECTION_TEXT[request.node.callspec.id]
 
     def test_null_lambda_reads_as_absent(self, tmp_path, capsys):
         rc, out = _run(tmp_path, {"command": "jordan", "lambda": None}, out="null")

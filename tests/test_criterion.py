@@ -16,6 +16,7 @@ from orbitlab import (
     norm,
     transitivity_probe,
 )
+from orbitlab import criterion
 from orbitlab.subspace import DenseFamilySpec, dense_family
 from conftest import rand_vec
 
@@ -61,6 +62,15 @@ class TestBacksolve:
     def test_unsupported_operators(self, op):
         with pytest.raises(UnsupportedOperator):
             backsolve(op, 1, SeqVec.basis(0))
+
+    @pytest.mark.parametrize("lam, n", [(1e-170, 2), (0.5j, 1100), (1e-200 + 1e-200j, 3)])
+    def test_scaling_past_the_float_range(self, lam, n):
+        op = ScalarMultiple(lam, BackwardShift())
+        with pytest.raises(ArithmeticError) as exc:
+            backsolve(op, n, SeqVec.basis(0))
+        assert str(exc.value) == (
+            f"backsolve: lambda^-n is past the float range for lambda = {complex(lam)}, n = {n}"
+        )
 
     def test_norm_law(self, rng):
         # preimages shrink by exactly |lam|^(-n)
@@ -221,3 +231,39 @@ class TestTransitivityProbe:
                 horizon=5,
                 dim=32,
             )
+
+
+class TestRecognisedOnce:
+    """The operator is recognised as lam B^b once per call, not once per
+    preimage."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        recognise = criterion._shift_scale
+
+        def counted(op):
+            seen.append(op)
+            return recognise(op)
+
+        monkeypatch.setattr(criterion, "_shift_scale", counted)
+        return seen
+
+    @pytest.mark.parametrize("op", [DOUBLING, BackwardShift(2)])
+    def test_check_criterion(self, calls, op):
+        samples = _family_samples(6)
+        check_criterion(op, ResidueZero(0, 2), samples, samples, [2, 4, 6], 32, 1e-9)
+        assert calls == [op]
+
+    def test_check_criterion_on_an_unsupported_operator(self, calls):
+        samples = _family_samples(6)
+        op = Diagonal((2.0, 3.0))
+        with pytest.raises(UnsupportedOperator, match="got Diagonal"):
+            check_criterion(op, ResidueZero(0, 2), samples, samples, [2, 4, 6], 32, 1e-9)
+        assert calls == [op]
+
+    def test_transitivity_probe(self, calls):
+        spec = DenseFamilySpec(ResidueZero(0, 2), 8, 1)
+        u, v = dense_family(spec, 1), dense_family(spec, 2)
+        transitivity_probe(DOUBLING, ResidueZero(0, 2), u, 0.25, v, 0.25, horizon=30, dim=128)
+        assert calls == [DOUBLING]

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from orbitlab import _kernels
+from orbitlab import FiniteMatrix, SeqVec, _kernels, orbit_span_rank
+from orbitlab.obstructions import _pivoted_rank
 
 
 def _orbit_case(rng, dim=5, steps=40):
@@ -54,6 +55,32 @@ def _reference_uncovered(targets, points, eps):
                 break
         misses += not covered
     return misses
+
+
+def _unbanded_uncovered(targets, points, eps, block=1 << 17):
+    """``uncovered_count`` without the norm band: every point chunk against
+    every target still uncovered, in the same expanded form."""
+    t = _kernels._real_rows(targets)
+    p = _kernels._real_rows(points)
+    if t.shape[0] == 0 or p.shape[0] == 0:
+        return int(t.shape[0])
+    eps2 = float(eps) * float(eps)
+    start = 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        # |p - t|^2 expanded as ||p||^2 + ||t||^2 - 2 Re <p, t>
+        tn = np.einsum("ij,ij->i", t, t)
+        pn = np.einsum("ij,ij->i", p, p)
+        while start < p.shape[0] and t.shape[0]:
+            stop = start + max(1, block // t.shape[0])
+            cross = p[start:stop] @ t.T
+            cross *= 2.0
+            d2 = np.add.outer(pn[start:stop], tn)
+            d2 -= cross
+            hit = (d2 <= eps2).any(axis=0)
+            if hit.any():
+                t, tn = t[~hit], tn[~hit]
+            start = stop
+    return int(t.shape[0])
 
 
 class TestOrbitNorms:
@@ -136,6 +163,83 @@ class TestOrbitPoints:
         assert np.array_equal(got, [vec])
 
 
+def _nilpotent(rng, dim):
+    """A strictly upper triangular matrix: M^dim v is exactly zero."""
+    mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.ascontiguousarray(np.triu(mat, 1))
+
+
+@pytest.fixture(params=[1, 3, _kernels._ZERO_CHECK], ids=["every-step", "three", "default"])
+def zero_check(request, monkeypatch):
+    monkeypatch.setattr(_kernels, "_ZERO_CHECK", request.param)
+
+
+@pytest.mark.usefixtures("zero_check")
+class TestOrbitPointsEarlyEnd:
+    def test_nilpotent_ends_at_row_dim(self, rng):
+        for dim in range(1, 7):
+            mat, vec = _nilpotent(rng, dim), rng.standard_normal(dim) + 1j
+            for steps in (dim - 1, dim, dim + 1, 50):
+                got = _kernels.orbit_points(mat, vec, steps)
+                want = _reference_points(mat, vec, steps)
+                assert np.array_equal(got, want[: dim + 1])
+                if steps >= dim:
+                    assert got.shape == (dim + 1, dim)
+                    assert not got[-1].any() and got[:-1].any(axis=1).all()
+                    assert not want[dim:].any()
+
+    def test_zero_start_vector_gives_one_row(self, rng):
+        mat, _, _ = _orbit_case(rng)
+        for steps in (0, 1, 40):
+            got = _kernels.orbit_points(mat, np.zeros(5, dtype=np.complex128), steps)
+            assert got.shape == (1, 5) and not got.any()
+
+    def test_nan_matrix_never_ends_early(self, rng):
+        # Finite, the nilpotent matrix would end its orbit at row 3.
+        one_nan = _nilpotent(rng, 3)
+        one_nan[0, 2] = np.nan
+        with np.errstate(invalid="ignore"):
+            for mat in (np.full((3, 3), np.nan, dtype=np.complex128), one_nan):
+                for vec in (np.zeros(3, dtype=np.complex128), np.ones(3, dtype=np.complex128)):
+                    got = _kernels.orbit_points(mat, vec, 20)
+                    assert got.shape == (21, 3)
+                    assert np.array_equal(got, _reference_points(mat, vec, 20), equal_nan=True)
+
+    def test_subnormal_row_does_not_end(self):
+        # Row 0 is subnormal; the non-normal matrix grows it back to 1e-10.
+        mat = np.array([[0.0, 1e300], [0.0, 0.5]], dtype=np.complex128)
+        vec = np.array([0.0, 1e-310], dtype=np.complex128)
+        got = _kernels.orbit_points(mat, vec, 10)
+        assert got.shape == (11, 2)
+        assert np.array_equal(got, _reference_points(mat, vec, 10))
+        assert abs(got[1, 0]) > 1e-11
+
+    def test_matches_plain_loop_up_to_the_end(self, rng):
+        # Contracting orbits underflow to exact zero after a thousand steps
+        # or more; the subnormal rows before that do not end them.
+        ended = 0
+        for dim in (2, 4, 6):
+            for _ in range(3):
+                mat, vec, _ = _orbit_case(rng, dim=dim)
+                mat *= 0.5 / np.abs(np.linalg.eigvals(mat)).max()
+                got = _kernels.orbit_points(mat, vec, 3000)
+                want = _reference_points(mat, vec, 3000)
+                n = got.shape[0]
+                assert np.array_equal(got, want[:n])
+                assert want[: n - 1].any(axis=1).all()
+                assert not want[n - 1 :].any() or n == 3001
+                ended += n < 3001
+        assert ended >= 6
+
+    def test_span_rank_unchanged_on_nilpotent(self, rng):
+        for dim in range(2, 7):
+            op = FiniteMatrix.from_array(_nilpotent(rng, dim))
+            x = SeqVec.from_dense(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+            for steps in (dim - 1, dim, 2 * dim, 30):
+                want = _pivoted_rank(_reference_points(op.array, x.to_dense(dim), steps).T)
+                assert orbit_span_rank(op, x, steps) == want
+
+
 class TestUncoveredCount:
     TARGETS = np.array([[0.0 + 0j], [1.0 + 0j], [3.0 + 0j]])
 
@@ -186,3 +290,97 @@ class TestUncoveredCount:
                 for eps in (0.05, 0.2, 0.5, 1.0, 2.0, 4.0):
                     got = _kernels.uncovered_count(targets, points, eps)
                     assert got == _reference_uncovered(targets, points, eps)
+
+
+@pytest.fixture(
+    params=[(1, 1), (100, 7), (_kernels._BLOCK, _kernels._TARGET_BLOCK)],
+    ids=["row", "small", "default"],
+)
+def chunks(request, monkeypatch):
+    """Pair budget per chunk and targets per norm block of ``uncovered_count``."""
+    block, target_block = request.param
+    monkeypatch.setattr(_kernels, "_BLOCK", block)
+    monkeypatch.setattr(_kernels, "_TARGET_BLOCK", target_block)
+
+
+def _radial(targets, offsets):
+    """Points on the rays through the targets, at norm ||t|| + offset."""
+    norms = np.linalg.norm(targets, axis=1)
+    return np.concatenate([targets * ((norms + d) / norms)[:, None] for d in offsets])
+
+
+@pytest.mark.usefixtures("chunks")
+class TestUncoveredCountBand:
+    """The norm band leaves out only pairs the expanded test rejects: the
+    count equals that of the same test run over every pair."""
+
+    def test_norm_1e4_targets(self, rng):
+        targets = rng.standard_normal((24, 3)) + 1j * rng.standard_normal((24, 3))
+        targets *= 1e4 / np.linalg.norm(targets, axis=1)[:, None]
+        points = _radial(targets[:16], np.linspace(-6.0, 6.0, 49))
+        points = np.concatenate([points, targets[16:] + rng.standard_normal((8, 3))])
+        for eps in (0.5, 1.0, 3.0):
+            got = _kernels.uncovered_count(targets, points, eps)
+            assert got == _unbanded_uncovered(targets, points, eps)
+
+    def test_norm_1e8_targets(self):
+        # One nonzero coordinate per row, so each sum in the expanded form
+        # has one term and rounds alike in any order.  Squares near 1e16
+        # round to even, so a point 1 away from its target reads as
+        # distance 0 and covers it at eps = 0.5: a band of plain eps
+        # around ||t|| would leave that pair out.
+        targets = np.zeros((4, 3), dtype=np.complex128)
+        targets[[0, 1, 2, 3], [0, 1, 2, 0]] = (1e8, 1e8j, -1.5e8, -1.5e8j)
+        unit = targets / np.abs(targets).sum(axis=1)[:, None]  # 1, 1j, -1, -1j on the axis
+        for offsets in ((-1.0,), (1.0,), (2.0,), (-3.0, 0.5), (-8.0, 5.0, 7.0)):
+            points = np.concatenate([targets + d * unit for d in offsets])
+            for eps in (0.5, 1.0, 3.0):
+                got = _kernels.uncovered_count(targets, points, eps)
+                assert got == _unbanded_uncovered(targets, points, eps)
+        assert _unbanded_uncovered(targets, targets - unit, 0.5) == 0
+        assert _unbanded_uncovered(targets, targets + unit, 0.5) == 0
+
+    def test_points_at_norm_plus_or_minus_eps(self):
+        eps = 0.5
+        h = 0.5 + 0.5j
+        targets = np.array([[1, 0, 0], [0, 3j, 0], [0, 0, -10], [h, h.conjugate(), 0]])
+        # Norm ||t|| - eps and ||t|| + eps: on the ray through t the
+        # distance is exactly eps, off it more than eps.  Every value is
+        # dyadic, so the expanded form is exact.
+        on_ray = [
+            [[0.5, 0, 0], [0, 2.5j, 0], [0, 0, -9.5], [h / 2, h.conjugate() / 2, 0]],
+            [[1.5, 0, 0], [0, 3.5j, 0], [0, 0, -10.5], [1.5 * h, 1.5 * h.conjugate(), 0]],
+        ]
+        off_ray = [
+            [[0.5j, 0, 0], [0, -2.5j, 0], [9.5, 0, 0], [h.conjugate() / 2, h / 2, 0]],
+            [[0, 1.5, 0], [0, 3.5, 0], [0, 0, 10.5], [1.5 * h.conjugate(), 1.5 * h, 0]],
+        ]
+        for rows, want in [(r, 0) for r in on_ray] + [(r, 4) for r in off_ray]:
+            points = np.array(rows, dtype=np.complex128)
+            assert _kernels.uncovered_count(targets, points, eps) == want
+            assert _unbanded_uncovered(targets, points, eps) == want
+        points = np.array(on_ray[0][:2] + off_ray[1], dtype=np.complex128)
+        assert _kernels.uncovered_count(targets, points, eps) == 2
+
+    def test_non_finite_rows(self, rng):
+        targets = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
+        points = np.concatenate([targets[::2] + 0.1, rng.standard_normal((20, 4)) + 0j])
+        targets[[0, 5, 9], [0, 1, 2]] = (np.nan, np.inf, complex(0, -np.inf))
+        points[[0, 3, 7, 22], [3, 0, 1, 2]] = (np.nan, -np.inf, complex(np.nan, 1), np.inf)
+        targets[12] = 1e200  # a finite row whose squared norm overflows
+        points[1] = 1e200
+        with np.errstate(invalid="ignore", over="ignore"):
+            for eps in (0.05, 0.3, 1.0, 5.0):
+                assert _kernels.uncovered_count(targets, points, eps) == _unbanded_uncovered(
+                    targets, points, eps
+                )
+
+    def test_random_clouds(self, rng):
+        for trial in range(6):
+            scale = 10.0 ** trial
+            targets = scale * (rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3)))
+            points = targets[rng.choice(50, 30)] + rng.standard_normal((30, 3))
+            for eps in (0.1, 1.0, 2.0):
+                assert _kernels.uncovered_count(targets, points, eps) == _unbanded_uncovered(
+                    targets, points, eps
+                )

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, seed, settings
@@ -23,6 +24,9 @@ from orbitlab import (
     project,
 )
 from orbitlab.subspace import (
+    NET_POINT_CAP,
+    _digit_value,
+    _grid_side,
     allowed_indices,
     family_level_size,
     pattern_from_config,
@@ -220,6 +224,65 @@ class TestDyadicNet:
     def test_cap_guard(self):
         with pytest.raises(ValueError):
             dyadic_net(PrefixZero(0), 16, 3)
+
+
+def _reference_net(pattern, support_bound, level):
+    """``dyadic_net`` as one ``fsum`` ball test per raw grid point."""
+    allowed = allowed_indices(pattern, support_bound)
+    if not allowed:
+        raise ValueError("no allowed indices below the support bound")
+    g = _grid_side(level) ** 2
+    if g ** len(allowed) > NET_POINT_CAP:
+        raise ValueError(
+            f"net of {g ** len(allowed)} raw points exceeds the cap {NET_POINT_CAP}"
+        )
+    values = [_digit_value(d, level) for d in range(g)]
+    net = []
+    for combo in product(values, repeat=len(allowed)):
+        if math.fsum(z.real * z.real + z.imag * z.imag for z in combo) <= 1.0:
+            net.append(SeqVec(zip(allowed, combo)))
+    return net
+
+
+def _net_or_error(build, *args):
+    try:
+        return [v.items() for v in build(*args)]
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestDyadicNetAgainstReference:
+    """The numpy ball test keeps the same points, in the same order, as one
+    exactly rounded sum per raw grid point."""
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [PrefixZero(4), ResidueZero(0, 2), SupportIn(3), RightBlockZero(2)],
+        ids=["prefix", "residue", "supportIn", "rightBlock"],
+    )
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_same_points_in_the_same_order(self, pattern, level):
+        for support_bound in range(2, 7):
+            args = (pattern, support_bound, level)
+            assert _net_or_error(dyadic_net, *args) == _net_or_error(_reference_net, *args)
+
+    @pytest.mark.parametrize(
+        "args", [(PrefixZero(0), 6, 1), (PrefixZero(0), 5, 2), (ResidueZero(1, 3), 8, 1)]
+    )
+    def test_same_cap_error(self, args):
+        with pytest.raises(ValueError, match="exceeds the cap") as got:
+            dyadic_net(*args)
+        with pytest.raises(ValueError) as want:
+            _reference_net(*args)
+        assert str(got.value) == str(want.value)
+
+    def test_boundary_points_are_kept(self):
+        # Squared norm exactly 1: (1/2 + i/2, 1/2 + i/2) and (1/2 + i/2, 1/2 - i/2).
+        net = dyadic_net(PrefixZero(0), 2, 1)
+        assert net == _reference_net(PrefixZero(0), 2, 1)
+        for z in (0.5 + 0.5j, 0.5 - 0.5j):
+            assert SeqVec({0: 0.5 + 0.5j, 1: z}) in net
+        assert sum(1 for v in net if norm(v) == 1.0) > 4
 
 
 class TestSerialization:
