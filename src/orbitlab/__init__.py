@@ -57,9 +57,6 @@ from .seqspace import (
     Operator,
     ScalarMultiple,
     SeqVec,
-    adjoint,
-    adjoint_apply,
-    apply,
     apply_power,
     inner,
     norm,
@@ -94,10 +91,7 @@ __all__ = [
     "DirectSum",
     "FiniteMatrix",
     "Operator",
-    "apply",
     "apply_power",
-    "adjoint",
-    "adjoint_apply",
     "inner",
     "norm",
     "to_matrix",

@@ -130,7 +130,7 @@ def uncovered_count(targets, points, eps):
             while start < end and bt.shape[0]:
                 # |p - t|^2 expanded as ||p||^2 + ||t||^2 - 2 Re <p, t>
                 stop = min(end, start + max(1, _BLOCK // bt.shape[0]))
-                cross = p[start:stop] @ bt.T
+                cross = _cross(p[start:stop], bt)
                 cross *= 2.0
                 d2 = np.add.outer(pn[start:stop], btn)
                 d2 -= cross
@@ -140,6 +140,21 @@ def uncovered_count(targets, points, eps):
                 start = stop
             uncovered += bt.shape[0]
     return uncovered
+
+
+def _cross(a, b):
+    """``a @ b.T`` through a matrix-matrix product, whatever the shapes.
+
+    numpy sends a one-row side through a matrix-vector product, which rounds
+    differently, so a count near the threshold would depend on how the
+    pairs were chunked.  A one-row side is padded with a zero row.
+    """
+    rows, cols = a.shape[0], b.shape[0]
+    if rows == 1:
+        a = np.concatenate([a, np.zeros_like(a)])
+    if cols == 1:
+        b = np.concatenate([b, np.zeros_like(b)])
+    return (a @ b.T)[:rows, :cols]
 
 
 def _by_norm(rows, sq_norms, keep):

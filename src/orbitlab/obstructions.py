@@ -4,13 +4,14 @@ Closed-form generalized-eigenvector orbits, adjoint pairing laws that pin
 orbit inner products to polynomial-times-power profiles, the grow-or-die
 norm dichotomy for matrices with spectrum off the unit circle, orbit span
 rank, the coverage defect of an orbit against a dyadic net, and the
-compressed-orbit identity on invariant-complement splits.  Dense work is
-delegated to the kernel backend.
+compressed-orbit identity on invariant-complement splits.  Orbits are
+iterated by the numpy kernels in ``_kernels``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -23,15 +24,7 @@ from .errors import (
     NotEigenvector,
     NotInGeneralizedKernel,
 )
-from .seqspace import (
-    FiniteMatrix,
-    Operator,
-    SeqVec,
-    adjoint_apply,
-    apply,
-    inner,
-    norm,
-)
+from .seqspace import FiniteMatrix, SeqVec, norm
 from .subspace import ZeroPattern, dyadic_net
 
 __all__ = [
@@ -60,22 +53,32 @@ RANK_REL_TOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
 
 
-def _kernel_residual(step, y: np.ndarray | SeqVec, p: int) -> float:
-    """Norm of ``step`` applied p times to ``y``, a dense or a sparse vector."""
+def _kernel_residual(m: np.ndarray, lam: complex, y: np.ndarray, p: int) -> float:
+    """Norm of (m - lam)^p y.
+
+    A step that overflows makes it NaN or inf; the gates test
+    ``not residual <= tol`` so that either fails them.
+    """
     for _ in range(p):
-        y = step(y)
-    return norm(y) if isinstance(y, SeqVec) else float(np.linalg.norm(y))
+        y = m @ y - lam * y
+    return float(np.linalg.norm(y))
 
 
-def _pairings(op: Operator, x: SeqVec, y: SeqVec, n_max: int) -> list[complex]:
-    """<T^n x, y> for n = 0..n_max, one application per step."""
-    pairings = []
-    v = x
-    for n in range(n_max + 1):
-        if n > 0:
-            v = apply(op, v)
-        pairings.append(inner(v, y))
-    return pairings
+def _pairings(op: FiniteMatrix, x: SeqVec, y: SeqVec, n_max: int) -> list[complex]:
+    """<T^n x, y> for n = 0..n_max, read off one orbit.
+
+    Each pairing sums over y's support in increasing index order with
+    Python complex products, as ``inner`` does; an orbit that ends at a zero
+    row pairs to 0j from there on.
+    """
+    points = _kernels.orbit_points(op.array, x.to_dense(op.dim), n_max)
+    if not np.isfinite(points).all():
+        raise ValueError("non-finite orbit entry")
+    entries = y.items()
+    indices = [i for i, _ in entries]
+    y_bar = [z.conjugate() for _, z in entries]
+    pairings = [sum(map(operator.mul, row, y_bar), 0j) for row in points[:, indices].tolist()]
+    return pairings + [0j] * (n_max + 1 - len(pairings))
 
 
 def jordan_orbit(op: FiniteMatrix, lam: complex, p: int, y: SeqVec, n: int) -> SeqVec:
@@ -92,7 +95,7 @@ def jordan_orbit(op: FiniteMatrix, lam: complex, p: int, y: SeqVec, n: int) -> S
     m = op.array
     y_dense = y.to_dense(op.dim)
     scale = max(1.0, float(np.linalg.norm(y_dense)))
-    if _kernel_residual(lambda w: m @ w - lam * w, y_dense, p) > KERNEL_TOL * scale:
+    if not _kernel_residual(m, lam, y_dense, p) <= KERNEL_TOL * scale:
         raise NotInGeneralizedKernel(f"(T - lam)^{p} y is not ~ 0")
 
     powers = [y_dense]
@@ -110,7 +113,7 @@ def jordan_orbit(op: FiniteMatrix, lam: complex, p: int, y: SeqVec, n: int) -> S
 
 
 def eigen_orbit_pairing(
-    op: Operator, x: SeqVec, y: SeqVec, lam: complex, n_max: int
+    op: FiniteMatrix, x: SeqVec, y: SeqVec, lam: complex, n_max: int
 ) -> float:
     """Worst deviation of <T^n x, y> from conj(lam)^n <x, y> over n <= n_max.
 
@@ -118,18 +121,20 @@ def eigen_orbit_pairing(
     norm); the pairing law then forces the whole profile.
     """
     scale = max(1.0, norm(y))
-    if norm(adjoint_apply(op, y) - lam * y) > KERNEL_TOL * scale:
+    adjoint = op.array.conj().T
+    if not _kernel_residual(adjoint, lam, y.to_dense(op.dim), 1) <= KERNEL_TOL * scale:
         raise NotEigenvector("y is not an adjoint eigenvector for lam")
-    base = inner(x, y)
+    pairings = _pairings(op, x, y, n_max)
+    base = pairings[0]
     lam_bar = lam.conjugate()
     worst = 0.0
-    for n, pairing in enumerate(_pairings(op, x, y, n_max)):
+    for n, pairing in enumerate(pairings):
         worst = max(worst, abs(pairing - lam_bar**n * base))
     return worst
 
 
 def generalized_pairing_polynomial(
-    op: Operator, x: SeqVec, y: SeqVec, lam: complex, p: int, n_max: int
+    op: FiniteMatrix, x: SeqVec, y: SeqVec, lam: complex, p: int, n_max: int
 ) -> float:
     """Fit <T^n x, y> = conj(lam)^(n-p) Q(n), deg Q < p, and report the residual.
 
@@ -141,7 +146,8 @@ def generalized_pairing_polynomial(
     if p < 1:
         raise ValueError("rank p must be >= 1")
     scale = max(1.0, norm(y))
-    if _kernel_residual(lambda w: adjoint_apply(op, w) - lam * w, y, p) > KERNEL_TOL * scale:
+    adjoint = op.array.conj().T
+    if not _kernel_residual(adjoint, lam, y.to_dense(op.dim), p) <= KERNEL_TOL * scale:
         raise NotInGeneralizedKernel(f"(T* - lam)^{p} y is not ~ 0")
 
     pairings = _pairings(op, x, y, n_max)

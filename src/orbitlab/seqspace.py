@@ -30,10 +30,7 @@ __all__ = [
     "DirectSum",
     "FiniteMatrix",
     "Operator",
-    "apply",
     "apply_power",
-    "adjoint",
-    "adjoint_apply",
     "inner",
     "norm",
     "to_matrix",
@@ -342,10 +339,6 @@ class FiniteMatrix:
         return SeqVec.from_dense(self.array @ vec.to_dense(self.dim))
 
     def adjoint(self) -> "FiniteMatrix":
-        return self._adjoint
-
-    @cached_property
-    def _adjoint(self) -> "FiniteMatrix":
         return FiniteMatrix.from_array(self.array.conj().T)
 
 
@@ -358,18 +351,6 @@ Operator = Union[
     DirectSum,
     FiniteMatrix,
 ]
-
-
-def apply(op: Operator, vec: SeqVec) -> SeqVec:
-    return op.apply(vec)
-
-
-def adjoint(op: Operator) -> Operator:
-    return op.adjoint()
-
-
-def adjoint_apply(op: Operator, vec: SeqVec) -> SeqVec:
-    return op.adjoint().apply(vec)
 
 
 def _scaled_shift_parts(op: Operator) -> tuple[tuple[complex, ...], int] | None:

@@ -29,7 +29,6 @@ from orbitlab import (
     ScheduleEntry,
     SeqVec,
     SupportIn,
-    adjoint_apply,
     apply_power,
     certify,
     check_criterion,
@@ -212,16 +211,3 @@ def test_jordan_report_matches_replay_from_scratch(horizon):
     assert [(c["p"], c["lambda"], c["maxRelError"]) for c in cases] == want
     assert len(cases) == 12
 
-
-def test_finite_matrix_adjoint_is_built_once(rng):
-    for dim in (1, 3, 6):
-        entries = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        op = FiniteMatrix.from_array(entries)
-        adj = op.adjoint()
-        assert op.adjoint() is adj
-        assert np.array_equal(adj.array, entries.conj().T)
-        fresh = FiniteMatrix.from_array(entries.conj().T)
-        for _ in range(3):
-            x = SeqVec.from_dense(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-            assert adjoint_apply(op, x) == fresh.apply(x)
-        assert op == FiniteMatrix.from_array(entries)

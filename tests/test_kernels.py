@@ -292,6 +292,41 @@ class TestUncoveredCount:
                     assert got == _reference_uncovered(targets, points, eps)
 
 
+def _full_product_uncovered(targets, points, eps):
+    """The expanded-form test with one matrix-matrix product over every pair."""
+    t = _kernels._real_rows(targets)
+    p = _kernels._real_rows(points)
+    tn = np.einsum("ij,ij->i", t, t)
+    pn = np.einsum("ij,ij->i", p, p)
+    cross = p @ t.T
+    cross *= 2.0
+    d2 = np.add.outer(pn, tn)
+    d2 -= cross
+    return int(t.shape[0] - np.count_nonzero((d2 <= eps * eps).any(axis=0)))
+
+
+@pytest.mark.parametrize(
+    "block, target_block",
+    [(1, 64), (1 << 15, 1), (100, 7), (_kernels._BLOCK, _kernels._TARGET_BLOCK)],
+    ids=["point-rows", "target-rows", "small", "default"],
+)
+def test_count_does_not_depend_on_chunks(rng, monkeypatch, block, target_block):
+    # At norm 1e8 the rounding of the expanded form is far above eps^2, so
+    # every decision turns on the last bits of the cross term.  A chunk of
+    # one point row or one target used to take a matrix-vector product,
+    # which rounds differently from the full product.
+    monkeypatch.setattr(_kernels, "_BLOCK", block)
+    monkeypatch.setattr(_kernels, "_TARGET_BLOCK", target_block)
+    for _ in range(200):
+        targets = rng.standard_normal((24, 3)) + 1j * rng.standard_normal((24, 3))
+        norms = np.linalg.norm(targets, axis=1)
+        targets *= (1e8 / norms)[:, None]
+        offsets = rng.uniform(0.3, 0.7, 24) * rng.choice([-1.0, 1.0], 24)
+        points = targets * ((1e8 + offsets) / 1e8)[:, None]
+        got = _kernels.uncovered_count(targets, points, 0.5)
+        assert got == _full_product_uncovered(targets, points, 0.5)
+
+
 @pytest.fixture(
     params=[(1, 1), (100, 7), (_kernels._BLOCK, _kernels._TARGET_BLOCK)],
     ids=["row", "small", "default"],

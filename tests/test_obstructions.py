@@ -5,7 +5,7 @@ import pytest
 
 from orbitlab import (
     ComplementNotInvariant,
-    Diagonal,
+    DimensionMismatch,
     FiniteMatrix,
     NotEigenvector,
     NotInGeneralizedKernel,
@@ -17,6 +17,7 @@ from orbitlab import (
     dyadic_net,
     eigen_orbit_pairing,
     generalized_pairing_polynomial,
+    inner,
     jordan_orbit,
     norm,
     orbit_span_rank,
@@ -72,21 +73,21 @@ class TestJordanOrbit:
 
 class TestEigenPairing:
     def test_diagonal_is_exact(self):
-        op = Diagonal((2.0, 3.0, 4.0))
+        op = FiniteMatrix.from_array(np.diag([2.0, 3.0, 4.0]))
         dev = eigen_orbit_pairing(op, SeqVec({0: 1.0, 1: 1.0}), SeqVec.basis(0), 2.0, 20)
         assert dev == 0.0
 
     def test_imaginary_eigenvalue(self):
-        op = Diagonal((2.0j, 3.0))
+        op = FiniteMatrix.from_array(np.diag([2.0j, 3.0]))
         dev = eigen_orbit_pairing(op, SeqVec.basis(0, 1.0 + 1.0j), SeqVec.basis(0), -2.0j, 16)
         assert dev == 0.0
 
     def test_zero_functional_pairs_trivially(self):
-        op = Diagonal((2.0, 3.0))
+        op = FiniteMatrix.from_array(np.diag([2.0, 3.0]))
         assert eigen_orbit_pairing(op, SeqVec.basis(0), SeqVec.zero(), 2.0, 8) == 0.0
 
     def test_rejects_non_eigenvector(self):
-        op = Diagonal((2.0, 3.0, 4.0))
+        op = FiniteMatrix.from_array(np.diag([2.0, 3.0, 4.0]))
         with pytest.raises(NotEigenvector):
             eigen_orbit_pairing(op, SeqVec.basis(0), SeqVec({0: 1.0, 1: 1.0}), 2.0, 8)
 
@@ -132,6 +133,126 @@ class TestGeneralizedPairing:
             op, y, lam = planted_chain_instance(rng, dim, p)
             x = rand_dense_vec(rng, dim)
             assert generalized_pairing_polynomial(op, x, y, lam, p, 12) <= 1e-7
+
+
+def _reference_pairings(op, x, y, n_max):
+    """The pairings as the laws first computed them: one ``apply`` and one
+    ``inner`` per step."""
+    pairings = []
+    v = x
+    for n in range(n_max + 1):
+        if n > 0:
+            v = op.apply(v)
+        pairings.append(inner(v, y))
+    return pairings
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", repr(fn(*args))
+    except Exception as exc:  # the exception type is part of the contract
+        return "raises", type(exc)
+
+
+N_MAXES = [0, 1, 12, 200]
+
+
+class TestPairingsAgainstStepping:
+    """``_pairings`` reads one dense orbit; it must give the stepping loop's
+    pairings bit for bit, and the pairing laws the same values."""
+
+    def _cases(self, rng):
+        for k in range(12):
+            dim = 2 + k % 7
+            op, y, lam = planted_eigen_instance(rng, dim)
+            yield op, rand_dense_vec(rng, dim), y, lam, 1
+        for k in range(12):
+            p = 1 + k % 3
+            op, y, lam = planted_chain_instance(rng, p + 1 + k % 4, p)
+            yield op, rand_dense_vec(rng, op.dim), y, lam, p
+        # nilpotent: the orbit ends at a zero row and the rest is padding
+        shift = np.diag(rng.standard_normal(4) + 1j * rng.standard_normal(4), -1)
+        yield FiniteMatrix.from_array(shift), rand_dense_vec(rng, 5), SeqVec.basis(4), 0.0, 5
+        # zero start vector
+        op, y, lam = planted_eigen_instance(rng, 4)
+        yield op, SeqVec.zero(), y, lam, 1
+        # y has entries where the orbit is zero: x stays in the first block
+        block = FiniteMatrix.from_array(np.diag([0.5 + 0.5j, -0.75, 0.0, 0.0]))
+        y = SeqVec({0: 1.0, 2: 2.0 - 1j, 3: 0.25j})
+        yield block, SeqVec({0: 1.5, 1: -1j}), y, 0.5 - 0.5j, 1
+
+    @pytest.mark.parametrize("n_max", N_MAXES)
+    def test_pairings_equal_stepping_bit_for_bit(self, rng, n_max):
+        for op, x, y, _, _ in self._cases(rng):
+            got = obstructions._pairings(op, x, y, n_max)
+            want = _reference_pairings(op, x, y, n_max)
+            assert len(got) == n_max + 1
+            assert got == want
+            assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("n_max", N_MAXES)
+    def test_laws_equal_stepping(self, rng, monkeypatch, n_max):
+        cases = list(self._cases(rng))
+        laws = [
+            lambda op, x, y, lam, p: eigen_orbit_pairing(op, x, y, lam, n_max),
+            lambda op, x, y, lam, p: generalized_pairing_polynomial(op, x, y, lam, p, n_max),
+        ]
+        got = [_outcome(law, *case) for case in cases for law in laws]
+        monkeypatch.setattr(obstructions, "_pairings", _reference_pairings)
+        want = [_outcome(law, *case) for case in cases for law in laws]
+        assert got == want
+        assert sum(kind == "value" for kind, _ in got) >= 12
+
+    def test_overflowing_orbit_raises_like_stepping(self):
+        op = FiniteMatrix.from_array(np.full((2, 2), 1e200))
+        x, y = SeqVec.basis(0), SeqVec.basis(1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError):
+                _reference_pairings(op, x, y, 3)
+            with pytest.raises(ValueError):
+                obstructions._pairings(op, x, y, 3)
+
+    def test_overflowing_gate_rejects(self):
+        # T* y is inf - inf = NaN: the gates must fail it, not let it pass.
+        op = FiniteMatrix.from_array([[1e200, 0.0], [-1e200, 0.0]])
+        y = SeqVec({0: 1e200, 1: 1e200})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotEigenvector):
+                eigen_orbit_pairing(op, SeqVec.basis(0), y, 1.0, 4)
+            with pytest.raises(NotInGeneralizedKernel):
+                generalized_pairing_polynomial(op, SeqVec.basis(0), y, 1.0, 2, 4)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 12])
+    def test_start_outside_block_is_rejected(self, n_max):
+        op = FiniteMatrix.from_array(np.diag([2.0, 3.0]))
+        with pytest.raises(DimensionMismatch):
+            obstructions._pairings(op, SeqVec.basis(2), SeqVec.basis(0), n_max)
+        with pytest.raises(DimensionMismatch):
+            eigen_orbit_pairing(op, SeqVec.basis(2), SeqVec.basis(0), 2.0, n_max)
+
+    def test_no_vector_is_built_per_step(self, rng, monkeypatch):
+        op, y, lam = planted_eigen_instance(rng, 5)
+        x = rand_dense_vec(rng, 5)
+
+        def no_apply(self, vec):
+            raise AssertionError("pairing law stepped through FiniteMatrix.apply")
+
+        builds = []
+        init = SeqVec.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FiniteMatrix, "apply", no_apply)
+        monkeypatch.setattr(SeqVec, "__init__", counting_init)
+        counts = []
+        for n_max in (12, 200):
+            builds.clear()
+            eigen_orbit_pairing(op, x, y, lam, n_max)
+            generalized_pairing_polynomial(op, x, y, lam, 1, n_max)
+            counts.append(len(builds))
+        assert counts[0] == counts[1]
 
 
 class TestSpectralDichotomy:

@@ -16,9 +16,6 @@ from orbitlab import (
     Identity,
     ScalarMultiple,
     SeqVec,
-    adjoint,
-    adjoint_apply,
-    apply,
     apply_power,
     inner,
     norm,
@@ -91,23 +88,23 @@ class TestSeqVec:
 
 class TestShifts:
     def test_backward_shift_kills_head(self):
-        assert apply(BackwardShift(), SeqVec.basis(0)) == SeqVec.zero()
-        assert apply(BackwardShift(), SeqVec.basis(1)) == SeqVec.basis(0)
+        assert BackwardShift().apply(SeqVec.basis(0)) == SeqVec.zero()
+        assert BackwardShift().apply(SeqVec.basis(1)) == SeqVec.basis(0)
 
     def test_scaled_shift(self):
-        out = apply(ScalarMultiple(2, BackwardShift()), SeqVec.basis(1))
+        out = ScalarMultiple(2, BackwardShift()).apply(SeqVec.basis(1))
         assert out == SeqVec.basis(0, 2.0)
 
     def test_forward_then_backward_is_identity_bitwise(self, rng):
         for _ in range(100):
             v = rand_vec(rng)
-            assert apply(BackwardShift(), apply(ForwardShift(), v)) == v
+            assert BackwardShift().apply(ForwardShift().apply(v)) == v
 
     @seed(42)
     @settings(max_examples=60, deadline=None)
     @given(sparse_vecs)
     def test_forward_shift_is_isometry(self, v):
-        assert norm(apply(ForwardShift(3), v)) == norm(v)
+        assert norm(ForwardShift(3).apply(v)) == norm(v)
 
     def test_power_shortcut_matches_loop(self, rng):
         for _ in range(50):
@@ -117,31 +114,31 @@ class TestShifts:
             op = BackwardShift(p)
             stepped = v
             for _ in range(n):
-                stepped = apply(op, stepped)
+                stepped = op.apply(stepped)
             assert apply_power(op, n, v) == stepped
 
 
 class TestOtherKinds:
     def test_identity(self, rng):
         v = rand_vec(rng)
-        assert apply(Identity(), v) == v
+        assert Identity().apply(v) == v
 
     def test_diagonal_truncates_past_weights(self):
         d = Diagonal((2.0, 3.0))
         v = SeqVec({0: 1.0, 1: 1.0, 5: 1.0})
-        out = apply(d, v)
+        out = d.apply(v)
         assert out == SeqVec({0: 2.0, 1: 3.0})
 
     def test_direct_sum_routes_blocks(self):
         op = DirectSum(ScalarMultiple(2, BackwardShift()), Identity(), 3)
         v = SeqVec({1: 1.0, 4: 5.0})
-        out = apply(op, v)
+        out = op.apply(v)
         assert out == SeqVec({0: 2.0, 4: 5.0})
 
     def test_direct_sum_left_block_compression(self):
         # a forward shift inside the left block drops what crosses the split
         op = DirectSum(ForwardShift(1), Identity(), 2)
-        out = apply(op, SeqVec({0: 1.0, 1: 1.0}))
+        out = op.apply(SeqVec({0: 1.0, 1: 1.0}))
         assert out == SeqVec({1: 1.0})
 
     def test_finite_matrix_matches_numpy(self, rng):
@@ -149,12 +146,12 @@ class TestOtherKinds:
         op = FiniteMatrix.from_array(a)
         v = rand_vec(rng, max_index=4, max_terms=4)
         expected = a @ v.to_dense(4)
-        assert np.allclose(apply(op, v).to_dense(4), expected)
+        assert np.allclose(op.apply(v).to_dense(4), expected)
 
     def test_finite_matrix_rejects_outside_support(self):
         op = FiniteMatrix.from_array(np.eye(2))
         with pytest.raises(DimensionMismatch):
-            apply(op, SeqVec.basis(5))
+            op.apply(SeqVec.basis(5))
 
     def test_finite_matrix_must_be_square(self):
         with pytest.raises(ValueError):
@@ -227,21 +224,33 @@ class TestApplyPower:
 
 class TestAdjoint:
     def test_shift_adjoints_swap(self):
-        assert adjoint(BackwardShift(2)) == ForwardShift(2)
-        assert adjoint(ForwardShift(2)) == BackwardShift(2)
+        assert BackwardShift(2).adjoint() == ForwardShift(2)
+        assert ForwardShift(2).adjoint() == BackwardShift(2)
 
     def test_scalar_adjoint_conjugates(self):
         op = ScalarMultiple(2j, Identity())
         v = SeqVec.basis(0)
-        assert adjoint_apply(op, v) == SeqVec.basis(0, -2j)
+        assert op.adjoint().apply(v) == SeqVec.basis(0, -2j)
 
     def test_direct_sum_adjoint_blockwise(self):
         op = DirectSum(BackwardShift(), ForwardShift(), 3)
-        assert adjoint(op) == DirectSum(ForwardShift(), BackwardShift(), 3)
+        assert op.adjoint() == DirectSum(ForwardShift(), BackwardShift(), 3)
 
     def test_finite_matrix_adjoint_is_conjugate_transpose(self):
         op = FiniteMatrix.from_array([[1, 2j], [0, 1]])
-        assert np.allclose(adjoint(op).array, np.array([[1, 0], [-2j, 1]]))
+        assert np.allclose(op.adjoint().array, np.array([[1, 0], [-2j, 1]]))
+
+    def test_finite_matrix_adjoint_applies_as_conjugate_transpose(self, rng):
+        for dim in (1, 3, 6):
+            entries = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            op = FiniteMatrix.from_array(entries)
+            adj = op.adjoint()
+            assert np.array_equal(adj.array, entries.conj().T)
+            fresh = FiniteMatrix.from_array(entries.conj().T)
+            for _ in range(3):
+                x = SeqVec.from_dense(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+                assert adj.apply(x) == fresh.apply(x)
+            assert op == FiniteMatrix.from_array(entries)
 
     @pytest.mark.parametrize(
         "op",
@@ -258,8 +267,8 @@ class TestAdjoint:
         for _ in range(40):
             u = rand_vec(rng, max_index=12)
             v = rand_vec(rng, max_index=12)
-            lhs = inner(apply(op, u), v)
-            rhs = inner(u, adjoint_apply(op, v))
+            lhs = inner(op.apply(u), v)
+            rhs = inner(u, op.adjoint().apply(v))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_pairing_identity_matrix(self, rng):
@@ -268,8 +277,8 @@ class TestAdjoint:
         for _ in range(20):
             u = rand_vec(rng, max_index=5, max_terms=5)
             v = rand_vec(rng, max_index=5, max_terms=5)
-            lhs = inner(apply(op, u), v)
-            rhs = inner(u, adjoint_apply(op, v))
+            lhs = inner(op.apply(u), v)
+            rhs = inner(u, op.adjoint().apply(v))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 

@@ -1,0 +1,61 @@
+"""perfbench's tracer patches orbitlab by name; every name must still exist.
+
+``perfbench/tracer.py`` wraps functions at the bindings their callers use
+(``cli.eigen_orbit_pairing``, ``criterion.invariance_check``,
+``_kernels.orbit_points``, ...) through ``owner.__dict__[attr]``.  A refactor
+that drops or renames one of them breaks ``--trace 1`` and ``--smoke``; this
+test installs and uninstalls the tracer so that it breaks here first.
+"""
+
+from pathlib import Path
+
+from orbitlab import _kernels, cli, constructor, criterion, obstructions, seqspace, subspace
+from orbitlab.cli import ExperimentConfig, run
+
+MODULES = (_kernels, cli, constructor, criterion, obstructions, seqspace, subspace)
+
+
+def _owners():
+    """The orbitlab modules and the classes they define."""
+    classes = [
+        value
+        for module in MODULES
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__.startswith("orbitlab")
+    ]
+    return list(MODULES) + list({id(c): c for c in classes}.values())
+
+
+def test_install_then_uninstall_restores_every_binding(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracer import Tracer
+
+    before = {id(owner): dict(vars(owner)) for owner in _owners()}
+    tracer = Tracer()
+    try:
+        tracer.install()
+        patched = [(owner, attr) for owner, attr, _ in tracer._undo]
+        names = {f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in patched}
+        # One traced run of the kernel command goes through the pairing
+        # wrappers and the orbit kernel they read.
+        cfg = ExperimentConfig.from_dict(
+            {"command": "kernel", "eigenInstances": 2, "chainInstances": 2, "horizon": 6}
+        )
+        run(cfg)
+        spans = {name for _, _, name, _, _ in tracer.spans}
+    finally:
+        tracer.uninstall()
+
+    assert {
+        "orbitlab.cli.eigen_orbit_pairing",
+        "orbitlab.cli.generalized_pairing_polynomial",
+        "orbitlab.criterion.invariance_check",
+        "orbitlab._kernels.orbit_points",
+    } <= names
+    assert {"obstructions.pairing", "kernels.orbit_points"} <= spans
+    for owner, attr in patched:
+        assert vars(owner)[attr] is before[id(owner)][attr], (owner, attr)
+    for owner in _owners():
+        now = vars(owner)
+        assert now.keys() == before[id(owner)].keys(), owner
+        assert all(now[k] is v for k, v in before[id(owner)].items()), owner
