@@ -32,16 +32,27 @@ def orbit_norms(mat, vec, n_steps, exit_low, exit_high):
     m = np.ascontiguousarray(mat, dtype=np.complex128)
     v = np.array(vec, dtype=np.complex128)
     norms = np.empty(n_steps + 1, dtype=np.float64)
-    norms[0] = np.linalg.norm(v)
     last = 0
-    for n in range(1, n_steps + 1):
-        v = m @ v
-        r = float(np.linalg.norm(v))
-        norms[n] = r
-        last = n
-        if r < exit_low or r > exit_high or not math.isfinite(r):
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms[0] = _norm(v)
+        for n in range(1, n_steps + 1):
+            v = m @ v
+            r = _norm(v)
+            norms[n] = r
+            last = n
+            if r < exit_low or r > exit_high or not math.isfinite(r):
+                break
     return norms[: last + 1]
+
+
+def _norm(v):
+    """``np.linalg.norm``, rescaled when its unscaled squares overflow a
+    finite vector (any norm past about 1.3e154)."""
+    r = float(np.linalg.norm(v))
+    if r == math.inf and np.isfinite(v).all():
+        scale = float(np.abs(v).max())
+        r = scale * float(np.linalg.norm(v / scale))
+    return r
 
 
 def orbit_points(mat, vec, n_steps):

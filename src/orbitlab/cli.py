@@ -31,13 +31,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import _kernels
-from .constructor import (
-    CERT_CSV_HEADER,
-    assemble,
-    build_schedule,
-    certify,
-    length,
-)
+from .constructor import assemble, build_schedule, certify, length
 from .criterion import (
     CRITERION_CSV_HEADER,
     check_criterion,
@@ -73,12 +67,13 @@ from .seqspace import (
 )
 from .subspace import (
     DenseFamilySpec,
+    PrefixZero,
     ResidueZero,
+    RightBlockZero,
+    SupportIn,
     ZeroPattern,
     allowed_indices,
     dense_family,
-    pattern_from_config,
-    pattern_to_config,
 )
 
 __all__ = ["ExperimentConfig", "RunResult", "run", "main"]
@@ -129,18 +124,19 @@ def _complexes_from(values, where: str) -> tuple[complex, ...]:
     return tuple(_complex_from(z, f"{where}[{i}]") for i, z in enumerate(values))
 
 
-def _matrix_from(rows, where: str) -> tuple[tuple[complex, ...], ...]:
-    # from_array rejects ragged, non-square and empty entry lists.
-    return FiniteMatrix.from_array([_complexes_from(row, where) for row in rows]).entries
+def _matrix_from(rows, where: str) -> list[tuple[complex, ...]]:
+    # FiniteMatrix rejects ragged, non-square and empty entry lists.
+    return [_complexes_from(row, where) for row in rows]
 
 
-def operator_from_config(cfg, where: str = "operator") -> Operator:
+def _from_config(noun: str, cfg, where: str):
+    """The object that a ``{"kind": ..., field: ...}`` config names in ``_KINDS[noun]``."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError(f"{where}: expected an object with a kind, got {cfg!r}")
     kind = cfg["kind"]
-    if kind not in _OPERATOR_KINDS:
-        raise ConfigError(f"{where}: unknown operator kind {kind!r}")
-    cls, spec = _OPERATOR_KINDS[kind]
+    if not isinstance(kind, str) or kind not in _KINDS[noun]:
+        raise ConfigError(f"{where}: unknown {noun} kind {kind!r}")
+    cls, spec = _KINDS[noun][kind]
     extra = sorted(set(cfg) - set(spec) - {"kind"})
     if extra:
         raise ConfigError(f"{where}: unexpected fields {extra} for kind {kind!r}")
@@ -160,37 +156,56 @@ def operator_from_config(cfg, where: str = "operator") -> Operator:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def operator_to_config(op: Operator) -> dict:
-    for kind, (cls, spec) in _OPERATOR_KINDS.items():
-        if isinstance(op, cls):
-            out = {name: write(getattr(op, attr)) for name, (attr, (_, write)) in spec.items()}
+def _to_config(noun: str, obj) -> dict:
+    for kind, (cls, spec) in _KINDS[noun].items():
+        if isinstance(obj, cls):
+            out = {name: write(getattr(obj, attr)) for name, (attr, (_, write)) in spec.items()}
             return {"kind": kind, **out}
-    raise TypeError(f"unknown operator {op!r}")
+    raise TypeError(f"unknown {noun} {obj!r}")
 
 
-# Operator field types: (parser from JSON, writer to JSON).
+def operator_from_config(cfg, where: str = "operator") -> Operator:
+    return _from_config("operator", cfg, where)
+
+
+def operator_to_config(op: Operator) -> dict:
+    return _to_config("operator", op)
+
+
+# Field types: (parser from JSON, writer to JSON).
 _INT = (_as_int, int)
 _COMPLEX = (_complex_from, _complex_to)
 _COMPLEXES = (_complexes_from, lambda zs: [_complex_to(z) for z in zs])
-_MATRIX = (_matrix_from, lambda rows: [[_complex_to(z) for z in row] for row in rows])
+_MATRIX = (_matrix_from, lambda a: [[_complex_to(z) for z in row] for row in a.tolist()])
 _OPERATOR = (operator_from_config, operator_to_config)
 
-# Operator kind -> (class, {JSON field: (attribute, field type)}).
-_OPERATOR_KINDS = {
-    "backwardShift": (BackwardShift, {"power": ("power", _INT)}),
-    "forwardShift": (ForwardShift, {"power": ("power", _INT)}),
-    "identity": (Identity, {}),
-    "scalar": (ScalarMultiple, {"factor": ("factor", _COMPLEX), "of": ("operand", _OPERATOR)}),
-    "diagonal": (Diagonal, {"weights": ("weights", _COMPLEXES)}),
-    "directSum": (
-        DirectSum,
-        {
-            "left": ("left", _OPERATOR),
-            "right": ("right", _OPERATOR),
-            "split": ("split_index", _INT),
-        },
-    ),
-    "finiteMatrix": (FiniteMatrix, {"entries": ("entries", _MATRIX)}),
+# Config object -> kind -> (class, {JSON field: (attribute, field type)}).
+_KINDS = {
+    "operator": {
+        "backwardShift": (BackwardShift, {"power": ("power", _INT)}),
+        "forwardShift": (ForwardShift, {"power": ("power", _INT)}),
+        "identity": (Identity, {}),
+        "scalar": (
+            ScalarMultiple,
+            {"factor": ("factor", _COMPLEX), "of": ("operand", _OPERATOR)},
+        ),
+        "diagonal": (Diagonal, {"weights": ("weights", _COMPLEXES)}),
+        "directSum": (
+            DirectSum,
+            {
+                "left": ("left", _OPERATOR),
+                "right": ("right", _OPERATOR),
+                "split": ("split_index", _INT),
+            },
+        ),
+        "finiteMatrix": (FiniteMatrix, {"entries": ("array", _MATRIX)}),
+    },
+    "pattern": {
+        "prefix": (PrefixZero, {"m": ("m", _INT)}),
+        "residue": (ResidueZero, {"a": ("a", _INT), "b": ("b", _INT)}),
+        "supportIn": (SupportIn, {"b": ("b", _INT)}),
+        "rightBlock": (RightBlockZero, {"split": ("split", _INT)}),
+    },
 }
 
 # Probe key -> (parser, default).
@@ -301,7 +316,7 @@ class ExperimentConfig:
         given = {
             "lambda": None if lam is None else _complex_from(lam, "lambda"),
             "operator": None if operator is None else operator_from_config(operator),
-            "pattern": None if pattern is None else pattern_from_config(pattern),
+            "pattern": None if pattern is None else _from_config("pattern", pattern, "pattern"),
         }
         for key in spec.needs:
             if given[key] is None:
@@ -338,7 +353,7 @@ class ExperimentConfig:
         if self.operator is not None:
             out["operator"] = operator_to_config(self.operator)
         if self.pattern is not None:
-            out["pattern"] = pattern_to_config(self.pattern)
+            out["pattern"] = _to_config("pattern", self.pattern)
         return out
 
     def default_operator(self) -> Operator:
@@ -360,18 +375,24 @@ class RunResult:
     table_rows: list
 
 
-def _plain(obj):
-    """Coerce numpy scalars and tuples so json sees only builtin types."""
+def _plain(obj, where: str):
+    """Coerce numpy scalars and tuples so json sees only builtin types.
+
+    A non-finite float raises: strict JSON has no spelling for it.
+    """
     if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
+        return {k: _plain(v, f"{where}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [_plain(v, f"{where}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        out = float(obj)
+        if not math.isfinite(out):
+            raise ArithmeticError(f"{where} is {out}; report.json holds only finite numbers")
+        return out
     return obj
 
 
@@ -411,10 +432,29 @@ def _run_certify(cfg: ExperimentConfig) -> RunResult:
     rep = certify(
         cfg.lam, vec, schedule, cfg.pattern, float_tol=cfg.tol, op=cfg.default_operator()
     )
-    report = rep.to_json_dict()
-    report["vectorLength"] = length(vec)
-    report["vectorNorm"] = norm(vec)
-    return RunResult(rep.passes, report, list(CERT_CSV_HEADER), rep.to_csv_rows())
+    entries = [
+        {
+            "n": e.index,
+            "k_n": e.time,
+            "membershipDefect": e.defect,
+            "distance": e.distance,
+            "bound": e.bound,
+            "pass": e.passed,
+        }
+        for e in rep.entries
+    ]
+    report = {
+        "lambda": _complex_to(cfg.lam),
+        "pattern": _to_config("pattern", cfg.pattern),
+        "floatTol": cfg.tol,
+        "passed": rep.passes,
+        "entries": entries,
+        "vectorLength": length(vec),
+        "vectorNorm": norm(vec),
+    }
+    header = ["n", "k_n", "defect", "distance", "bound", "pass"]
+    rows = [[e.index, e.time, e.defect, e.distance, e.bound, e.passed] for e in rep.entries]
+    return RunResult(rep.passes, report, header, rows)
 
 
 def _run_criterion(cfg: ExperimentConfig) -> RunResult:
@@ -486,7 +526,7 @@ def _run_findim(cfg: ExperimentConfig) -> RunResult:
         radius = float(np.abs(np.linalg.eigvals(m)).max())
         if radius > 1e-9:
             m *= 0.8 / radius
-        op = FiniteMatrix.from_array(m)
+        op = FiniteMatrix(m)
         x = _random_member(rng, cfg.pattern, dim)
 
         rank_small = orbit_span_rank(op, x, dim - 1)
@@ -522,7 +562,7 @@ def _run_findim(cfg: ExperimentConfig) -> RunResult:
 
 def _run_spectrum(cfg: ExperimentConfig) -> RunResult:
     dim = cfg.truncation_dim
-    mat = FiniteMatrix.from_array(to_matrix(cfg.operator, dim))
+    mat = FiniteMatrix(to_matrix(cfg.operator, dim))
     moduli = sorted(float(m) for m in np.abs(np.linalg.eigvals(mat.array)))
     annulus = sum(1 for m in moduli if 0.9 <= m <= 1.1)
 
@@ -609,7 +649,7 @@ def _run_jordan(cfg: ExperimentConfig) -> RunResult:
     for p in range(1, 5):
         for lam in _JORDAN_LAMBDAS:
             block = np.diag(np.full(p, lam)) + np.diag(np.ones(p - 1), 1)
-            op = FiniteMatrix.from_array(block)
+            op = FiniteMatrix(block)
             y = SeqVec.basis(p - 1)
             worst = 0.0
             power, reached = y, 0  # T^reached y, carried from one n to the next
@@ -686,7 +726,8 @@ def run(cfg: ExperimentConfig) -> RunResult:
         "verdict": "pass" if result.passed else "fail",
         "report": result.report,
     }
-    return RunResult(result.passed, _plain(report), result.table_header, result.table_rows)
+    report = {key: _plain(value, key) for key, value in report.items()}
+    return RunResult(result.passed, report, result.table_header, result.table_rows)
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> tuple[Path, Path]:

@@ -30,7 +30,7 @@ from .seqspace import (
     apply_power,
     norm,
 )
-from .subspace import ZeroPattern, membership_defect, pattern_to_config
+from .subspace import ZeroPattern, membership_defect
 
 __all__ = [
     "length",
@@ -43,7 +43,6 @@ __all__ = [
     "CertEntry",
     "CertReport",
     "certify",
-    "CERT_CSV_HEADER",
 ]
 
 # A nonzero window term below this modulus is one rounding step away from
@@ -172,9 +171,6 @@ def assemble(schedule: HittingSchedule) -> SeqVec:
     return total
 
 
-CERT_CSV_HEADER = ["n", "k_n", "defect", "distance", "bound", "pass"]
-
-
 @dataclass(frozen=True)
 class CertEntry:
     index: int
@@ -187,39 +183,11 @@ class CertEntry:
 
 @dataclass(frozen=True)
 class CertReport:
-    lam: complex
-    pattern: ZeroPattern
-    float_tol: float
     entries: tuple[CertEntry, ...]
 
     @property
     def passes(self) -> bool:
         return all(e.passed for e in self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": [self.lam.real, self.lam.imag],
-            "pattern": pattern_to_config(self.pattern),
-            "floatTol": self.float_tol,
-            "passed": self.passes,
-            "entries": [
-                {
-                    "n": e.index,
-                    "k_n": e.time,
-                    "membershipDefect": e.defect,
-                    "distance": e.distance,
-                    "bound": e.bound,
-                    "pass": e.passed,
-                }
-                for e in self.entries
-            ],
-        }
-
-    def to_csv_rows(self) -> list[list]:
-        return [
-            [e.index, e.time, e.defect, e.distance, e.bound, e.passed]
-            for e in self.entries
-        ]
 
 
 def certify(
@@ -250,4 +218,4 @@ def certify(
         distance = norm(image - entry.target)
         passed = defect <= float_tol and distance <= entry.bound + float_tol
         rows.append(CertEntry(j, entry.time, defect, distance, entry.bound, passed))
-    return CertReport(lam, pattern, float_tol, tuple(rows))
+    return CertReport(tuple(rows))

@@ -104,12 +104,20 @@ def jordan_orbit(op: FiniteMatrix, lam: complex, p: int, y: SeqVec, n: int) -> S
     # powers[p-k] = T^(p-k) y for k = 1..p
 
     total = np.zeros(op.dim, dtype=np.complex128)
-    for k in range(1, p + 1):
-        coeff = Fraction(math.comb(p, k) * math.comb(n, p) * k, n - p + k)
-        if (k - 1) % 2 == 1:
-            coeff = -coeff
-        total += float(coeff) * lam ** (n - p + k) * powers[p - k]
-    return SeqVec.from_dense(total)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, p + 1):
+                coeff = Fraction(math.comb(p, k) * math.comb(n, p) * k, n - p + k)
+                if (k - 1) % 2 == 1:
+                    coeff = -coeff
+                total += float(coeff) * lam ** (n - p + k) * powers[p - k]
+        return SeqVec.from_dense(total)
+    # OverflowError from float(coeff) or lam ** (n - p + k); ValueError from
+    # a non-finite entry of the sum.
+    except (OverflowError, ValueError) as exc:
+        raise ArithmeticError(
+            f"jordan_orbit: T^n y is past the float range for lambda = {lam}, p = {p}, n = {n}"
+        ) from exc
 
 
 def eigen_orbit_pairing(
@@ -361,7 +369,7 @@ def planted_eigen_instance(
     t = q @ np.diag(eigs) @ q.conj().T
     y = SeqVec.from_dense(q[:, 0])
     # T* = Q conj(Lambda) Q*, so the adjoint eigenvalue at q_0 is conj(eigs[0])
-    return FiniteMatrix.from_array(t), y, complex(np.conj(eigs[0]))
+    return FiniteMatrix(t), y, complex(np.conj(eigs[0]))
 
 
 def planted_chain_instance(
@@ -383,4 +391,4 @@ def planted_chain_instance(
     q, _ = np.linalg.qr(g)
     t = (q @ adj @ q.conj().T).conj().T
     y = SeqVec.from_dense(q[:, p - 1])
-    return FiniteMatrix.from_array(t), y, lam
+    return FiniteMatrix(t), y, lam

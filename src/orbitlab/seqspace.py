@@ -13,7 +13,6 @@ import cmath
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -295,40 +294,38 @@ class DirectSum:
         return DirectSum(self.left.adjoint(), self.right.adjoint(), self.split_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMatrix:
     """A dense square block acting on the first ``dim`` coordinates.
 
-    Vectors supported outside the block are rejected rather than truncated.
+    Holds one read-only, C-ordered complex128 copy of its input.  The copy
+    is C-ordered even for a transposed view, since numpy's matrix-vector
+    product rounds differently on another layout.  Vectors supported
+    outside the block are rejected rather than truncated.
     """
 
-    entries: tuple[tuple[complex, ...], ...]
+    array: np.ndarray
 
     def __post_init__(self):
-        n = len(self.entries)
-        rows = []
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            rows.append(tuple(_checked(z) for z in row))
-        object.__setattr__(self, "entries", tuple(rows))
-
-    @classmethod
-    def from_array(cls, arr) -> "FiniteMatrix":
-        a = np.asarray(arr, dtype=np.complex128)
+        a = np.array(self.array, dtype=np.complex128, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        return cls(tuple(tuple(complex(z) for z in row) for row in a))
+        bad = a[~np.isfinite(a)]
+        if bad.size:
+            raise ValueError(f"non-finite coefficient {complex(bad[0])!r}")
+        a.setflags(write=False)
+        object.__setattr__(self, "array", a)
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return self.array.shape[0]
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        a = np.array(self.entries, dtype=np.complex128)
-        a.setflags(write=False)
-        return a
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteMatrix):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    __hash__ = None  # operators are never hashed
 
     def apply(self, vec: SeqVec) -> SeqVec:
         sup = vec.support()
@@ -339,7 +336,7 @@ class FiniteMatrix:
         return SeqVec.from_dense(self.array @ vec.to_dense(self.dim))
 
     def adjoint(self) -> "FiniteMatrix":
-        return FiniteMatrix.from_array(self.array.conj().T)
+        return FiniteMatrix(self.array.conj().T)
 
 
 Operator = Union[

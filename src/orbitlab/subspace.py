@@ -10,12 +10,11 @@ forbidden index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from .errors import ConfigError
 from .seqspace import Operator, SeqVec, _scaled_shift_parts, apply_power
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "dense_family",
     "family_level_size",
     "dyadic_net",
-    "pattern_to_config",
-    "pattern_from_config",
 ]
 
 
@@ -327,36 +324,3 @@ def dyadic_net(pattern: ZeroPattern, support_bound: int, level: int) -> list[Seq
         sums = extended[rows, cols]
     return [SeqVec(zip(allowed, [values[d] for d in row])) for row in digits.tolist()]
 
-
-_PATTERN_KINDS = {
-    "prefix": PrefixZero,
-    "residue": ResidueZero,
-    "supportIn": SupportIn,
-    "rightBlock": RightBlockZero,
-}
-
-
-def pattern_to_config(pattern: ZeroPattern) -> dict:
-    (kind,) = [k for k, cls in _PATTERN_KINDS.items() if type(pattern) is cls]
-    return {"kind": kind, **{f.name: getattr(pattern, f.name) for f in fields(pattern)}}
-
-
-def pattern_from_config(cfg: dict) -> ZeroPattern:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError(f"pattern config must be an object with a kind: {cfg!r}")
-    kind = cfg["kind"]
-    if kind not in _PATTERN_KINDS:
-        raise ConfigError(f"unknown pattern kind {kind!r}")
-    cls = _PATTERN_KINDS[kind]
-    names = [f.name for f in fields(cls)]
-    missing = [f for f in names if f not in cfg]
-    extra = [k for k in cfg if k not in (*names, "kind")]
-    if missing or extra:
-        raise ConfigError(f"pattern {kind!r}: missing {missing}, unexpected {extra}")
-    not_int = [f for f in names if isinstance(cfg[f], bool) or not isinstance(cfg[f], int)]
-    if not_int:
-        raise ConfigError(f"pattern {kind!r}: {not_int} must be integers")
-    try:
-        return cls(**{f: cfg[f] for f in names})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"pattern {kind!r}: {exc}") from exc

@@ -27,7 +27,7 @@ def spread_matrix(rng, dim, lo, hi, normal=True):
             rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         )
         m = s @ d @ np.linalg.inv(s)
-    return FiniteMatrix.from_array(m)
+    return FiniteMatrix(m)
 
 
 def rand_dense_vec(rng, dim, scale=1.0):

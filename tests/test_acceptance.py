@@ -135,7 +135,7 @@ class TestAcceptance:
         for p in range(1, 5):
             for lam in (2.0, 0.7 + 0.7j, -1.1):
                 block = np.diag(np.full(p, lam)) + np.diag(np.ones(p - 1), 1)
-                op = FiniteMatrix.from_array(block.astype(np.complex128))
+                op = FiniteMatrix(block.astype(np.complex128))
                 y = SeqVec.basis(p - 1)
                 for n in range(p, 13):
                     closed = jordan_orbit(op, lam, p, y, n)
@@ -215,7 +215,7 @@ class TestAcceptance:
             split = 1 + i % (dim - 1) if dim > 1 else 1
             m = 0.5 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
             m[split:, :split] = 0.0
-            op = FiniteMatrix.from_array(m)
+            op = FiniteMatrix(m)
             tail = rng.standard_normal(dim - split) + 1j * rng.standard_normal(dim - split)
             x = SeqVec.from_dense(np.concatenate([np.zeros(split), tail]))
             ok = ok and compression_orbit_check(op, PrefixZero(split), x, 20) <= 1e-9
@@ -224,7 +224,7 @@ class TestAcceptance:
         raised = False
         try:
             compression_orbit_check(
-                FiniteMatrix.from_array(leaky), PrefixZero(1), SeqVec.basis(1), 5
+                FiniteMatrix(leaky), PrefixZero(1), SeqVec.basis(1), 5
             )
         except ComplementNotInvariant:
             raised = True

@@ -50,7 +50,7 @@ from conftest import CountingOp
 factors = st.sampled_from([2.0, -0.5, 1j, 1 + 1j, 0.75 - 0.25j, 0.0])
 matrices = st.integers(1, 3).flatmap(
     lambda d: st.lists(st.lists(factors, min_size=d, max_size=d), min_size=d, max_size=d)
-).map(FiniteMatrix.from_array)
+).map(FiniteMatrix)
 leaves = st.one_of(
     st.builds(BackwardShift, st.integers(1, 3)),
     st.builds(ForwardShift, st.integers(1, 3)),
@@ -200,7 +200,7 @@ def test_jordan_report_matches_replay_from_scratch(horizon):
     want = []
     for p in range(1, 5):
         for lam in _JORDAN_LAMBDAS:
-            op = FiniteMatrix.from_array(np.diag(np.full(p, lam)) + np.diag(np.ones(p - 1), 1))
+            op = FiniteMatrix(np.diag(np.full(p, lam)) + np.diag(np.ones(p - 1), 1))
             y = SeqVec.basis(p - 1)
             worst = 0.0
             for n in range(p, horizon + 1):

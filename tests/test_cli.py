@@ -1,9 +1,10 @@
 import json
 import math
+import warnings
 
 import pytest
 
-from orbitlab.cli import main, operator_from_config, operator_to_config
+from orbitlab.cli import _KINDS, _from_config, _to_config, main, operator_from_config
 from orbitlab.errors import ConfigError
 from orbitlab.seqspace import (
     BackwardShift,
@@ -14,6 +15,7 @@ from orbitlab.seqspace import (
     Identity,
     ScalarMultiple,
 )
+from orbitlab.subspace import PrefixZero, ResidueZero, RightBlockZero, SupportIn
 
 
 def _write_cfg(tmp_path, data, name="cfg.json"):
@@ -168,6 +170,12 @@ def test_config_echo(tmp_path, command):
     assert _report(out)["config"] == echo
 
 
+def _noun(cfg) -> str:
+    """Configs of a pattern kind read as patterns, all others as operators."""
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
+    return "pattern" if isinstance(kind, str) and kind in _KINDS["pattern"] else "operator"
+
+
 class TestOperatorConfig:
     SHIFT = {"kind": "backwardShift", "power": 1}
     SCALED_SHIFT = {"kind": "scalar", "factor": [2.0, 0.0], "of": SHIFT}
@@ -204,14 +212,19 @@ class TestOperatorConfig:
                 "entries": [[[2.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [2.0, 1.0]]],
             },
         ),
+        (PrefixZero(3), {"kind": "prefix", "m": 3}),
+        (ResidueZero(0, 2), {"kind": "residue", "a": 0, "b": 2}),
+        (SupportIn(2), {"kind": "supportIn", "b": 2}),
+        (RightBlockZero(64), {"kind": "rightBlock", "split": 64}),
     ]
 
     @pytest.mark.parametrize(
         "op, cfg", CASES, ids=[f"{i}-{c[1]['kind']}" for i, c in enumerate(CASES)]
     )
     def test_round_trip(self, op, cfg):
-        assert operator_to_config(op) == cfg
-        assert operator_from_config(cfg) == op
+        noun = _noun(cfg)
+        assert _to_config(noun, op) == cfg
+        assert _from_config(noun, cfg, noun) == op
 
     def test_power_defaults_to_one(self):
         assert operator_from_config({"kind": "backwardShift"}) == BackwardShift(1)
@@ -239,17 +252,35 @@ class TestOperatorConfig:
             "identity",
             ["identity"],
             None,
+            {"kind": ["identity"]},
+            {"kind": "nope"},
+            {"kind": "prefix"},
+            {"kind": "prefix", "m": 3, "extra": 1},
+            {"kind": "residue", "a": 2, "b": 2},
+            {"kind": "prefix", "m": 2.9},
+            {"kind": "prefix", "m": True},
+            {"kind": "rightBlock", "split": "4"},
+            "prefix",
         ],
     )
     def test_bad_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
-            operator_from_config(bad)
+            _from_config(_noun(bad), bad, "where")
 
 
 # The whole error line of the rejected configs whose text is pinned.
 _REJECTION_TEXT = {
     "underflowing-probe": (
         "error: backsolve: lambda^-n is past the float range for lambda = (1e-170+0j), n = 2\n"
+    ),
+    "non-finite-report": (
+        "error: report.eigenvalueModuli[1] is inf; report.json holds only finite numbers\n"
+    ),
+    "overflowing-jordan": (
+        "error: jordan_orbit: T^n y is past the float range for lambda = (2+0j), p = 4, n = 996\n"
+    ),
+    "jordan-power-past-float-range": (
+        "error: jordan_orbit: T^n y is past the float range for lambda = (2+0j), p = 1, n = 1024\n"
     ),
 }
 
@@ -324,6 +355,15 @@ class TestConfigErrors:
                 "truncationDim": 64,
                 "horizon": 6,
             },
+            # A finite config whose report would hold a non-finite value.
+            {
+                "command": "spectrum",
+                "operator": {"kind": "finiteMatrix", "entries": [[[1e308, 0]] * 2] * 2},
+                "truncationDim": 2,
+                "horizon": 5,
+            },
+            {"command": "jordan", "horizon": 1000},
+            {"command": "jordan", "horizon": 1100},
         ],
         ids=[
             "unknown-command",
@@ -350,6 +390,9 @@ class TestConfigErrors:
             "net-over-point-cap",
             "overflowing-probe",
             "underflowing-probe",
+            "non-finite-report",
+            "overflowing-jordan",
+            "jordan-power-past-float-range",
         ],
     )
     def test_rejected_configs(self, tmp_path, capsys, data, request):
@@ -463,6 +506,25 @@ class TestRunners:
         for trial in rep["report"]["trials"]:
             assert trial["stabilized"] is True
             assert trial["densityDefect"] >= 0.5
+
+    def test_spectrum_norms_past_1e154(self, tmp_path, capsys):
+        data = {
+            "command": "spectrum",
+            "operator": {"kind": "scalar", "factor": [1e200, 0], "of": IDENTITY},
+            "truncationDim": 2,
+            "horizon": 5,
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = _run(tmp_path, data)
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        rep = _report(out)["report"]
+        assert rep["eigenvalueModuli"] == [1e200, 1e200]
+        for probe in rep["probes"]:
+            assert probe["classification"] == "toInfinity"
+            assert probe["lastNorm"] == pytest.approx(1e200, rel=1e-15)
+            assert probe["ratioTrend"] == pytest.approx(1e200, rel=1e-15)
 
     def test_kernel_quick(self, tmp_path):
         data = {"command": "kernel", "eigenInstances": 10, "chainInstances": 5}

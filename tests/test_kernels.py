@@ -117,6 +117,17 @@ class TestOrbitNorms:
             norms = _kernels.orbit_norms(mat, vec, 50, 0.0, np.inf)
         assert np.array_equal(norms, [1e150, np.inf])
 
+    def test_norms_past_1e154_match_hypot(self, rng):
+        for scale in (1.0, 1e150, 1e160, 1e200, 1e300):
+            mat, vec, steps = _orbit_case(rng, dim=4, steps=8)
+            v = vec * scale
+            got = _kernels.orbit_norms(mat, v, steps, 0.0, np.inf)
+            for r in got:
+                want = math.hypot(*v.real, *v.imag)
+                assert math.isclose(r, want, rel_tol=1e-14), (scale, r, want)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    v = mat @ v
+
     def test_matches_reference(self, rng):
         cases = [_orbit_case(rng) for _ in range(10)]
         cases += [_orbit_case(rng, dim=1 + k, steps=60) for k in range(8)]
@@ -233,7 +244,7 @@ class TestOrbitPointsEarlyEnd:
 
     def test_span_rank_unchanged_on_nilpotent(self, rng):
         for dim in range(2, 7):
-            op = FiniteMatrix.from_array(_nilpotent(rng, dim))
+            op = FiniteMatrix(_nilpotent(rng, dim))
             x = SeqVec.from_dense(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
             for steps in (dim - 1, dim, 2 * dim, 30):
                 want = _pivoted_rank(_reference_points(op.array, x.to_dense(dim), steps).T)

@@ -32,12 +32,12 @@ from conftest import rand_dense_vec, spread_matrix
 
 def _jordan_block(lam, p):
     rows = [[lam if i == j else 1.0 if j == i + 1 else 0.0 for j in range(p)] for i in range(p)]
-    return FiniteMatrix.from_array(np.array(rows, dtype=np.complex128))
+    return FiniteMatrix(np.array(rows, dtype=np.complex128))
 
 
 class TestJordanOrbit:
     def test_rank_one_is_plain_power(self):
-        op = FiniteMatrix.from_array(np.diag([2.0, 5.0]).astype(np.complex128))
+        op = FiniteMatrix(np.diag([2.0, 5.0]).astype(np.complex128))
         for n in range(1, 8):
             got = jordan_orbit(op, 2.0, 1, SeqVec.basis(0), n)
             assert got == SeqVec.basis(0, 2.0**n)
@@ -73,21 +73,21 @@ class TestJordanOrbit:
 
 class TestEigenPairing:
     def test_diagonal_is_exact(self):
-        op = FiniteMatrix.from_array(np.diag([2.0, 3.0, 4.0]))
+        op = FiniteMatrix(np.diag([2.0, 3.0, 4.0]))
         dev = eigen_orbit_pairing(op, SeqVec({0: 1.0, 1: 1.0}), SeqVec.basis(0), 2.0, 20)
         assert dev == 0.0
 
     def test_imaginary_eigenvalue(self):
-        op = FiniteMatrix.from_array(np.diag([2.0j, 3.0]))
+        op = FiniteMatrix(np.diag([2.0j, 3.0]))
         dev = eigen_orbit_pairing(op, SeqVec.basis(0, 1.0 + 1.0j), SeqVec.basis(0), -2.0j, 16)
         assert dev == 0.0
 
     def test_zero_functional_pairs_trivially(self):
-        op = FiniteMatrix.from_array(np.diag([2.0, 3.0]))
+        op = FiniteMatrix(np.diag([2.0, 3.0]))
         assert eigen_orbit_pairing(op, SeqVec.basis(0), SeqVec.zero(), 2.0, 8) == 0.0
 
     def test_rejects_non_eigenvector(self):
-        op = FiniteMatrix.from_array(np.diag([2.0, 3.0, 4.0]))
+        op = FiniteMatrix(np.diag([2.0, 3.0, 4.0]))
         with pytest.raises(NotEigenvector):
             eigen_orbit_pairing(op, SeqVec.basis(0), SeqVec({0: 1.0, 1: 1.0}), 2.0, 8)
 
@@ -101,12 +101,12 @@ class TestEigenPairing:
 
 class TestGeneralizedPairing:
     def test_planted_transpose_chain(self):
-        op = FiniteMatrix.from_array(np.array([[2.0, 0.0], [1.0, 2.0]], dtype=np.complex128))
+        op = FiniteMatrix(np.array([[2.0, 0.0], [1.0, 2.0]], dtype=np.complex128))
         res = generalized_pairing_polynomial(op, SeqVec.basis(0), SeqVec.basis(1), 2.0, 2, 12)
         assert res <= 1e-9
 
     def test_nilpotent_profile_vanishes(self):
-        op = FiniteMatrix.from_array(np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128))
+        op = FiniteMatrix(np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128))
         res = generalized_pairing_polynomial(op, SeqVec.basis(0), SeqVec.basis(1), 0.0, 2, 10)
         assert res == 0.0
 
@@ -117,12 +117,12 @@ class TestGeneralizedPairing:
         assert res <= 1e-10
 
     def test_needs_room_to_fit(self):
-        op = FiniteMatrix.from_array(np.array([[2.0, 0.0], [1.0, 2.0]], dtype=np.complex128))
+        op = FiniteMatrix(np.array([[2.0, 0.0], [1.0, 2.0]], dtype=np.complex128))
         with pytest.raises(ValueError):
             generalized_pairing_polynomial(op, SeqVec.basis(0), SeqVec.basis(1), 2.0, 2, 2)
 
     def test_rejects_vector_outside_chain(self):
-        op = FiniteMatrix.from_array(np.array([[2.0, 0.0], [1.0, 2.0]], dtype=np.complex128))
+        op = FiniteMatrix(np.array([[2.0, 0.0], [1.0, 2.0]], dtype=np.complex128))
         with pytest.raises(NotInGeneralizedKernel):
             generalized_pairing_polynomial(op, SeqVec.basis(0), SeqVec.basis(1), 2.0, 1, 8)
 
@@ -172,12 +172,12 @@ class TestPairingsAgainstStepping:
             yield op, rand_dense_vec(rng, op.dim), y, lam, p
         # nilpotent: the orbit ends at a zero row and the rest is padding
         shift = np.diag(rng.standard_normal(4) + 1j * rng.standard_normal(4), -1)
-        yield FiniteMatrix.from_array(shift), rand_dense_vec(rng, 5), SeqVec.basis(4), 0.0, 5
+        yield FiniteMatrix(shift), rand_dense_vec(rng, 5), SeqVec.basis(4), 0.0, 5
         # zero start vector
         op, y, lam = planted_eigen_instance(rng, 4)
         yield op, SeqVec.zero(), y, lam, 1
         # y has entries where the orbit is zero: x stays in the first block
-        block = FiniteMatrix.from_array(np.diag([0.5 + 0.5j, -0.75, 0.0, 0.0]))
+        block = FiniteMatrix(np.diag([0.5 + 0.5j, -0.75, 0.0, 0.0]))
         y = SeqVec({0: 1.0, 2: 2.0 - 1j, 3: 0.25j})
         yield block, SeqVec({0: 1.5, 1: -1j}), y, 0.5 - 0.5j, 1
 
@@ -204,7 +204,7 @@ class TestPairingsAgainstStepping:
         assert sum(kind == "value" for kind, _ in got) >= 12
 
     def test_overflowing_orbit_raises_like_stepping(self):
-        op = FiniteMatrix.from_array(np.full((2, 2), 1e200))
+        op = FiniteMatrix(np.full((2, 2), 1e200))
         x, y = SeqVec.basis(0), SeqVec.basis(1)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError):
@@ -214,7 +214,7 @@ class TestPairingsAgainstStepping:
 
     def test_overflowing_gate_rejects(self):
         # T* y is inf - inf = NaN: the gates must fail it, not let it pass.
-        op = FiniteMatrix.from_array([[1e200, 0.0], [-1e200, 0.0]])
+        op = FiniteMatrix([[1e200, 0.0], [-1e200, 0.0]])
         y = SeqVec({0: 1e200, 1: 1e200})
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NotEigenvector):
@@ -224,7 +224,7 @@ class TestPairingsAgainstStepping:
 
     @pytest.mark.parametrize("n_max", [0, 1, 12])
     def test_start_outside_block_is_rejected(self, n_max):
-        op = FiniteMatrix.from_array(np.diag([2.0, 3.0]))
+        op = FiniteMatrix(np.diag([2.0, 3.0]))
         with pytest.raises(DimensionMismatch):
             obstructions._pairings(op, SeqVec.basis(2), SeqVec.basis(0), n_max)
         with pytest.raises(DimensionMismatch):
@@ -257,21 +257,21 @@ class TestPairingsAgainstStepping:
 
 class TestSpectralDichotomy:
     def test_contraction_exits_low(self):
-        op = FiniteMatrix.from_array((0.5 * np.eye(2)).astype(np.complex128))
+        op = FiniteMatrix((0.5 * np.eye(2)).astype(np.complex128))
         verdict = spectral_dichotomy(op, SeqVec.basis(0))
         assert verdict.classification == "toZero"
         assert verdict.steps == 20  # 0.5^20 is the first norm below 1e-6
         assert verdict.first_norm == 1.0
 
     def test_expansion_exits_high(self):
-        op = FiniteMatrix.from_array((3.0 * np.eye(2)).astype(np.complex128))
+        op = FiniteMatrix((3.0 * np.eye(2)).astype(np.complex128))
         verdict = spectral_dichotomy(op, SeqVec.basis(0))
         assert verdict.classification == "toInfinity"
         assert verdict.steps == 13
         assert verdict.ratio_trend == pytest.approx(3.0, rel=1e-9)
 
     def test_rotation_never_exits(self):
-        op = FiniteMatrix.from_array(
+        op = FiniteMatrix(
             np.diag([np.exp(0.7j), np.exp(-0.7j)]).astype(np.complex128)
         )
         verdict = spectral_dichotomy(op, SeqVec({0: 1.0, 1: 1.0}), n_steps=400)
@@ -286,13 +286,13 @@ class TestSpectralDichotomy:
         mat[0, 0] = 1e300 * (1 + 1j)
         x = SeqVec({0: 1e10 * (1 + 1j)})
         with np.errstate(over="ignore", invalid="ignore"):
-            verdict = spectral_dichotomy(FiniteMatrix.from_array(mat), x, n_steps=50)
+            verdict = spectral_dichotomy(FiniteMatrix(mat), x, n_steps=50)
         assert verdict.steps == 1
         assert verdict.classification == "toInfinity"
         assert math.isnan(verdict.last_norm)
 
     def test_rejects_zero_vector(self):
-        op = FiniteMatrix.from_array(np.eye(2).astype(np.complex128))
+        op = FiniteMatrix(np.eye(2).astype(np.complex128))
         with pytest.raises(ValueError):
             spectral_dichotomy(op, SeqVec.zero())
 
@@ -309,7 +309,7 @@ class TestSpectralDichotomy:
 
 class TestOrbitSpanRank:
     def test_fixed_vector_spans_line(self):
-        op = FiniteMatrix.from_array(np.eye(3).astype(np.complex128))
+        op = FiniteMatrix(np.eye(3).astype(np.complex128))
         assert orbit_span_rank(op, SeqVec.basis(0), 10) == 1
 
     def test_nilpotent_chain_spans_fully(self):
@@ -317,7 +317,7 @@ class TestOrbitSpanRank:
         assert orbit_span_rank(op, SeqVec.basis(2), 5) == 3
 
     def test_two_eigendirections(self):
-        op = FiniteMatrix.from_array(np.diag([1.0, 2.0]).astype(np.complex128))
+        op = FiniteMatrix(np.diag([1.0, 2.0]).astype(np.complex128))
         assert orbit_span_rank(op, SeqVec({0: 1.0, 1: 1.0}), 6) == 2
 
     def test_rank_stabilizes_at_dimension(self, rng):
@@ -330,7 +330,7 @@ class TestOrbitSpanRank:
             assert early == late
 
     def test_zero_vector_has_rank_zero(self):
-        op = FiniteMatrix.from_array(np.eye(2).astype(np.complex128))
+        op = FiniteMatrix(np.eye(2).astype(np.complex128))
         assert orbit_span_rank(op, SeqVec.zero(), 4) == 0
 
 
@@ -410,24 +410,24 @@ class TestDensityDefect:
 
 class TestCompression:
     def test_block_diagonal_is_exact(self):
-        op = FiniteMatrix.from_array(np.diag([3.0, 0.5]).astype(np.complex128))
+        op = FiniteMatrix(np.diag([3.0, 0.5]).astype(np.complex128))
         dev = compression_orbit_check(op, PrefixZero(1), SeqVec.basis(1), 12)
         assert dev == 0.0
 
     def test_upper_triangular_coupling_is_harmless(self):
         m = np.array([[3.0, 0.7], [0.0, 0.5]], dtype=np.complex128)
-        op = FiniteMatrix.from_array(m)
+        op = FiniteMatrix(m)
         dev = compression_orbit_check(op, PrefixZero(1), SeqVec.basis(1), 12)
         assert dev <= 1e-12
 
     def test_leaking_complement_is_rejected(self):
         m = np.array([[3.0, 0.0], [0.7, 0.5]], dtype=np.complex128)
-        op = FiniteMatrix.from_array(m)
+        op = FiniteMatrix(m)
         with pytest.raises(ComplementNotInvariant):
             compression_orbit_check(op, PrefixZero(1), SeqVec.basis(1), 12)
 
     def test_start_vector_must_live_in_block(self):
-        op = FiniteMatrix.from_array(np.diag([3.0, 0.5]).astype(np.complex128))
+        op = FiniteMatrix(np.diag([3.0, 0.5]).astype(np.complex128))
         with pytest.raises(ValueError):
             compression_orbit_check(op, PrefixZero(1), SeqVec.basis(0), 12)
 
@@ -438,7 +438,7 @@ class TestCompression:
             m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             m *= 0.5
             m[split:, :split] = 0.0
-            op = FiniteMatrix.from_array(m)
+            op = FiniteMatrix(m)
             x = SeqVec.from_dense(
                 np.concatenate(
                     [

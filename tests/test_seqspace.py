@@ -36,7 +36,7 @@ ALL_KINDS = [
     ScalarMultiple(1 + 1j, BackwardShift()),
     Diagonal((2.0, 0.5j)),
     DirectSum(ForwardShift(1), BackwardShift(1), 2),
-    FiniteMatrix.from_array([[1, 1], [0, 1]]),
+    FiniteMatrix([[1, 1], [0, 1]]),
 ]
 
 
@@ -143,19 +143,48 @@ class TestOtherKinds:
 
     def test_finite_matrix_matches_numpy(self, rng):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        op = FiniteMatrix.from_array(a)
+        op = FiniteMatrix(a)
         v = rand_vec(rng, max_index=4, max_terms=4)
         expected = a @ v.to_dense(4)
         assert np.allclose(op.apply(v).to_dense(4), expected)
 
     def test_finite_matrix_rejects_outside_support(self):
-        op = FiniteMatrix.from_array(np.eye(2))
+        op = FiniteMatrix(np.eye(2))
         with pytest.raises(DimensionMismatch):
             op.apply(SeqVec.basis(5))
 
     def test_finite_matrix_must_be_square(self):
+        for bad in (((1.0, 2.0),), [[1, 2], [3]], [1, 2], []):
+            with pytest.raises(ValueError):
+                FiniteMatrix(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_finite_matrix_rejects_non_finite(self, bad):
+        a = np.eye(3, dtype=np.complex128)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            FiniteMatrix(a)
+
+    def test_finite_matrix_holds_a_read_only_copy(self, rng):
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        op = FiniteMatrix(a)
+        a[0, 0] = 7.0
+        assert op.array[0, 0] != 7.0
+        assert op.array.dtype == np.complex128
         with pytest.raises(ValueError):
-            FiniteMatrix(((1.0, 2.0),))
+            op.array[0, 0] = 1.0
+
+    def test_f_ordered_input_applies_like_its_c_ordered_copy(self, rng):
+        # A transposed view is F-ordered; numpy's product rounds differently
+        # on that layout, so the matrix must keep a C-ordered copy.
+        for dim in range(2, 9):
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            view = a.T
+            assert view.flags.f_contiguous
+            op, copy = FiniteMatrix(view), FiniteMatrix(np.ascontiguousarray(view))
+            for _ in range(5):
+                x = SeqVec.from_dense(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+                assert op.apply(x) == copy.apply(x)
 
 
 class TestApplyPower:
@@ -166,7 +195,7 @@ class TestApplyPower:
 
     def test_jordan_block_cube(self):
         # [[2,1],[0,2]]^3 applied to (0,1) is (12,8)
-        op = FiniteMatrix.from_array([[2, 1], [0, 2]])
+        op = FiniteMatrix([[2, 1], [0, 2]])
         out = apply_power(op, 3, SeqVec.basis(1))
         assert out == SeqVec({0: 12.0, 1: 8.0})
 
@@ -182,7 +211,7 @@ class TestApplyPower:
 
     def test_semigroup_for_matrices(self, rng):
         a = 0.5 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        op = FiniteMatrix.from_array(a)
+        op = FiniteMatrix(a)
         v = rand_vec(rng, max_index=3, max_terms=3)
         lhs = apply_power(op, 5, v)
         rhs = apply_power(op, 2, apply_power(op, 3, v))
@@ -206,7 +235,7 @@ class TestApplyPower:
                 SeqVec({2: 1.0, 4: 1.0}),
                 3,
             ),
-            (FiniteMatrix.from_array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), SeqVec({2: 1j}), 3),
+            (FiniteMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), SeqVec({2: 1j}), 3),
             (ScalarMultiple(-1j, DirectSum(Identity(), BackwardShift(2), 1)), SeqVec({5: 1.0}), 3),
         ],
     )
@@ -237,20 +266,20 @@ class TestAdjoint:
         assert op.adjoint() == DirectSum(ForwardShift(), BackwardShift(), 3)
 
     def test_finite_matrix_adjoint_is_conjugate_transpose(self):
-        op = FiniteMatrix.from_array([[1, 2j], [0, 1]])
+        op = FiniteMatrix([[1, 2j], [0, 1]])
         assert np.allclose(op.adjoint().array, np.array([[1, 0], [-2j, 1]]))
 
     def test_finite_matrix_adjoint_applies_as_conjugate_transpose(self, rng):
         for dim in (1, 3, 6):
             entries = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            op = FiniteMatrix.from_array(entries)
+            op = FiniteMatrix(entries)
             adj = op.adjoint()
             assert np.array_equal(adj.array, entries.conj().T)
-            fresh = FiniteMatrix.from_array(entries.conj().T)
+            fresh = FiniteMatrix(entries.conj().T)
             for _ in range(3):
                 x = SeqVec.from_dense(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
                 assert adj.apply(x) == fresh.apply(x)
-            assert op == FiniteMatrix.from_array(entries)
+            assert op == FiniteMatrix(entries)
 
     @pytest.mark.parametrize(
         "op",
@@ -273,7 +302,7 @@ class TestAdjoint:
 
     def test_pairing_identity_matrix(self, rng):
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        op = FiniteMatrix.from_array(a)
+        op = FiniteMatrix(a)
         for _ in range(20):
             u = rand_vec(rng, max_index=5, max_terms=5)
             v = rand_vec(rng, max_index=5, max_terms=5)

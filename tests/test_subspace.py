@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from orbitlab import (
     BackwardShift,
-    ConfigError,
     DenseFamilySpec,
     PrefixZero,
     ResidueZero,
@@ -29,8 +28,6 @@ from orbitlab.subspace import (
     _grid_side,
     allowed_indices,
     family_level_size,
-    pattern_from_config,
-    pattern_to_config,
 )
 from conftest import rand_vec
 
@@ -283,31 +280,3 @@ class TestDyadicNetAgainstReference:
         for z in (0.5 + 0.5j, 0.5 - 0.5j):
             assert SeqVec({0: 0.5 + 0.5j, 1: z}) in net
         assert sum(1 for v in net if norm(v) == 1.0) > 4
-
-
-class TestSerialization:
-    CASES = [
-        (PrefixZero(3), {"kind": "prefix", "m": 3}),
-        (ResidueZero(0, 2), {"kind": "residue", "a": 0, "b": 2}),
-        (SupportIn(2), {"kind": "supportIn", "b": 2}),
-        (RightBlockZero(64), {"kind": "rightBlock", "split": 64}),
-    ]
-
-    @pytest.mark.parametrize("pattern, cfg", CASES, ids=[c[1]["kind"] for c in CASES])
-    def test_round_trip(self, pattern, cfg):
-        assert pattern_to_config(pattern) == cfg
-        assert pattern_from_config(cfg) == pattern
-
-    def test_bad_configs_rejected(self):
-        for bad in (
-            {"kind": "nope"},
-            {"kind": "prefix"},
-            {"kind": "prefix", "m": 3, "extra": 1},
-            {"kind": "residue", "a": 2, "b": 2},
-            {"kind": "prefix", "m": 2.9},
-            {"kind": "prefix", "m": True},
-            {"kind": "rightBlock", "split": "4"},
-            "prefix",
-        ):
-            with pytest.raises(ConfigError):
-                pattern_from_config(bad)
