@@ -62,6 +62,7 @@ from .seqspace import (
     ScalarMultiple,
     SeqVec,
     apply_power,
+    max_or_nan,
     norm,
     to_matrix,
 )
@@ -603,7 +604,7 @@ def _run_kernel(cfg: ExperimentConfig) -> RunResult:
         x = SeqVec.from_dense(
             (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / math.sqrt(dim)
         )
-        worst_eigen = max(worst_eigen, eigen_orbit_pairing(op, x, y, lam, cfg.horizon))
+        worst_eigen = max_or_nan(worst_eigen, eigen_orbit_pairing(op, x, y, lam, cfg.horizon))
 
     worst_chain = 0.0
     for _ in range(cfg.chain_instances):
@@ -613,7 +614,7 @@ def _run_kernel(cfg: ExperimentConfig) -> RunResult:
         x = SeqVec.from_dense(
             (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / math.sqrt(dim)
         )
-        worst_chain = max(
+        worst_chain = max_or_nan(
             worst_chain, generalized_pairing_polynomial(op, x, y, lam, p, cfg.horizon)
         )
 
@@ -658,7 +659,7 @@ def _run_jordan(cfg: ExperimentConfig) -> RunResult:
                 power = apply_power(op, n - reached, power)
                 reached = n
                 err = norm(closed - power) / max(norm(power), 1e-30)
-                worst = max(worst, err)
+                worst = max_or_nan(worst, err)
             results.append(
                 {
                     "p": p,

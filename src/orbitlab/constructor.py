@@ -138,7 +138,8 @@ def build_schedule(lam: complex, targets: Sequence[SeqVec]) -> HittingSchedule:
     times = [0]
     for j in range(1, len(targets)):
         k = times[-1] + length(targets[j - 1]) + 1
-        while norm(targets[j]) / _pow_abs(lam_abs, k - times[-1]) > lam_abs ** (-j):
+        target_norm = norm(targets[j])
+        while target_norm / _pow_abs(lam_abs, k - times[-1]) > lam_abs ** (-j):
             k += 1
         times.append(k)
 
@@ -153,22 +154,27 @@ def assemble(schedule: HittingSchedule) -> SeqVec:
     """Superpose the shifted, scaled targets into one vector.
 
     Windows are disjoint by the spacing constraint, so the sum never mixes
-    coordinates from different targets.
+    coordinates from different targets.  Each window term is built, and so
+    checked, once; its entries go into one dict as ``0j + z``, the value
+    ``SeqVec.__add__`` stores (it turns a -0.0 part into +0.0).
     """
     lam = schedule.lam
-    total = SeqVec.zero()
+    total: dict[int, complex] = {}
     for j, entry in enumerate(schedule.entries):
         if not entry.target:
             continue
         scale = lam ** (-entry.time)
-        if norm(entry.target) * abs(scale) < UNDERFLOW_GUARD:
+        size = norm(entry.target) * abs(scale)
+        if size < UNDERFLOW_GUARD:
             raise ScheduleUnderflow(
-                f"entry {j}: window term at modulus scale {norm(entry.target) * abs(scale):.3e} "
-                "would be lost to pruning"
+                f"entry {j}: window term at modulus scale {size:.3e} would be lost to pruning"
             )
         term = apply_power(ForwardShift(1), entry.time, entry.target) * scale
-        total = total + term
-    return total
+        for i, z in term.items():
+            total[i] = total.get(i, 0j) + z
+    # The windows are disjoint and come in index order, so the dict is
+    # canonical and sorted as it stands.
+    return SeqVec._from_canonical(total)
 
 
 @dataclass(frozen=True)

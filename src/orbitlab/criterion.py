@@ -19,6 +19,7 @@ from .seqspace import (
     SeqVec,
     _scaled_shift_parts,
     apply_power,
+    max_or_nan,
     norm,
 )
 from .subspace import (
@@ -227,10 +228,10 @@ def check_criterion(
         for n in nks:
             x_k = _preimage(op, scale, n, y)
             norms.append(norm(x_k))
-            worst_recovery = max(worst_recovery, norm(apply_power(op, n, x_k) - y))
+            worst_recovery = max_or_nan(worst_recovery, norm(apply_power(op, n, x_k) - y))
             if lam_abs is not None and y_norm > 0.0:
                 expected = y_norm * lam_abs ** (-n)
-                worst_law = max(worst_law, abs(norms[-1] - expected) / y_norm)
+                worst_law = max_or_nan(worst_law, abs(norms[-1] - expected) / y_norm)
         monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(norms, norms[1:]))
         recovery.append(RecoveryRecord(i, norms[-1], monotone, worst_recovery, worst_law))
     recovery_ok = all(

@@ -24,7 +24,7 @@ from .errors import (
     NotEigenvector,
     NotInGeneralizedKernel,
 )
-from .seqspace import FiniteMatrix, SeqVec, norm
+from .seqspace import FiniteMatrix, SeqVec, max_or_nan, norm
 from .subspace import ZeroPattern, dyadic_net
 
 __all__ = [
@@ -137,7 +137,7 @@ def eigen_orbit_pairing(
     lam_bar = lam.conjugate()
     worst = 0.0
     for n, pairing in enumerate(pairings):
-        worst = max(worst, abs(pairing - lam_bar**n * base))
+        worst = max_or_nan(worst, abs(pairing - lam_bar**n * base))
     return worst
 
 
@@ -182,7 +182,7 @@ def generalized_pairing_polynomial(
         else:
             q = sum(coeffs[i] * n**i for i in range(p))
             predicted = lam_bar ** (n - p) * q
-        worst = max(worst, abs(pairings[n] - predicted))
+        worst = max_or_nan(worst, abs(pairings[n] - predicted))
     return worst
 
 
@@ -347,7 +347,7 @@ def compression_orbit_check(
     for _ in range(horizon):
         full = m @ full
         compressed = mask * (m @ compressed)
-        worst = max(worst, float(np.linalg.norm(mask * full - compressed)))
+        worst = max_or_nan(worst, float(np.linalg.norm(mask * full - compressed)))
     return worst
 
 

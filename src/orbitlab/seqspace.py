@@ -176,13 +176,39 @@ def inner(u: SeqVec, v: SeqVec) -> complex:
 
 
 def norm(v: SeqVec) -> float:
-    """Euclidean norm via an exactly-rounded sum of squared moduli."""
-    return math.sqrt(math.fsum(z.real * z.real + z.imag * z.imag for _, z in v.items()))
+    """Euclidean norm via an exactly-rounded sum of squared moduli.
+
+    When the squares overflow (any norm past about 1.3e154) the sum is
+    taken again over the entries divided by the largest modulus, the rule
+    ``_kernels._norm`` follows; every other norm is the unscaled one.
+    """
+    entries = v.items()
+    try:
+        r = math.sqrt(math.fsum(z.real * z.real + z.imag * z.imag for _, z in entries))
+    except OverflowError:  # fsum's partial sums overflow on finite squares
+        r = math.inf
+    if r == math.inf:
+        # Entries are finite, and so are their moduli: the prune test took each.
+        scale = max(abs(z) for _, z in entries)
+        r = scale * math.sqrt(
+            math.fsum((z.real / scale) ** 2 + (z.imag / scale) ** 2 for _, z in entries)
+        )
+    return r
+
+
+def max_or_nan(worst: float, value: float) -> float:
+    """``max(worst, value)``, except that a NaN on either side wins.
+
+    ``max`` keeps its first argument when the comparison is false, so a NaN
+    ``value`` would drop out of a running worst case and the gate reading
+    it could pass.  Otherwise the result is ``max``'s, object for object.
+    """
+    return value if value > worst or value != value else worst
 
 
 # --------------------------------------------------------------------------
-# Operator kinds.  Each knows how to apply itself to a vector and how to
-# produce its structural adjoint; everything else is derived from those two.
+# Operator kinds.  Each knows how to apply itself to a vector once;
+# ``apply_power`` derives its powers from that.
 
 
 @dataclass(frozen=True)
@@ -199,9 +225,6 @@ class BackwardShift:
         p = self.power
         return SeqVec._from_canonical({i - p: z for i, z in vec.items() if i >= p})
 
-    def adjoint(self) -> "ForwardShift":
-        return ForwardShift(self.power)
-
 
 @dataclass(frozen=True)
 class ForwardShift:
@@ -217,17 +240,11 @@ class ForwardShift:
         p = self.power
         return SeqVec._from_canonical({i + p: z for i, z in vec.items()})
 
-    def adjoint(self) -> "BackwardShift":
-        return BackwardShift(self.power)
-
 
 @dataclass(frozen=True)
 class Identity:
     def apply(self, vec: SeqVec) -> SeqVec:
         return vec
-
-    def adjoint(self) -> "Identity":
-        return self
 
 
 @dataclass(frozen=True)
@@ -243,9 +260,6 @@ class ScalarMultiple:
     def apply(self, vec: SeqVec) -> SeqVec:
         return self.operand.apply(vec) * self.factor
 
-    def adjoint(self) -> "ScalarMultiple":
-        return ScalarMultiple(self.factor.conjugate(), self.operand.adjoint())
-
 
 @dataclass(frozen=True)
 class Diagonal:
@@ -260,9 +274,6 @@ class Diagonal:
         w = self.weights
         return SeqVec((i, w[i] * z) for i, z in vec.items() if i < len(w))
 
-    def adjoint(self) -> "Diagonal":
-        return Diagonal(tuple(w.conjugate() for w in self.weights))
-
 
 @dataclass(frozen=True)
 class DirectSum:
@@ -270,8 +281,15 @@ class DirectSum:
 
     The right summand sees its coordinates re-based at zero.  The left block
     is the compression of ``left`` to the first ``split`` coordinates: an
-    output index pushed past the boundary (only a forward shift can do that)
-    is dropped rather than leaked into the right block.
+    output index pushed past the boundary (a forward shift or a matrix can
+    do that) is dropped rather than leaked into the right block.
+
+    When ``left`` cannot move an index up, that drop never happens and n
+    steps of the sum are n steps of each block: ``apply_power`` then splits
+    the vector once, powers each block on its own and rejoins once, with
+    the bits and errors of n honest steps.  By exact type, such a ``left``
+    is a ``BackwardShift``, ``Identity`` or ``Diagonal``, ``ScalarMultiple``
+    nests over one of those, or a ``DirectSum`` of two such operators.
     """
 
     left: "Operator"
@@ -289,9 +307,6 @@ class DirectSum:
         out = [(i, z) for i, z in self.left.apply(left_in).items() if i < s]
         out.extend((i + s, z) for i, z in self.right.apply(right_in).items())
         return SeqVec(out)
-
-    def adjoint(self) -> "DirectSum":
-        return DirectSum(self.left.adjoint(), self.right.adjoint(), self.split_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,9 +349,6 @@ class FiniteMatrix:
                 f"support index {sup[-1]} outside matrix block of dimension {self.dim}"
             )
         return SeqVec.from_dense(self.array @ vec.to_dense(self.dim))
-
-    def adjoint(self) -> "FiniteMatrix":
-        return FiniteMatrix(self.array.conj().T)
 
 
 Operator = Union[
@@ -419,17 +431,63 @@ def _scaled_shift_power(factors: tuple[complex, ...], p: int, n: int, vec: SeqVe
     return SeqVec._from_canonical(out)
 
 
-def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
-    """Apply ``op`` n times.
+def _moves_no_index_up(op: Operator) -> bool:
+    """True when no output index of ``op`` exceeds an input index it came from.
 
-    Nested scalar multiples of one backward shift (the paper's lam B and
-    lam B^2, and a bare shift) run as index arithmetic plus one value
-    trajectory per entry: the same products in the same order as n honest
-    applications, so the result is bit-identical and raises the same
-    error at the same point, but only one vector is built.  Forward shifts
-    collapse to a single shift by ``n * power``.  Every other kind is
-    iterated honestly, stopping early once the image is the zero vector:
-    every kind maps zero to zero, so the stop is exact.
+    Decided by exact type: ``BackwardShift``, ``Identity`` and ``Diagonal``,
+    ``ScalarMultiple`` nests over such an operator, and ``DirectSum``s of
+    two of them.  Anything else, a subclass included, gives ``False``.
+    """
+    while type(op) is ScalarMultiple:
+        op = op.operand
+    if type(op) is DirectSum:
+        return _moves_no_index_up(op.left) and _moves_no_index_up(op.right)
+    return type(op) in (BackwardShift, Identity, Diagonal)
+
+
+def _block_power(op: DirectSum, n: int, vec: SeqVec) -> SeqVec:
+    """``apply_power`` of a direct sum whose left block moves no index up.
+
+    Such a left block never pushes an entry past the split, so the blocks
+    never meet: each is powered on its own, the left one by the fast paths
+    where they apply.  The halves are cut from the sorted entries, as each
+    honest step cuts them, so every block sees the entries in the same
+    order.
+    """
+    s = op.split_index
+    left: dict[int, complex] = {}
+    right: dict[int, complex] = {}
+    for i, z in vec.items():
+        if i < s:
+            left[i] = z
+        else:
+            right[i - s] = z
+    out = dict(apply_power(op.left, n, SeqVec._from_canonical(left))._entries)
+    for i, z in apply_power(op.right, n, SeqVec._from_canonical(right))._entries.items():
+        out[i + s] = z
+    return SeqVec._from_canonical(out)
+
+
+def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
+    """Apply ``op`` n times, with the bits and errors of n ``op.apply`` calls.
+
+    Five paths, each bit-identical to the honest loop, raised errors
+    included:
+
+    - *scaled shift*: nested scalar multiples of one backward shift (the
+      paper's lam B and lam B^2, and a bare shift) run as index arithmetic
+      plus one value trajectory per entry, the same products in the same
+      order, and build one vector;
+    - *forward collapse*: a forward shift becomes one shift by
+      ``n * power``;
+    - *identity*: the vector itself;
+    - *block rule*: a ``DirectSum`` whose left block moves no index up (see
+      ``DirectSum``) splits the vector once, powers each block through this
+      function and rejoins once.  Should that raise anything, the honest
+      loop is replayed, so the error raised is the one the loop raises;
+    - *honest loop*: every other operator is applied n times, stopping
+      early once the image is the zero vector: every kind maps zero to
+      zero, so the stop is exact.
     """
     if n < 0:
         raise ValueError("power must be >= 0")
@@ -442,6 +500,11 @@ def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
         return ForwardShift(op.power * n).apply(vec)
     if isinstance(op, Identity):
         return vec
+    if type(op) is DirectSum and _moves_no_index_up(op.left):
+        try:
+            return _block_power(op, n, vec)
+        except Exception:  # the loop below raises its own error in order
+            pass
     out = vec
     for _ in range(n):
         if not out:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orbitlab import FiniteMatrix, SeqVec
+from orbitlab import FiniteMatrix, OrbitlabError, SeqVec
 
 
 @pytest.fixture
@@ -67,3 +67,26 @@ class CountingOp:
     def apply(self, vec):
         self.calls += 1
         return self.op.apply(vec)
+
+
+def _plain_power(op, n, vec):
+    """The honest loop: ``op.apply`` n times, the reference for every fast path."""
+    out = vec
+    for _ in range(n):
+        out = op.apply(out)
+    return out
+
+
+def _bits(vec):
+    """Entries with their exact bits; ``==`` on complex cannot tell -0.0 from 0.0."""
+    return [(i, z.real.hex(), z.imag.hex()) for i, z in vec.items()]
+
+
+def _outcome(fn):
+    """``fn()``'s vector as bits, another result as it is, or the type and
+    message of the error it raises."""
+    try:
+        result = fn()
+    except (OrbitlabError, ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return _bits(result) if isinstance(result, SeqVec) else result

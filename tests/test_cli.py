@@ -4,7 +4,17 @@ import warnings
 
 import pytest
 
-from orbitlab.cli import _KINDS, _from_config, _to_config, main, operator_from_config
+from orbitlab import cli, seqspace
+from orbitlab.cli import (
+    _KINDS,
+    ExperimentConfig,
+    _from_config,
+    _to_config,
+    main,
+    operator_from_config,
+    run,
+    write_outputs,
+)
 from orbitlab.errors import ConfigError
 from orbitlab.seqspace import (
     BackwardShift,
@@ -559,6 +569,92 @@ class TestRunners:
         printed = capsys.readouterr().out
         assert "maxRelError" in printed
         assert "PASS" in printed
+
+
+@pytest.mark.parametrize("preset", ["certify-left-block", "certify-direct-sum-prefix3"])
+def test_direct_sum_certify_runs_block_by_block(preset, tmp_path, monkeypatch):
+    # Patched on the class, so ``type(op) is DirectSum`` still holds.
+    calls = []
+    one_step = DirectSum.apply
+
+    def counted(self, vec):
+        calls.append(vec)
+        return one_step(self, vec)
+
+    monkeypatch.setattr(DirectSum, "apply", counted)
+    cfg = ExperimentConfig.from_dict({"command": "preset", "preset": preset})
+    fast = write_outputs(run(cfg), tmp_path / "fast")
+    assert calls == []
+
+    # Without the block rule the same certificate comes from the honest loop.
+    monkeypatch.setattr(seqspace, "_moves_no_index_up", lambda op: False)
+    honest = write_outputs(run(cfg), tmp_path / "honest")
+    assert calls
+    assert [p.read_bytes() for p in fast] == [p.read_bytes() for p in honest]
+
+
+def _nan_on_call(fn, k):
+    """``fn``, except that its k-th call (from 0) returns NaN."""
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return math.nan if len(calls) == k + 1 else fn(*args)
+
+    return patched
+
+
+class TestNanGates:
+    """A NaN in a running worst case fails the gate that reads it."""
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("kernel", "eigen_orbit_pairing"),
+            ("kernel", "generalized_pairing_polynomial"),
+            ("jordan", "norm"),
+        ],
+    )
+    def test_a_nan_deviation_fails_the_run(self, command, name, monkeypatch):
+        cfg = ExperimentConfig.from_dict(
+            {"command": command, "eigenInstances": 3, "chainInstances": 3}
+            if command == "kernel"
+            else {"command": command}
+        )
+        assert cli._COMMANDS[command].run(cfg).passed
+        monkeypatch.setattr(cli, name, _nan_on_call(getattr(cli, name), 1))
+        result = cli._COMMANDS[command].run(cfg)
+        assert not result.passed
+        assert any(isinstance(c, float) and math.isnan(c) for row in result.table_rows for c in row)
+
+
+class TestJordanPastNormOverflow:
+    """Past n = 512 the lambda = 2 orbit has norms above 1.3e154, whose
+    squares overflow; the relative error must still be a real number."""
+
+    def test_horizon_700_passes_with_finite_errors(self, tmp_path):
+        rc, out = _run(tmp_path, {"command": "jordan", "horizon": 700})
+        assert rc == 0
+        for case in _report(out)["report"]["cases"]:
+            assert math.isfinite(case["maxRelError"]) and case["pass"]
+
+    @pytest.mark.parametrize("bad_n", [513, 700])
+    def test_a_wrong_step_past_512_fails(self, bad_n, monkeypatch):
+        # Scale the closed form by 1 + 1e-6 at one step: a relative error of
+        # 1e-6 there, which a norm read as inf would hide as 0.0.
+        closed_form = cli.jordan_orbit
+
+        def skewed(op, lam, p, y, n):
+            out = closed_form(op, lam, p, y, n)
+            return out * (1 + 1e-6) if n == bad_n else out
+
+        monkeypatch.setattr(cli, "jordan_orbit", skewed)
+        cfg = ExperimentConfig.from_dict({"command": "jordan", "horizon": 700})
+        cases = cli._COMMANDS["jordan"].run(cfg).report["cases"]
+        for case in cases:
+            if case["lambda"] == [2.0, 0.0]:
+                assert case["maxRelError"] == pytest.approx(1e-6, rel=1e-3)
+                assert not case["pass"]
 
 
 class TestOutputRouting:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from orbitlab import (
@@ -169,6 +171,18 @@ class TestCheckCriterion:
                     dim=32,
                     tol=1e-9,
                 )
+
+
+def test_a_nan_recovery_error_fails_condition_two(monkeypatch):
+    # With no x samples only condition II's recovery errors take the norm of
+    # the zero vector (the recovery is exact); read every such norm as NaN.
+    y = SeqVec.basis(1)
+    args = (DOUBLING, ResidueZero(0, 2), [], [y], [2 * k for k in range(1, 26)], 64, 1e-12)
+    assert check_criterion(*args).recovery_ok
+    monkeypatch.setattr(criterion, "norm", lambda v: norm(v) if v else math.nan)
+    report = check_criterion(*args)
+    assert math.isnan(report.recovery[0].recovery_error)
+    assert not report.recovery_ok and not report.passes
 
 
 class TestTransitivityProbe:

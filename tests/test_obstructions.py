@@ -452,6 +452,45 @@ class TestCompression:
             assert dev <= 1e-9
 
 
+class TestNanDeviations:
+    """A NaN anywhere in a profile makes the reported worst case NaN, which
+    fails every ``<= tol`` gate, instead of being dropped from the maximum."""
+
+    @staticmethod
+    def _nan_at(monkeypatch, k):
+        pairings = obstructions._pairings
+
+        def patched(*args):
+            out = list(pairings(*args))
+            out[k] = complex(math.nan, 0.0)
+            return out
+
+        monkeypatch.setattr(obstructions, "_pairings", patched)
+
+    def test_eigen_pairing(self, rng, monkeypatch):
+        op, y, lam = planted_eigen_instance(rng, 4)
+        x = rand_dense_vec(rng, 4)
+        assert eigen_orbit_pairing(op, x, y, lam, 12) <= 1e-10
+        self._nan_at(monkeypatch, 5)
+        assert math.isnan(eigen_orbit_pairing(op, x, y, lam, 12))
+
+    def test_generalized_pairing(self, rng, monkeypatch):
+        op, y, lam = planted_chain_instance(rng, 5, 2)
+        x = rand_dense_vec(rng, 5)
+        assert generalized_pairing_polynomial(op, x, y, lam, 2, 12) <= 1e-8
+        self._nan_at(monkeypatch, 5)
+        assert math.isnan(generalized_pairing_polynomial(op, x, y, lam, 2, 12))
+
+    def test_compression_gap_that_overflows(self):
+        # The allowed coordinate grows by 1e200 per step: both orbits reach
+        # inf at n = 2, and inf - inf is NaN, not a gap of 0.
+        op = FiniteMatrix(np.diag([1.0, 1e200]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = compression_orbit_check(op, PrefixZero(1), SeqVec.basis(1), 4)
+        assert math.isnan(dev)
+        assert not dev <= 1e-9
+
+
 class TestPlantedGenerators:
     def test_eigen_instance_shape(self, rng):
         op, y, lam = planted_eigen_instance(rng, 5)

@@ -1,20 +1,28 @@
-"""The scaled-shift fast path against honest iteration.
+"""The fast paths of the sparse layer against honest iteration.
 
 ``apply_power`` answers nested scalar multiples of one backward shift by
-index arithmetic plus one value trajectory per entry, ``invariance_scan``
-by one trajectory that all basis vectors share, and ``transitivity_probe``
+index arithmetic plus one value trajectory per entry, and a direct sum
+whose left block moves no index up block by block; ``invariance_scan``
+runs one trajectory that all basis vectors share, and ``transitivity_probe``
 filters its grid once and carries the survivors' images.  These tests
-compare them with plain loops of ``op.apply`` written here, because
-``apply_power`` itself dispatches: results must agree bit for bit, and
-where the loop raises, the same exception type with the same message.
+compare them with plain loops of ``op.apply`` (``conftest._plain_power``),
+because ``apply_power`` itself dispatches: results must agree bit for bit,
+and where the loop raises, the same exception type with the same message.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from orbitlab import (
     BackwardShift,
+    Diagonal,
+    DimensionMismatch,
+    DirectSum,
+    FiniteMatrix,
+    ForwardShift,
+    Identity,
     OrbitlabError,
     PrefixZero,
     ResidueZero,
@@ -33,6 +41,7 @@ from orbitlab import (
 )
 from orbitlab.criterion import backsolve
 from orbitlab.subspace import allowed_indices
+from conftest import _outcome, _plain_power
 
 # Complex and zero factors, |lam| < 1 down to pruning, and factors that
 # overflow a few steps in, as non-finite or as finite products too large
@@ -63,26 +72,6 @@ def _nest(op, fs):
     for f in fs:
         op = ScalarMultiple(f, op)
     return op
-
-
-def _plain_power(op, n, vec):
-    out = vec
-    for _ in range(n):
-        out = op.apply(out)
-    return out
-
-
-def _bits(vec):
-    """Entries with their exact bits; ``==`` on complex cannot tell -0.0 from 0.0."""
-    return [(i, z.real.hex(), z.imag.hex()) for i, z in vec.items()]
-
-
-def _outcome(fn):
-    try:
-        result = fn()
-    except (OrbitlabError, ValueError, ArithmeticError) as exc:
-        return type(exc), str(exc)
-    return _bits(result) if isinstance(result, SeqVec) else result
 
 
 def _outcomes(results):
@@ -157,6 +146,118 @@ def test_entries_die_and_fail_like_the_plain_loop(op, n, vec, expected):
         assert tuple(i for i, _, _ in plain) == expected
     else:
         assert plain == expected
+
+
+# Every operator kind, with the factors above as scalars, weights and matrix
+# entries, so blocks prune, overflow, leave a matrix's block or die.  Small
+# splits let a matrix or a forward shift on the left reach past the split.
+matrix_entries = st.one_of(st.sampled_from([1.0, -0.5j, 0.75 - 0.25j]), factors)
+matrices = st.integers(1, 4).flatmap(
+    lambda d: st.lists(matrix_entries, min_size=d * d, max_size=d * d).map(
+        lambda fs: FiniteMatrix(np.reshape(fs, (d, d)))
+    )
+)
+leaves = st.one_of(
+    st.builds(BackwardShift, st.integers(1, 3)),
+    st.builds(ForwardShift, st.integers(1, 3)),
+    st.just(Identity()),
+    st.builds(Diagonal, st.lists(st.one_of(factors, values), max_size=6).map(tuple)),
+    matrices,
+    scaled_shifts,
+)
+splits = st.integers(1, 5)
+
+
+def _trees(depth):
+    if depth == 0:
+        return leaves
+    sub = _trees(depth - 1)
+    return st.one_of(
+        leaves, st.builds(DirectSum, sub, sub, splits), st.builds(ScalarMultiple, factors, sub)
+    )
+
+
+# Direct sums up to three deep, each with a vector that has entries on both
+# sides of its split.
+sums_and_vectors = st.builds(DirectSum, _trees(2), _trees(2), splits).flatmap(
+    lambda op: st.tuples(
+        st.just(op),
+        st.dictionaries(
+            st.integers(0, op.split_index + 6), values, min_size=1, max_size=8
+        ).map(SeqVec),
+    )
+)
+
+
+@seed(14)
+@settings(max_examples=400, deadline=None)
+@given(sums_and_vectors, st.integers(0, 12))
+def test_direct_sum_powers_match_plain_loop(case, n):
+    op, vec = case
+    with np.errstate(all="ignore"):
+        fast = _outcome(lambda: apply_power(op, n, vec))
+        assert fast == _outcome(lambda: _plain_power(op, n, vec))
+
+
+# One operator of each kind, and direct sums whose right block moves an
+# index up, so that some cross a split of 3 and some stay inside it.
+KINDS = [
+    BackwardShift(2),
+    ForwardShift(1),
+    Identity(),
+    ScalarMultiple(-0.5j, BackwardShift(1)),
+    ScalarMultiple(1 + 1j, Identity()),
+    Diagonal((2.0, 0.5j, -1.0, 3.0)),
+    FiniteMatrix(np.arange(16.0).reshape(4, 4) / 8),
+    DirectSum(BackwardShift(1), ForwardShift(1), 1),
+    DirectSum(Identity(), Diagonal((1j, 2.0)), 2),
+]
+KIND_IDS = ["B2", "S", "I", "scaledB", "scaledI", "diag", "matrix", "sumBS", "sumID"]
+
+
+@pytest.mark.parametrize("left", KINDS, ids=KIND_IDS)
+@pytest.mark.parametrize("right", KINDS, ids=KIND_IDS)
+def test_every_kind_on_either_side_matches_plain_loop(left, right):
+    op = DirectSum(left, right, 3)
+    vec = SeqVec({0: 1 + 1j, 1: -0.5, 2: 2j, 3: 1.0, 4: 0.25, 6: 1j})
+    for n in range(6):
+        assert _outcome(lambda: apply_power(op, n, vec)) == _outcome(
+            lambda: _plain_power(op, n, vec)
+        )
+
+
+# 1e200 B takes index 3 to 1e200 and then to inf, failing on the second
+# step.  The honest loop steps both blocks together, so a right block that
+# fails on the first step must be the error raised, although the block rule
+# powers the left block first.
+OVERFLOWING_LEFT = ScalarMultiple(1e200, BackwardShift(1))
+
+
+@pytest.mark.parametrize(
+    "op, vec, expected",
+    [
+        (
+            DirectSum(OVERFLOWING_LEFT, FiniteMatrix([[1.0]]), 4),
+            {3: 1.0, 6: 1.0},
+            (DimensionMismatch, "support index 2 outside matrix block of dimension 1"),
+        ),
+        (
+            DirectSum(OVERFLOWING_LEFT, ScalarMultiple(1e300, Identity()), 4),
+            {3: 1.0, 4: 1e10j},
+            (ValueError, "non-finite coefficient infj"),
+        ),
+        # The left block fails first: its error stands.
+        (
+            DirectSum(OVERFLOWING_LEFT, ScalarMultiple(1e300, Identity()), 4),
+            {3: 1.0, 4: 1e-10j},
+            (ValueError, "non-finite coefficient (inf+0j)"),
+        ),
+    ],
+)
+def test_direct_sum_raises_what_the_plain_loop_raises(op, vec, expected):
+    vec = SeqVec(vec)
+    assert _outcome(lambda: _plain_power(op, 3, vec)) == expected
+    assert _outcome(lambda: apply_power(op, 3, vec)) == expected
 
 
 @seed(12)

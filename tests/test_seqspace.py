@@ -21,7 +21,8 @@ from orbitlab import (
     norm,
     to_matrix,
 )
-from conftest import CountingOp, rand_vec
+from orbitlab.seqspace import max_or_nan
+from conftest import CountingOp, _plain_power, rand_vec
 
 finite_complex = st.complex_numbers(
     allow_nan=False, allow_infinity=False, max_magnitude=1e6
@@ -112,10 +113,7 @@ class TestShifts:
             p = int(rng.integers(1, 4))
             n = int(rng.integers(0, 6))
             op = BackwardShift(p)
-            stepped = v
-            for _ in range(n):
-                stepped = op.apply(stepped)
-            assert apply_power(op, n, v) == stepped
+            assert apply_power(op, n, v) == _plain_power(op, n, v)
 
 
 class TestOtherKinds:
@@ -242,73 +240,11 @@ class TestApplyPower:
     def test_stops_at_zero_like_the_plain_loop(self, op, vec, dies_after):
         counted = CountingOp(op)
         for n in range(dies_after + 4):
-            expected = vec
-            for _ in range(n):
-                expected = op.apply(expected)
+            expected = _plain_power(op, n, vec)
             counted.calls = 0
             assert apply_power(counted, n, vec) == expected
             assert bool(expected) == (n < dies_after)
             assert counted.calls == min(n, dies_after)
-
-
-class TestAdjoint:
-    def test_shift_adjoints_swap(self):
-        assert BackwardShift(2).adjoint() == ForwardShift(2)
-        assert ForwardShift(2).adjoint() == BackwardShift(2)
-
-    def test_scalar_adjoint_conjugates(self):
-        op = ScalarMultiple(2j, Identity())
-        v = SeqVec.basis(0)
-        assert op.adjoint().apply(v) == SeqVec.basis(0, -2j)
-
-    def test_direct_sum_adjoint_blockwise(self):
-        op = DirectSum(BackwardShift(), ForwardShift(), 3)
-        assert op.adjoint() == DirectSum(ForwardShift(), BackwardShift(), 3)
-
-    def test_finite_matrix_adjoint_is_conjugate_transpose(self):
-        op = FiniteMatrix([[1, 2j], [0, 1]])
-        assert np.allclose(op.adjoint().array, np.array([[1, 0], [-2j, 1]]))
-
-    def test_finite_matrix_adjoint_applies_as_conjugate_transpose(self, rng):
-        for dim in (1, 3, 6):
-            entries = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            op = FiniteMatrix(entries)
-            adj = op.adjoint()
-            assert np.array_equal(adj.array, entries.conj().T)
-            fresh = FiniteMatrix(entries.conj().T)
-            for _ in range(3):
-                x = SeqVec.from_dense(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-                assert adj.apply(x) == fresh.apply(x)
-            assert op == FiniteMatrix(entries)
-
-    @pytest.mark.parametrize(
-        "op",
-        [
-            BackwardShift(1),
-            ForwardShift(2),
-            ScalarMultiple(1 - 2j, BackwardShift(1)),
-            Diagonal((1j, 2.0, -0.5, 3 + 1j)),
-            DirectSum(ScalarMultiple(2, BackwardShift()), Identity(), 4),
-        ],
-        ids=["B", "S2", "scaledB", "diag", "dsum"],
-    )
-    def test_pairing_identity(self, op, rng):
-        for _ in range(40):
-            u = rand_vec(rng, max_index=12)
-            v = rand_vec(rng, max_index=12)
-            lhs = inner(op.apply(u), v)
-            rhs = inner(u, op.adjoint().apply(v))
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-    def test_pairing_identity_matrix(self, rng):
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        op = FiniteMatrix(a)
-        for _ in range(20):
-            u = rand_vec(rng, max_index=5, max_terms=5)
-            v = rand_vec(rng, max_index=5, max_terms=5)
-            lhs = inner(op.apply(u), v)
-            rhs = inner(u, op.adjoint().apply(v))
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
 class TestInnerNorm:
@@ -325,6 +261,45 @@ class TestInnerNorm:
     def test_norm_squared_is_self_inner(self, rng):
         v = rand_vec(rng)
         assert math.isclose(norm(v) ** 2, inner(v, v).real, rel_tol=1e-12, abs_tol=1e-300)
+
+
+class TestNormPastOverflow:
+    def test_squares_past_the_float_range(self):
+        assert norm(SeqVec.basis(0, 2.0**600)) == 2.0**600
+        assert norm(SeqVec.basis(5, -(2.0**600) * 1j)) == 2.0**600
+
+    def test_partial_sums_past_the_float_range(self):
+        # Each square is finite; their sum overflows inside fsum.
+        v = SeqVec({0: 1e154, 1: 1e154j})
+        assert norm(v) == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
+
+    def test_unscaled_below_the_range(self):
+        v = SeqVec({0: 1e150, 3: -2e150})
+        assert norm(v) == math.sqrt(math.fsum([1e300, 4e300]))
+
+
+class TestMaxOrNan:
+    @pytest.mark.parametrize(
+        "worst, value",
+        [(0.0, math.nan), (math.nan, 1.0), (math.nan, math.inf), (math.inf, math.nan)],
+    )
+    def test_nan_on_either_side_wins(self, worst, value):
+        assert math.isnan(max_or_nan(worst, value))
+
+    @seed(21)
+    @settings(max_examples=200)
+    @given(
+        st.floats(allow_nan=False) | st.floats(allow_nan=False).map(np.float64),
+        st.floats(allow_nan=False) | st.floats(allow_nan=False).map(np.float64),
+    )
+    def test_is_max_without_nan(self, worst, value):
+        assert max_or_nan(worst, value) is max(worst, value)
+
+    def test_running_worst_keeps_a_nan(self):
+        worst = 0.0
+        for x in [1e-3, math.nan, 2.0, 0.5]:
+            worst = max_or_nan(worst, x)
+        assert math.isnan(worst)
 
 
 def test_to_matrix_materializes_columns():
