@@ -47,9 +47,11 @@ def orbit_norms(mat, vec, n_steps, exit_low, exit_high):
 
 def _norm(v):
     """``np.linalg.norm``, rescaled when its unscaled squares overflow a
-    finite vector (any norm past about 1.3e154)."""
+    finite vector (any norm past about 1.3e154) or may have lost digits to
+    underflow (a nonzero norm below 2**-500), the rule ``seqspace.norm``
+    follows."""
     r = float(np.linalg.norm(v))
-    if r == math.inf and np.isfinite(v).all():
+    if (r == math.inf and np.isfinite(v).all()) or (r < 2.0**-500 and v.any()):
         scale = float(np.abs(v).max())
         r = scale * float(np.linalg.norm(v / scale))
     return r

@@ -32,12 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .constructor import assemble, build_schedule, certify, length
-from .criterion import (
-    CRITERION_CSV_HEADER,
-    check_criterion,
-    criterion_csv_rows,
-    transitivity_probe,
-)
+from .criterion import check_criterion, transitivity_probe
 from .errors import ConfigError, OrbitlabError
 from .obstructions import (
     density_defect,
@@ -470,9 +465,41 @@ def _run_criterion(cfg: ExperimentConfig) -> RunResult:
         cfg.truncation_dim,
         cfg.tol,
     )
-    return RunResult(
-        rep.passes, rep.to_json_dict(), list(CRITERION_CSV_HEADER), criterion_csv_rows(rep)
+    report = {
+        "nks": list(rep.nks),
+        "tol": rep.tol,
+        "condI": [
+            {"sampleIndex": d.sample, "maxTailNorm": d.final_norm, "firstZeroNk": d.first_zero_nk}
+            for d in rep.decay
+        ],
+        "condII": [
+            {
+                "sampleIndex": r.sample,
+                "xkNorm": r.final_preimage_norm,
+                "xkMonotone": r.preimage_monotone,
+                "recoveryError": r.recovery_error,
+                "normLawDev": r.norm_law_dev,
+            }
+            for r in rep.recovery
+        ],
+        "condIII": [{"k": c.k, "n_k": c.n_k, "invariant": c.invariant} for c in rep.invariance],
+        "verdict": {
+            "condI": rep.decay_ok,
+            "condII": rep.recovery_ok,
+            "condIII": rep.invariance_ok,
+            "tol": rep.tol,
+        },
+        "passed": rep.passes,
+    }
+    # Conditions I and II are judged after the last exponent, III at each one.
+    k_last, n_last = len(rep.nks) - 1, rep.nks[-1]
+    rows = (
+        [["I", d.sample, k_last, n_last, d.final_norm, d.passed] for d in rep.decay]
+        + [["II", r.sample, k_last, n_last, r.recovery_error, r.passed] for r in rep.recovery]
+        + [["III", c.k, c.k, c.n_k, float(c.invariant), c.invariant] for c in rep.invariance]
     )
+    header = ["condition", "index", "k", "n_k", "value", "pass"]
+    return RunResult(rep.passes, report, header, rows)
 
 
 def _run_probe(cfg: ExperimentConfig) -> RunResult:
@@ -575,9 +602,16 @@ def _run_spectrum(cfg: ExperimentConfig) -> RunResult:
     results = []
     for label, vec in probes:
         verdict = spectral_dichotomy(mat, vec, cfg.horizon)
-        entry = {"probe": label}
-        entry.update(verdict.to_json_dict())
-        results.append(entry)
+        results.append(
+            {
+                "probe": label,
+                "classification": verdict.classification,
+                "firstNorm": verdict.first_norm,
+                "lastNorm": verdict.last_norm,
+                "steps": verdict.steps,
+                "ratioTrend": verdict.ratio_trend,
+            }
+        )
 
     if annulus == 0:
         passed = all(r["classification"] != "neither" for r in results)

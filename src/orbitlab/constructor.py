@@ -100,16 +100,8 @@ class HittingSchedule:
                 raise ValueError(f"entry {j}: norm constraint violated")
 
     @property
-    def lam_abs(self) -> float:
-        return abs(self.lam)
-
-    @property
     def times(self) -> tuple[int, ...]:
         return tuple(e.time for e in self.entries)
-
-    @property
-    def targets(self) -> tuple[SeqVec, ...]:
-        return tuple(e.target for e in self.entries)
 
 
 def tail_bound(lam_abs: float, j: int, count: int) -> float:

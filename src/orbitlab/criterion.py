@@ -38,7 +38,6 @@ __all__ = [
     "CriterionReport",
     "check_criterion",
     "transitivity_probe",
-    "CRITERION_CSV_HEADER",
 ]
 
 
@@ -87,6 +86,7 @@ class DecayRecord:
     sample: int
     final_norm: float
     first_zero_nk: int | None
+    passed: bool  # condition (i) on this sample: final_norm <= tol
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,7 @@ class RecoveryRecord:
     preimage_monotone: bool
     recovery_error: float
     norm_law_dev: float
+    passed: bool  # condition (ii): error and final preimage norm <= tol, norms monotone
 
 
 @dataclass(frozen=True)
@@ -112,70 +113,22 @@ class CriterionReport:
     decay: tuple[DecayRecord, ...]
     recovery: tuple[RecoveryRecord, ...]
     invariance: tuple[InvarianceRecord, ...]
-    decay_ok: bool
-    recovery_ok: bool
-    invariance_ok: bool
+
+    @property
+    def decay_ok(self) -> bool:
+        return all(d.passed for d in self.decay)
+
+    @property
+    def recovery_ok(self) -> bool:
+        return all(r.passed for r in self.recovery)
+
+    @property
+    def invariance_ok(self) -> bool:
+        return all(c.invariant for c in self.invariance)
 
     @property
     def passes(self) -> bool:
         return self.decay_ok and self.recovery_ok and self.invariance_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nks": list(self.nks),
-            "tol": self.tol,
-            "condI": [
-                {
-                    "sampleIndex": d.sample,
-                    "maxTailNorm": d.final_norm,
-                    "firstZeroNk": d.first_zero_nk,
-                }
-                for d in self.decay
-            ],
-            "condII": [
-                {
-                    "sampleIndex": r.sample,
-                    "xkNorm": r.final_preimage_norm,
-                    "xkMonotone": r.preimage_monotone,
-                    "recoveryError": r.recovery_error,
-                    "normLawDev": r.norm_law_dev,
-                }
-                for r in self.recovery
-            ],
-            "condIII": [
-                {"k": c.k, "n_k": c.n_k, "invariant": c.invariant}
-                for c in self.invariance
-            ],
-            "verdict": {
-                "condI": self.decay_ok,
-                "condII": self.recovery_ok,
-                "condIII": self.invariance_ok,
-                "tol": self.tol,
-            },
-            "passed": self.passes,
-        }
-
-
-CRITERION_CSV_HEADER = ["condition", "index", "k", "n_k", "value", "pass"]
-
-
-def criterion_csv_rows(report: CriterionReport) -> list[list]:
-    rows = []
-    k_last = len(report.nks) - 1
-    for d in report.decay:
-        rows.append(
-            ["I", d.sample, k_last, report.nks[-1], d.final_norm, d.final_norm <= report.tol]
-        )
-    for r in report.recovery:
-        ok = (
-            r.recovery_error <= report.tol
-            and r.final_preimage_norm <= report.tol
-            and r.preimage_monotone
-        )
-        rows.append(["II", r.sample, k_last, report.nks[-1], r.recovery_error, ok])
-    for c in report.invariance:
-        rows.append(["III", c.k, c.k, c.n_k, float(c.invariant), c.invariant])
-    return rows
 
 
 def check_criterion(
@@ -213,8 +166,7 @@ def check_criterion(
             final = norm(image)
             if first_zero is None and not image:
                 first_zero = n
-        decay.append(DecayRecord(i, final, first_zero))
-    decay_ok = all(d.final_norm <= tol for d in decay)
+        decay.append(DecayRecord(i, final, first_zero, final <= tol))
 
     scale = _shift_scale(op)
     lam_abs = None if scale is None else abs(scale[0])
@@ -233,28 +185,16 @@ def check_criterion(
                 expected = y_norm * lam_abs ** (-n)
                 worst_law = max_or_nan(worst_law, abs(norms[-1] - expected) / y_norm)
         monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(norms, norms[1:]))
-        recovery.append(RecoveryRecord(i, norms[-1], monotone, worst_recovery, worst_law))
-    recovery_ok = all(
-        r.recovery_error <= tol and r.final_preimage_norm <= tol and r.preimage_monotone
-        for r in recovery
-    )
+        passed = worst_recovery <= tol and norms[-1] <= tol and monotone
+        recovery.append(
+            RecoveryRecord(i, norms[-1], monotone, worst_recovery, worst_law, passed)
+        )
 
     invariance = tuple(
         InvarianceRecord(k, n, invariant)
         for k, (n, invariant) in enumerate(zip(nks, invariance_scan(op, pattern, nks, dim)))
     )
-    invariance_ok = all(c.invariant for c in invariance)
-
-    return CriterionReport(
-        nks=nks,
-        tol=tol,
-        decay=tuple(decay),
-        recovery=tuple(recovery),
-        invariance=invariance,
-        decay_ok=decay_ok,
-        recovery_ok=recovery_ok,
-        invariance_ok=invariance_ok,
-    )
+    return CriterionReport(nks, tol, tuple(decay), tuple(recovery), invariance)
 
 
 def transitivity_probe(

@@ -194,15 +194,6 @@ class DichotomyVerdict:
     steps: int
     ratio_trend: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "firstNorm": self.first_norm,
-            "lastNorm": self.last_norm,
-            "steps": self.steps,
-            "ratioTrend": self.ratio_trend,
-        }
-
 
 def spectral_dichotomy(op: FiniteMatrix, x: SeqVec, n_steps: int = 400) -> DichotomyVerdict:
     """Iterate orbit norms and classify collapse vs blowup.

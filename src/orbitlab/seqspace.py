@@ -115,9 +115,6 @@ class SeqVec:
             out[i] = z
         return out
 
-    def norm(self) -> float:
-        return norm(self)
-
     def __getitem__(self, index: int) -> complex:
         return self._entries.get(index, 0j)
 
@@ -178,16 +175,18 @@ def inner(u: SeqVec, v: SeqVec) -> complex:
 def norm(v: SeqVec) -> float:
     """Euclidean norm via an exactly-rounded sum of squared moduli.
 
-    When the squares overflow (any norm past about 1.3e154) the sum is
-    taken again over the entries divided by the largest modulus, the rule
-    ``_kernels._norm`` follows; every other norm is the unscaled one.
+    When the squares overflow (any norm past about 1.3e154), or may have
+    lost digits to underflow (a nonzero norm below 2**-500, about 3e-151),
+    the sum is taken again over the entries divided by the largest
+    modulus, the rule ``_kernels._norm`` follows; every other norm is the
+    unscaled one.
     """
     entries = v.items()
     try:
         r = math.sqrt(math.fsum(z.real * z.real + z.imag * z.imag for _, z in entries))
     except OverflowError:  # fsum's partial sums overflow on finite squares
         r = math.inf
-    if r == math.inf:
+    if r == math.inf or (r < 2.0**-500 and entries):
         # Entries are finite, and so are their moduli: the prune test took each.
         scale = max(abs(z) for _, z in entries)
         r = scale * math.sqrt(
@@ -472,7 +471,8 @@ def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
     """Apply ``op`` n times, with the bits and errors of n ``op.apply`` calls.
 
     Five paths, each bit-identical to the honest loop, raised errors
-    included:
+    included.  Each is chosen by exact type, so a subclass, whose ``apply``
+    may differ, takes the honest loop:
 
     - *scaled shift*: nested scalar multiples of one backward shift (the
       paper's lam B and lam B^2, and a bare shift) run as index arithmetic
@@ -496,9 +496,9 @@ def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
     parts = _scaled_shift_parts(op)
     if parts is not None:
         return _scaled_shift_power(*parts, n, vec)
-    if isinstance(op, ForwardShift):
+    if type(op) is ForwardShift:
         return ForwardShift(op.power * n).apply(vec)
-    if isinstance(op, Identity):
+    if type(op) is Identity:
         return vec
     if type(op) is DirectSum and _moves_no_index_up(op.left):
         try:

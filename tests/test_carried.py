@@ -179,7 +179,8 @@ def test_criterion_decay_and_invariance_match_scratch(op, pattern, vecs, ns, dim
         for i, x in enumerate(xs):
             images = [apply_power(op, n, x) for n in nks]
             first_zero = next((n for n, image in zip(nks, images) if not image), None)
-            decay.append(DecayRecord(i, norm(images[-1]), first_zero))
+            tail = norm(images[-1])
+            decay.append(DecayRecord(i, tail, first_zero, tail <= 1e-9))
         invariance = [
             InvarianceRecord(k, n, _scratch_invariance(op, pattern, n, dim))
             for k, n in enumerate(nks)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -72,6 +73,41 @@ class TestDeterminism:
         assert rep["passed"] is True
         assert rep["config"]["lambda"] == [2.0, 0.0]
         assert rep["config"]["pattern"] == {"kind": "prefix", "m": 3}
+
+
+# SHA-256 of report.json and table.csv for the sparse presets.  A refactor
+# that is meant to leave the outputs alone must leave these digests alone.
+# spectrum-direct-sum is left out: its eigenvalue moduli come from LAPACK.
+PRESET_DIGESTS = {
+    "certify-prefix3": (
+        "109be049f7e774f6632f8af1eae828f6aa765e2dbf5f14bf6ebe99b4c62455ca",
+        "564bbb721e13b552f68d12a4c71a4da3fa45b5404933963740e3b18c6c7d0b52",
+    ),
+    "certify-left-block": (
+        "8194c8a15579ac3938d6ed5bd7dc705512e1a85b9a56ec082786bf1a715ee466",
+        "f0ff74ca399ef98ddcca97002e62d4cc458004bf33efa977598f54b406be310f",
+    ),
+    "certify-direct-sum-prefix3": (
+        "583d7501bc2cc6a8fa1756e511dd34b1b51ea749c865f411f43ef63cf8860be0",
+        "0093901b7c3439007fc8b8b6a4116aab0988b8f286d8567946a10f7654b58257",
+    ),
+    "criterion-odd-support": (
+        "e61c1a9d48c8655ba082c1f349871464913ec65a649a0b961aa43f814e565af8",
+        "e6d8442b8f52d5e550aef69534b71dc82954c88273b44db389898e8926cee3c0",
+    ),
+    "criterion-shift-squared": (
+        "5188698ec663b06d1969ba43618fcbcc616b23f098556ec236a0dc710c11132f",
+        "112dd4ad83636e41230bcb25c13c662af6b3f7f7efb013c8bf8a132a186aab68",
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_DIGESTS))
+def test_sparse_preset_outputs_keep_their_bytes(preset, tmp_path):
+    result = run(ExperimentConfig.from_dict({"command": "preset", "preset": preset}))
+    paths = write_outputs(result, tmp_path)
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+    assert digests == PRESET_DIGESTS[preset]
 
 
 _PREFIX3 = {"kind": "prefix", "m": 3}
@@ -444,6 +480,30 @@ class TestVerdicts:
         assert rep["passed"] is False
         assert rep["verdict"] == "fail"
         assert rep["report"]["verdict"]["condIII"] is False
+
+    def test_criterion_table_agrees_with_the_verdict(self):
+        # At this tol and horizon condition II passes on some samples only.
+        cfg = ExperimentConfig.from_dict(
+            {
+                "command": "criterion",
+                "lambda": [2, 0],
+                "pattern": {"kind": "residue", "a": 0, "b": 2},
+                "targets": 12,
+                "supportBound": 8,
+                "truncationDim": 64,
+                "horizon": 2,
+                "tol": 0.05,
+            }
+        )
+        result = run(cfg)
+        verdict = result.report["report"]["verdict"]
+        column = {"I": [], "II": [], "III": []}
+        for row in result.table_rows:
+            column[row[0]].append(row[-1])
+        assert True in column["II"] and False in column["II"]
+        for condition, passes in column.items():
+            assert passes and verdict[f"cond{condition}"] == all(passes), condition
+        assert result.passed is False and result.report["verdict"] == "fail"
 
     def test_probe_expectations_both_ways(self, tmp_path):
         hit = {

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from orbitlab import (
     BackwardShift,
@@ -183,6 +185,48 @@ def test_a_nan_recovery_error_fails_condition_two(monkeypatch):
     report = check_criterion(*args)
     assert math.isnan(report.recovery[0].recovery_error)
     assert not report.recovery_ok and not report.passes
+
+
+def test_a_tail_whose_square_underflows_fails_condition_one():
+    report = check_criterion(
+        Diagonal((1e-100,)), PrefixZero(0), [SeqVec.basis(0)], [], [2], 4, 1e-300
+    )
+    assert report.decay[0].final_norm == 1e-200
+    assert not report.decay[0].passed
+    assert not report.decay_ok and not report.passes
+
+
+@st.composite
+def _tail_and_tol(draw):
+    """A weight w and an entry a with 1e-299 <= |w a| < 1e308, and a tol.
+
+    Magnitudes are drawn as m * 10**e, 1 <= m < 10, so every decade is as
+    likely as another.  Half the tols come from 1e-320 to 1e308; the rest
+    sit on the gate: just under the tail, at it, or just over it.
+    """
+
+    def magnitude(e_lo: int, e_hi: int) -> tuple[int, float]:
+        e = draw(st.integers(e_lo, e_hi))
+        return e, draw(st.floats(1.0, 10.0, exclude_max=True)) * 10.0**e
+
+    sign = st.sampled_from((1.0, -1.0))
+    e_a, a = magnitude(-150, 150)
+    _, w = magnitude(max(-299 - e_a, -307), min(306 - e_a, 307))
+    a, w = draw(sign) * a, draw(sign) * w
+    tail = abs(w * a)
+    on_gate = (math.nextafter(tail, 0.0), tail, math.nextafter(tail, math.inf))
+    tol = draw(st.sampled_from(on_gate)) if draw(st.booleans()) else magnitude(-320, 307)[1]
+    return w, a, tol
+
+
+@seed(12)
+@settings(max_examples=300, deadline=None)
+@given(_tail_and_tol())
+def test_condition_one_gate_is_the_tail_against_tol(case):
+    w, a, tol = case
+    report = check_criterion(Diagonal((w,)), PrefixZero(0), [SeqVec.basis(0, a)], [], [1], 1, tol)
+    assert report.decay[0].passed == (abs(w * a) <= tol)
+    assert report.decay_ok == report.decay[0].passed
 
 
 class TestTransitivityProbe:

@@ -128,6 +128,16 @@ class TestOrbitNorms:
                 with np.errstate(over="ignore", invalid="ignore"):
                     v = mat @ v
 
+    def test_norms_below_1e_151_match_hypot(self, rng):
+        for scale in (1e-152, 1e-160, 1e-200, 1e-280):
+            mat, vec, steps = _orbit_case(rng, dim=4, steps=8)
+            v = vec * scale
+            got = _kernels.orbit_norms(mat, v, steps, 0.0, np.inf)
+            for r in got:
+                want = math.hypot(*v.real, *v.imag)
+                assert math.isclose(r, want, rel_tol=1e-14), (scale, r, want)
+                v = mat @ v
+
     def test_matches_reference(self, rng):
         cases = [_orbit_case(rng) for _ in range(10)]
         cases += [_orbit_case(rng, dim=1 + k, steps=60) for k in range(8)]

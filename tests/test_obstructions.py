@@ -270,6 +270,19 @@ class TestSpectralDichotomy:
         assert verdict.steps == 13
         assert verdict.ratio_trend == pytest.approx(3.0, rel=1e-9)
 
+    def test_start_vectors_whose_squares_underflow(self):
+        # Both norms of a 1e-200 start rescale; unscaled, the orbit norms
+        # read 0.0 and every orbit looked like a collapse.
+        grow = FiniteMatrix((3.0 * np.eye(2)).astype(np.complex128))
+        verdict = spectral_dichotomy(grow, SeqVec.basis(0, 1e-200))
+        assert verdict.classification == "toInfinity"
+        assert verdict.steps == 13
+        assert verdict.first_norm == 1e-200
+        shrink = FiniteMatrix((0.5 * np.eye(2)).astype(np.complex128))
+        verdict = spectral_dichotomy(shrink, SeqVec.basis(0, 1e-200))
+        assert verdict.classification == "toZero"
+        assert verdict.steps == 20
+
     def test_rotation_never_exits(self):
         op = FiniteMatrix(
             np.diag([np.exp(0.7j), np.exp(-0.7j)]).astype(np.complex128)

@@ -215,6 +215,19 @@ class TestApplyPower:
         rhs = apply_power(op, 2, apply_power(op, 3, v))
         assert norm(lhs - rhs) <= 1e-10 * max(1.0, norm(lhs))
 
+    def test_subclasses_take_the_honest_loop(self):
+        # The forward-collapse and identity paths would skip these ``apply``s.
+        class Twice(Identity):
+            def apply(self, vec):
+                return vec * 2
+
+        class ForwardTwice(ForwardShift):
+            def apply(self, vec):
+                return super().apply(vec) * 2
+
+        assert apply_power(Twice(), 3, SeqVec.basis(0)) == SeqVec.basis(0, 8.0)
+        assert apply_power(ForwardTwice(), 3, SeqVec.basis(0)) == SeqVec.basis(3, 8.0)
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             apply_power(Identity(), -1, SeqVec.zero())
@@ -276,6 +289,23 @@ class TestNormPastOverflow:
     def test_unscaled_below_the_range(self):
         v = SeqVec({0: 1e150, 3: -2e150})
         assert norm(v) == math.sqrt(math.fsum([1e300, 4e300]))
+
+
+class TestNormPastUnderflow:
+    def test_squares_that_vanish(self):
+        assert norm(SeqVec.basis(0, 1e-200)) == 1e-200
+        assert norm(SeqVec.basis(3, -1e-200j)) == 1e-200
+        assert norm(SeqVec.basis(0, 1e-300)) == 1e-300  # the smallest stored modulus
+
+    def test_squares_that_lose_digits(self):
+        assert norm(SeqVec.basis(0, 3e-160)) == 3e-160
+
+    def test_sums_of_tiny_squares(self):
+        v = SeqVec({0: 3e-200, 1: 4e-200j})
+        assert norm(v) == pytest.approx(5e-200, rel=1e-15)
+
+    def test_zero_vector(self):
+        assert norm(SeqVec()) == 0.0
 
 
 class TestMaxOrNan:
