@@ -41,6 +41,7 @@ from .obstructions import (
     eigen_orbit_pairing,
     generalized_pairing_polynomial,
     jordan_orbit,
+    orbit_rows,
     orbit_span_rank,
     planted_chain_instance,
     planted_eigen_instance,
@@ -127,6 +128,7 @@ __all__ = [
     "jordan_orbit",
     "eigen_orbit_pairing",
     "generalized_pairing_polynomial",
+    "orbit_rows",
     "DichotomyVerdict",
     "spectral_dichotomy",
     "orbit_span_rank",

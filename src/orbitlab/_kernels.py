@@ -21,6 +21,11 @@ _SLACK = 1e-6
 # Steps between the tests of ``orbit_points`` for a zero row.
 _ZERO_CHECK = 64
 
+# Bounds the buffer of one ``orbit_points`` stack (orbits x rows x width)
+# to about 2 MB of complex128, however many orbits a caller steps; see
+# ``stack_width``.
+_STACK = 1 << 17
+
 
 def orbit_norms(mat, vec, n_steps, exit_low, exit_high):
     """Norms of vec, M vec, M^2 vec, ... with early exit.
@@ -57,28 +62,48 @@ def _norm(v):
     return r
 
 
-def orbit_points(mat, vec, n_steps):
-    """The orbit as rows: out[n] = M^n vec, for n = 0..n_steps or up to the
-    first row that is exactly zero.
+def stack_width(rows, dim):
+    """How many orbits of ``rows`` rows of width ``dim`` one ``orbit_points``
+    stack may hold: as many as fit ``_STACK`` entries, and at least one."""
+    return max(1, _STACK // (rows * dim))
+
+
+def orbit_points(mats, vecs, n_steps):
+    """Orbits as rows, one per stacked matrix: out[b][n] = M_b^n v_b, for
+    n = 0..n_steps or up to the first row of orbit b that is exactly zero.
+
+    ``mats`` is a stack of B same-size square matrices and ``vecs`` a stack
+    of B start vectors; a single orbit is a stack of one.  Every step is one
+    ``np.matmul`` over the whole stack, which gives each orbit the bits of
+    stepping it alone.  Returns a list of B arrays of rows, views of one
+    buffer.
 
     A finite M maps zero to zero, so every row after a zero row is zero
     too; the orbit ends at the first one and keeps it.  A subnormal row
     does not end it, since a non-normal M can grow it back, and an M with
     a non-finite entry never ends early.  The rows are tested for zero
-    once every ``_ZERO_CHECK`` steps.
+    once every ``_ZERO_CHECK`` steps, and the stack stops once every orbit
+    has ended.
     """
-    m = np.ascontiguousarray(mat, dtype=np.complex128)
-    v = np.asarray(vec, dtype=np.complex128)
-    out = np.empty((n_steps + 1, v.shape[0]), dtype=np.complex128)
-    out[0] = v
-    may_end = bool(np.isfinite(m).all())
-    start = done = 0  # rows 0..done are filled; rows before start are nonzero
+    m = np.ascontiguousarray(mats, dtype=np.complex128)
+    v = np.asarray(vecs, dtype=np.complex128)
+    stack, dim = v.shape
+    # Step-major, so that each step reads and writes one contiguous block.
+    out = np.empty((n_steps + 1, stack, dim, 1), dtype=np.complex128)
+    rows = out[..., 0]
+    rows[0] = v
+    ends = [n_steps] * stack  # the last row of each orbit
+    finite = np.isfinite(m).all(axis=(1, 2))
+    open_ = np.ones(stack, dtype=bool)  # orbits that have not ended
+    # Rows 0..done are filled; the rows of an open orbit before start are nonzero.
+    start = done = 0
     while True:
-        if may_end and not out[done].any():
-            first = start + int(np.argmax(~out[start : done + 1].any(axis=1)))
-            return out[: first + 1]
-        if done == n_steps:
-            return out
+        ended = open_ & finite & ~rows[done].any(axis=1)
+        for b in np.flatnonzero(ended):
+            ends[b] = start + int(np.argmax(~rows[start : done + 1, b].any(axis=1)))
+        open_ &= ~ended
+        if done == n_steps or not open_.any():
+            return [rows[: ends[b] + 1, b] for b in range(stack)]
         start, done = done, min(done + _ZERO_CHECK, n_steps)
         for n in range(start + 1, done + 1):
             np.matmul(m, out[n - 1], out=out[n])
@@ -94,7 +119,9 @@ def _real_rows(a):
     """
     a = np.asarray(a, dtype=np.complex128)
     rows = np.concatenate([a.real, a.imag], axis=1)
-    rows[np.abs(rows) < np.finfo(np.float64).tiny] = 0.0
+    tiny = np.finfo(np.float64).tiny
+    # |x| < tiny, without a float temporary the size of the rows.
+    rows[(rows > -tiny) & (rows < tiny)] = 0.0
     return rows
 
 

@@ -47,6 +47,7 @@ from .obstructions import (
 )
 from .presets import preset_config
 from .seqspace import (
+    PRUNE_MODULUS,
     BackwardShift,
     Diagonal,
     DirectSum,
@@ -109,6 +110,16 @@ def _as_float(val, where: str) -> float:
     out = _finite(val, where)
     if out <= 0:
         raise ConfigError(f"{where} must be positive, got {val}")
+    return out
+
+
+def _as_tol(val, where: str) -> float:
+    out = _as_float(val, where)
+    if out < PRUNE_MODULUS:
+        raise ConfigError(
+            f"{where} must be at least {PRUNE_MODULUS}, below which vector entries"
+            f" are pruned to zero, got {val}"
+        )
     return out
 
 
@@ -243,7 +254,7 @@ _KEYS = {
     "resolutionLevel": ("resolution_level", _as_int, 1),
     "truncationDim": ("truncation_dim", _at_least_one, None),
     "horizon": ("horizon", _as_int, 0),
-    "tol": ("tol", _as_float, 1e-9),
+    "tol": ("tol", _as_tol, 1e-9),
     "seed": ("seed", _as_int, 0),
     "netLevel": ("net_level", _as_int, 1),
     "epsilon": ("epsilon", _as_float, 0.1),
@@ -537,46 +548,73 @@ def _random_member(rng: np.random.Generator, pattern: ZeroPattern, dim: int) -> 
     return SeqVec(zip(allowed, vals))
 
 
+def _stepped(starts: list[tuple[np.ndarray, np.ndarray]], n_steps: int) -> list[np.ndarray]:
+    """The orbits of (matrix, start vector) pairs to n_steps, in the order
+    given, stepped as one ``orbit_points`` stack per dimension."""
+    by_dim: dict[int, list[int]] = {}
+    for i, (_, vec) in enumerate(starts):
+        by_dim.setdefault(vec.shape[0], []).append(i)
+    orbits: list = [None] * len(starts)
+    for group in by_dim.values():
+        mats = np.array([starts[i][0] for i in group])
+        vecs = np.array([starts[i][1] for i in group])
+        for i, orbit in zip(group, _kernels.orbit_points(mats, vecs, n_steps)):
+            orbits[i] = orbit
+    return orbits
+
+
+def _findim_start(rng: np.random.Generator, pattern: ZeroPattern, dim: int):
+    """One findim trial's matrix, scaled to spectral radius 0.8 and keeping
+    the pattern's subspace invariant, and its start vector in the subspace."""
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    for i in range(dim):
+        if pattern.forbids(i):
+            for j in range(dim):
+                if not pattern.forbids(j):
+                    m[i, j] = 0.0
+    radius = float(np.abs(np.linalg.eigvals(m)).max())
+    if radius > 1e-9:
+        m *= 0.8 / radius
+    return m, _random_member(rng, pattern, dim).to_dense(dim)
+
+
 def _run_findim(cfg: ExperimentConfig) -> RunResult:
     if not 2 <= cfg.truncation_dim <= 12:
         raise ConfigError("findim works on matrix dimensions 2..12")
     rng = np.random.default_rng(cfg.seed)
     dim = cfg.truncation_dim
+    # The rank orbits and the density orbit are prefixes of this one.
+    steps = max(cfg.horizon, 2 * dim)
+    width = _kernels.stack_width(steps + 1, dim)
     trials = []
     net = None  # one net for every trial, built where the first trial needs it
-    for t in range(cfg.trials):
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for i in range(dim):
-            if cfg.pattern.forbids(i):
-                for j in range(dim):
-                    if not cfg.pattern.forbids(j):
-                        m[i, j] = 0.0
-        radius = float(np.abs(np.linalg.eigvals(m)).max())
-        if radius > 1e-9:
-            m *= 0.8 / radius
-        op = FiniteMatrix(m)
-        x = _random_member(rng, cfg.pattern, dim)
-
-        rank_small = orbit_span_rank(op, x, dim - 1)
-        rank_large = orbit_span_rank(op, x, 2 * dim)
-        stabilized = rank_small == rank_large
-
-        points = _kernels.orbit_points(m, x.to_dense(dim), cfg.horizon)
-        if net is None:
-            net = unit_ball_net(cfg.pattern, cfg.support_bound, cfg.net_level)
-        defect = density_defect(
-            points, cfg.pattern, cfg.net_level, cfg.support_bound, cfg.epsilon, net=net
-        )
-        trials.append(
-            {
-                "trial": t,
-                "rankAtDimMinus1": rank_small,
-                "rankAtTwiceDim": rank_large,
-                "stabilized": stabilized,
-                "densityDefect": defect,
-                "pass": stabilized and defect >= 0.5,
-            }
-        )
+    for first in range(0, cfg.trials, width):
+        last = min(first + width, cfg.trials)
+        starts = [_findim_start(rng, cfg.pattern, dim) for _ in range(first, last)]
+        for t, orbit in enumerate(_stepped(starts, steps), first):
+            rank_small = orbit_span_rank(orbit, dim - 1)
+            rank_large = orbit_span_rank(orbit, 2 * dim)
+            stabilized = rank_small == rank_large
+            if net is None:
+                net = unit_ball_net(cfg.pattern, cfg.support_bound, cfg.net_level)
+            defect = density_defect(
+                orbit[: cfg.horizon + 1],
+                cfg.pattern,
+                cfg.net_level,
+                cfg.support_bound,
+                cfg.epsilon,
+                net=net,
+            )
+            trials.append(
+                {
+                    "trial": t,
+                    "rankAtDimMinus1": rank_small,
+                    "rankAtTwiceDim": rank_large,
+                    "stabilized": stabilized,
+                    "densityDefect": defect,
+                    "pass": stabilized and defect >= 0.5,
+                }
+            )
     passed = all(tr["pass"] for tr in trials)
     report = {
         "dim": dim,
@@ -629,28 +667,54 @@ def _run_spectrum(cfg: ExperimentConfig) -> RunResult:
     return RunResult(passed, report, header, _rows(header, results))
 
 
+# The planted instances of ``kernel`` have dimensions 2..8.
+_KERNEL_MAX_DIM = 8
+
+
+def _worst_law(count: int, draw: Callable, n_steps: int) -> float:
+    """The worst of ``count`` pairing-law values, through ``max_or_nan``.
+
+    ``draw()`` makes one instance: its matrix, its start vector and the law
+    that reads its orbit.  Instances are drawn in chunks small enough that
+    each dimension's stack fits ``_kernels.stack_width``; a chunk's orbits
+    are stepped together and its laws read in draw order, so the first
+    instance that raises is the one that raises.
+    """
+    worst = 0.0
+    chunk = _kernels.stack_width(n_steps + 1, _KERNEL_MAX_DIM)
+    for first in range(0, count, chunk):
+        drawn = [draw() for _ in range(first, min(first + chunk, count))]
+        orbits = _stepped([(mat, vec) for mat, vec, _ in drawn], n_steps)
+        for (_, _, law), orbit in zip(drawn, orbits):
+            worst = max_or_nan(worst, law(orbit))
+    return worst
+
+
 def _run_kernel(cfg: ExperimentConfig) -> RunResult:
     rng = np.random.default_rng(cfg.seed)
-    worst_eigen = 0.0
-    for _ in range(cfg.eigen_instances):
-        dim = int(rng.integers(2, 9))
-        op, y, lam = planted_eigen_instance(rng, dim)
-        x = SeqVec.from_dense(
-            (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / math.sqrt(dim)
-        )
-        worst_eigen = max_or_nan(worst_eigen, eigen_orbit_pairing(op, x, y, lam, cfg.horizon))
+    n_max = cfg.horizon
 
-    worst_chain = 0.0
-    for _ in range(cfg.chain_instances):
+    def start(dim: int) -> np.ndarray:
+        x = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / math.sqrt(dim)
+        return SeqVec.from_dense(x).to_dense(dim)
+
+    def eigen():
+        dim = int(rng.integers(2, _KERNEL_MAX_DIM + 1))
+        op, y, lam = planted_eigen_instance(rng, dim)
+        return op.array, start(dim), lambda orbit: eigen_orbit_pairing(op, orbit, y, lam, n_max)
+
+    def chain():
         p = int(rng.integers(1, 4))
-        dim = int(rng.integers(p + 1, 9))
+        dim = int(rng.integers(p + 1, _KERNEL_MAX_DIM + 1))
         op, y, lam = planted_chain_instance(rng, dim, p)
-        x = SeqVec.from_dense(
-            (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / math.sqrt(dim)
+        return (
+            op.array,
+            start(dim),
+            lambda orbit: generalized_pairing_polynomial(op, orbit, y, lam, p, n_max),
         )
-        worst_chain = max_or_nan(
-            worst_chain, generalized_pairing_polynomial(op, x, y, lam, p, cfg.horizon)
-        )
+
+    worst_eigen = _worst_law(cfg.eigen_instances, eigen, n_max)
+    worst_chain = _worst_law(cfg.chain_instances, chain, n_max)
 
     eigen_ok = worst_eigen <= cfg.eigen_tol
     chain_ok = worst_chain <= cfg.chain_tol

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .errors import UnsupportedOperator
 from .seqspace import (
+    PRUNE_MODULUS,
     ForwardShift,
     Operator,
     SeqVec,
@@ -145,8 +146,12 @@ def check_criterion(
     ``xs`` and ``ys`` must already lie in the subspace (membership defect
     exactly zero); ``nks`` must be strictly increasing positive exponents.
     Condition (ii) additionally records how far the preimage norms stray
-    from the exact law ||x_k|| = ||y|| / |lam|^{n_k}.
+    from the exact law ||x_k|| = ||y|| / |lam|^{n_k}.  ``tol`` must be at
+    least ``PRUNE_MODULUS``: a tail whose entries fall below it is pruned to
+    zero, so a smaller tol would pass tails it should reject.
     """
+    if not tol >= PRUNE_MODULUS:
+        raise ValueError(f"tol must be at least {PRUNE_MODULUS}, got {tol}")
     nks = tuple(int(n) for n in nks)
     if not nks or nks[0] < 1 or any(b <= a for a, b in zip(nks, nks[1:])):
         raise ValueError("exponents must be strictly increasing and positive")

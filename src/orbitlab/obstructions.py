@@ -31,6 +31,7 @@ __all__ = [
     "jordan_orbit",
     "eigen_orbit_pairing",
     "generalized_pairing_polynomial",
+    "orbit_rows",
     "DichotomyVerdict",
     "spectral_dichotomy",
     "orbit_span_rank",
@@ -64,14 +65,41 @@ def _kernel_residual(m: np.ndarray, lam: complex, y: np.ndarray, p: int) -> floa
     return float(np.linalg.norm(y))
 
 
-def _pairings(op: FiniteMatrix, x: SeqVec, y: SeqVec, n_max: int) -> list[complex]:
-    """<T^n x, y> for n = 0..n_max, read off one orbit.
+def orbit_rows(op: FiniteMatrix, x: SeqVec, n_steps: int) -> np.ndarray:
+    """The orbit x, Tx, ..., T^n x as dense rows, stepped as a stack of one.
+
+    Fewer than n_steps + 1 rows exactly when the orbit ends at a zero row.
+    The pairing laws and ``orbit_span_rank`` read rows like these; a caller
+    with many orbits steps them in one ``_kernels.orbit_points`` stack.
+    """
+    if n_steps < 0:
+        raise ValueError("orbit length must be >= 0")
+    return _kernels.orbit_points(op.array[None], x.to_dense(op.dim)[None], n_steps)[0]
+
+
+def _prefix(orbit: np.ndarray, n_steps: int) -> np.ndarray:
+    """Rows 0..n_steps of an orbit that ``orbit_points`` stepped at least
+    that far.
+
+    The rows of a longer orbit start with exactly the rows of the shorter
+    one.  A shorter orbit must end at a zero row, past which every row is
+    zero.
+    """
+    if n_steps < 0:
+        raise ValueError("orbit length must be >= 0")
+    if len(orbit) <= n_steps and (len(orbit) == 0 or orbit[-1].any()):
+        raise ValueError(f"an orbit of {len(orbit)} rows does not reach step {n_steps}")
+    return orbit[: n_steps + 1]
+
+
+def _pairings(orbit: np.ndarray, y: SeqVec, n_max: int) -> list[complex]:
+    """<T^n x, y> for n = 0..n_max, read off the orbit rows of x.
 
     Each pairing sums over y's support in increasing index order with
     Python complex products, as ``inner`` does; an orbit that ends at a zero
     row pairs to 0j from there on.
     """
-    points = _kernels.orbit_points(op.array, x.to_dense(op.dim), n_max)
+    points = _prefix(orbit, n_max)
     if not np.isfinite(points).all():
         raise ValueError("non-finite orbit entry")
     entries = y.items()
@@ -121,18 +149,19 @@ def jordan_orbit(op: FiniteMatrix, lam: complex, p: int, y: SeqVec, n: int) -> S
 
 
 def eigen_orbit_pairing(
-    op: FiniteMatrix, x: SeqVec, y: SeqVec, lam: complex, n_max: int
+    op: FiniteMatrix, orbit: np.ndarray, y: SeqVec, lam: complex, n_max: int
 ) -> float:
     """Worst deviation of <T^n x, y> from conj(lam)^n <x, y> over n <= n_max.
 
-    ``y`` must satisfy T* y = lam y within ``KERNEL_TOL`` (relative to its
-    norm); the pairing law then forces the whole profile.
+    ``orbit`` holds the rows T^n x of some x, as ``orbit_rows(op, x, n_max)``
+    gives them.  ``y`` must satisfy T* y = lam y within ``KERNEL_TOL``
+    (relative to its norm); the pairing law then forces the whole profile.
     """
     scale = max(1.0, norm(y))
     adjoint = op.array.conj().T
     if not _kernel_residual(adjoint, lam, y.to_dense(op.dim), 1) <= KERNEL_TOL * scale:
         raise NotEigenvector("y is not an adjoint eigenvector for lam")
-    pairings = _pairings(op, x, y, n_max)
+    pairings = _pairings(orbit, y, n_max)
     base = pairings[0]
     lam_bar = lam.conjugate()
     worst = 0.0
@@ -142,9 +171,11 @@ def eigen_orbit_pairing(
 
 
 def generalized_pairing_polynomial(
-    op: FiniteMatrix, x: SeqVec, y: SeqVec, lam: complex, p: int, n_max: int
+    op: FiniteMatrix, orbit: np.ndarray, y: SeqVec, lam: complex, p: int, n_max: int
 ) -> float:
     """Fit <T^n x, y> = conj(lam)^(n-p) Q(n), deg Q < p, and report the residual.
+
+    ``orbit`` holds the rows T^n x, as for ``eigen_orbit_pairing``.
 
     Q is solved from the p pairings n = p..2p-1; the returned value is the
     worst |<T^n x, y> - conj(lam)^(n-p) Q(n)| over 2p <= n <= n_max.  For
@@ -158,7 +189,7 @@ def generalized_pairing_polynomial(
     if not _kernel_residual(adjoint, lam, y.to_dense(op.dim), p) <= KERNEL_TOL * scale:
         raise NotInGeneralizedKernel(f"(T* - lam)^{p} y is not ~ 0")
 
-    pairings = _pairings(op, x, y, n_max)
+    pairings = _pairings(orbit, y, n_max)
 
     lam_bar = lam.conjugate()
     if lam == 0:
@@ -223,12 +254,10 @@ def spectral_dichotomy(op: FiniteMatrix, x: SeqVec, n_steps: int = 400) -> Dicho
     return DichotomyVerdict(cls, float(norms[0]), last, steps, trend)
 
 
-def orbit_span_rank(op: FiniteMatrix, x: SeqVec, n_steps: int) -> int:
-    """Numerical rank of span{x, Tx, ..., T^n x} by pivoted Gram-Schmidt."""
-    if n_steps < 0:
-        raise ValueError("orbit length must be >= 0")
-    points = _kernels.orbit_points(op.array, x.to_dense(op.dim), n_steps)
-    return _pivoted_rank(points.T)
+def orbit_span_rank(orbit: np.ndarray, n_steps: int) -> int:
+    """Numerical rank of span{x, Tx, ..., T^n x} by pivoted Gram-Schmidt,
+    read off the first n_steps + 1 rows of x's orbit (``orbit_rows``)."""
+    return _pivoted_rank(_prefix(orbit, n_steps).T)
 
 
 def _pivoted_rank(cols: np.ndarray) -> int:
@@ -287,7 +316,8 @@ def density_defect(
     forbidden = [i for i in range(arr.shape[1]) if pattern.forbids(i)]
     if forbidden:
         bad = np.sqrt(np.sum(np.abs(arr[:, forbidden]) ** 2, axis=1)) > MEMBERSHIP_TOL
-        arr = arr[~bad]
+        if bad.any():
+            arr = arr[~bad]
     if arr.shape[0] == 0:
         return 1.0
 

@@ -58,6 +58,20 @@ def rand_member(rng, pattern, bound, max_terms=4, scale=1.0):
     )
 
 
+def plain_orbit(mat, vec, steps):
+    """The orbit by one ``np.matmul`` per step on this orbit alone, cut at
+    its first zero row when the matrix is finite."""
+    out = np.empty((steps + 1, vec.shape[0]), dtype=np.complex128)
+    out[0] = vec
+    for n in range(1, steps + 1):
+        np.matmul(mat, out[n - 1], out=out[n])
+    if np.isfinite(mat).all():
+        zero = np.flatnonzero(~out.any(axis=1))
+        if zero.size:
+            return out[: zero[0] + 1]
+    return out
+
+
 class CountingOp:
     """Wraps an operator and counts its applications."""
 

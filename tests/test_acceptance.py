@@ -36,6 +36,7 @@ from orbitlab import (
     invariance_check,
     jordan_orbit,
     norm,
+    orbit_rows,
     orbit_span_rank,
     planted_chain_instance,
     planted_eigen_instance,
@@ -152,13 +153,14 @@ class TestAcceptance:
             dim = 2 + i % 7
             op, y, lam = planted_eigen_instance(rng, dim)
             x = rand_dense_vec(rng, dim)
-            ok = ok and eigen_orbit_pairing(op, x, y, lam, 12) <= 1e-8
+            ok = ok and eigen_orbit_pairing(op, orbit_rows(op, x, 12), y, lam, 12) <= 1e-8
         for i in range(50):
             p = 1 + i % 3
             dim = p + 1 + i % 4
             op, y, lam = planted_chain_instance(rng, dim, p)
             x = rand_dense_vec(rng, dim)
-            ok = ok and generalized_pairing_polynomial(op, x, y, lam, p, 12) <= 1e-7
+            orbit = orbit_rows(op, x, 12)
+            ok = ok and generalized_pairing_polynomial(op, orbit, y, lam, p, 12) <= 1e-7
         _verdict(6, "pairing laws hold on 150 planted instances", ok)
 
     def test_07_norm_dichotomy_classification(self):
@@ -183,7 +185,8 @@ class TestAcceptance:
             dim = 2 + i % 7
             op = spread_matrix(rng, dim, 0.5, 1.5, normal=i % 2 == 0)
             x = rand_dense_vec(rng, dim)
-            ok = ok and orbit_span_rank(op, x, dim - 1) == orbit_span_rank(op, x, 2 * dim)
+            orbit = orbit_rows(op, x, 2 * dim)
+            ok = ok and orbit_span_rank(orbit, dim - 1) == orbit_span_rank(orbit, 2 * dim)
 
         patterns = [ResidueZero(0, 2), PrefixZero(2), SupportIn(2), RightBlockZero(2)]
         dim = 4
@@ -202,7 +205,7 @@ class TestAcceptance:
             vals = rng.standard_normal(len(allowed)) + 1j * rng.standard_normal(len(allowed))
             vals /= np.linalg.norm(vals)
             x = SeqVec(zip(allowed, vals))
-            points = orbit_points(m, x.to_dense(dim), 10_000)
+            points = orbit_points(m[None], x.to_dense(dim)[None], 10_000)[0]
             defect = density_defect(points, pattern, 1, 4, eps=0.1)
             ok = ok and defect >= 0.5
         _verdict(8, "finite orbits stabilize in rank and never fill a net", ok)

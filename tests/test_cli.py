@@ -451,6 +451,26 @@ class TestConfigErrors:
         if request.node.callspec.id in _REJECTION_TEXT:
             assert err == _REJECTION_TEXT[request.node.callspec.id]
 
+    @pytest.mark.parametrize("tol", [9.99e-301, 1e-310, 5e-324])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"command": "preset", "preset": "criterion-odd-support"},
+            {"command": "preset", "preset": "certify-prefix3"},
+            {"command": "jordan"},
+        ],
+        ids=["criterion", "certify", "jordan"],
+    )
+    def test_a_tol_below_the_pruning_modulus_exits_two(self, tmp_path, capsys, data, tol):
+        rc, out = _run(tmp_path, {**data, "tol": tol}, out="tiny")
+        assert rc == 2
+        assert not (out / "report.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: tol must be at least 1e-300")
+        assert len(err.splitlines()) == 1
+        rc, _ = _run(tmp_path, {**data, "tol": 1e-300}, out="at-modulus")
+        assert rc in (0, 1)
+
     def test_null_lambda_reads_as_absent(self, tmp_path, capsys):
         rc, out = _run(tmp_path, {"command": "jordan", "lambda": None}, out="null")
         assert rc == 0

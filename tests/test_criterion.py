@@ -21,6 +21,7 @@ from orbitlab import (
     transitivity_probe,
 )
 from orbitlab import criterion
+from orbitlab.seqspace import PRUNE_MODULUS
 from orbitlab.subspace import DenseFamilySpec, dense_family
 from conftest import rand_vec
 
@@ -224,9 +225,28 @@ def _tail_and_tol(draw):
 @given(_tail_and_tol())
 def test_condition_one_gate_is_the_tail_against_tol(case):
     w, a, tol = case
-    report = check_criterion(Diagonal((w,)), PrefixZero(0), [SeqVec.basis(0, a)], [], [1], 1, tol)
+    args = Diagonal((w,)), PrefixZero(0), [SeqVec.basis(0, a)], [], [1], 1, tol
+    if tol < PRUNE_MODULUS:
+        # Tails below the pruning modulus read as 0.0, so such a tol is refused.
+        with pytest.raises(ValueError, match="tol must be at least"):
+            check_criterion(*args)
+        return
+    report = check_criterion(*args)
     assert report.decay[0].passed == (abs(w * a) <= tol)
     assert report.decay_ok == report.decay[0].passed
+
+
+def test_a_tol_below_the_pruning_modulus_is_refused():
+    # The true tail is 1e-305; pruned to 0.0 it would pass a tol of 1e-310.
+    with pytest.raises(ValueError, match="tol must be at least"):
+        check_criterion(
+            Diagonal((1e-10,)), PrefixZero(0), [SeqVec.basis(0, 1e-295)], [], [1], 1, 1e-310
+        )
+    # At the modulus itself the pruned tail passes, as the true one does.
+    report = check_criterion(
+        Diagonal((1e-10,)), PrefixZero(0), [SeqVec.basis(0, 1e-295)], [], [1], 1, PRUNE_MODULUS
+    )
+    assert report.decay[0].final_norm == 0.0 and report.decay[0].passed
 
 
 class TestTransitivityProbe:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from orbitlab import FiniteMatrix, SeqVec, _kernels, orbit_span_rank
+from orbitlab import FiniteMatrix, SeqVec, _kernels, orbit_rows, orbit_span_rank
 from orbitlab.obstructions import _pivoted_rank
+from conftest import plain_orbit
 
 
 def _orbit_case(rng, dim=5, steps=40):
@@ -34,6 +35,11 @@ def _reference_norms(mat, vec, steps, low, high):
         if r < low or r > high or not math.isfinite(r):
             break
     return np.array(norms)
+
+
+def _one_orbit(mat, vec, steps):
+    """``orbit_points`` on a stack of one."""
+    return _kernels.orbit_points(mat[None], vec[None], steps)[0]
 
 
 def _reference_points(mat, vec, steps):
@@ -158,7 +164,7 @@ class TestOrbitNorms:
 class TestOrbitPoints:
     def test_matches_manual_iteration(self, rng):
         mat, vec, _ = _orbit_case(rng)
-        pts = _kernels.orbit_points(mat, vec, 6)
+        pts = _one_orbit(mat, vec, 6)
         v = vec.copy()
         for n in range(7):
             assert np.array_equal(pts[n], v)
@@ -167,20 +173,20 @@ class TestOrbitPoints:
     def test_matches_reference(self, rng):
         for k in range(10):
             mat, vec, steps = _orbit_case(rng, dim=1 + 2 * k, steps=25)
-            got = _kernels.orbit_points(mat, vec, steps)
+            got = _one_orbit(mat, vec, steps)
             assert got.shape == (steps + 1, vec.shape[0])
             assert np.array_equal(got, _reference_points(mat, vec, steps))
 
     def test_matches_reference_on_non_finite_input(self, rng):
         with np.errstate(invalid="ignore", over="ignore"):
             for mat, vec, steps in _non_finite_cases(rng):
-                got = _kernels.orbit_points(mat, vec, steps)
+                got = _one_orbit(mat, vec, steps)
                 want = _reference_points(mat, vec, steps)
                 assert np.array_equal(got, want, equal_nan=True)
 
     def test_zero_steps_is_the_start_vector(self):
         vec = np.array([1.0 + 2j, 3.0])
-        got = _kernels.orbit_points(np.eye(2), vec, 0)
+        got = _one_orbit(np.eye(2), vec, 0)
         assert np.array_equal(got, [vec])
 
 
@@ -201,7 +207,7 @@ class TestOrbitPointsEarlyEnd:
         for dim in range(1, 7):
             mat, vec = _nilpotent(rng, dim), rng.standard_normal(dim) + 1j
             for steps in (dim - 1, dim, dim + 1, 50):
-                got = _kernels.orbit_points(mat, vec, steps)
+                got = _one_orbit(mat, vec, steps)
                 want = _reference_points(mat, vec, steps)
                 assert np.array_equal(got, want[: dim + 1])
                 if steps >= dim:
@@ -212,7 +218,7 @@ class TestOrbitPointsEarlyEnd:
     def test_zero_start_vector_gives_one_row(self, rng):
         mat, _, _ = _orbit_case(rng)
         for steps in (0, 1, 40):
-            got = _kernels.orbit_points(mat, np.zeros(5, dtype=np.complex128), steps)
+            got = _one_orbit(mat, np.zeros(5, dtype=np.complex128), steps)
             assert got.shape == (1, 5) and not got.any()
 
     def test_nan_matrix_never_ends_early(self, rng):
@@ -222,7 +228,7 @@ class TestOrbitPointsEarlyEnd:
         with np.errstate(invalid="ignore"):
             for mat in (np.full((3, 3), np.nan, dtype=np.complex128), one_nan):
                 for vec in (np.zeros(3, dtype=np.complex128), np.ones(3, dtype=np.complex128)):
-                    got = _kernels.orbit_points(mat, vec, 20)
+                    got = _one_orbit(mat, vec, 20)
                     assert got.shape == (21, 3)
                     assert np.array_equal(got, _reference_points(mat, vec, 20), equal_nan=True)
 
@@ -230,7 +236,7 @@ class TestOrbitPointsEarlyEnd:
         # Row 0 is subnormal; the non-normal matrix grows it back to 1e-10.
         mat = np.array([[0.0, 1e300], [0.0, 0.5]], dtype=np.complex128)
         vec = np.array([0.0, 1e-310], dtype=np.complex128)
-        got = _kernels.orbit_points(mat, vec, 10)
+        got = _one_orbit(mat, vec, 10)
         assert got.shape == (11, 2)
         assert np.array_equal(got, _reference_points(mat, vec, 10))
         assert abs(got[1, 0]) > 1e-11
@@ -243,7 +249,7 @@ class TestOrbitPointsEarlyEnd:
             for _ in range(3):
                 mat, vec, _ = _orbit_case(rng, dim=dim)
                 mat *= 0.5 / np.abs(np.linalg.eigvals(mat)).max()
-                got = _kernels.orbit_points(mat, vec, 3000)
+                got = _one_orbit(mat, vec, 3000)
                 want = _reference_points(mat, vec, 3000)
                 n = got.shape[0]
                 assert np.array_equal(got, want[:n])
@@ -258,7 +264,89 @@ class TestOrbitPointsEarlyEnd:
             x = SeqVec.from_dense(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
             for steps in (dim - 1, dim, 2 * dim, 30):
                 want = _pivoted_rank(_reference_points(op.array, x.to_dense(dim), steps).T)
-                assert orbit_span_rank(op, x, steps) == want
+                assert orbit_span_rank(orbit_rows(op, x, steps), steps) == want
+
+
+def _stack_member(rng, dim, kind):
+    """One orbit of a mixed stack: (matrix, start vector)."""
+    mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    mat *= 0.5 / max(float(np.abs(np.linalg.eigvals(mat)).max()), 1e-9)
+    if kind == "subnormal":
+        # Starts near the bottom of the normal range: subnormal rows within
+        # a few steps, then exact zero at a row that differs per orbit.
+        vec *= 10.0 ** rng.uniform(-310.0, -300.0)
+    elif kind == "nilpotent":
+        mat = np.triu(mat, 1)
+    elif kind == "zero-start":
+        vec[:] = 0.0
+    elif kind == "regrow":
+        # Non-normal: a subnormal row grows back before the orbit decays.
+        mat = np.diag(np.full(dim - 1, 1e300 + 0j), 1) + 0.5 * np.eye(dim)
+        vec = np.zeros(dim, dtype=np.complex128)
+        vec[-1] = 1e-310
+    elif kind == "non-finite":
+        mat[rng.integers(dim), rng.integers(dim)] = rng.choice([np.nan, np.inf, -1j * np.inf])
+    return np.ascontiguousarray(mat), vec
+
+
+STACK_KINDS = ("plain", "subnormal", "nilpotent", "zero-start", "regrow", "non-finite")
+
+
+@pytest.mark.usefixtures("zero_check")
+class TestStackedOrbitPoints:
+    """One stack of B orbits gives each orbit the bits of stepping it alone."""
+
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_stack_equals_one_at_a_time(self, rng, dim):
+        ended_apart = 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            for stack in (1, 2, 3, 7, 16, 33, 64):
+                kinds = rng.choice(STACK_KINDS, size=stack)
+                if stack >= len(STACK_KINDS):
+                    kinds[: len(STACK_KINDS)] = STACK_KINDS
+                members = [_stack_member(rng, dim, kind) for kind in kinds]
+                mats = np.array([m for m, _ in members])
+                vecs = np.array([v for _, v in members])
+                got = _kernels.orbit_points(mats, vecs, 90)
+                assert len(got) == stack
+                lengths = set()
+                for orbit, (mat, vec) in zip(got, members):
+                    want = plain_orbit(mat, vec, 90)
+                    assert orbit.shape == want.shape
+                    assert np.array_equal(orbit, want, equal_nan=True)
+                    # == cannot tell -0.0 from 0.0; the sign bits can.
+                    signs = np.signbit(orbit.view(float)), np.signbit(want.view(float))
+                    assert np.array_equal(*signs)
+                    lengths.add(len(orbit))
+                ended_apart += len(lengths) > 2
+        assert ended_apart >= 3
+
+    def test_subnormal_rows_are_stepped(self, rng):
+        members = [_stack_member(rng, 6, "subnormal") for _ in range(5)]
+        got = _kernels.orbit_points(
+            np.array([m for m, _ in members]), np.array([v for _, v in members]), 90
+        )
+        tiny = np.finfo(np.float64).tiny
+        for orbit, (mat, vec) in zip(got, members):
+            parts = np.abs(orbit.view(float))
+            assert ((parts > 0) & (parts < tiny)).any()
+            assert np.array_equal(orbit, plain_orbit(mat, vec, 90))
+
+    def test_non_finite_member_never_ends_beside_ending_ones(self, rng):
+        kinds = ("nilpotent", "non-finite", "zero-start")
+        members = [_stack_member(rng, 4, kind) for kind in kinds]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _kernels.orbit_points(
+                np.array([m for m, _ in members]), np.array([v for _, v in members]), 70
+            )
+        assert [len(orbit) for orbit in got] == [5, 71, 1]
+
+    def test_stack_width_bounds_the_buffer(self, monkeypatch):
+        assert _kernels.stack_width(4001, 8) * 4001 * 8 <= _kernels._STACK
+        monkeypatch.setattr(_kernels, "_STACK", 100)
+        assert _kernels.stack_width(10, 3) == 3
+        assert _kernels.stack_width(10, 11) == 1  # one orbit over the cap still steps
 
 
 class TestUncoveredCount:

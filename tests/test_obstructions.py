@@ -20,6 +20,7 @@ from orbitlab import (
     inner,
     jordan_orbit,
     norm,
+    orbit_rows,
     orbit_span_rank,
     planted_chain_instance,
     planted_eigen_instance,
@@ -28,6 +29,21 @@ from orbitlab import (
 )
 from orbitlab import cli, obstructions
 from conftest import rand_dense_vec, spread_matrix
+
+
+def _eigen_law(op, x, y, lam, n_max):
+    """``eigen_orbit_pairing`` on the orbit of the start vector x."""
+    return eigen_orbit_pairing(op, orbit_rows(op, x, n_max), y, lam, n_max)
+
+
+def _chain_law(op, x, y, lam, p, n_max):
+    """``generalized_pairing_polynomial`` on the orbit of the start vector x."""
+    return generalized_pairing_polynomial(op, orbit_rows(op, x, n_max), y, lam, p, n_max)
+
+
+def _span_rank(op, x, n_steps):
+    """``orbit_span_rank`` on the orbit of the start vector x."""
+    return orbit_span_rank(orbit_rows(op, x, n_steps), n_steps)
 
 
 def _jordan_block(lam, p):
@@ -74,57 +90,57 @@ class TestJordanOrbit:
 class TestEigenPairing:
     def test_diagonal_is_exact(self):
         op = FiniteMatrix(np.diag([2.0, 3.0, 4.0]))
-        dev = eigen_orbit_pairing(op, SeqVec({0: 1.0, 1: 1.0}), SeqVec.basis(0), 2.0, 20)
+        dev = _eigen_law(op, SeqVec({0: 1.0, 1: 1.0}), SeqVec.basis(0), 2.0, 20)
         assert dev == 0.0
 
     def test_imaginary_eigenvalue(self):
         op = FiniteMatrix(np.diag([2.0j, 3.0]))
-        dev = eigen_orbit_pairing(op, SeqVec.basis(0, 1.0 + 1.0j), SeqVec.basis(0), -2.0j, 16)
+        dev = _eigen_law(op, SeqVec.basis(0, 1.0 + 1.0j), SeqVec.basis(0), -2.0j, 16)
         assert dev == 0.0
 
     def test_zero_functional_pairs_trivially(self):
         op = FiniteMatrix(np.diag([2.0, 3.0]))
-        assert eigen_orbit_pairing(op, SeqVec.basis(0), SeqVec.zero(), 2.0, 8) == 0.0
+        assert _eigen_law(op, SeqVec.basis(0), SeqVec.zero(), 2.0, 8) == 0.0
 
     def test_rejects_non_eigenvector(self):
         op = FiniteMatrix(np.diag([2.0, 3.0, 4.0]))
         with pytest.raises(NotEigenvector):
-            eigen_orbit_pairing(op, SeqVec.basis(0), SeqVec({0: 1.0, 1: 1.0}), 2.0, 8)
+            _eigen_law(op, SeqVec.basis(0), SeqVec({0: 1.0, 1: 1.0}), 2.0, 8)
 
     def test_planted_instances(self, rng):
         for k in range(30):
             dim = 2 + k % 7
             op, y, lam = planted_eigen_instance(rng, dim)
             x = rand_dense_vec(rng, dim)
-            assert eigen_orbit_pairing(op, x, y, lam, 12) <= 1e-10
+            assert _eigen_law(op, x, y, lam, 12) <= 1e-10
 
 
 class TestGeneralizedPairing:
     def test_planted_transpose_chain(self):
         op = FiniteMatrix(np.array([[2.0, 0.0], [1.0, 2.0]], dtype=np.complex128))
-        res = generalized_pairing_polynomial(op, SeqVec.basis(0), SeqVec.basis(1), 2.0, 2, 12)
+        res = _chain_law(op, SeqVec.basis(0), SeqVec.basis(1), 2.0, 2, 12)
         assert res <= 1e-9
 
     def test_nilpotent_profile_vanishes(self):
         op = FiniteMatrix(np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128))
-        res = generalized_pairing_polynomial(op, SeqVec.basis(0), SeqVec.basis(1), 0.0, 2, 10)
+        res = _chain_law(op, SeqVec.basis(0), SeqVec.basis(1), 0.0, 2, 10)
         assert res == 0.0
 
     def test_rank_one_agrees_with_eigen_law(self, rng):
         op, y, lam = planted_eigen_instance(rng, 5)
         x = rand_dense_vec(rng, 5)
-        res = generalized_pairing_polynomial(op, x, y, lam, 1, 12)
+        res = _chain_law(op, x, y, lam, 1, 12)
         assert res <= 1e-10
 
     def test_needs_room_to_fit(self):
         op = FiniteMatrix(np.array([[2.0, 0.0], [1.0, 2.0]], dtype=np.complex128))
         with pytest.raises(ValueError):
-            generalized_pairing_polynomial(op, SeqVec.basis(0), SeqVec.basis(1), 2.0, 2, 2)
+            _chain_law(op, SeqVec.basis(0), SeqVec.basis(1), 2.0, 2, 2)
 
     def test_rejects_vector_outside_chain(self):
         op = FiniteMatrix(np.array([[2.0, 0.0], [1.0, 2.0]], dtype=np.complex128))
         with pytest.raises(NotInGeneralizedKernel):
-            generalized_pairing_polynomial(op, SeqVec.basis(0), SeqVec.basis(1), 2.0, 1, 8)
+            _chain_law(op, SeqVec.basis(0), SeqVec.basis(1), 2.0, 1, 8)
 
     def test_planted_chain_instances(self, rng):
         for k in range(30):
@@ -132,7 +148,7 @@ class TestGeneralizedPairing:
             dim = p + 1 + k % 4
             op, y, lam = planted_chain_instance(rng, dim, p)
             x = rand_dense_vec(rng, dim)
-            assert generalized_pairing_polynomial(op, x, y, lam, p, 12) <= 1e-7
+            assert _chain_law(op, x, y, lam, p, 12) <= 1e-7
 
 
 def _reference_pairings(op, x, y, n_max):
@@ -184,7 +200,7 @@ class TestPairingsAgainstStepping:
     @pytest.mark.parametrize("n_max", N_MAXES)
     def test_pairings_equal_stepping_bit_for_bit(self, rng, n_max):
         for op, x, y, _, _ in self._cases(rng):
-            got = obstructions._pairings(op, x, y, n_max)
+            got = obstructions._pairings(orbit_rows(op, x, n_max), y, n_max)
             want = _reference_pairings(op, x, y, n_max)
             assert len(got) == n_max + 1
             assert got == want
@@ -194,12 +210,19 @@ class TestPairingsAgainstStepping:
     def test_laws_equal_stepping(self, rng, monkeypatch, n_max):
         cases = list(self._cases(rng))
         laws = [
-            lambda op, x, y, lam, p: eigen_orbit_pairing(op, x, y, lam, n_max),
-            lambda op, x, y, lam, p: generalized_pairing_polynomial(op, x, y, lam, p, n_max),
+            lambda op, x, y, lam, p: _eigen_law(op, x, y, lam, n_max),
+            lambda op, x, y, lam, p: _chain_law(op, x, y, lam, p, n_max),
         ]
         got = [_outcome(law, *case) for case in cases for law in laws]
-        monkeypatch.setattr(obstructions, "_pairings", _reference_pairings)
-        want = [_outcome(law, *case) for case in cases for law in laws]
+        want = []
+        for op, x, y, lam, p in cases:
+            # The laws read the stepping loop's pairings of this case's x.
+            monkeypatch.setattr(
+                obstructions,
+                "_pairings",
+                lambda orbit, y, n_max, op=op, x=x: _reference_pairings(op, x, y, n_max),
+            )
+            want += [_outcome(law, op, x, y, lam, p) for law in laws]
         assert got == want
         assert sum(kind == "value" for kind, _ in got) >= 12
 
@@ -210,7 +233,7 @@ class TestPairingsAgainstStepping:
             with pytest.raises(ValueError):
                 _reference_pairings(op, x, y, 3)
             with pytest.raises(ValueError):
-                obstructions._pairings(op, x, y, 3)
+                obstructions._pairings(orbit_rows(op, x, 3), y, 3)
 
     def test_overflowing_gate_rejects(self):
         # T* y is inf - inf = NaN: the gates must fail it, not let it pass.
@@ -218,17 +241,17 @@ class TestPairingsAgainstStepping:
         y = SeqVec({0: 1e200, 1: 1e200})
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NotEigenvector):
-                eigen_orbit_pairing(op, SeqVec.basis(0), y, 1.0, 4)
+                _eigen_law(op, SeqVec.basis(0), y, 1.0, 4)
             with pytest.raises(NotInGeneralizedKernel):
-                generalized_pairing_polynomial(op, SeqVec.basis(0), y, 1.0, 2, 4)
+                _chain_law(op, SeqVec.basis(0), y, 1.0, 2, 4)
 
     @pytest.mark.parametrize("n_max", [0, 1, 12])
     def test_start_outside_block_is_rejected(self, n_max):
         op = FiniteMatrix(np.diag([2.0, 3.0]))
         with pytest.raises(DimensionMismatch):
-            obstructions._pairings(op, SeqVec.basis(2), SeqVec.basis(0), n_max)
+            orbit_rows(op, SeqVec.basis(2), n_max)
         with pytest.raises(DimensionMismatch):
-            eigen_orbit_pairing(op, SeqVec.basis(2), SeqVec.basis(0), 2.0, n_max)
+            _eigen_law(op, SeqVec.basis(2), SeqVec.basis(0), 2.0, n_max)
 
     def test_no_vector_is_built_per_step(self, rng, monkeypatch):
         op, y, lam = planted_eigen_instance(rng, 5)
@@ -249,8 +272,8 @@ class TestPairingsAgainstStepping:
         counts = []
         for n_max in (12, 200):
             builds.clear()
-            eigen_orbit_pairing(op, x, y, lam, n_max)
-            generalized_pairing_polynomial(op, x, y, lam, 1, n_max)
+            _eigen_law(op, x, y, lam, n_max)
+            _chain_law(op, x, y, lam, 1, n_max)
             counts.append(len(builds))
         assert counts[0] == counts[1]
 
@@ -323,28 +346,49 @@ class TestSpectralDichotomy:
 class TestOrbitSpanRank:
     def test_fixed_vector_spans_line(self):
         op = FiniteMatrix(np.eye(3).astype(np.complex128))
-        assert orbit_span_rank(op, SeqVec.basis(0), 10) == 1
+        assert _span_rank(op, SeqVec.basis(0), 10) == 1
 
     def test_nilpotent_chain_spans_fully(self):
         op = _jordan_block(0.0, 3)
-        assert orbit_span_rank(op, SeqVec.basis(2), 5) == 3
+        assert _span_rank(op, SeqVec.basis(2), 5) == 3
 
     def test_two_eigendirections(self):
         op = FiniteMatrix(np.diag([1.0, 2.0]).astype(np.complex128))
-        assert orbit_span_rank(op, SeqVec({0: 1.0, 1: 1.0}), 6) == 2
+        assert _span_rank(op, SeqVec({0: 1.0, 1: 1.0}), 6) == 2
 
     def test_rank_stabilizes_at_dimension(self, rng):
         for k in range(10):
             dim = 2 + k % 5
             op = spread_matrix(rng, dim, 0.5, 1.5)
             x = rand_dense_vec(rng, dim)
-            early = orbit_span_rank(op, x, dim - 1)
-            late = orbit_span_rank(op, x, 2 * dim + 3)
+            early = _span_rank(op, x, dim - 1)
+            late = _span_rank(op, x, 2 * dim + 3)
             assert early == late
 
     def test_zero_vector_has_rank_zero(self):
         op = FiniteMatrix(np.eye(2).astype(np.complex128))
-        assert orbit_span_rank(op, SeqVec.zero(), 4) == 0
+        assert _span_rank(op, SeqVec.zero(), 4) == 0
+
+    def test_ranks_read_off_one_longer_orbit(self, rng):
+        for dim in range(2, 9):
+            op = spread_matrix(rng, dim, 0.5, 1.5, normal=dim % 2 == 0)
+            x = rand_dense_vec(rng, dim)
+            orbit = orbit_rows(op, x, 3 * dim)
+            for n in (0, 1, dim - 1, dim, 2 * dim):
+                assert orbit_span_rank(orbit, n) == _span_rank(op, x, n)
+
+    def test_an_orbit_short_of_the_step_is_refused(self):
+        op = FiniteMatrix(np.diag([1.0, 2.0]).astype(np.complex128))
+        x = SeqVec({0: 1.0, 1: 1.0})
+        with pytest.raises(ValueError, match="does not reach step 5"):
+            orbit_span_rank(orbit_rows(op, x, 3), 5)
+        with pytest.raises(ValueError, match="does not reach step 5"):
+            eigen_orbit_pairing(op, orbit_rows(op, x, 3), SeqVec.basis(0), 1.0, 5)
+        # An orbit that ended at a zero row reaches every later step.
+        nilpotent = _jordan_block(0.0, 3)
+        orbit = orbit_rows(nilpotent, SeqVec.basis(2), 10)
+        assert len(orbit) == 4
+        assert orbit_span_rank(orbit, 10) == 3
 
 
 class TestDensityDefect:
@@ -483,16 +527,16 @@ class TestNanDeviations:
     def test_eigen_pairing(self, rng, monkeypatch):
         op, y, lam = planted_eigen_instance(rng, 4)
         x = rand_dense_vec(rng, 4)
-        assert eigen_orbit_pairing(op, x, y, lam, 12) <= 1e-10
+        assert _eigen_law(op, x, y, lam, 12) <= 1e-10
         self._nan_at(monkeypatch, 5)
-        assert math.isnan(eigen_orbit_pairing(op, x, y, lam, 12))
+        assert math.isnan(_eigen_law(op, x, y, lam, 12))
 
     def test_generalized_pairing(self, rng, monkeypatch):
         op, y, lam = planted_chain_instance(rng, 5, 2)
         x = rand_dense_vec(rng, 5)
-        assert generalized_pairing_polynomial(op, x, y, lam, 2, 12) <= 1e-8
+        assert _chain_law(op, x, y, lam, 2, 12) <= 1e-8
         self._nan_at(monkeypatch, 5)
-        assert math.isnan(generalized_pairing_polynomial(op, x, y, lam, 2, 12))
+        assert math.isnan(_chain_law(op, x, y, lam, 2, 12))
 
     def test_compression_gap_that_overflows(self):
         # The allowed coordinate grows by 1e200 per step: both orbits reach

@@ -59,3 +59,32 @@ def test_install_then_uninstall_restores_every_binding(monkeypatch):
         now = vars(owner)
         assert now.keys() == before[id(owner)].keys(), owner
         assert all(now[k] is v for k, v in before[id(owner)].items()), owner
+
+
+def test_traced_findim_emits_the_dense_spans(monkeypatch):
+    """The dense per-layer metrics read these spans; a run that stops going
+    through their bindings would report them as 0."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        cfg = ExperimentConfig.from_dict(
+            {"command": "findim", "pattern": {"kind": "prefix", "m": 1}, "horizon": 50}
+        )
+        run(cfg)
+        spans = [name for _, _, name, _, _ in tracer.spans]
+        counts = dict(tracer.counts)
+    finally:
+        tracer.uninstall()
+
+    assert {
+        "obstructions.orbit_span_rank",
+        "obstructions.density_defect",
+        "kernels.orbit_points",
+    } <= set(spans)
+    # Three trials: two ranks and one defect each, off one stack of orbits.
+    assert spans.count("obstructions.orbit_span_rank") == 6
+    assert spans.count("obstructions.density_defect") == 3
+    assert counts["kernels.orbit_points_rows"] == 3
