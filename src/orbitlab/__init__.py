@@ -10,6 +10,7 @@ from .constructor import (
     CertReport,
     HittingSchedule,
     ScheduleEntry,
+    WindowedVector,
     assemble,
     build_schedule,
     certify,
@@ -115,6 +116,7 @@ __all__ = [
     "HittingSchedule",
     "build_schedule",
     "assemble",
+    "WindowedVector",
     "tail_bound",
     "geometric_tail_bound",
     "CertReport",

@@ -456,8 +456,8 @@ def _run_certify(cfg: ExperimentConfig) -> RunResult:
         "floatTol": cfg.tol,
         "passed": rep.passes,
         "entries": entries,
-        "vectorLength": length(vec),
-        "vectorNorm": norm(vec),
+        "vectorLength": vec.length,
+        "vectorNorm": vec.norm(),
     }
     header = ["n", "k_n", "defect", "distance", "bound", "pass"]
     rows = [[e.index, e.time, e.defect, e.distance, e.bound, e.passed] for e in rep.entries]

@@ -14,7 +14,7 @@ class InvalidModulus(OrbitlabError):
 
 
 class ScheduleUnderflow(OrbitlabError):
-    """An assembled term is too small to survive double precision."""
+    """A window's scale lam^-k left the float range of a vector that must hold it."""
 
 
 class UnsupportedOperator(OrbitlabError):

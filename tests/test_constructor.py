@@ -59,7 +59,7 @@ class TestBuildSchedule:
     def test_zero_target_occupies_no_room(self):
         sched = build_schedule(2.0, [SeqVec.zero(), SeqVec.basis(4)])
         assert sched.times == (0, 1)
-        assert assemble(sched) == SeqVec({5: 0.5})
+        assert assemble(sched).vector() == SeqVec({5: 0.5})
 
     def test_invariants_on_random_targets(self, rng):
         targets = [rand_vec(rng, max_index=10, scale=3.0) for _ in range(8)]
@@ -90,12 +90,12 @@ class TestBuildSchedule:
 class TestAssemble:
     def test_single_target_copied_verbatim(self):
         sched = build_schedule(2.0, [SeqVec.basis(3)])
-        assert assemble(sched) == SeqVec.basis(3)
+        assert assemble(sched).vector() == SeqVec.basis(3)
 
     def test_windows_are_disjoint(self, rng):
         targets = [rand_vec(rng, max_index=8, scale=2.0) for _ in range(6)]
         sched = build_schedule(2.0, targets)
-        f = assemble(sched)
+        f = assemble(sched).vector()
         ks = sched.times
         for j, t in enumerate(targets):
             lo = ks[j]
@@ -104,13 +104,25 @@ class TestAssemble:
             assert window == t * (2.0**-ks[j])
 
     def test_underflow_guard(self):
+        # Window 1 has scale 16**-500 = 2**-2000, far below the float range.
         entries = (
-            ScheduleEntry(0, SeqVec.basis(0), 1.0),
+            ScheduleEntry(0, SeqVec.basis(0), tail_bound(16.0, 0, 1)),
             ScheduleEntry(500, SeqVec.basis(0), 0.0),
         )
         sched = HittingSchedule(16.0, entries)
+        f = assemble(sched)
+        assert f.length == 501
+        assert f.norm() == 1.0
+        # The windows hold it: row 0's distance 2**-2000 is rounded up to the
+        # least subnormal rather than lost, and row 1 is exact.
+        report = certify(16.0, f, sched, PrefixZero(0))
+        assert report.passes
+        assert [row.distance for row in report.entries] == [math.ulp(0.0), 0.0]
+        # Only a float vector, needed to replay another operator, cannot.
         with pytest.raises(ScheduleUnderflow):
-            assemble(sched)
+            f.vector()
+        with pytest.raises(ScheduleUnderflow):
+            certify(16.0, f, sched, PrefixZero(0), op=ScalarMultiple(16.0, Identity()))
 
 
 class TestCertify:
@@ -139,7 +151,7 @@ class TestCertify:
         spec = DenseFamilySpec(PrefixZero(3), 6, 1)
         targets = [dense_family(spec, j) for j in range(7)]
         sched = build_schedule(2.0, targets)
-        f = assemble(sched)
+        f = assemble(sched).vector()
         ks = sched.times
         bad_index = ks[4] + 3
         f = f + SeqVec.basis(bad_index, 1e-3)

@@ -88,3 +88,34 @@ def test_traced_findim_emits_the_dense_spans(monkeypatch):
     assert spans.count("obstructions.orbit_span_rank") == 6
     assert spans.count("obstructions.density_defect") == 3
     assert counts["kernels.orbit_points_rows"] == 3
+
+
+def test_traced_certify_emits_the_constructor_spans(monkeypatch):
+    """The certify per-layer metrics read these spans and this count; the
+    tracer patches ``cli.build_schedule``, ``cli.assemble``, ``cli.certify``
+    and ``constructor.apply_power``, so all four bindings must stay."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        patched = {f"{getattr(o, '__name__', o)}.{a}" for o, a, _ in tracer._undo}
+        cfg = ExperimentConfig.from_dict(
+            {"command": "preset", "preset": "certify-prefix3", "targets": 42}
+        )
+        assert run(cfg).passed
+        spans = [name for _, _, name, _, _ in tracer.spans]
+        counts = dict(tracer.counts)
+    finally:
+        tracer.uninstall()
+
+    assert {
+        "orbitlab.cli.build_schedule",
+        "orbitlab.cli.assemble",
+        "orbitlab.cli.certify",
+        "orbitlab.constructor.apply_power",
+    } <= patched
+    for name in ("constructor.build_schedule", "constructor.assemble", "constructor.certify"):
+        assert spans.count(name) == 1, name
+    assert counts["constructor.certify_rows"] == 42 + 1
