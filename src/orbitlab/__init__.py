@@ -16,7 +16,7 @@ from .constructor import (
     certify,
     geometric_tail_bound,
     length,
-    tail_bound,
+    tail_bounds,
 )
 from .criterion import (
     CriterionReport,
@@ -117,7 +117,7 @@ __all__ = [
     "build_schedule",
     "assemble",
     "WindowedVector",
-    "tail_bound",
+    "tail_bounds",
     "geometric_tail_bound",
     "CertReport",
     "certify",

@@ -422,9 +422,9 @@ def _run_construct(cfg: ExperimentConfig) -> RunResult:
             "k_j": e.time,
             "targetLength": length(e.target),
             "targetNorm": norm(e.target),
-            "bound": e.bound,
+            "bound": bound,
         }
-        for j, e in enumerate(schedule.entries)
+        for j, (e, bound) in enumerate(zip(schedule.entries, schedule.bounds))
     ]
     report = {"entries": entries, "count": len(entries)}
     header = ["j", "k_j", "targetLength", "targetNorm", "bound"]
@@ -436,9 +436,7 @@ def _run_certify(cfg: ExperimentConfig) -> RunResult:
     targets = [dense_family(spec, j) for j in range(cfg.targets + 1)]
     schedule = build_schedule(cfg.lam, targets)
     vec = assemble(schedule)
-    rep = certify(
-        cfg.lam, vec, schedule, cfg.pattern, float_tol=cfg.tol, op=cfg.default_operator()
-    )
+    rep = certify(vec, schedule, cfg.pattern, float_tol=cfg.tol, op=cfg.default_operator())
     entries = [
         {
             "n": e.index,
@@ -695,8 +693,7 @@ def _run_kernel(cfg: ExperimentConfig) -> RunResult:
     n_max = cfg.horizon
 
     def start(dim: int) -> np.ndarray:
-        x = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / math.sqrt(dim)
-        return SeqVec.from_dense(x).to_dense(dim)
+        return (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / math.sqrt(dim)
 
     def eigen():
         dim = int(rng.integers(2, _KERNEL_MAX_DIM + 1))

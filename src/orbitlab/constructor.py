@@ -13,9 +13,12 @@ the scaled backward shift ``k_n`` times re-surfaces window n exactly, while
 the later windows contribute at most a certified geometric tail.  For
 ``lam B`` itself, ``certify`` reads every row off the windows by exponent
 arithmetic; for any other operator it replays the orbit of the float
-vector.  Because shifts are pure index arithmetic, the certificate's
-membership column is exact and the distance column is a float evaluation
-of an inequality that holds term by term.
+vector.  Row n is held to the tail sqrt(sum_{i>n} |lam|^(-2i)), which
+depends only on |lam| and the number of targets, so a schedule derives its
+``bounds`` with ``tail_bounds`` instead of storing them.  Because shifts
+are pure index arithmetic, the certificate's membership column is exact
+and the distance column is a float evaluation of an inequality that holds
+term by term.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ __all__ = [
     "build_schedule",
     "WindowedVector",
     "assemble",
-    "tail_bound",
     "tail_bounds",
     "geometric_tail_bound",
     "CertEntry",
@@ -96,7 +98,6 @@ def _within_decay(size: float, lam_abs: float, gap: int, j: int) -> bool:
 class ScheduleEntry:
     time: int
     target: SeqVec
-    bound: float
 
 
 @dataclass(frozen=True)
@@ -127,9 +128,15 @@ class HittingSchedule:
     def times(self) -> tuple[int, ...]:
         return tuple(e.time for e in self.entries)
 
+    @cached_property
+    def bounds(self) -> tuple[float, ...]:
+        """The certified residual after each entry; it depends on |lam| and the count only."""
+        return tuple(tail_bounds(abs(self.lam), len(self.entries) - 1))
+
 
 def tail_bounds(lam_abs: float, count: int) -> list[float]:
-    """``tail_bound(lam_abs, j, count)`` for j = 0..count, in one pass.
+    """sqrt of sum_{i=j+1..count} lam_abs^(-2i) for j = 0..count, in one pass:
+    the certified residual after entry j of a schedule with count + 1 entries.
 
     The float terms lam_abs**(-2i) are summed from the end as exact
     rationals; ``float`` of a Fraction rounds correctly, as ``math.fsum``
@@ -141,11 +148,6 @@ def tail_bounds(lam_abs: float, count: int) -> list[float]:
         total += Fraction(lam_abs ** (-2 * i))
         out[i - 1] = math.sqrt(total)
     return out
-
-
-def tail_bound(lam_abs: float, j: int, count: int) -> float:
-    """sqrt of sum_{i=j+1..count} lam_abs^(-2i); the certified residual after entry j."""
-    return tail_bounds(lam_abs, count)[j]
 
 
 def geometric_tail_bound(lam_abs: float, j: int) -> float:
@@ -181,9 +183,7 @@ def build_schedule(lam: complex, targets: Sequence[SeqVec]) -> HittingSchedule:
             k += 1
         times.append(k)
 
-    bounds = tail_bounds(lam_abs, len(targets) - 1)
-    entries = tuple(ScheduleEntry(k, f, b) for k, f, b in zip(times, targets, bounds))
-    return HittingSchedule(lam, entries)
+    return HittingSchedule(lam, tuple(map(ScheduleEntry, times, targets)))
 
 
 def _power(z, n: int):
@@ -229,17 +229,21 @@ def _frexp_power(base: float, n: int) -> tuple[float, int]:
 _ONE = (0.5, 1)  # 1.0 as a (mantissa, exponent) pair
 
 
-class _Windows:
-    """What every certificate row reads off a schedule's windows.
+class WindowedVector:
+    """f = sum_j lam^(-k_j) S^(k_j) f_j, kept as a schedule's windows (k_j, f_j).
 
     Window j holds the entries z of f_j at positions k_j + i, each times
     lam^(-k_j): the modulus |lam|^(-k_j) is kept as a (mantissa, exponent)
-    pair, and the unit part is raised to its power only where a value is
-    needed.  Each window's squared moduli are kept scaled by 4^(-s_j), a
-    power of two that keeps the square of its largest entry near 1.
+    pair, never a float, so the windows hold any schedule, however far its
+    hitting times run.  The unit part is raised to its power only where a
+    value is needed.  Each window's squared moduli are kept scaled by
+    4^(-s_j), a power of two that keeps the square of its largest entry
+    near 1.  ``vector`` multiplies the scales in, for replay through
+    operators other than lam B; that float vector is what has a range.
     """
 
     def __init__(self, schedule: HittingSchedule):
+        self.schedule = schedule
         lam = complex(schedule.lam)
         lam_abs = abs(lam)
         self.unit_inv = lam_abs / lam
@@ -268,6 +272,11 @@ class _Windows:
         self.nonempty = [count] * (count + 1)
         for j in range(count - 1, -1, -1):
             self.nonempty[j] = j if self.squares[j] else self.nonempty[j + 1]
+
+    @property
+    def length(self) -> int:
+        """``length`` of f: past its last entry."""
+        return self.pos[-1] + 1 if self.pos else 0
 
     def _log2_envelope(self, j: int, ref: int) -> float:
         """log2 of a bound on sum_{i >= j} ||f_i||^2 |lam|^(-2(k_i - ref)), j >= 1.
@@ -376,34 +385,9 @@ class _Windows:
         out = math.hypot(*parts)
         return out if out >= _MIN_NORMAL else math.nextafter(out, math.inf)
 
-
-@dataclass(frozen=True)
-class WindowedVector:
-    """f = sum_j lam^(-k_j) S^(k_j) f_j, kept as a schedule's windows (k_j, f_j).
-
-    The scale of window j is the integer exponent -k_j of lam, so the
-    windows hold any schedule, however far its hitting times run.
-    ``vector`` multiplies the scales in, for replay through operators other
-    than lam B; that float vector is what has a range.
-    """
-
-    schedule: HittingSchedule
-
-    @cached_property
-    def _windows(self) -> _Windows:
-        return _Windows(self.schedule)
-
-    @property
-    def length(self) -> int:
-        """``length`` of f: past the last entry of its last nonempty window."""
-        for e in reversed(self.schedule.entries):
-            if e.target:
-                return e.time + length(e.target)
-        return 0
-
     def norm(self) -> float:
         """The Euclidean norm of f, from the windows."""
-        return self._windows.tail(_ONE, 0)
+        return self.tail(_ONE, 0)
 
     def vector(self) -> SeqVec:
         """f as one float vector.
@@ -475,7 +459,6 @@ def _passes(defect: float, distance: float, bound: float, tol: float) -> bool:
 
 
 def certify(
-    lam: complex,
     vec: SeqVec | WindowedVector,
     schedule: HittingSchedule,
     pattern: ZeroPattern,
@@ -484,43 +467,41 @@ def certify(
 ) -> CertReport:
     """The image at every hitting time, compared against the targets.
 
-    ``op`` defaults to the scaled backward shift lam B.  When ``vec`` is the
-    ``WindowedVector`` of this schedule and ``op`` is, by exact type,
-    ``schedule.lam`` times ``BackwardShift(1)``, row n is read off the
-    windows: windows j < n have left the image, window n is f_n itself, and
-    window j > n sits at offset k_j - k_n scaled by lam^(-(k_j - k_n)).  The
-    defect is decided by index arithmetic, and the distance is the norm of
-    the later windows (see ``_Windows.tail``).
+    ``op`` defaults to the scaled backward shift ``schedule.lam`` B.  When
+    ``vec`` is the ``WindowedVector`` of this schedule and ``op`` is, by
+    exact type, ``schedule.lam`` times ``BackwardShift(1)``, row n is read
+    off the windows: windows j < n have left the image, window n is f_n
+    itself, and window j > n sits at offset k_j - k_n scaled by
+    lam^(-(k_j - k_n)).  The defect is decided by index arithmetic, and the
+    distance is the norm of the later windows (see ``WindowedVector.tail``).
 
     Otherwise the orbit of the float vector is iterated honestly, once:
     each row advances the previous row's image by the gap between their
     hitting times.  Every operator step is a pure function of its input, so
     a row is bit-identical to replaying its power from ``vec``, and a
-    corruption still reaches every later window.
+    corruption still reaches every later window.  Either way, row n is held
+    to ``schedule.bounds[n]``.
     """
     if op is None:
-        op = ScalarMultiple(lam, BackwardShift(1))
+        op = ScalarMultiple(schedule.lam, BackwardShift(1))
     rows = []
-    if (
+    windowed = (
         isinstance(vec, WindowedVector)
         and vec.schedule == schedule
         and _scaled_shift_parts(op) == ((schedule.lam,), 1)
-    ):
-        windows = vec._windows
-        for j, entry in enumerate(schedule.entries):
-            defect = windows.defect(j, pattern)
-            distance = windows.tail(windows.scale[j], j + 1)
-            passed = _passes(defect, distance, entry.bound, float_tol)
-            rows.append(CertEntry(j, entry.time, defect, distance, entry.bound, passed))
-        return CertReport(tuple(rows))
-    if isinstance(vec, WindowedVector):
+    )
+    if isinstance(vec, WindowedVector) and not windowed:
         vec = vec.vector()
     image, reached = vec, 0
-    for j, entry in enumerate(schedule.entries):
-        image = apply_power(op, entry.time - reached, image)
-        reached = entry.time
-        defect = membership_defect(image, pattern)
-        distance = norm(image - entry.target)
-        passed = _passes(defect, distance, entry.bound, float_tol)
-        rows.append(CertEntry(j, entry.time, defect, distance, entry.bound, passed))
+    for j, (entry, bound) in enumerate(zip(schedule.entries, schedule.bounds)):
+        if windowed:
+            defect = vec.defect(j, pattern)
+            distance = vec.tail(vec.scale[j], j + 1)
+        else:
+            image = apply_power(op, entry.time - reached, image)
+            reached = entry.time
+            defect = membership_defect(image, pattern)
+            distance = norm(image - entry.target)
+        passed = _passes(defect, distance, bound, float_tol)
+        rows.append(CertEntry(j, entry.time, defect, distance, bound, passed))
     return CertReport(tuple(rows))

@@ -1,7 +1,16 @@
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from orbitlab import FiniteMatrix, OrbitlabError, SeqVec
+from orbitlab.cli import main
 
 
 @pytest.fixture
@@ -104,3 +113,33 @@ def _outcome(fn):
     except (OrbitlabError, ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
     return _bits(result) if isinstance(result, SeqVec) else result
+
+
+def gate_values(*edges):
+    """Floats of either sign from 1e-320 to 1e308, zero, NaN, +-inf, and the
+    given threshold values."""
+    magnitudes = st.builds(
+        lambda e, m, sign: sign * m * 10.0**e,
+        st.integers(-320, 307),
+        st.floats(1.0, 10.0, exclude_max=True),
+        st.sampled_from([1.0, -1.0]),
+    )
+    return st.one_of(magnitudes, st.sampled_from([0.0, math.nan, math.inf, -math.inf, *edges]))
+
+
+def run_main(data):
+    """``main`` on a config: its exit code, its stderr, and report.json if written."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.delenv("ORBITLAB_OUT", raising=False)
+        cfg = Path(tmp, "cfg.json")
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([str(cfg), "--out-dir", str(Path(tmp, "out"))])
+        report = Path(tmp, "out", "report.json")
+        return rc, err.getvalue(), json.loads(report.read_text()) if report.exists() else None
+
+
+def non_finite_error(field, value):
+    """The line ``main`` prints when a report value has no JSON spelling."""
+    return f"error: {field} is {value}; report.json holds only finite numbers\n"

@@ -39,7 +39,6 @@ from orbitlab import (
     membership_defect,
     norm,
     project,
-    tail_bound,
 )
 from orbitlab.cli import _JORDAN_LAMBDAS, ExperimentConfig, run
 from orbitlab.constructor import CertEntry
@@ -145,25 +144,19 @@ def test_certify_rows_match_replay_from_scratch(op, vec, targets, gaps, pattern)
     times = [0]
     for j in range(1, len(targets)):
         times.append(times[-1] + length(targets[j - 1]) + 1 + j + gaps[j % len(gaps)])
-    schedule = HittingSchedule(
-        2.0,
-        tuple(
-            ScheduleEntry(k, f, tail_bound(2.0, j, len(targets) - 1))
-            for j, (k, f) in enumerate(zip(times, targets))
-        ),
-    )
+    schedule = HittingSchedule(2.0, tuple(map(ScheduleEntry, times, targets)))
 
     def replay():
         rows = []
-        for j, entry in enumerate(schedule.entries):
+        for j, (entry, bound) in enumerate(zip(schedule.entries, schedule.bounds)):
             image = apply_power(op, entry.time, vec)
             defect = membership_defect(image, pattern)
             distance = norm(image - entry.target)
-            passed = defect <= 1e-9 and distance <= entry.bound + 1e-9
-            rows.append(CertEntry(j, entry.time, defect, distance, entry.bound, passed))
+            passed = defect <= 1e-9 and distance <= bound + 1e-9
+            rows.append(CertEntry(j, entry.time, defect, distance, bound, passed))
         return tuple(rows)
 
-    carried = _result(lambda: certify(2.0, vec, schedule, pattern, op=op).entries)
+    carried = _result(lambda: certify(vec, schedule, pattern, op=op).entries)
     assert carried == _result(replay)
 
 

@@ -122,6 +122,59 @@ _COMMON = {
 }
 _SCALED = {"lambda": [2.0, 0.0], "pattern": _PREFIX3}
 
+_DIRECT_SUM = {"command": "preset", "preset": "certify-direct-sum-prefix3"}
+
+# Runs the presets never reach, through ``main``: the config, the exit code,
+# the SHA-256 of report.json and table.csv (None when none is written) and
+# stderr.  Prefix-3 at 1,000 targets holds windows past the float range.
+# The direct sum at 41 targets fails honestly: rows with k_n >= 512 sit in
+# the identity block.  At 42 its float vector would lose a window.
+PINNED_RUNS = {
+    "certify-prefix3-t1000": (
+        {"command": "preset", "preset": "certify-prefix3", "targets": 1000},
+        0,
+        "0b593f098334e4cc74b7a2eaa1639e7cdad58f97215b4a0e439d921998c6f626",
+        "1512c21f1b0a3288fdd18cf9e4444e7aca65c4eb3dfdc61d3497e6a88aa20e0b",
+        "",
+    ),
+    "certify-direct-sum-prefix3-t41": (
+        {**_DIRECT_SUM, "targets": 41},
+        1,
+        "1180ea46e8d22ee2d90b2a7ec1b9168bc5f75bbbebd9886ed2e064015ac76657",
+        "2817fb85de7a75899258156430818fd5c138f3b8c538bef58bf733909a35c06a",
+        "",
+    ),
+    "certify-direct-sum-prefix3-t42": (
+        {**_DIRECT_SUM, "targets": 42},
+        2,
+        None,
+        None,
+        "error: entry 42: window term at modulus scale 2.178e-281 would be lost to pruning\n",
+    ),
+    "construct-lam1.1-t120": (
+        {"command": "construct", "lambda": [1.1, 0], "pattern": _PREFIX3, "targets": 120},
+        0,
+        "a9b539132e5d7bf2818d0b150e908f426e76030e916066892e4c1ceed0a2692f",
+        "6f78730f78b6f380eab9378e7ad54515560fcc583e28a035618d15e6388bac40",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_runs_past_the_presets_keep_their_bytes(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ORBITLAB_OUT", raising=False)
+    data, code, report, table, err = PINNED_RUNS[name]
+    rc, out = _run(tmp_path, data)
+    assert rc == code
+    assert capsys.readouterr().err == err
+    digests = [
+        hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else None
+        for p in (out / "report.json", out / "table.csv")
+    ]
+    assert digests == [report, table]
+
+
 # One minimal config per command and the whole config echo it must produce:
 # the defaults each command fills in and the extra keys it echoes.
 ECHOES = {

@@ -22,7 +22,7 @@ from orbitlab.constructor import (
     ScheduleEntry,
     geometric_tail_bound,
     length,
-    tail_bound,
+    tail_bounds,
 )
 from orbitlab.subspace import DenseFamilySpec, dense_family
 from conftest import rand_vec
@@ -37,24 +37,23 @@ class TestLength:
 
 class TestTailBounds:
     def test_finite_tail(self):
-        assert tail_bound(2.0, 0, 1) == 0.5
-        assert tail_bound(2.0, 1, 1) == 0.0
+        assert tail_bounds(2.0, 1) == [0.5, 0.0]
         two_terms = math.sqrt(2.0**-2 + 2.0**-4)
-        assert tail_bound(2.0, 0, 2) == pytest.approx(two_terms, rel=1e-15)
+        assert tail_bounds(2.0, 2)[0] == pytest.approx(two_terms, rel=1e-15)
 
     def test_geometric_majorant(self):
         assert geometric_tail_bound(2.0, 0) == pytest.approx(
             0.5773502691896258, rel=1e-15
         )
-        for j in range(5):
-            assert tail_bound(2.0, j, 40) <= geometric_tail_bound(2.0, j)
+        for j, bound in enumerate(tail_bounds(2.0, 40)):
+            assert bound <= geometric_tail_bound(2.0, j)
 
 
 class TestBuildSchedule:
     def test_two_basis_targets(self):
         sched = build_schedule(2.0, [SeqVec.basis(3), SeqVec.basis(4)])
         assert sched.times == (0, 5)
-        assert [tail_bound(2.0, j, 1) for j in range(2)] == [0.5, 0.0]
+        assert sched.bounds == (0.5, 0.0)
 
     def test_zero_target_occupies_no_room(self):
         sched = build_schedule(2.0, [SeqVec.zero(), SeqVec.basis(4)])
@@ -105,31 +104,28 @@ class TestAssemble:
 
     def test_underflow_guard(self):
         # Window 1 has scale 16**-500 = 2**-2000, far below the float range.
-        entries = (
-            ScheduleEntry(0, SeqVec.basis(0), tail_bound(16.0, 0, 1)),
-            ScheduleEntry(500, SeqVec.basis(0), 0.0),
-        )
+        entries = (ScheduleEntry(0, SeqVec.basis(0)), ScheduleEntry(500, SeqVec.basis(0)))
         sched = HittingSchedule(16.0, entries)
         f = assemble(sched)
         assert f.length == 501
         assert f.norm() == 1.0
         # The windows hold it: row 0's distance 2**-2000 is rounded up to the
         # least subnormal rather than lost, and row 1 is exact.
-        report = certify(16.0, f, sched, PrefixZero(0))
+        report = certify(f, sched, PrefixZero(0))
         assert report.passes
         assert [row.distance for row in report.entries] == [math.ulp(0.0), 0.0]
         # Only a float vector, needed to replay another operator, cannot.
         with pytest.raises(ScheduleUnderflow):
             f.vector()
         with pytest.raises(ScheduleUnderflow):
-            certify(16.0, f, sched, PrefixZero(0), op=ScalarMultiple(16.0, Identity()))
+            certify(f, sched, PrefixZero(0), op=ScalarMultiple(16.0, Identity()))
 
 
 class TestCertify:
     def test_identity_start_is_exact(self):
         sched = build_schedule(2.0, [SeqVec.basis(3)])
         f = assemble(sched)
-        report = certify(2.0, f, sched, PrefixZero(3))
+        report = certify(f, sched, PrefixZero(3))
         assert report.passes
         row = report.entries[0]
         assert row.defect == 0.0
@@ -141,7 +137,7 @@ class TestCertify:
         targets = [dense_family(spec, j) for j in range(7)]
         sched = build_schedule(2.0, targets)
         f = assemble(sched)
-        report = certify(2.0, f, sched, PrefixZero(m))
+        report = certify(f, sched, PrefixZero(m))
         assert report.passes
         for row in report.entries:
             assert row.defect == 0.0
@@ -162,12 +158,12 @@ class TestCertify:
         for j, k in enumerate(ks):
             shifted = apply_power(op, k, f)
             dist = norm(shifted - targets[j])
-            bound = tail_bound(2.0, j, len(ks) - 1)
+            bound = tail_bounds(2.0, len(ks) - 1)[j]
             defect = membership_defect(shifted, PrefixZero(3))
             if defect > 1e-9 or dist > bound + 1e-9:
                 expected_fail.add(j)
 
-        report = certify(2.0, f, sched, PrefixZero(3))
+        report = certify(f, sched, PrefixZero(3))
         got_fail = {row.index for row in report.entries if not row.passed}
         assert got_fail == expected_fail
         assert expected_fail  # the injected bump must actually break something
@@ -178,34 +174,45 @@ class TestCertify:
         targets = [dense_family(spec, j) for j in range(4)]
         sched = build_schedule(2.0, targets)
         f = assemble(sched)
-        report = certify(2.0, f, sched, PrefixZero(4))
+        report = certify(f, sched, PrefixZero(4))
+        assert not report.passes
+
+    def test_bounds_come_from_the_schedule(self):
+        # The bounds are the tail of |lam| = 2 over two entries, whatever
+        # was built by hand; f = 100 e_0 is far from both targets.
+        entries = (ScheduleEntry(0, SeqVec.basis(3)), ScheduleEntry(5, SeqVec.basis(4)))
+        sched = HittingSchedule(2.0, entries)
+        assert sched.bounds == (0.5, 0.0)
+        report = certify(SeqVec({0: 100.0}), sched, PrefixZero(0))
+        assert [row.bound for row in report.entries] == [0.5, 0.0]
+        assert [row.passed for row in report.entries] == [False, False]
         assert not report.passes
 
     def test_custom_operator_must_match_schedule(self):
         sched = build_schedule(2.0, [SeqVec.basis(3), SeqVec.basis(5)])
         f = assemble(sched)
-        report = certify(2.0, f, sched, PrefixZero(3), op=Identity())
+        report = certify(f, sched, PrefixZero(3), op=Identity())
         assert not report.passes
 
 
 class TestScheduleValidation:
     def test_literal_inequality_checked(self):
         entries = (
-            ScheduleEntry(0, SeqVec.basis(0), 1.0),
-            ScheduleEntry(2, SeqVec.basis(0, 100.0), 0.0),
+            ScheduleEntry(0, SeqVec.basis(0)),
+            ScheduleEntry(2, SeqVec.basis(0, 100.0)),
         )
         with pytest.raises(ValueError):
             HittingSchedule(2.0, entries)
 
     def test_first_time_must_be_zero(self):
-        entries = (ScheduleEntry(1, SeqVec.basis(0), 0.0),)
+        entries = (ScheduleEntry(1, SeqVec.basis(0)),)
         with pytest.raises(ValueError):
             HittingSchedule(2.0, entries)
 
     def test_spacing_enforced(self):
         entries = (
-            ScheduleEntry(0, SeqVec.basis(3), 1.0),
-            ScheduleEntry(4, SeqVec.basis(0), 0.0),  # needs > 0 + 4
+            ScheduleEntry(0, SeqVec.basis(3)),
+            ScheduleEntry(4, SeqVec.basis(0)),  # needs > 0 + 4
         )
         with pytest.raises(ValueError):
             HittingSchedule(2.0, entries)

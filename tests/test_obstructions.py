@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from orbitlab import (
     ComplementNotInvariant,
@@ -27,8 +30,8 @@ from orbitlab import (
     spectral_dichotomy,
     unit_ball_net,
 )
-from orbitlab import cli, obstructions
-from conftest import rand_dense_vec, spread_matrix
+from orbitlab import _kernels, cli, obstructions
+from conftest import gate_values, non_finite_error, rand_dense_vec, run_main, spread_matrix
 
 
 def _eigen_law(op, x, y, lam, n_max):
@@ -341,6 +344,82 @@ class TestSpectralDichotomy:
             x = rand_dense_vec(rng, dim)
             assert spectral_dichotomy(contractive, x).classification == "toZero"
             assert spectral_dichotomy(expansive, x).classification == "toInfinity"
+
+
+_LOW, _HIGH = obstructions.EXIT_LOW_FACTOR, obstructions.EXIT_HIGH_FACTOR
+_BAND_EDGES = [
+    x for e in (_LOW, _HIGH) for x in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))
+]
+# 2I has no eigenvalue modulus in [0.9, 1.1], so spectrum passes only when
+# every probe leaves the band; each probe starts at norm 1.0 at dimension 4.
+_SPECTRUM = {
+    "command": "spectrum",
+    "operator": {"kind": "scalar", "factor": [2, 0], "of": {"kind": "identity"}},
+    "truncationDim": 4,
+    "horizon": 20,
+}
+
+
+def _patched_norms(mp, probes):
+    """Each probe's orbit norms read 1.0, ..., 1.0, ``last`` over ``steps`` steps."""
+    drawn = iter(probes)
+
+    def orbit_norms(mat, vec, n_steps, low, high):
+        assert (low, high) == (_LOW, _HIGH)  # the band of a unit start vector
+        first, steps, last = next(drawn)
+        return np.array([first] * steps + [last])
+
+    mp.setattr(_kernels, "orbit_norms", orbit_norms)
+
+
+class TestSpectrumGateSweep:
+    """A probe is toZero below the band [1e-6, 1e6] times its start norm,
+    toInfinity above it or when not finite, and neither inside; spectrum
+    fails on a neither, and a non-finite norm stops the run with exit 2."""
+
+    @seed(19)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 20),
+                gate_values(*_BAND_EDGES),
+            ),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_dichotomy_gate(self, probes):
+        with pytest.MonkeyPatch.context() as mp:
+            _patched_norms(mp, [(1.0, steps, last) for steps, last in probes])
+            rc, err, report = run_main(_SPECTRUM)
+        bad = [i for i, (_, last) in enumerate(probes) if not math.isfinite(last)]
+        if bad:
+            field = f"report.probes[{bad[0]}].lastNorm"
+            assert (rc, err, report) == (2, non_finite_error(field, probes[bad[0]][1]), None)
+            return
+        want = [
+            "toZero" if Fraction(last) < Fraction(_LOW)
+            else "toInfinity" if Fraction(last) > Fraction(_HIGH)
+            else "neither"
+            for _, last in probes
+        ]
+        rows = report["report"]["probes"]
+        assert report["report"]["annulusCount"] == 0
+        assert [(r["steps"], r["lastNorm"]) for r in rows] == probes
+        assert [r["classification"] for r in rows] == want
+        assert (rc, err) == (1 if "neither" in want else 0, "")
+
+    @pytest.mark.parametrize("probe", [0, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_first_norm_exits_2(self, probe, bad):
+        probes = [(1.0, 1, 1e7)] * 3
+        probes[probe] = (bad, 1, 1e7)
+        with pytest.MonkeyPatch.context() as mp:
+            _patched_norms(mp, probes)
+            rc, err, report = run_main(_SPECTRUM)
+        field = f"report.probes[{probe}].firstNorm"
+        assert (rc, err, report) == (2, non_finite_error(field, bad), None)
 
 
 class TestOrbitSpanRank:

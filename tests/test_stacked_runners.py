@@ -12,6 +12,7 @@ Each reference orbit is a plain ``np.matmul`` loop.  The stack cap
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from orbitlab.obstructions import (
     unit_ball_net,
 )
 from orbitlab.seqspace import FiniteMatrix, SeqVec, max_or_nan
-from conftest import plain_orbit
+from conftest import gate_values, non_finite_error, plain_orbit, run_main
 
 
 def _reference_findim(cfg: ExperimentConfig) -> RunResult:
@@ -330,3 +331,35 @@ class TestKernelGateSweep:
         assert worst == max(devs)
         assert verdict["pass"] == (max(devs) <= tol)
         assert result.passed == verdict["pass"]
+
+
+class TestFindimGateSweep:
+    """A trial passes when its ranks stabilized and densityDefect >= 0.5; a
+    non-finite defect stops the run with exit 2, naming the field."""
+
+    @seed(18)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            gate_values(0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_density_defect_gate(self, defects):
+        data = {"command": "findim", "pattern": {"kind": "prefix", "m": 1}, "horizon": 50}
+        values = iter(defects)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "density_defect", lambda *args, **kwargs: next(values))
+            rc, err, report = run_main(data)
+        bad = [t for t, d in enumerate(defects) if not math.isfinite(d)]
+        if bad:
+            field = f"report.trials[{bad[0]}].densityDefect"
+            assert (rc, err, report) == (2, non_finite_error(field, defects[bad[0]]), None)
+            return
+        want = [Fraction(d) >= Fraction(1, 2) for d in defects]
+        trials = report["report"]["trials"]
+        assert all(tr["stabilized"] for tr in trials)
+        assert [tr["densityDefect"] for tr in trials] == defects
+        assert [tr["pass"] for tr in trials] == want
+        assert (rc, err) == (0 if all(want) else 1, "")

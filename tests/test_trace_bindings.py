@@ -93,11 +93,21 @@ def test_traced_findim_emits_the_dense_spans(monkeypatch):
 def test_traced_certify_emits_the_constructor_spans(monkeypatch):
     """The certify per-layer metrics read these spans and this count; the
     tracer patches ``cli.build_schedule``, ``cli.assemble``, ``cli.certify``
-    and ``constructor.apply_power``, so all four bindings must stay."""
+    and ``constructor.apply_power``, so all four bindings must stay.  The
+    windows are built once, in ``assemble``, and ``certify`` only reads them:
+    each build records the innermost open span."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from tracer import Tracer
 
     tracer = Tracer()
+    built = []
+    build = constructor.WindowedVector.__init__
+
+    def recorded(self, schedule):
+        built.append(tracer._open[-1][1])
+        build(self, schedule)
+
+    monkeypatch.setattr(constructor.WindowedVector, "__init__", recorded)
     try:
         tracer.install()
         patched = {f"{getattr(o, '__name__', o)}.{a}" for o, a, _ in tracer._undo}
@@ -119,3 +129,4 @@ def test_traced_certify_emits_the_constructor_spans(monkeypatch):
     for name in ("constructor.build_schedule", "constructor.assemble", "constructor.certify"):
         assert spans.count(name) == 1, name
     assert counts["constructor.certify_rows"] == 42 + 1
+    assert built == ["constructor.assemble"]

@@ -65,7 +65,7 @@ def _schedule(lam, targets, extra):
         shift += extra[j] if j else 0
         times.append(e.time + shift)
     return HittingSchedule(
-        lam, tuple(ScheduleEntry(k, e.target, e.bound) for k, e in zip(times, base.entries))
+        lam, tuple(ScheduleEntry(k, e.target) for k, e in zip(times, base.entries))
     )
 
 
@@ -76,10 +76,10 @@ def _rows(report):
     ]
 
 
-def _both(lam, sched, pattern):
+def _both(sched, pattern):
     """(windowed, replayed) certificates of the same schedule."""
     f = assemble(sched)
-    return certify(lam, f, sched, pattern), certify(lam, f.vector(), sched, pattern)
+    return certify(f, sched, pattern), certify(f.vector(), sched, pattern)
 
 
 @seed(14)
@@ -87,7 +87,7 @@ def _both(lam, sched, pattern):
 @given(st.sampled_from(DYADIC), _case, _patterns)
 def test_dyadic_rows_equal_replay_bit_for_bit(lam, case, pattern):
     sched = _schedule(lam, *case)
-    windowed, honest = _both(lam, sched, pattern)
+    windowed, honest = _both(sched, pattern)
     assert _rows(windowed) == _rows(honest)
     f = assemble(sched)
     assert repr(f.norm()) == repr(norm(f.vector()))
@@ -105,7 +105,7 @@ def test_dyadic_forbidden_landings_equal_replay(lam, pattern):
     # off the multiples of 3, and past index 40 as the orbit moves.
     spec = DenseFamilySpec(PrefixZero(3), 6, 1)
     sched = build_schedule(lam, [dense_family(spec, j) for j in range(13)])
-    windowed, honest = _both(lam, sched, pattern)
+    windowed, honest = _both(sched, pattern)
     assert _rows(windowed) == _rows(honest)
     assert any(row.defect > 0.0 for row in windowed.entries)
 
@@ -121,7 +121,7 @@ def test_other_rows_match_replay_within_rounding(lam, case, pattern):
     n's accumulated rounding in the distance) or to the defect.
     """
     sched = _schedule(lam, *case)
-    windowed, honest = _both(lam, sched, pattern)
+    windowed, honest = _both(sched, pattern)
     slack = 16 * (sched.times[-1] + 2) * 2.0**-53
     for w, h, e in zip(windowed.entries, honest.entries, sched.entries):
         assert (w.index, w.time, w.bound) == (h.index, h.time, h.bound)
@@ -142,7 +142,7 @@ def test_distances_against_exact_rationals():
     spec = DenseFamilySpec(PrefixZero(3), 6, 1)
     targets = [dense_family(spec, j) for j in range(count + 1)]
     sched = build_schedule(2.0, targets)
-    report = certify(2.0, assemble(sched), sched, PrefixZero(3))
+    report = certify(assemble(sched), sched, PrefixZero(3))
     assert report.passes
     ks = sched.times
     squares = [
@@ -196,9 +196,8 @@ def test_a_saturated_norm_test_rejects():
     assert _within_decay(2.0, 4.0, 601, 600)
     assert not _within_decay(1.0, 2.0, 1100, 1101)
     assert _within_decay(1.0, 2.0, 1101, 1101)
-    entries = [ScheduleEntry(0, SeqVec.zero(), 0.0)]
-    entries += [ScheduleEntry(j, SeqVec.zero(), 0.0) for j in range(1, 600)]
-    entries.append(ScheduleEntry(599 + 512, SeqVec.basis(0, 2.0), 0.0))
+    entries = [ScheduleEntry(j, SeqVec.zero()) for j in range(600)]
+    entries.append(ScheduleEntry(599 + 512, SeqVec.basis(0, 2.0)))
     with pytest.raises(ValueError, match="norm constraint"):
         HittingSchedule(4.0, tuple(entries))
 
@@ -209,7 +208,7 @@ def test_a_norm_past_the_float_range_is_refused():
     with pytest.raises(ValueError, match="norm past the float range"):
         build_schedule(2.0, [SeqVec.basis(0), huge])
     for gap in (3, 2000):  # 2**2000 overflows: the exact test decides
-        entries = (ScheduleEntry(0, SeqVec.basis(0), 0.0), ScheduleEntry(gap, huge, 0.0))
+        entries = (ScheduleEntry(0, SeqVec.basis(0)), ScheduleEntry(gap, huge))
         with pytest.raises(ValueError, match="norm constraint"):
             HittingSchedule(2.0, entries)
 
@@ -268,7 +267,7 @@ def _gate_case(draw):
 
 _GATE_SCHED = HittingSchedule(
     2.0,
-    (ScheduleEntry(0, SeqVec.basis(0), 0.5), ScheduleEntry(2, SeqVec.basis(0), 0.0)),
+    (ScheduleEntry(0, SeqVec.basis(0)), ScheduleEntry(2, SeqVec.basis(0))),
 )
 
 
@@ -283,14 +282,14 @@ def test_certify_gate_passes_nothing_it_should_reject(case):
     f = assemble(_GATE_SCHED)
     with pytest.MonkeyPatch.context() as mp:
         # The windowed rows, then the replayed ones.
-        mp.setattr(constructor._Windows, "defect", lambda self, n, pattern: defect)
-        mp.setattr(constructor._Windows, "tail", lambda self, ref, start: distance)
-        windowed = certify(2.0, f, _GATE_SCHED, PrefixZero(0), float_tol=tol)
+        mp.setattr(constructor.WindowedVector, "defect", lambda self, n, pattern: defect)
+        mp.setattr(constructor.WindowedVector, "tail", lambda self, ref, start: distance)
+        windowed = certify(f, _GATE_SCHED, PrefixZero(0), float_tol=tol)
         mp.undo()
         vec = f.vector()
         mp.setattr(constructor, "membership_defect", lambda image, pattern: defect)
         mp.setattr(constructor, "norm", lambda v: distance)
-        replayed = certify(2.0, vec, _GATE_SCHED, PrefixZero(0), float_tol=tol)
+        replayed = certify(vec, _GATE_SCHED, PrefixZero(0), float_tol=tol)
     assert windowed.entries[0].passed == want
     assert replayed.entries[0].passed == want
 
