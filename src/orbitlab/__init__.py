@@ -60,6 +60,7 @@ from .seqspace import (
     ScalarMultiple,
     SeqVec,
     apply_power,
+    distance,
     inner,
     norm,
     to_matrix,
@@ -75,6 +76,7 @@ from .subspace import (
     dyadic_net,
     invariance_check,
     invariance_scan,
+    is_member,
     membership_defect,
     project,
 )
@@ -94,6 +96,7 @@ __all__ = [
     "FiniteMatrix",
     "Operator",
     "apply_power",
+    "distance",
     "inner",
     "norm",
     "to_matrix",
@@ -104,6 +107,7 @@ __all__ = [
     "RightBlockZero",
     "ZeroPattern",
     "membership_defect",
+    "is_member",
     "project",
     "invariance_check",
     "invariance_scan",

@@ -31,6 +31,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import _kernels
+from ._report import json_text
 from .constructor import assemble, build_schedule, certify, length
 from .criterion import check_criterion, transitivity_probe
 from .errors import ConfigError, OrbitlabError
@@ -827,13 +828,17 @@ def run(cfg: ExperimentConfig) -> RunResult:
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> tuple[Path, Path]:
+    try:
+        text = json_text(result.report)
+    except ArithmeticError:  # a non-finite float: refuse it as ``run`` does
+        for key, value in result.report.items():
+            _plain(value, key)
+        raise
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
     table_path = out / "table.csv"
-    report_path.write_text(
-        json.dumps(result.report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    report_path.write_text(text + "\n", encoding="utf-8")
     with table_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(result.table_header)

@@ -9,6 +9,7 @@ and exponents actually supplied; no density claim is manufactured from them.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,8 +19,13 @@ from .seqspace import (
     ForwardShift,
     Operator,
     SeqVec,
+    _checked,
+    _pruned,
+    _raise_first_bad,
+    _rounds,
     _scaled_shift_parts,
     apply_power,
+    distance,
     max_or_nan,
     norm,
 )
@@ -28,7 +34,7 @@ from .subspace import (
     dyadic_net,
     invariance_check,  # unused here, but perfbench's tracer wraps this binding
     invariance_scan,
-    membership_defect,
+    is_member,
 )
 
 __all__ = [
@@ -62,24 +68,56 @@ def backsolve(op: Operator, n: int, target: SeqVec) -> SeqVec:
 
 def _preimage(op: Operator, scale: tuple[complex, int] | None, n: int, target: SeqVec) -> SeqVec:
     """``backsolve`` for a caller that already holds ``scale = _shift_scale(op)``."""
+    factor = _preimage_factor(op, scale, n)
+    if n == 0:
+        return target
+    return apply_power(ForwardShift(scale[1]), n, target) * factor
+
+
+def _preimage_factor(op: Operator, scale: tuple[complex, int] | None, n: int) -> complex:
+    """``lam^-n``, after the checks ``backsolve`` makes on ``op`` and ``n``."""
     if scale is None:
         raise UnsupportedOperator(
             f"backsolve needs a (scaled) backward shift, got {type(op).__name__}"
         )
-    lam, b = scale
+    lam = scale[0]
     if lam == 0:
         raise UnsupportedOperator("scaling factor 0 has no right inverse")
     if n < 0:
         raise ValueError("power must be >= 0")
-    if n == 0:
-        return target
     try:
-        factor = lam ** (-n)
+        return lam ** (-n)
     except ArithmeticError as exc:  # lam^n underflows, or lam^-n overflows
         raise ArithmeticError(
             f"backsolve: lambda^-n is past the float range for lambda = {lam}, n = {n}"
         ) from exc
-    return apply_power(ForwardShift(b), n, target) * factor
+
+
+def _recovery(factor: complex, seq: tuple[complex, ...], y: SeqVec) -> tuple[float, float]:
+    """``(norm(x), norm(apply_power(op, n, x) - y))`` for ``x = _preimage(op, scale, n, y)``.
+
+    ``op`` is lam B^b or B^b and n >= 1; ``factor`` is lam^-n, already
+    through ``SeqVec.__mul__``'s check, and ``seq`` is ``op``'s factors n
+    times.  Entry i of y goes to i + b n in x, scaled by lam^-n, and back
+    to i after n rounds of ``seq``.  The honest path's three stages, the
+    scaling of x, the rounds of ``apply_power`` and the difference, run
+    one after another with the checks of the vector each makes, so the
+    bits and the first error are the honest path's, with no forward shift
+    and no vector built through the checking constructor.
+    """
+    # x = S^(b n) y * lam^-n; the shift visits y's entries in index order.
+    x = _pruned({i: z * factor for i, z in y.items()})
+    stop = len(seq)
+    image: dict[int, complex] = {}
+    bad = []
+    for i, z in x.items():
+        z, r = _rounds(z, seq, 0, stop)
+        if r == stop:
+            image[i] = z
+        elif z is not None:
+            bad.append((r, cmath.isfinite(z), i, z))
+    _raise_first_bad(bad)
+    return norm(SeqVec._from_canonical(x)), distance(SeqVec._from_canonical(image), y)
 
 
 @dataclass(frozen=True)
@@ -157,7 +195,7 @@ def check_criterion(
         raise ValueError("exponents must be strictly increasing and positive")
     for name, group in (("x", xs), ("y", ys)):
         for i, v in enumerate(group):
-            if membership_defect(v, pattern) != 0.0:
+            if not is_member(v, pattern):
                 raise ValueError(f"{name}-sample {i} is not in the subspace")
 
     decay = []
@@ -175,7 +213,11 @@ def check_criterion(
 
     scale = _shift_scale(op)
     lam_abs = None if scale is None else abs(scale[0])
+    factors = () if scale is None else _scaled_shift_parts(op)[0]
 
+    # n -> (lam^-n, op's factors n times), made when the first y needs them,
+    # so that an error comes where the honest path raises it.
+    steps: dict[int, tuple[complex, tuple[complex, ...]]] = {}
     recovery = []
     for i, y in enumerate(ys):
         y_norm = norm(y)
@@ -183,9 +225,12 @@ def check_criterion(
         worst_recovery = 0.0
         worst_law = 0.0
         for n in nks:
-            x_k = _preimage(op, scale, n, y)
-            norms.append(norm(x_k))
-            worst_recovery = max_or_nan(worst_recovery, norm(apply_power(op, n, x_k) - y))
+            if n not in steps:
+                factor = _checked(_preimage_factor(op, scale, n))  # as SeqVec.__mul__ checks it
+                steps[n] = factor, factors * n
+            x_norm, error = _recovery(*steps[n], y)
+            norms.append(x_norm)
+            worst_recovery = max_or_nan(worst_recovery, error)
             if lam_abs is not None and y_norm > 0.0:
                 expected = y_norm * lam_abs ** (-n)
                 worst_law = max_or_nan(worst_law, abs(norms[-1] - expected) / y_norm)
@@ -229,22 +274,29 @@ def transitivity_probe(
     next.  Within a power the survivors are tried in grid order and the
     preimage last, so the first hit, and any error an image raises, come
     where checking every power from scratch puts them.
+
+    After each step, a survivor whose stored entries equal an earlier
+    survivor's is dropped.  An operator's image depends on the stored
+    entries alone, and equal entries differ at most in the signs of zero
+    parts, which no modulus, prune test or norm sees.  So the earlier copy
+    hits, and raises, at every power where the later one would, and is
+    tried first.
     """
     if u_radius <= 0 or v_radius <= 0:
         raise ValueError("ball radii must be positive")
-    if membership_defect(u_center, pattern) != 0.0 or membership_defect(v_center, pattern) != 0.0:
+    if not (is_member(u_center, pattern) and is_member(v_center, pattern)):
         raise ValueError("ball centers must lie in the subspace")
 
     grid = [t * v_radius for t in dyadic_net(pattern, grid_support, grid_level)]
     scale = _shift_scale(op)
 
     def hits(image: SeqVec) -> bool:
-        return membership_defect(image, pattern) == 0.0 and norm(image - u_center) < u_radius
+        return is_member(image, pattern) and distance(image, u_center) < u_radius
 
     # Images at power ``reached`` of the grid candidates in the subspace and the V-ball.
     survivors: list[SeqVec] = []
     for w in [v_center + g for g in grid]:
-        if membership_defect(w, pattern) == 0.0 and norm(w - v_center) < v_radius:
+        if is_member(w, pattern) and distance(w, v_center) < v_radius:
             if hits(w):
                 return 0
             survivors.append(w)
@@ -256,15 +308,22 @@ def transitivity_probe(
         if scale is not None:
             v_image = apply_power(op, n - reached, v_image)
             preimage = v_center + _preimage(op, scale, n, u_center - v_image)
-        for k, image in enumerate(survivors):
-            survivors[k] = image = apply_power(op, n - reached, image)
+        images, seen = survivors, set()
+        survivors = []
+        for image in images:
+            image = apply_power(op, n - reached, image)
+            key = frozenset(image._entries.items())
+            if key in seen:
+                continue
             if hits(image):
                 return n
+            seen.add(key)
+            survivors.append(image)
         reached = n
         if (
             scale is not None
-            and membership_defect(preimage, pattern) == 0.0
-            and norm(preimage - v_center) < v_radius
+            and is_member(preimage, pattern)
+            and distance(preimage, v_center) < v_radius
             and hits(apply_power(op, n, preimage))
         ):
             return n

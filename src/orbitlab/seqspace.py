@@ -30,6 +30,7 @@ __all__ = [
     "FiniteMatrix",
     "Operator",
     "apply_power",
+    "distance",
     "inner",
     "norm",
     "to_matrix",
@@ -130,22 +131,19 @@ class SeqVec:
         out = dict(self._entries)
         for i, z in other._entries.items():
             out[i] = out.get(i, 0j) + z
-        return SeqVec(out)
+        return SeqVec._from_canonical(_pruned(out))
 
     def __sub__(self, other: "SeqVec") -> "SeqVec":
         if not isinstance(other, SeqVec):
             return NotImplemented
-        out = dict(self._entries)
-        for i, z in other._entries.items():
-            out[i] = out.get(i, 0j) - z
-        return SeqVec(out)
+        return SeqVec._from_canonical(_pruned(_difference(self, other)))
 
     def __neg__(self) -> "SeqVec":
-        return SeqVec({i: -z for i, z in self._entries.items()})
+        return SeqVec._from_canonical(_pruned({i: -z for i, z in self._entries.items()}))
 
     def __mul__(self, scalar) -> "SeqVec":
         z = _checked(scalar)
-        return SeqVec({i: v * z for i, v in self._entries.items()})
+        return SeqVec._from_canonical(_pruned({i: v * z for i, v in self._entries.items()}))
 
     __rmul__ = __mul__
 
@@ -179,20 +177,69 @@ def norm(v: SeqVec) -> float:
     lost digits to underflow (a nonzero norm below 2**-500, about 3e-151),
     the sum is taken again over the entries divided by the largest
     modulus, the rule ``_kernels._norm`` follows; every other norm is the
-    unscaled one.
+    unscaled one.  ``math.fsum`` rounds the exact sum, so the order of the
+    entries cannot change a bit.
     """
-    entries = v.items()
+    return _root_sum_squares(v._entries.values())
+
+
+def distance(u: SeqVec, v: SeqVec) -> float:
+    """``norm(u - v)``, bit for bit and error for error, without building ``u - v``."""
+    return _root_sum_squares(_pruned(_difference(u, v)).values())
+
+
+def _root_sum_squares(values) -> float:
+    """``norm`` of the stored values ``values``, a collection that can be walked twice."""
     try:
-        r = math.sqrt(math.fsum(z.real * z.real + z.imag * z.imag for _, z in entries))
+        r = math.sqrt(math.fsum([z.real * z.real + z.imag * z.imag for z in values]))
     except OverflowError:  # fsum's partial sums overflow on finite squares
         r = math.inf
-    if r == math.inf or (r < 2.0**-500 and entries):
+    if r == math.inf or (r < 2.0**-500 and values):
         # Entries are finite, and so are their moduli: the prune test took each.
-        scale = max(abs(z) for _, z in entries)
+        scale = max(abs(z) for z in values)
         r = scale * math.sqrt(
-            math.fsum((z.real / scale) ** 2 + (z.imag / scale) ** 2 for _, z in entries)
+            math.fsum([(z.real / scale) ** 2 + (z.imag / scale) ** 2 for z in values])
         )
     return r
+
+
+def _difference(u: SeqVec, v: SeqVec) -> dict[int, complex]:
+    """The raw entries of ``u - v``: ``u``'s keys in order, then ``v``'s new ones."""
+    a, b = u._entries, v._entries
+    out = {i: z - b[i] if i in b else z for i, z in a.items()}
+    for i, z in b.items():
+        if i not in a:
+            out[i] = 0j - z
+    return out
+
+
+def _pruned(raw: dict[int, complex]) -> dict[int, complex]:
+    """The entries ``SeqVec(raw)`` stores, and the errors it raises, in one pass.
+
+    ``raw`` maps ints >= 0 to complex values, as arithmetic on stored
+    entries makes them.  The constructor checks every value for finiteness
+    before it prune-tests any, so here the first non-finite value raises
+    its ``ValueError`` at once, while a finite value whose modulus
+    overflows (``abs`` raises ``OverflowError``) is raised only once no
+    value is non-finite.
+    """
+    out = {}
+    too_large = None
+    for i, z in raw.items():
+        try:
+            a = abs(z)
+        except OverflowError:
+            if too_large is None:
+                too_large = z
+            continue
+        if a < PRUNE_MODULUS:
+            continue
+        if not a < math.inf:  # an infinite or NaN part
+            raise ValueError(f"non-finite coefficient {z!r}")
+        out[i] = z
+    if too_large is not None:
+        abs(too_large)
+    return out
 
 
 def max_or_nan(worst: float, value: float) -> float:
@@ -422,12 +469,16 @@ def _scaled_shift_power(factors: tuple[complex, ...], p: int, n: int, vec: SeqVe
                 out[i - cut] = z
         elif z is not None:
             bad.append((r, cmath.isfinite(z), i, z))
+    _raise_first_bad(bad)
+    return SeqVec._from_canonical(out)
+
+
+def _raise_first_bad(bad: list[tuple[int, bool, int, complex]]) -> None:
+    """Raise what building a SeqVec raises for the least (round, finite, index, product)."""
     if bad:
-        # Raise what building a SeqVec raises for the first bad product.
         z = min(bad)[3]
         _checked(z)  # ValueError for a non-finite product
         abs(z)  # OverflowError from the prune test for a finite one
-    return SeqVec._from_canonical(out)
 
 
 def _moves_no_index_up(op: Operator) -> bool:

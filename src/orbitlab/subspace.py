@@ -25,6 +25,7 @@ __all__ = [
     "ZeroPattern",
     "allowed_indices",
     "membership_defect",
+    "is_member",
     "project",
     "invariance_check",
     "invariance_scan",
@@ -111,6 +112,19 @@ def membership_defect(vec: SeqVec, pattern: ZeroPattern) -> float:
     )
 
 
+def is_member(vec: SeqVec, pattern: ZeroPattern) -> bool:
+    """``membership_defect(vec, pattern) == 0.0``, decided by index alone.
+
+    A stored entry is nonzero, so the defect is zero exactly when no stored
+    index is forbidden.
+    """
+    forbids = pattern.forbids
+    for i in vec._entries:
+        if forbids(i):
+            return False
+    return True
+
+
 def project(vec: SeqVec, pattern: ZeroPattern) -> SeqVec:
     """Orthogonal projection: drop the forbidden coordinates."""
     return SeqVec((i, z) for i, z in vec.items() if not pattern.forbids(i))
@@ -174,7 +188,7 @@ def _carried_decider(op: Operator, pattern: ZeroPattern, allowed: list[int]):
             power, image = orbits[k]
             image = apply_power(op, n - power, image)
             orbits[k] = (n, image)
-            if membership_defect(image, pattern) != 0.0:
+            if not is_member(image, pattern):
                 return False
         return True
 
@@ -201,7 +215,7 @@ def _trajectory_decider(op: Operator, p: int, pattern: ZeroPattern, allowed: lis
         # zero vector, a member.
         cut = n * p
         lands = next((i - cut for i in allowed if i >= cut and pattern.forbids(i - cut)), None)
-        return lands is None or membership_defect(SeqVec.basis(lands, value[0]), pattern) == 0.0
+        return lands is None or is_member(SeqVec.basis(lands, value[0]), pattern)
 
     return decide
 
@@ -322,5 +336,10 @@ def dyadic_net(pattern: ZeroPattern, support_bound: int, level: int) -> list[Seq
         rows, cols = np.nonzero(extended <= 1.0)  # row-major: the prefixes' order
         digits = np.column_stack([digits[rows], cols])
         sums = extended[rows, cols]
-    return [SeqVec(zip(allowed, [values[d] for d in row])) for row in digits.tolist()]
+    # The cap keeps 2^-level, the least nonzero modulus, far above the prune
+    # threshold, so a point is canonical once its zero values are dropped.
+    return [
+        SeqVec._from_canonical({i: values[d] for i, d in zip(allowed, row) if values[d]})
+        for row in digits.tolist()
+    ]
 

@@ -1,11 +1,15 @@
+import cmath
 import hashlib
 import json
 import math
 import warnings
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from orbitlab import cli, seqspace
+from orbitlab._report import json_text
 from orbitlab.cli import (
     _KINDS,
     ExperimentConfig,
@@ -124,6 +128,38 @@ _SCALED = {"lambda": [2.0, 0.0], "pattern": _PREFIX3}
 
 _DIRECT_SUM = {"command": "preset", "preset": "certify-direct-sum-prefix3"}
 
+# perfbench's two probe configs, at lambda = 2 and at 2 e^{0.7i}, and a
+# lambda B^2 probe on the same level-2 grid, whose survivors collapse.
+_ROTATED = 2 * cmath.exp(0.7j)
+_PROBE_HIT = {
+    "command": "probe",
+    "pattern": {"kind": "residue", "a": 0, "b": 2},
+    "truncationDim": 256,
+    "horizon": 50,
+    "probe": {"gridLevel": 2, "gridSupport": 4},
+    "expect": "found",
+}
+_PROBE_NONE = {
+    "command": "probe",
+    "pattern": _PREFIX3,
+    "truncationDim": 256,
+    "horizon": 50,
+    "expect": "none",
+}
+_PROBE_SHIFT_SQUARED = {
+    "command": "probe",
+    "operator": {
+        "kind": "scalar",
+        "factor": [2.0, 0.0],
+        "of": {"kind": "backwardShift", "power": 2},
+    },
+    "pattern": {"kind": "supportIn", "b": 2},
+    "truncationDim": 64,
+    "horizon": 30,
+    "probe": {"gridLevel": 2, "gridSupport": 4},
+    "expect": "found",
+}
+
 # Runs the presets never reach, through ``main``: the config, the exit code,
 # the SHA-256 of report.json and table.csv (None when none is written) and
 # stderr.  Prefix-3 at 1,000 targets holds windows past the float range.
@@ -158,6 +194,41 @@ PINNED_RUNS = {
         "6f78730f78b6f380eab9378e7ad54515560fcc583e28a035618d15e6388bac40",
         "",
     ),
+    "probe-residue-hit-lam2": (
+        {**_PROBE_HIT, "lambda": [2.0, 0.0]},
+        0,
+        "f14f497616553b1d8cdbc7656e082d461c763a2420345b165acb5775655d6a1b",
+        "ecee346b82f02194886aaeeb7e95d1ec0cb95fa3cb50b22277f4a9443d64b337",
+        "",
+    ),
+    "probe-prefix-none-lam2": (
+        {**_PROBE_NONE, "lambda": [2.0, 0.0]},
+        0,
+        "3fddd1f8c48c4455f29c353e2d2f8b93debfcab08afb0e0415a8434c0b529eba",
+        "792aaa20c1a0079b5d38a4d86c75d19999e38d7218beb6bc0a9dfda20da82ee2",
+        "",
+    ),
+    "probe-residue-hit-rotated": (
+        {**_PROBE_HIT, "lambda": [_ROTATED.real, _ROTATED.imag]},
+        0,
+        "37bd4e059522b82b14a4e1016095a440e15f30f2e5b271c2f833830680878b66",
+        "ecee346b82f02194886aaeeb7e95d1ec0cb95fa3cb50b22277f4a9443d64b337",
+        "",
+    ),
+    "probe-prefix-none-rotated": (
+        {**_PROBE_NONE, "lambda": [_ROTATED.real, _ROTATED.imag]},
+        0,
+        "3f871df00589ec65388bc2f0e0335ca1c59e902fe8e6a8f372ba149f224bb497",
+        "792aaa20c1a0079b5d38a4d86c75d19999e38d7218beb6bc0a9dfda20da82ee2",
+        "",
+    ),
+    "probe-shift-squared": (
+        _PROBE_SHIFT_SQUARED,
+        0,
+        "0b669a5ca299edb80d76de8c2c36995227a918b2a1c00ddc1a8808bad4b382c9",
+        "8a10efb57324656060823b5878196decf7a5976d6b57963fe81d1b32f68b7f8a",
+        "",
+    ),
 }
 
 
@@ -173,6 +244,62 @@ def test_runs_past_the_presets_keep_their_bytes(name, tmp_path, capsys, monkeypa
         for p in (out / "report.json", out / "table.csv")
     ]
     assert digests == [report, table]
+
+
+# report.json is written by a one-pass writer that must give json.dumps's
+# bytes on anything a report can hold: nested and empty dicts and lists,
+# big ints, bools, None, floats at the edges of the range, and strings
+# with non-ASCII, control and surrogate characters.
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-320, 1e308, -1.7976931348623157e308, 0.1]),
+)
+_JSON_STRINGS = st.one_of(
+    st.text(max_size=8), st.sampled_from(["", "\x00\x1f\"\\/", "λ→∞", "\u2028\ud800", "\U0001f600"])
+)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**400), 10**400),
+    _JSON_FLOATS,
+    _JSON_STRINGS,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(_JSON_STRINGS, kids, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@seed(21)
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(_JSON_STRINGS, _JSON_VALUES, max_size=5))
+def test_report_text_matches_json_dumps(report):
+    assert json_text(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+def test_write_outputs_writes_json_dumps_bytes(tmp_path):
+    result = run(ExperimentConfig.from_dict({"command": "preset", "preset": "criterion-odd-support"}))
+    report_path, _ = write_outputs(result, tmp_path)
+    expected = json.dumps(result.report, sort_keys=True, indent=2) + "\n"
+    assert report_path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_outputs_refuses_a_non_finite_float_as_plain_does(bad, tmp_path):
+    report = {"command": "probe", "report": {"rows": [1.0, {"value": bad}], "n": 2.0}}
+    with pytest.raises(ArithmeticError) as plain:
+        {key: cli._plain(value, key) for key, value in report.items()}
+    assert str(plain.value) == f"report.rows[1].value is {bad}; report.json holds only finite numbers"
+    with pytest.raises(ArithmeticError) as written:
+        write_outputs(cli.RunResult(False, report, ["n"], [[1]]), tmp_path)
+    assert str(written.value) == str(plain.value)
+    assert not (tmp_path / "report.json").exists()
 
 
 # One minimal config per command and the whole config echo it must produce:

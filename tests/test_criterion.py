@@ -17,6 +17,7 @@ from orbitlab import (
     apply_power,
     backsolve,
     check_criterion,
+    distance,
     norm,
     transitivity_probe,
 )
@@ -177,12 +178,13 @@ class TestCheckCriterion:
 
 
 def test_a_nan_recovery_error_fails_condition_two(monkeypatch):
-    # With no x samples only condition II's recovery errors take the norm of
-    # the zero vector (the recovery is exact); read every such norm as NaN.
+    # Condition II reads each recovery error as ``distance(T^n x_k, y)``,
+    # which is 0.0 here (the recovery is exact); read every zero distance
+    # as NaN.
     y = SeqVec.basis(1)
     args = (DOUBLING, ResidueZero(0, 2), [], [y], [2 * k for k in range(1, 26)], 64, 1e-12)
     assert check_criterion(*args).recovery_ok
-    monkeypatch.setattr(criterion, "norm", lambda v: norm(v) if v else math.nan)
+    monkeypatch.setattr(criterion, "distance", lambda u, v: distance(u, v) or math.nan)
     report = check_criterion(*args)
     assert math.isnan(report.recovery[0].recovery_error)
     assert not report.recovery_ok and not report.passes

@@ -3,12 +3,17 @@
 ``apply_power`` answers nested scalar multiples of one backward shift by
 index arithmetic plus one value trajectory per entry, and a direct sum
 whose left block moves no index up block by block; ``invariance_scan``
-runs one trajectory that all basis vectors share, and ``transitivity_probe``
-filters its grid once and carries the survivors' images.  These tests
+runs one trajectory that all basis vectors share; ``transitivity_probe``
+filters its grid once, carries the survivors' images and drops the copies;
+and condition II of ``check_criterion`` reads its norms off each entry's
+value trajectory.  These tests
 compare them with plain loops of ``op.apply`` (``conftest._plain_power``),
 because ``apply_power`` itself dispatches: results must agree bit for bit,
 and where the loop raises, the same exception type with the same message.
 """
+
+import cmath
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from hypothesis import strategies as st
 
 from orbitlab import (
     BackwardShift,
+    DenseFamilySpec,
     Diagonal,
     DimensionMismatch,
     DirectSum,
@@ -31,6 +37,8 @@ from orbitlab import (
     SeqVec,
     SupportIn,
     apply_power,
+    check_criterion,
+    dense_family,
     dyadic_net,
     invariance_check,
     invariance_scan,
@@ -39,9 +47,10 @@ from orbitlab import (
     project,
     transitivity_probe,
 )
-from orbitlab.criterion import backsolve
+from orbitlab.criterion import RecoveryRecord, backsolve
+from orbitlab.seqspace import max_or_nan
 from orbitlab.subspace import allowed_indices
-from conftest import _outcome, _plain_power
+from conftest import CountingOp, _outcome, _plain_power
 
 # Complex and zero factors, |lam| < 1 down to pruning, and factors that
 # overflow a few steps in, as non-finite or as finite products too large
@@ -293,10 +302,14 @@ def test_invariance_scan_sees_a_defect_whose_square_underflows():
 
 
 def _scratch_probe(op, pattern, u_center, u_radius, v_center, v_radius, horizon, dim, grid):
-    """``transitivity_probe`` with every power checked from scratch."""
+    """``transitivity_probe`` with every power checked from scratch, every
+    candidate tried and no survivor dropped."""
     level, support = grid
     grid = [t * v_radius for t in dyadic_net(pattern, support, level)]
-    backsolvable = isinstance(op, BackwardShift) or isinstance(op.operand, BackwardShift)
+    # Exactly lam B^b and B^b have a preimage; a subclass or a wrapper does not.
+    backsolvable = type(op) is BackwardShift or (
+        type(op) is ScalarMultiple and type(op.operand) is BackwardShift
+    )
     for n in range(horizon + 1):
         if not _plain_invariance(op, pattern, n, dim):
             continue
@@ -317,10 +330,28 @@ def _scratch_probe(op, pattern, u_center, u_radius, v_center, v_radius, horizon,
     return None
 
 
+class OwnScaledShift(ScalarMultiple):
+    """A subclass may override ``apply``, so no fast path reads it as a
+    scaled shift: every power is the honest loop."""
+
+
+# Every kind the probe can meet: scaled shifts, which it backsolves, and
+# direct sums, diagonals, matrices, a subclass and a CountingOp wrapper,
+# which it carries through the honest loop.
+probe_ops = st.one_of(
+    scaled_shifts,
+    st.builds(DirectSum, _trees(1), _trees(1), splits),
+    st.builds(Diagonal, st.lists(st.one_of(factors, values), max_size=6).map(tuple)),
+    matrices,
+    st.builds(OwnScaledShift, factors, st.builds(BackwardShift, st.integers(1, 3))),
+    scaled_shifts.map(CountingOp),
+)
+
+
 @seed(13)
 @settings(max_examples=120, deadline=None)
 @given(
-    scaled_shifts,
+    probe_ops,
     patterns,
     vectors,
     vectors,
@@ -333,6 +364,171 @@ def _scratch_probe(op, pattern, u_center, u_radius, v_center, v_radius, horizon,
 def test_transitivity_probe_matches_scratch(op, pattern, u, v, u_rad, v_rad, horizon, dim, grid):
     u_center, v_center = project(u, pattern), project(v, pattern)
     args = (op, pattern, u_center, u_rad, v_center, v_rad, horizon, dim)
-    carried = _outcome(lambda: transitivity_probe(*args, *grid))
-    assert carried == _outcome(lambda: _scratch_probe(*args, grid))
+    with np.errstate(all="ignore"):
+        carried = _outcome(lambda: transitivity_probe(*args, *grid))
+        assert carried == _outcome(lambda: _scratch_probe(*args, grid))
 
+
+_RESIDUE = ResidueZero(0, 2)
+_SPEC = DenseFamilySpec(_RESIDUE, 8, 1)
+
+
+@pytest.mark.parametrize(
+    "op, expected",
+    [
+        (ScalarMultiple(2.0, BackwardShift(1)), 2),
+        (ScalarMultiple(2 * cmath.exp(0.7j), BackwardShift(1)), 2),
+        (ScalarMultiple(0.5, BackwardShift(2)), None),
+        (CountingOp(ScalarMultiple(2.0, BackwardShift(1))), 2),
+        (OwnScaledShift(2.0, BackwardShift(1)), 2),
+        (DirectSum(ScalarMultiple(2.0, BackwardShift(1)), Identity(), 64), 2),
+        (Diagonal((1.0, 2.0, 0.5, -1j, 1.0, 3.0)), None),
+    ],
+    ids=["2B", "rotatedB", "halfB2", "counting", "subclass", "sum", "diagonal"],
+)
+def test_probe_on_a_collapsing_grid_matches_scratch(op, expected):
+    # At level 2 and support 4 the grid keeps 1281 points, 1257 of them in
+    # the V-ball around {1: -1-0.5j}.  lam B drops index 1 on its way to
+    # power 2, so they collapse onto 45 images, all at index 1; the one
+    # from w_3 = 0.125 lands on the U-center {1: 0.5}, well after the first
+    # image with that support.
+    u_center, v_center = dense_family(_SPEC, 17), dense_family(_SPEC, 2)
+    args = (op, _RESIDUE, u_center, 0.25, v_center, 0.25, 4, 16)
+    found = _outcome(lambda: transitivity_probe(*args, 2, 4))
+    assert found == _outcome(lambda: _scratch_probe(*args, (2, 4))) == expected
+
+
+def test_the_collapsing_grid_collapses():
+    op = ScalarMultiple(2.0, BackwardShift(1))
+    v_center = dense_family(_SPEC, 2)
+    survivors = [
+        w
+        for w in (v_center + 0.25 * g for g in dyadic_net(_RESIDUE, 4, 2))
+        if membership_defect(w, _RESIDUE) == 0.0 and norm(w - v_center) < 0.25
+    ]
+    images = {frozenset(_plain_power(op, 2, w).items()) for w in survivors}
+    assert len(survivors) > 20 * len(images)
+    # With a U-ball that nothing hits, carrying every survivor through
+    # powers 2, 4 and 6 takes 2 applications per survivor and power.  The
+    # copies are dropped after power 2, so powers 4 and 6 cost almost nothing.
+    counted = CountingOp(op)
+    u_center = dense_family(_SPEC, 1)
+    args = (counted, _RESIDUE, u_center, 1e-3, v_center, 0.25, 6, 16, 2, 4)
+    assert transitivity_probe(*args) is None
+    assert counted.calls < 2 * len(survivors) * 3 / 2
+
+
+# Condition II of check_criterion against backsolve and the plain loop.  The
+# moduli 0.5, 1, 2 and 3 at several phases, and the bare shift; powers up to
+# where lam^-n leaves the float range; values up to the largest float, so
+# that a scaled preimage overflows, or a product overflows on its way back.
+lam_moduli = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+lam_phases = st.sampled_from([0.0, 0.7, math.pi / 2, math.pi])
+shift_ops = st.one_of(
+    st.builds(
+        lambda r, t, b: ScalarMultiple(r * cmath.exp(1j * t), BackwardShift(b)),
+        lam_moduli,
+        lam_phases,
+        st.integers(1, 3),
+    ),
+    st.builds(BackwardShift, st.integers(1, 3)),
+)
+recovery_values = st.one_of(
+    values, st.sampled_from([1.7976931348623157e308, -1.797e308j, 1.27e308 - 1.27e308j, 1e10])
+)
+samples = st.lists(
+    st.dictionaries(st.integers(0, 8), recovery_values, max_size=4).map(SeqVec),
+    min_size=1,
+    max_size=3,
+)
+recovery_powers = st.lists(
+    st.one_of(st.integers(1, 40), st.sampled_from([100, 101, 700, 1023, 1024, 1100])),
+    min_size=1,
+    max_size=4,
+    unique=True,
+).map(sorted)
+
+
+def _honest_recovery(op, ys, nks, tol):
+    """Condition II's records, by ``backsolve`` and ``op.apply`` n times."""
+    lam_abs = abs(op.factor) if isinstance(op, ScalarMultiple) else 1.0
+    records = []
+    for i, y in enumerate(ys):
+        y_norm = norm(y)
+        norms, worst, law = [], 0.0, 0.0
+        for n in nks:
+            x = backsolve(op, n, y)
+            norms.append(norm(x))
+            worst = max_or_nan(worst, norm(_plain_power(op, n, x) - y))
+            if y_norm > 0.0:
+                law = max_or_nan(law, abs(norms[-1] - y_norm * lam_abs ** (-n)) / y_norm)
+        monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(norms, norms[1:]))
+        passed = worst <= tol and norms[-1] <= tol and monotone
+        records.append(RecoveryRecord(i, norms[-1], monotone, worst, law, passed))
+    return tuple(records)
+
+
+def _recovery_outcome(fn):
+    # repr shows every float exactly, and a NaN law deviation as itself.
+    return repr(_outcome(fn))
+
+
+@seed(15)
+@settings(max_examples=120, deadline=None)
+@given(shift_ops, samples, recovery_powers)
+def test_condition_two_matches_backsolve_and_the_plain_loop(op, ys, nks):
+    fast = _recovery_outcome(
+        lambda: check_criterion(op, PrefixZero(0), [], ys, nks, 0, 1e-9).recovery
+    )
+    assert fast == _recovery_outcome(lambda: _honest_recovery(op, ys, nks, 1e-9))
+
+
+@pytest.mark.parametrize(
+    "op, y, nks, expected",
+    [
+        # 0.5^-1024 is past the float range.
+        (
+            ScalarMultiple(0.5, BackwardShift(1)),
+            {0: 1.0},
+            [3, 1024],
+            (ArithmeticError, "backsolve: lambda^-n is past the float range"),
+        ),
+        # The scaled preimage 1e10 * 2^1000 is infinite.
+        (
+            ScalarMultiple(0.5, BackwardShift(2)),
+            {1: 1e10},
+            [1000],
+            (ValueError, "non-finite coefficient (inf+0j)"),
+        ),
+        # At n = 5, lam = 3 brings the largest float back as inf on the last round.
+        (
+            ScalarMultiple(3.0, BackwardShift(1)),
+            {0: 1.7976931348623157e308},
+            [1, 2, 5],
+            (ValueError, "non-finite coefficient (inf+0j)"),
+        ),
+        # Rotations drift the largest float's modulus past the float range.
+        (
+            ScalarMultiple(cmath.exp(0.7j), BackwardShift(1)),
+            {0: 1.7976931348623157e308},
+            list(range(1, 30)),
+            (OverflowError, "absolute value too large"),
+        ),
+        # The scaled preimage is made in index order, so index 1's product
+        # raises, although y stores index 5 first.
+        (
+            ScalarMultiple(0.5, BackwardShift(1)),
+            {5: 1e10, 1: -1e10j},
+            [1000],
+            (ValueError, "non-finite coefficient (-0-infj)"),
+        ),
+        # Nothing fails: the recovery records themselves are compared.
+        (ScalarMultiple(2 * cmath.exp(0.7j), BackwardShift(2)), {1: 0.5, 4: -1j}, [3, 9], None),
+    ],
+)
+def test_condition_two_fails_where_the_plain_loop_fails(op, y, nks, expected):
+    ys = [SeqVec(y)]
+    fast = _outcome(lambda: check_criterion(op, PrefixZero(0), [], ys, nks, 0, 1e-9).recovery)
+    assert repr(fast) == repr(_outcome(lambda: _honest_recovery(op, ys, nks, 1e-9)))
+    if expected is not None:
+        assert fast[0] is expected[0] and fast[1].startswith(expected[1])
