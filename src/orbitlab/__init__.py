@@ -3,7 +3,8 @@
 The library splits into a sparse exact layer (sequence vectors, symbolic
 operators, coordinate subspaces, hitting-time construction, criterion
 checks) and a dense numerical layer (finite-matrix obstructions) backed by
-numpy kernels.  ``orbitlab.cli`` drives both from JSON configs.
+numpy kernels.  ``orbitlab.cli`` drives both from JSON configs.  The dense
+layer's names are exported lazily: importing ``orbitlab`` loads no numpy.
 """
 
 from .constructor import (
@@ -34,20 +35,6 @@ from .errors import (
     OrbitlabError,
     ScheduleUnderflow,
     UnsupportedOperator,
-)
-from .obstructions import (
-    DichotomyVerdict,
-    compression_orbit_check,
-    density_defect,
-    eigen_orbit_pairing,
-    generalized_pairing_polynomial,
-    jordan_orbit,
-    orbit_rows,
-    orbit_span_rank,
-    planted_chain_instance,
-    planted_eigen_instance,
-    spectral_dichotomy,
-    unit_ball_net,
 )
 from .seqspace import (
     BackwardShift,
@@ -82,6 +69,36 @@ from .subspace import (
 )
 
 __version__ = "0.1.0"
+
+# Exported from ``obstructions``, which imports numpy, on first access.
+_LAZY = frozenset(
+    {
+        "DichotomyVerdict",
+        "compression_orbit_check",
+        "density_defect",
+        "eigen_orbit_pairing",
+        "generalized_pairing_polynomial",
+        "jordan_orbit",
+        "orbit_rows",
+        "orbit_span_rank",
+        "planted_chain_instance",
+        "planted_eigen_instance",
+        "spectral_dichotomy",
+        "unit_ball_net",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from . import obstructions
+
+        return getattr(obstructions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _LAZY)
 
 __all__ = [
     "__version__",

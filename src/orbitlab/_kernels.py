@@ -6,8 +6,7 @@ import math
 
 import numpy as np
 
-# Recorded as ``backend`` in every report.json.
-BACKEND = "fallback"
+from ._report import BACKEND  # noqa: F401 - this module's backend, by its old name
 
 # Bounds the point-by-target distance block of ``uncovered_count`` to
 # about 256 KB of float64, whatever the number of targets.

@@ -11,6 +11,10 @@ from __future__ import annotations
 import math
 from json.encoder import encode_basestring_ascii as _encode_str
 
+# Recorded as ``backend`` in every report.json: the dense kernels'
+# implementation, named here so that a sparse run need not load them.
+BACKEND = "fallback"
+
 
 def json_text(report: dict) -> str:
     """``json.dumps(report, sort_keys=True, indent=2)``, byte for byte.

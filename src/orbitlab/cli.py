@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import os
@@ -28,24 +29,10 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
-
-from . import _kernels
-from ._report import json_text
+from ._report import BACKEND, json_text
 from .constructor import assemble, build_schedule, certify, length
 from .criterion import check_criterion, transitivity_probe
 from .errors import ConfigError, OrbitlabError
-from .obstructions import (
-    density_defect,
-    eigen_orbit_pairing,
-    generalized_pairing_polynomial,
-    jordan_orbit,
-    orbit_span_rank,
-    planted_chain_instance,
-    planted_eigen_instance,
-    spectral_dichotomy,
-    unit_ball_net,
-)
 from .presets import preset_config
 from .seqspace import (
     PRUNE_MODULUS,
@@ -73,6 +60,56 @@ from .subspace import (
     allowed_indices,
     dense_family,
 )
+
+
+class _OnFirstUse:
+    """A module that is imported when one of its attributes is first read.
+
+    The dense runners reach numpy and ``_kernels`` through these, so
+    ``construct``, ``certify``, ``criterion`` and importing this module load
+    no numpy.  Attributes are read from the module on every access, so a
+    patch to the module is seen.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+        self._module = None
+
+    def __getattr__(self, attr: str):
+        if self._module is None:
+            self._module = importlib.import_module(self._name)
+        return getattr(self._module, attr)
+
+
+np = _OnFirstUse("numpy")
+_kernels = _OnFirstUse("orbitlab._kernels")
+
+
+def _obstruction(name: str) -> Callable:
+    """A stand-in for ``obstructions.<name>`` that looks it up at its first
+    call.  The stand-in stays bound here, so a wrapper that a test or a
+    tracer puts on this module's name stays in place."""
+    target = None
+
+    def call(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(importlib.import_module("orbitlab.obstructions"), name)
+        return target(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+density_defect = _obstruction("density_defect")
+eigen_orbit_pairing = _obstruction("eigen_orbit_pairing")
+generalized_pairing_polynomial = _obstruction("generalized_pairing_polynomial")
+jordan_orbit = _obstruction("jordan_orbit")
+orbit_span_rank = _obstruction("orbit_span_rank")
+planted_chain_instance = _obstruction("planted_chain_instance")
+planted_eigen_instance = _obstruction("planted_eigen_instance")
+spectral_dichotomy = _obstruction("spectral_dichotomy")
+unit_ball_net = _obstruction("unit_ball_net")
 
 __all__ = ["ExperimentConfig", "RunResult", "run", "main"]
 
@@ -383,24 +420,19 @@ class RunResult:
     table_rows: list
 
 
-def _plain(obj, where: str):
-    """Coerce numpy scalars and tuples so json sees only builtin types.
+def _plain(obj, where: str | None = None):
+    """``obj`` with its tuples as lists, as json writes them.
 
-    A non-finite float raises: strict JSON has no spelling for it.
+    A non-finite float raises: strict JSON has no spelling for it.  The
+    error names the field ``where`` leads to; without ``where`` the walk
+    builds no paths, and a caller that needs the name walks again with it.
     """
     if isinstance(obj, dict):
-        return {k: _plain(v, f"{where}.{k}") for k, v in obj.items()}
+        return {k: _plain(v, None if where is None else f"{where}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v, f"{where}[{i}]") for i, v in enumerate(obj)]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        out = float(obj)
-        if not math.isfinite(out):
-            raise ArithmeticError(f"{where} is {out}; report.json holds only finite numbers")
-        return out
+        return [_plain(v, None if where is None else f"{where}[{i}]") for i, v in enumerate(obj)]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ArithmeticError(f"{where} is {obj}; report.json holds only finite numbers")
     return obj
 
 
@@ -817,13 +849,18 @@ def run(cfg: ExperimentConfig) -> RunResult:
     report = {
         "command": cfg.command,
         "preset": cfg.preset,
-        "backend": _kernels.BACKEND,
+        "backend": BACKEND,
         "config": cfg.normalized,
         "passed": result.passed,
         "verdict": "pass" if result.passed else "fail",
         "report": result.report,
     }
-    report = {key: _plain(value, key) for key, value in report.items()}
+    try:
+        report = {key: _plain(value) for key, value in report.items()}
+    except ArithmeticError:  # walk again to name the non-finite field
+        for key, value in report.items():
+            _plain(value, key)
+        raise
     return RunResult(result.passed, report, result.table_header, result.table_rows)
 
 

@@ -214,7 +214,7 @@ def generalized_pairing_polynomial(
             q = sum(coeffs[i] * n**i for i in range(p))
             predicted = lam_bar ** (n - p) * q
         worst = max_or_nan(worst, abs(pairings[n] - predicted))
-    return worst
+    return float(worst)  # a numpy float from the fitted Q, as a builtin
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ import cmath
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import DimensionMismatch
+
+if TYPE_CHECKING:  # the dense methods import numpy when they run
+    import numpy as np
 
 __all__ = [
     "SeqVec",
@@ -98,6 +99,8 @@ class SeqVec:
 
     @classmethod
     def from_dense(cls, values) -> "SeqVec":
+        import numpy as np
+
         arr = np.asarray(values)
         return cls((i, complex(z)) for i, z in enumerate(arr))
 
@@ -109,6 +112,8 @@ class SeqVec:
         return tuple(sorted(self._entries))
 
     def to_dense(self, dim: int) -> np.ndarray:
+        import numpy as np
+
         out = np.zeros(dim, dtype=np.complex128)
         for i, z in self._entries.items():
             if i >= dim:
@@ -368,6 +373,8 @@ class FiniteMatrix:
     array: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         a = np.array(self.array, dtype=np.complex128, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -384,6 +391,8 @@ class FiniteMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMatrix):
             return NotImplemented
+        import numpy as np
+
         return np.array_equal(self.array, other.array)
 
     __hash__ = None  # operators are never hashed
@@ -566,6 +575,8 @@ def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
 
 def to_matrix(op: Operator, dim: int) -> np.ndarray:
     """Materialize the action on the first ``dim`` coordinates, column by column."""
+    import numpy as np
+
     cols = np.zeros((dim, dim), dtype=np.complex128)
     for j in range(dim):
         image = op.apply(SeqVec.basis(j))

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-import numpy as np
-
 from .seqspace import Operator, SeqVec, _scaled_shift_parts, apply_power
 
 __all__ = [
@@ -319,6 +317,8 @@ def dyadic_net(pattern: ZeroPattern, support_bound: int, level: int) -> list[Seq
     points an exactly rounded sum keeps, and a prefix already past 1 cannot
     come back.  Only the kept points become ``SeqVec``s.
     """
+    import numpy as np
+
     allowed = allowed_indices(pattern, support_bound)
     if not allowed:
         raise ValueError("no allowed indices below the support bound")
