@@ -15,7 +15,6 @@ from .constructor import (
     assemble,
     build_schedule,
     certify,
-    geometric_tail_bound,
     length,
     tail_bounds,
 )
@@ -33,7 +32,6 @@ from .errors import (
     NotEigenvector,
     NotInGeneralizedKernel,
     OrbitlabError,
-    ScheduleUnderflow,
     UnsupportedOperator,
 )
 from .seqspace import (
@@ -139,7 +137,6 @@ __all__ = [
     "assemble",
     "WindowedVector",
     "tail_bounds",
-    "geometric_tail_bound",
     "CertReport",
     "certify",
     # criterion
@@ -164,7 +161,6 @@ __all__ = [
     "OrbitlabError",
     "DimensionMismatch",
     "InvalidModulus",
-    "ScheduleUnderflow",
     "UnsupportedOperator",
     "NotEigenvector",
     "NotInGeneralizedKernel",

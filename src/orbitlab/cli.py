@@ -469,7 +469,7 @@ def _run_certify(cfg: ExperimentConfig) -> RunResult:
     targets = [dense_family(spec, j) for j in range(cfg.targets + 1)]
     schedule = build_schedule(cfg.lam, targets)
     vec = assemble(schedule)
-    rep = certify(vec, schedule, cfg.pattern, float_tol=cfg.tol, op=cfg.default_operator())
+    rep = certify(vec, cfg.pattern, float_tol=cfg.tol, op=cfg.default_operator())
     entries = [
         {
             "n": e.index,

@@ -10,15 +10,15 @@ carries every target in its own coordinate window.  ``assemble`` keeps f as
 its windows ``(k_j, f_j)``: the scale of window j is the integer exponent
 ``-k_j`` of lam, never a float, so no window is too small to hold.  Applying
 the scaled backward shift ``k_n`` times re-surfaces window n exactly, while
-the later windows contribute at most a certified geometric tail.  For
-``lam B`` itself, ``certify`` reads every row off the windows by exponent
-arithmetic; for any other operator it replays the orbit of the float
-vector.  Row n is held to the tail sqrt(sum_{i>n} |lam|^(-2i)), which
-depends only on |lam| and the number of targets, so a schedule derives its
-``bounds`` with ``tail_bounds`` instead of storing them.  Because shifts
-are pure index arithmetic, the certificate's membership column is exact
-and the distance column is a float evaluation of an inequality that holds
-term by term.
+the later windows contribute at most a certified geometric tail.
+``certify`` reads every row off the windows by exponent arithmetic, for
+``lam B`` and for the paper's ``lam B + I``, whose identity block holds every
+entry past the split where it is.  Row n is held to the tail
+sqrt(sum_{i>n} |lam|^(-2i)), which depends only on |lam| and the number of
+targets, so a schedule derives its ``bounds`` with ``tail_bounds`` instead
+of storing them.  Because shifts are pure index arithmetic, the
+certificate's membership column is exact and the distance column is a float
+evaluation of an inequality that holds term by term.
 """
 
 from __future__ import annotations
@@ -29,20 +29,21 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidModulus, ScheduleUnderflow
+from .errors import InvalidModulus, UnsupportedOperator
 from .seqspace import (
-    BackwardShift,
-    ForwardShift,
+    DirectSum,
+    Identity,
     Operator,
-    ScalarMultiple,
     SeqVec,
+    _root_sum_squares,
     _scaled_shift_parts,
-    apply_power,
+    apply_power,  # noqa: F401 - perfbench/tracer.py patches this binding
     norm,
 )
-from .subspace import PrefixZero, RightBlockZero, ZeroPattern, membership_defect
+from .subspace import PrefixZero, RightBlockZero, ZeroPattern
 
 __all__ = [
     "length",
@@ -52,22 +53,18 @@ __all__ = [
     "WindowedVector",
     "assemble",
     "tail_bounds",
-    "geometric_tail_bound",
     "CertEntry",
     "CertReport",
     "certify",
 ]
-
-# A nonzero window term below this modulus is one rounding step away from
-# being pruned as a structural zero.  Only a float vector can lose one, so
-# only ``WindowedVector.vector`` refuses such a term.
-UNDERFLOW_GUARD = 1e-280
 
 _MIN_NORMAL = sys.float_info.min
 # A tail at most 2**-1100 times the leading term of a sum of squares cannot
 # move the sum's rounding, except by breaking an exact tie; it is folded in
 # as one rounded-up remainder term instead of term by term.
 _NEGLIGIBLE_LOG2 = -1100
+# ``norm`` sums the squares again, rescaled, below this.
+_RESCALE_BELOW = 2.0**-500
 
 
 def length(vec: SeqVec) -> int:
@@ -138,21 +135,40 @@ def tail_bounds(lam_abs: float, count: int) -> list[float]:
     """sqrt of sum_{i=j+1..count} lam_abs^(-2i) for j = 0..count, in one pass:
     the certified residual after entry j of a schedule with count + 1 entries.
 
-    The float terms lam_abs**(-2i) are summed from the end as exact
-    rationals; ``float`` of a Fraction rounds correctly, as ``math.fsum``
-    does, so every bound has the bits of the fsum over its own terms.
+    The terms are summed from the end as exact rationals: the float
+    lam_abs**(-2i) while it is a normal float, the exact power past that.
+    A sum in the normal range takes ``math.sqrt`` of its correctly rounded
+    float; a smaller one its correctly rounded root (``_root``), so a bound
+    is 0.0 only where that root is.
     """
     out = [0.0] * (count + 1)
     total = Fraction(0)
     for i in range(count, 0, -1):
-        total += Fraction(lam_abs ** (-2 * i))
-        out[i - 1] = math.sqrt(total)
+        term = lam_abs ** (-2 * i)
+        normal = term >= _MIN_NORMAL
+        total += Fraction(term) if normal else Fraction(lam_abs) ** (-2 * i)
+        out[i - 1] = math.sqrt(total) if normal or total >= _MIN_NORMAL else _root(total)
     return out
 
 
-def geometric_tail_bound(lam_abs: float, j: int) -> float:
-    """Closed form of the infinite tail, an upper bound for every finite one."""
-    return lam_abs ** (-(j + 1)) / math.sqrt(1.0 - lam_abs**-2)
+def _root(x: Fraction) -> float:
+    """sqrt(x) correctly rounded to a float, for an exact rational 0 <= x < 1."""
+    n, d = x.numerator, x.denominator
+    if not n:
+        return 0.0
+    log2 = n.bit_length() - d.bit_length()  # floor(log2 x) is log2 or log2 - 1
+    if n << -log2 < d:
+        log2 -= 1
+    # 2**-e is the float spacing at sqrt(x), or the subnormal one below it,
+    # so the root scaled by 2**e is below 2**53 and rounds to an integer.
+    e = min(52 - log2 // 2, 1074)
+    n <<= 2 * e
+    q = math.isqrt(n // d)
+    # sqrt(n / d) lies in [q, q + 1); round to nearest, ties to even.
+    over = 4 * n - (2 * q + 1) ** 2 * d
+    if over > 0 or (over == 0 and q & 1):
+        q += 1
+    return math.ldexp(q, -e)
 
 
 def build_schedule(lam: complex, targets: Sequence[SeqVec]) -> HittingSchedule:
@@ -238,8 +254,13 @@ class WindowedVector:
     hitting times run.  The unit part is raised to its power only where a
     value is needed.  Each window's squared moduli are kept scaled by
     4^(-s_j), a power of two that keeps the square of its largest entry
-    near 1.  ``vector`` multiplies the scales in, for replay through
-    operators other than lam B; that float vector is what has a range.
+    near 1.
+
+    A certificate's rows are read off the windows for T = lam B, and for
+    the paper's lam B + I, the direct sum whose identity block starts at
+    index ``split``.  T^k moves an entry at position p < split to p - k,
+    times lam^k, and drops it if p < k; an entry at p >= split stays where
+    it is, times 1.  lam B alone is the split at infinity.
     """
 
     def __init__(self, schedule: HittingSchedule):
@@ -330,92 +351,117 @@ class WindowedVector:
         out = math.ldexp(root, me - ref[1] + unit)
         return out if out >= _MIN_NORMAL else math.nextafter(out, math.inf)
 
-    def landings(self, pattern: ZeroPattern, k: int) -> Iterable[int]:
-        """Entries that the image at hitting time k holds on forbidden indices.
-
-        The image at time k holds each entry at position p >= k on index
-        p - k.  Yields indices into the position list, ascending: a range
-        of positions for a prefix or right-block pattern, otherwise the
-        positions the pattern forbids, asked one by one.
-        """
+    def landings(self, pattern: ZeroPattern, k: int, lo: int, hi: int) -> Iterable[int]:
+        """Entries x in [lo, hi), ascending, whose position moved down by k
+        the pattern forbids: a range for a prefix or right-block pattern,
+        otherwise asked one by one."""
         pos = self.pos
         if type(pattern) is PrefixZero:
-            return range(bisect_left(pos, k), bisect_left(pos, k + pattern.m))
+            return range(lo, min(hi, bisect_left(pos, k + pattern.m)))
         if type(pattern) is RightBlockZero:
-            return range(bisect_left(pos, k + pattern.split), len(pos))
-        start = bisect_left(pos, k)
-        return (x for x in range(start, len(pos)) if pattern.forbids(pos[x] - k))
+            return range(max(lo, bisect_left(pos, k + pattern.split)), hi)
+        return (x for x in range(lo, hi) if pattern.forbids(pos[x] - k))
 
-    def defect(self, n: int, pattern: ZeroPattern) -> float:
-        """Row n's membership defect: the norm of its image's forbidden part.
+    def _seen(self, xs: Iterable[int], t: int, ref: tuple[float, int], first: int) -> Iterator:
+        """``(x, c, e)`` for each entry x of xs: its value z lam^(t - k_j) = c 2**e.
 
-        Each forbidden entry z of window j takes the value z lam^(-(k_j - k_n))
-        that the orbit gives it, and the moduli meet in ``math.hypot`` in
-        index order, as ``membership_defect`` would see them.  Windows past
-        the envelope cutoff become one rounded-up remainder, and a nonzero
-        defect below the normal range is rounded up, so the defect is 0.0
-        exactly when no entry lands on a forbidden index.
+        ``ref`` is |lam|^(-t) as a (mantissa, exponent) pair.  From window
+        ``first`` on (first >= 1, and k_(first-1) >= t), once the envelope
+        of the windows left falls below 2**-1100, they end the walk as one
+        rounded-up remainder ``(None, 1, e)``.
         """
         times, scale, owner, values = self.times, self.scale, self.owner, self.values
-        k_n = times[n]
-        mn, en = scale[n]
-        parts: list[float] = []
         window, w, exp = -1, 1.0, 0
-        landed = False
-        for x in self.landings(pattern, k_n):
-            landed = True
+        for x in xs:
             j = owner[x]
             if j != window:
-                if j > n:
-                    log2_env = self._log2_envelope(j, k_n)
+                if j >= first:
+                    log2_env = self._log2_envelope(j, t)
                     if log2_env < 2 * _NEGLIGIBLE_LOG2:
-                        parts.append(
-                            max(math.ldexp(1.0, math.ceil(log2_env / 2) + 1), math.ulp(0.0))
-                        )
-                        break
+                        yield None, 1 + 0j, math.ceil(log2_env / 2) + 1
+                        return
                 window = j
                 mj, ej = scale[j]
-                w = _power(self.unit_inv, times[j] - k_n) * (mj / mn)
-                exp = ej - en
-            z = values[x] * w
-            parts.append(math.ldexp(z.real, exp))
-            parts.append(math.ldexp(z.imag, exp))
-        if not landed:
+                w = _power(self.unit_inv, times[j] - t) * (mj / ref[0])
+                exp = ej - ref[1]
+            yield x, values[x] * w, exp
+
+    def defect(self, n: int, pattern: ZeroPattern, split: float = math.inf) -> float:
+        """Row n's membership defect: the norm of its image's forbidden part.
+
+        The forbidden entries, first those moved down below the split, then
+        those kept past it, meet in ``math.hypot`` in index order, as
+        ``membership_defect`` sees them.  A remainder past the envelope
+        cutoff and a nonzero defect below the normal range are rounded up,
+        so the defect is 0.0 exactly when no entry lands on a forbidden index.
+        """
+        k_n, pos = self.times[n], self.pos
+        cut = bisect_left(pos, split)  # the entries in the lam B block
+        moved = self.landings(pattern, k_n, bisect_left(pos, k_n), cut)
+        seen = self._seen(moved, k_n, self.scale[n], n + 1)
+        if cut < len(pos):
+            kept = self.landings(pattern, 0, cut, len(pos))
+            seen = chain(seen, self._seen(kept, 0, _ONE, 1))
+        parts: list[float] = []
+        for x, c, e in seen:
+            if x is None:
+                parts.append(max(math.ldexp(1.0, e), math.ulp(0.0)))
+            else:
+                parts.append(math.ldexp(c.real, e))
+                parts.append(math.ldexp(c.imag, e))
+        if not parts:
             return 0.0
         out = math.hypot(*parts)
+        return out if out >= _MIN_NORMAL else math.nextafter(out, math.inf)
+
+    def distance(self, n: int, split: float = math.inf) -> float:
+        """Row n's distance ``norm(T^(k_n) f - f_n)``, with the bits ``norm`` gives it.
+
+        Below the split, window n comes back as f_n exactly and the later
+        windows move down by k_n; past it, every entry stays, so f_n misses
+        window n's entries there.  For lam B, ``tail`` sums the later
+        windows' squares.  Otherwise, or below 2**-500 where ``norm``
+        rescales, the image minus f_n goes through ``norm``'s rule, as
+        values in units of its largest power of two.  A nonzero result below
+        the normal range is rounded up.
+        """
+        k_n, pos, owner, values = self.times[n], self.pos, self.owner, self.values
+        cut = bisect_left(pos, split)
+        if cut == len(pos):
+            out = self.tail(self.scale[n], n + 1)
+            if not 0.0 < out < _RESCALE_BELOW:
+                return out
+        later = bisect_left(owner, n + 1)  # window n + 1's first entry
+        missed = range(max(cut, bisect_left(owner, n)), later)
+        # (index, c, e) for the value c 2**e at an index of the image minus
+        # f_n, or for a remainder at index None; first f_n's missed entries.
+        terms = [(pos[x] - k_n, -values[x], 0) for x in missed]
+        for t, seen in (
+            (k_n, self._seen(range(later, cut), k_n, self.scale[n], n + 1)),
+            (0, self._seen(range(cut, len(pos)), 0, _ONE, 1)),
+        ):
+            terms.extend((None if x is None else pos[x] - t, c, e) for x, c, e in seen)
+        if not terms:
+            return 0.0
+        top = max(e + math.frexp(max(abs(c.real), abs(c.imag)))[1] for _, c, e in terms)
+        diff: dict[int, complex] = {}
+        rest = []
+        for i, c, e in terms:
+            v = complex(math.ldexp(c.real, e - top), math.ldexp(c.imag, e - top))
+            if i is None:
+                rest.append(v)
+            else:  # a missed entry of f_n meets what the identity block kept there
+                diff[i] = diff.get(i, 0j) + v
+        kept = [v for v in diff.values() if v] + rest
+        if not kept:
+            return 0.0
+        tiny = math.ldexp(_RESCALE_BELOW, min(-top, 1500))
+        out = math.ldexp(_root_sum_squares(kept, tiny), top)
         return out if out >= _MIN_NORMAL else math.nextafter(out, math.inf)
 
     def norm(self) -> float:
         """The Euclidean norm of f, from the windows."""
         return self.tail(_ONE, 0)
-
-    def vector(self) -> SeqVec:
-        """f as one float vector.
-
-        Windows are disjoint by the spacing constraint, so the sum never
-        mixes coordinates from different targets.  Each window term is
-        built, and so checked, once; its entries go into one dict as
-        ``0j + z``, the value ``SeqVec.__add__`` stores (it turns a -0.0
-        part into +0.0).  Raises ``ScheduleUnderflow`` when a window's
-        scale has left the float range, since its entries would be pruned.
-        """
-        lam_inv = 1 / self.schedule.lam
-        total: dict[int, complex] = {}
-        for j, entry in enumerate(self.schedule.entries):
-            if not entry.target:
-                continue
-            scale = _power(lam_inv, entry.time)
-            size = norm(entry.target) * abs(scale)
-            if size < UNDERFLOW_GUARD:
-                raise ScheduleUnderflow(
-                    f"entry {j}: window term at modulus scale {size:.3e} would be lost to pruning"
-                )
-            term = apply_power(ForwardShift(1), entry.time, entry.target) * scale
-            for i, z in term.items():
-                total[i] = total.get(i, 0j) + z
-        # The windows are disjoint and come in index order, so the dict is
-        # canonical and sorted as it stands.
-        return SeqVec._from_canonical(total)
 
 
 def assemble(schedule: HittingSchedule) -> WindowedVector:
@@ -443,14 +489,14 @@ class CertReport:
 
 
 def _passes(defect: float, distance: float, bound: float, tol: float) -> bool:
-    """The row gate: defect <= tol and distance <= bound + tol, both exact.
+    """The row gate: defect == 0.0, and distance <= bound + tol exactly.
 
-    ``bound + tol`` rounded to a float can land above the true sum and pass
-    a distance just past it, so the sign of distance - bound - tol is taken
-    from ``math.fsum``, which rounds the exact difference correctly.  NaN
-    fails both tests.
+    Membership takes no tolerance: the defect is 0.0 exactly when nothing
+    lands on a forbidden index.  ``bound + tol`` rounded could pass a
+    distance just past the true sum, so the sign of distance - bound - tol
+    is taken from ``math.fsum``, which rounds it correctly.  NaN fails.
     """
-    if not defect <= tol:
+    if defect != 0.0:
         return False
     try:
         return math.fsum((distance, -bound, -tol)) <= 0.0
@@ -458,50 +504,50 @@ def _passes(defect: float, distance: float, bound: float, tol: float) -> bool:
         return math.isfinite(distance)
 
 
+def _identity_split(op: Operator | None, lam: complex) -> float:
+    """Where lam B + I hands over to its identity block; infinity for lam B.
+
+    Both are decided by exact type; any other operator, a subclass or
+    another factor included, raises ``UnsupportedOperator``.
+    """
+    lam_b = ((lam,), 1)
+    if op is None or _scaled_shift_parts(op) == lam_b:
+        return math.inf
+    if type(op) is DirectSum and type(op.right) is Identity:
+        if _scaled_shift_parts(op.left) == lam_b:
+            return op.split_index
+    raise UnsupportedOperator(
+        f"certify reads only lam B and lam B + I off the windows (lam = {lam!r}), not {op!r}"
+    )
+
+
 def certify(
-    vec: SeqVec | WindowedVector,
-    schedule: HittingSchedule,
+    vec: WindowedVector,
     pattern: ZeroPattern,
     float_tol: float = 1e-9,
     op: Operator | None = None,
 ) -> CertReport:
     """The image at every hitting time, compared against the targets.
 
-    ``op`` defaults to the scaled backward shift ``schedule.lam`` B.  When
-    ``vec`` is the ``WindowedVector`` of this schedule and ``op`` is, by
-    exact type, ``schedule.lam`` times ``BackwardShift(1)``, row n is read
-    off the windows: windows j < n have left the image, window n is f_n
-    itself, and window j > n sits at offset k_j - k_n scaled by
-    lam^(-(k_j - k_n)).  The defect is decided by index arithmetic, and the
-    distance is the norm of the later windows (see ``WindowedVector.tail``).
-
-    Otherwise the orbit of the float vector is iterated honestly, once:
-    each row advances the previous row's image by the gap between their
-    hitting times.  Every operator step is a pure function of its input, so
-    a row is bit-identical to replaying its power from ``vec``, and a
-    corruption still reaches every later window.  Either way, row n is held
-    to ``schedule.bounds[n]``.
+    ``vec`` is what ``assemble`` made of a schedule; ``op`` is its lam B
+    (the default) or the paper's lam B + I, ``DirectSum(lam B, Identity(),
+    s)``, by exact type.  Every row is read off the windows: windows j < n
+    have left the image, window n is f_n itself, and window j > n sits at
+    offset k_j - k_n scaled by lam^(-(k_j - k_n)), except that every entry
+    at a position p >= s stays at p, times lam^(-k_j).  Row n is held to
+    ``schedule.bounds[n]``.  A plain ``SeqVec`` or any other operator
+    raises ``UnsupportedOperator``.
     """
-    if op is None:
-        op = ScalarMultiple(schedule.lam, BackwardShift(1))
+    if not isinstance(vec, WindowedVector):
+        raise UnsupportedOperator(
+            f"certify reads the windows that assemble makes, not a {type(vec).__name__}"
+        )
+    schedule = vec.schedule
+    split = _identity_split(op, schedule.lam)
     rows = []
-    windowed = (
-        isinstance(vec, WindowedVector)
-        and vec.schedule == schedule
-        and _scaled_shift_parts(op) == ((schedule.lam,), 1)
-    )
-    if isinstance(vec, WindowedVector) and not windowed:
-        vec = vec.vector()
-    image, reached = vec, 0
     for j, (entry, bound) in enumerate(zip(schedule.entries, schedule.bounds)):
-        if windowed:
-            defect = vec.defect(j, pattern)
-            distance = vec.tail(vec.scale[j], j + 1)
-        else:
-            image = apply_power(op, entry.time - reached, image)
-            reached = entry.time
-            defect = membership_defect(image, pattern)
-            distance = norm(image - entry.target)
+        defect = vec.defect(j, pattern, split)
+        distance = vec.distance(j, split)
         passed = _passes(defect, distance, bound, float_tol)
         rows.append(CertEntry(j, entry.time, defect, distance, bound, passed))
     return CertReport(tuple(rows))

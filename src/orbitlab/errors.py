@@ -13,10 +13,6 @@ class InvalidModulus(OrbitlabError):
     """A scaling factor violates a modulus precondition."""
 
 
-class ScheduleUnderflow(OrbitlabError):
-    """A window's scale lam^-k left the float range of a vector that must hold it."""
-
-
 class UnsupportedOperator(OrbitlabError):
     """The operation only handles specific operator kinds."""
 

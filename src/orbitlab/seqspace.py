@@ -193,13 +193,17 @@ def distance(u: SeqVec, v: SeqVec) -> float:
     return _root_sum_squares(_pruned(_difference(u, v)).values())
 
 
-def _root_sum_squares(values) -> float:
-    """``norm`` of the stored values ``values``, a collection that can be walked twice."""
+def _root_sum_squares(values, tiny: float = 2.0**-500) -> float:
+    """``norm`` of the stored values ``values``, a collection that can be walked twice.
+
+    ``tiny`` is where the rescaled sum takes over, for values given in
+    units of 2**e: 2**(-500 - e).
+    """
     try:
         r = math.sqrt(math.fsum([z.real * z.real + z.imag * z.imag for z in values]))
     except OverflowError:  # fsum's partial sums overflow on finite squares
         r = math.inf
-    if r == math.inf or (r < 2.0**-500 and values):
+    if r == math.inf or (r < tiny and values):
         # Entries are finite, and so are their moduli: the prune test took each.
         scale = max(abs(z) for z in values)
         r = scale * math.sqrt(
@@ -334,13 +338,6 @@ class DirectSum:
     is the compression of ``left`` to the first ``split`` coordinates: an
     output index pushed past the boundary (a forward shift or a matrix can
     do that) is dropped rather than leaked into the right block.
-
-    When ``left`` cannot move an index up, that drop never happens and n
-    steps of the sum are n steps of each block: ``apply_power`` then splits
-    the vector once, powers each block on its own and rejoins once, with
-    the bits and errors of n honest steps.  By exact type, such a ``left``
-    is a ``BackwardShift``, ``Identity`` or ``Diagonal``, ``ScalarMultiple``
-    nests over one of those, or a ``DirectSum`` of two such operators.
     """
 
     left: "Operator"
@@ -490,47 +487,10 @@ def _raise_first_bad(bad: list[tuple[int, bool, int, complex]]) -> None:
         abs(z)  # OverflowError from the prune test for a finite one
 
 
-def _moves_no_index_up(op: Operator) -> bool:
-    """True when no output index of ``op`` exceeds an input index it came from.
-
-    Decided by exact type: ``BackwardShift``, ``Identity`` and ``Diagonal``,
-    ``ScalarMultiple`` nests over such an operator, and ``DirectSum``s of
-    two of them.  Anything else, a subclass included, gives ``False``.
-    """
-    while type(op) is ScalarMultiple:
-        op = op.operand
-    if type(op) is DirectSum:
-        return _moves_no_index_up(op.left) and _moves_no_index_up(op.right)
-    return type(op) in (BackwardShift, Identity, Diagonal)
-
-
-def _block_power(op: DirectSum, n: int, vec: SeqVec) -> SeqVec:
-    """``apply_power`` of a direct sum whose left block moves no index up.
-
-    Such a left block never pushes an entry past the split, so the blocks
-    never meet: each is powered on its own, the left one by the fast paths
-    where they apply.  The halves are cut from the sorted entries, as each
-    honest step cuts them, so every block sees the entries in the same
-    order.
-    """
-    s = op.split_index
-    left: dict[int, complex] = {}
-    right: dict[int, complex] = {}
-    for i, z in vec.items():
-        if i < s:
-            left[i] = z
-        else:
-            right[i - s] = z
-    out = dict(apply_power(op.left, n, SeqVec._from_canonical(left))._entries)
-    for i, z in apply_power(op.right, n, SeqVec._from_canonical(right))._entries.items():
-        out[i + s] = z
-    return SeqVec._from_canonical(out)
-
-
 def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
     """Apply ``op`` n times, with the bits and errors of n ``op.apply`` calls.
 
-    Five paths, each bit-identical to the honest loop, raised errors
+    Four paths, each bit-identical to the honest loop, raised errors
     included.  Each is chosen by exact type, so a subclass, whose ``apply``
     may differ, takes the honest loop:
 
@@ -541,10 +501,6 @@ def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
     - *forward collapse*: a forward shift becomes one shift by
       ``n * power``;
     - *identity*: the vector itself;
-    - *block rule*: a ``DirectSum`` whose left block moves no index up (see
-      ``DirectSum``) splits the vector once, powers each block through this
-      function and rejoins once.  Should that raise anything, the honest
-      loop is replayed, so the error raised is the one the loop raises;
     - *honest loop*: every other operator is applied n times, stopping
       early once the image is the zero vector: every kind maps zero to
       zero, so the stop is exact.
@@ -560,11 +516,6 @@ def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
         return ForwardShift(op.power * n).apply(vec)
     if type(op) is Identity:
         return vec
-    if type(op) is DirectSum and _moves_no_index_up(op.left):
-        try:
-            return _block_power(op, n, vec)
-        except Exception:  # the loop below raises its own error in order
-            pass
     out = vec
     for _ in range(n):
         if not out:

@@ -3,14 +3,27 @@ import io
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from orbitlab import FiniteMatrix, OrbitlabError, SeqVec
+from orbitlab import (
+    BackwardShift,
+    DirectSum,
+    FiniteMatrix,
+    Identity,
+    OrbitlabError,
+    ScalarMultiple,
+    SeqVec,
+    apply_power,
+    membership_defect,
+    norm,
+)
 from orbitlab.cli import main
+from orbitlab.constructor import CertEntry, _passes, _power
 
 
 @pytest.fixture
@@ -143,3 +156,131 @@ def run_main(data):
 def non_finite_error(field, value):
     """The line ``main`` prints when a report value has no JSON spelling."""
     return f"error: {field} is {value}; report.json holds only finite numbers\n"
+
+
+# -- the certificate's reference: the float vector, replayed ---------------
+
+# A window term below this modulus is one rounding step away from being
+# pruned as a structural zero, so the replay refuses it.
+REPLAY_FLOOR = 1e-280
+
+
+def replay_vector(schedule):
+    """f = sum_j lam^(-k_j) S^(k_j) f_j as one float vector.
+
+    Windows are disjoint by the spacing constraint, so each entry is its
+    window's term z lam^(-k_j), built as ``0j + z`` (the value
+    ``SeqVec.__add__`` stores).  The scale is a repeated-squaring power,
+    exact for lam = +-2, +-2i and 4.  A window term below
+    ``REPLAY_FLOOR`` raises ``ValueError``: the float vector cannot hold it.
+    """
+    lam_inv = 1 / schedule.lam
+    total = {}
+    for j, entry in enumerate(schedule.entries):
+        if not entry.target:
+            continue
+        scale = _power(lam_inv, entry.time)
+        if norm(entry.target) * abs(scale) < REPLAY_FLOOR:
+            raise ValueError(f"entry {j}: window term below the float range of a replay")
+        for i, z in (entry.target * scale).items():
+            total[entry.time + i] = 0j + z
+    return SeqVec(total)
+
+
+def replay_certify(schedule, pattern, float_tol=1e-9, op=None, vec=None):
+    """``certify``'s rows from the orbit of the float vector, iterated honestly.
+
+    ``vec`` defaults to ``replay_vector(schedule)`` and ``op`` to lam B.
+    Each row advances the previous row's image by the gap between their
+    hitting times through ``apply_power``; every operator step is a pure
+    function of its input, so a row is bit-identical to replaying its power
+    from ``vec``.  The gate is certify's own.
+    """
+    if op is None:
+        op = ScalarMultiple(schedule.lam, BackwardShift(1))
+    image = replay_vector(schedule) if vec is None else vec
+    reached, rows = 0, []
+    for j, (entry, bound) in enumerate(zip(schedule.entries, schedule.bounds)):
+        image = apply_power(op, entry.time - reached, image)
+        reached = entry.time
+        defect = membership_defect(image, pattern)
+        distance = norm(image - entry.target)
+        passed = _passes(defect, distance, bound, float_tol)
+        rows.append(CertEntry(j, entry.time, defect, distance, bound, passed))
+    return tuple(rows)
+
+
+def _exact(z):
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _exact_power(z, n):
+    """z**n for an exact complex (re, im), by repeated squaring."""
+    out = (Fraction(1), Fraction(0))
+    while n:
+        if n & 1:
+            out = (out[0] * z[0] - out[1] * z[1], out[0] * z[1] + out[1] * z[0])
+        z = (z[0] * z[0] - z[1] * z[1], 2 * z[0] * z[1])
+        n >>= 1
+    return out
+
+
+def _exact_apply(op, vec):
+    """``op.apply`` on exact entries {index: (re, im)}, for the kinds certify takes."""
+    if type(op) is Identity:
+        return vec
+    if type(op) is BackwardShift:
+        return {i - op.power: z for i, z in vec.items() if i >= op.power}
+    if type(op) is ScalarMultiple:
+        (a, b), out = _exact(op.factor), _exact_apply(op.operand, vec)
+        return {i: (x * a - y * b, x * b + y * a) for i, (x, y) in out.items()}
+    if type(op) is DirectSum:
+        s = op.split_index
+        left = _exact_apply(op.left, {i: z for i, z in vec.items() if i < s})
+        right = _exact_apply(op.right, {i - s: z for i, z in vec.items() if i >= s})
+        out = {i: z for i, z in left.items() if i < s}
+        out.update((i + s, z) for i, z in right.items())
+        return out
+    raise TypeError(f"no exact apply for {op!r}")
+
+
+def exact_verdicts(schedule, pattern, float_tol=1e-9, op=None):
+    """Per-row ``passed`` from an exact replay: f with exact rational entries,
+    its orbit stepped one ``_exact_apply`` at a time, the defect decided by
+    the forbidden entries and the distance gate on exact squares.  Once a
+    step leaves the image as it is, so do all later steps."""
+    if op is None:
+        op = ScalarMultiple(schedule.lam, BackwardShift(1))
+    image = {}
+    for entry in schedule.entries:
+        a, b = _exact_power(_exact(complex(schedule.lam)), entry.time)
+        d = a * a + b * b
+        a, b = a / d, -b / d  # lam^(-k_j)
+        for i, z in entry.target.items():
+            x, y = _exact(z)
+            image[entry.time + i] = (x * a - y * b, x * b + y * a)
+    reached, fixed, squares, out = 0, False, None, []
+    for entry, bound in zip(schedule.entries, schedule.bounds):
+        while reached < entry.time and not fixed:
+            stepped = _exact_apply(op, image)
+            fixed, reached = stepped == image, reached + 1
+            if not fixed:
+                image, squares = stepped, None
+        if squares is None:
+            squares = {i: x * x + y * y for i, (x, y) in image.items()}
+        member = not any(pattern.forbids(i) and q for i, q in squares.items())
+        terms = [q for i, q in squares.items() if entry.target[i] == 0]
+        for i, z in entry.target.items():
+            (x, y), (u, v) = _exact(z), image.get(i, (0, 0))
+            terms.append((u - x) ** 2 + (v - y) ** 2)
+        limit = Fraction(bound) + Fraction(float_tol)
+        out.append(member and _exact_sum(terms) <= limit * limit)
+    return out
+
+
+def _exact_sum(qs):
+    """The sum of rationals, exactly; power-of-two denominators add as shifted integers."""
+    if not all(q.denominator & (q.denominator - 1) == 0 for q in qs):
+        return sum(qs, Fraction(0))
+    top = max((q.denominator.bit_length() for q in qs), default=1)
+    return Fraction(sum(q.numerator << (top - q.denominator.bit_length()) for q in qs), 1 << (top - 1))

@@ -74,7 +74,7 @@ def _certificate_ok(pattern, j_max):
     targets = [dense_family(spec, j) for j in range(j_max + 1)]
     schedule = build_schedule(2.0, targets)
     vec = assemble(schedule)
-    report = certify(vec, schedule, pattern, float_tol=1e-9)
+    report = certify(vec, pattern, float_tol=1e-9)
     bounds = _exact_tail_bounds(j_max)
     ok = report.passes
     for j, row in enumerate(report.entries):

@@ -1,8 +1,9 @@
 """Carried orbits against replay from scratch.
 
-``certify``, criterion condition I, condition III, the transitivity probe and
-the ``jordan`` command advance one stored image from each power to the next
-instead of recomputing T^n from the start vector.  These property tests compare them with the
+The certificate's replay reference (``conftest.replay_certify``), criterion
+condition I, condition III, the transitivity probe and the ``jordan`` command
+advance one stored image from each power to the next instead of recomputing
+T^n from the start vector.  These property tests compare them with the
 from-scratch replay on random operator trees over all seven kinds, random
 start vectors and increasing powers: results must be equal exactly, and an
 operator that raises must raise the same exception type.
@@ -30,7 +31,6 @@ from orbitlab import (
     SeqVec,
     SupportIn,
     apply_power,
-    certify,
     check_criterion,
     invariance_check,
     invariance_scan,
@@ -44,7 +44,7 @@ from orbitlab.cli import _JORDAN_LAMBDAS, ExperimentConfig, run
 from orbitlab.constructor import CertEntry
 from orbitlab.criterion import DecayRecord, InvarianceRecord
 from orbitlab.subspace import allowed_indices
-from conftest import CountingOp
+from conftest import CountingOp, replay_certify
 
 factors = st.sampled_from([2.0, -0.5, 1j, 1 + 1j, 0.75 - 0.25j, 0.0])
 matrices = st.integers(1, 3).flatmap(
@@ -152,11 +152,11 @@ def test_certify_rows_match_replay_from_scratch(op, vec, targets, gaps, pattern)
             image = apply_power(op, entry.time, vec)
             defect = membership_defect(image, pattern)
             distance = norm(image - entry.target)
-            passed = defect <= 1e-9 and distance <= bound + 1e-9
+            passed = defect == 0.0 and distance <= bound + 1e-9
             rows.append(CertEntry(j, entry.time, defect, distance, bound, passed))
         return tuple(rows)
 
-    carried = _result(lambda: certify(vec, schedule, pattern, op=op).entries)
+    carried = _result(lambda: replay_certify(schedule, pattern, op=op, vec=vec))
     assert carried == _result(replay)
 
 

@@ -1,16 +1,20 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from orbitlab import (
     BackwardShift,
+    Diagonal,
+    DirectSum,
+    ForwardShift,
     HittingSchedule,
     Identity,
     InvalidModulus,
     PrefixZero,
     ScalarMultiple,
-    ScheduleUnderflow,
     SeqVec,
+    UnsupportedOperator,
     apply_power,
     assemble,
     build_schedule,
@@ -18,14 +22,9 @@ from orbitlab import (
     membership_defect,
     norm,
 )
-from orbitlab.constructor import (
-    ScheduleEntry,
-    geometric_tail_bound,
-    length,
-    tail_bounds,
-)
+from orbitlab.constructor import ScheduleEntry, length, tail_bounds
 from orbitlab.subspace import DenseFamilySpec, dense_family
-from conftest import rand_vec
+from conftest import rand_vec, replay_certify, replay_vector
 
 
 class TestLength:
@@ -42,11 +41,32 @@ class TestTailBounds:
         assert tail_bounds(2.0, 2)[0] == pytest.approx(two_terms, rel=1e-15)
 
     def test_geometric_majorant(self):
-        assert geometric_tail_bound(2.0, 0) == pytest.approx(
-            0.5773502691896258, rel=1e-15
-        )
+        # The infinite tail's closed form bounds every finite one.
+        def closed_form(j):
+            return 2.0 ** (-(j + 1)) / math.sqrt(1.0 - 2.0**-2)
+
+        assert closed_form(0) == pytest.approx(0.5773502691896258, rel=1e-15)
         for j, bound in enumerate(tail_bounds(2.0, 40)):
-            assert bound <= geometric_tail_bound(2.0, j)
+            assert bound <= closed_form(j)
+
+    def test_bounds_past_the_normal_range(self):
+        # 4**-i is subnormal from i = 512 and a float 0.0 from i = 538; the
+        # correctly rounded bound, about 1.15 * 2**-(j+1), is positive up to
+        # row 1074.
+        bounds = tail_bounds(2.0, 1100)
+        total = Fraction(0)  # sum_{i=j+1..1100} 4**-i
+        for j in range(1099, -1, -1):
+            total += Fraction(1, 4 ** (j + 1))
+            bound = bounds[j]
+            # correctly rounded: sqrt(total) is within half a spacing of it
+            below = (Fraction(bound) + Fraction(math.nextafter(bound, 0.0))) / 2
+            above = (Fraction(bound) + Fraction(math.nextafter(bound, math.inf))) / 2
+            assert below * below <= total <= above * above
+            assert (bound > 0.0) == (j <= 1074)
+        # A count whose terms are all normal floats keeps the float sum.
+        assert tail_bounds(2.0, 500) == [
+            math.sqrt(sum(Fraction(2.0 ** (-2 * i)) for i in range(j + 1, 501))) for j in range(501)
+        ]
 
 
 class TestBuildSchedule:
@@ -58,7 +78,8 @@ class TestBuildSchedule:
     def test_zero_target_occupies_no_room(self):
         sched = build_schedule(2.0, [SeqVec.zero(), SeqVec.basis(4)])
         assert sched.times == (0, 1)
-        assert assemble(sched).vector() == SeqVec({5: 0.5})
+        assert replay_vector(sched) == SeqVec({5: 0.5})
+        assert assemble(sched).length == 6
 
     def test_invariants_on_random_targets(self, rng):
         targets = [rand_vec(rng, max_index=10, scale=3.0) for _ in range(8)]
@@ -89,12 +110,14 @@ class TestBuildSchedule:
 class TestAssemble:
     def test_single_target_copied_verbatim(self):
         sched = build_schedule(2.0, [SeqVec.basis(3)])
-        assert assemble(sched).vector() == SeqVec.basis(3)
+        assert replay_vector(sched) == SeqVec.basis(3)
+        assert assemble(sched).norm() == 1.0
 
     def test_windows_are_disjoint(self, rng):
         targets = [rand_vec(rng, max_index=8, scale=2.0) for _ in range(6)]
         sched = build_schedule(2.0, targets)
-        f = assemble(sched).vector()
+        f = replay_vector(sched)
+        assert assemble(sched).length == length(f)
         ks = sched.times
         for j, t in enumerate(targets):
             lo = ks[j]
@@ -102,30 +125,36 @@ class TestAssemble:
             window = SeqVec({i - lo: z for i, z in f.items() if lo <= i < hi})
             assert window == t * (2.0**-ks[j])
 
-    def test_underflow_guard(self):
+    def test_windows_hold_a_scale_past_the_float_range(self):
         # Window 1 has scale 16**-500 = 2**-2000, far below the float range.
         entries = (ScheduleEntry(0, SeqVec.basis(0)), ScheduleEntry(500, SeqVec.basis(0)))
         sched = HittingSchedule(16.0, entries)
         f = assemble(sched)
         assert f.length == 501
         assert f.norm() == 1.0
-        # The windows hold it: row 0's distance 2**-2000 is rounded up to the
-        # least subnormal rather than lost, and row 1 is exact.
-        report = certify(f, sched, PrefixZero(0))
+        # Row 0's distance 2**-2000 is rounded up to the least subnormal
+        # rather than lost, and row 1 is exact.
+        report = certify(f, PrefixZero(0))
         assert report.passes
         assert [row.distance for row in report.entries] == [math.ulp(0.0), 0.0]
-        # Only a float vector, needed to replay another operator, cannot.
-        with pytest.raises(ScheduleUnderflow):
-            f.vector()
-        with pytest.raises(ScheduleUnderflow):
-            certify(f, sched, PrefixZero(0), op=ScalarMultiple(16.0, Identity()))
+        # The same windows under 16 B + I, split past window 1's entry and
+        # below it: there the identity block keeps 2**-2000 e_500, and
+        # misses window 1's target at row 1.
+        lam_b = ScalarMultiple(16.0, BackwardShift(1))
+        split_past = certify(f, PrefixZero(0), op=DirectSum(lam_b, Identity(), 501))
+        assert split_past.entries == report.entries
+        split_below = certify(f, PrefixZero(0), op=DirectSum(lam_b, Identity(), 500))
+        assert [row.distance for row in split_below.entries] == [math.ulp(0.0), 1.0]
+        # The float vector of a replay cannot hold it.
+        with pytest.raises(ValueError, match="below the float range"):
+            replay_vector(sched)
 
 
 class TestCertify:
     def test_identity_start_is_exact(self):
         sched = build_schedule(2.0, [SeqVec.basis(3)])
         f = assemble(sched)
-        report = certify(f, sched, PrefixZero(3))
+        report = certify(f, PrefixZero(3))
         assert report.passes
         row = report.entries[0]
         assert row.defect == 0.0
@@ -137,22 +166,24 @@ class TestCertify:
         targets = [dense_family(spec, j) for j in range(7)]
         sched = build_schedule(2.0, targets)
         f = assemble(sched)
-        report = certify(f, sched, PrefixZero(m))
+        report = certify(f, PrefixZero(m))
         assert report.passes
         for row in report.entries:
             assert row.defect == 0.0
             assert row.distance <= row.bound + 1e-9
 
     def test_corruption_is_detected(self):
+        # The replay that the windowed rows are checked against must see a
+        # corruption: a bump at a window entry fails the rows that a brute
+        # force replay of each power fails, and the clean vector fails none.
         spec = DenseFamilySpec(PrefixZero(3), 6, 1)
         targets = [dense_family(spec, j) for j in range(7)]
         sched = build_schedule(2.0, targets)
-        f = assemble(sched).vector()
+        clean = replay_certify(sched, PrefixZero(3))
+        assert clean == certify(assemble(sched), PrefixZero(3)).entries
         ks = sched.times
-        bad_index = ks[4] + 3
-        f = f + SeqVec.basis(bad_index, 1e-3)
+        f = replay_vector(sched) + SeqVec.basis(ks[4] + 3, 1e-3)
 
-        # recompute each certificate row by brute force on the corrupted vector
         op = ScalarMultiple(2.0, BackwardShift())
         expected_fail = set()
         for j, k in enumerate(ks):
@@ -160,21 +191,20 @@ class TestCertify:
             dist = norm(shifted - targets[j])
             bound = tail_bounds(2.0, len(ks) - 1)[j]
             defect = membership_defect(shifted, PrefixZero(3))
-            if defect > 1e-9 or dist > bound + 1e-9:
+            if defect != 0.0 or dist > bound + 1e-9:
                 expected_fail.add(j)
 
-        report = certify(f, sched, PrefixZero(3))
-        got_fail = {row.index for row in report.entries if not row.passed}
-        assert got_fail == expected_fail
+        rows = replay_certify(sched, PrefixZero(3), vec=f)
+        assert {row.index for row in rows if not row.passed} == expected_fail
         assert expected_fail  # the injected bump must actually break something
-        assert not report.passes
+        assert all(row.passed for row in clean)
 
     def test_wrong_pattern_fails_membership(self):
         spec = DenseFamilySpec(PrefixZero(3), 6, 1)
         targets = [dense_family(spec, j) for j in range(4)]
         sched = build_schedule(2.0, targets)
         f = assemble(sched)
-        report = certify(f, sched, PrefixZero(4))
+        report = certify(f, PrefixZero(4))
         assert not report.passes
 
     def test_bounds_come_from_the_schedule(self):
@@ -183,16 +213,34 @@ class TestCertify:
         entries = (ScheduleEntry(0, SeqVec.basis(3)), ScheduleEntry(5, SeqVec.basis(4)))
         sched = HittingSchedule(2.0, entries)
         assert sched.bounds == (0.5, 0.0)
-        report = certify(SeqVec({0: 100.0}), sched, PrefixZero(0))
+        report = certify(assemble(sched), PrefixZero(0))
         assert [row.bound for row in report.entries] == [0.5, 0.0]
-        assert [row.passed for row in report.entries] == [False, False]
-        assert not report.passes
+        assert report.passes
+        rows = replay_certify(sched, PrefixZero(0), vec=SeqVec({0: 100.0}))
+        assert [row.bound for row in rows] == [0.5, 0.0]
+        assert [row.passed for row in rows] == [False, False]
 
     def test_custom_operator_must_match_schedule(self):
         sched = build_schedule(2.0, [SeqVec.basis(3), SeqVec.basis(5)])
         f = assemble(sched)
-        report = certify(f, sched, PrefixZero(3), op=Identity())
-        assert not report.passes
+        lam_b = ScalarMultiple(2.0, BackwardShift(1))
+        assert certify(f, PrefixZero(3), op=lam_b).passes
+        assert certify(f, PrefixZero(3), op=DirectSum(lam_b, Identity(), 11)).passes
+        assert not certify(f, PrefixZero(3), op=DirectSum(lam_b, Identity(), 10)).passes
+        for op in (
+            Identity(),
+            BackwardShift(1),
+            ScalarMultiple(4.0, BackwardShift(1)),
+            ScalarMultiple(2.0, BackwardShift(2)),
+            ScalarMultiple(1.0, lam_b),
+            DirectSum(lam_b, Diagonal((1.0,)), 7),
+            DirectSum(ScalarMultiple(4.0, BackwardShift(1)), Identity(), 7),
+            DirectSum(ForwardShift(1), Identity(), 7),
+        ):
+            with pytest.raises(UnsupportedOperator):
+                certify(f, PrefixZero(3), op=op)
+        with pytest.raises(UnsupportedOperator):
+            certify(replay_vector(sched), PrefixZero(3))
 
 
 class TestScheduleValidation:

@@ -1,8 +1,8 @@
 """The fast paths of the sparse layer against honest iteration.
 
 ``apply_power`` answers nested scalar multiples of one backward shift by
-index arithmetic plus one value trajectory per entry, and a direct sum
-whose left block moves no index up block by block; ``invariance_scan``
+index arithmetic plus one value trajectory per entry, and steps a direct
+sum honestly, whatever its blocks; ``invariance_scan``
 runs one trajectory that all basis vectors share; ``transitivity_probe``
 filters its grid once, carries the survivors' images and drops the copies;
 and condition II of ``check_criterion`` reads its norms off each entry's
@@ -237,8 +237,8 @@ def test_every_kind_on_either_side_matches_plain_loop(left, right):
 
 # 1e200 B takes index 3 to 1e200 and then to inf, failing on the second
 # step.  The honest loop steps both blocks together, so a right block that
-# fails on the first step must be the error raised, although the block rule
-# powers the left block first.
+# fails on the first step must be the error raised, though the left block,
+# on its own, would fail too.
 OVERFLOWING_LEFT = ScalarMultiple(1e200, BackwardShift(1))
 
 

@@ -1,15 +1,17 @@
-"""lam B's certificate read off the windows, against replay and exact rationals.
+"""Certificates read off the windows, against replay and exact rationals.
 
 ``assemble`` keeps f = sum_j lam^(-k_j) S^(k_j) f_j as its windows, and
-``certify`` reads every row of lam B's certificate off them.  Below the
-float range these tests pin that path against replaying the float vector
-through ``apply_power``; past it, against exact rationals.  They also check
-the schedules' norm test against exact arithmetic where a float would
-saturate, and sweep the certify and ``jordan`` gates over the float range.
+``certify`` reads every row of the certificates of lam B and of lam B + I
+off them.  Inside the float range these tests pin that path against
+replaying the float vector through ``apply_power`` (``conftest``); past it,
+against exact rationals.  They also check the schedules' norm test against
+exact arithmetic where a float would saturate, and sweep the certify and
+``jordan`` gates over the float range.
 """
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,10 +19,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from orbitlab import (
+    BackwardShift,
+    DirectSum,
     HittingSchedule,
+    Identity,
     PrefixZero,
     ResidueZero,
     RightBlockZero,
+    ScalarMultiple,
     SeqVec,
     SupportIn,
     assemble,
@@ -32,6 +38,7 @@ from orbitlab import cli, constructor
 from orbitlab.cli import ExperimentConfig, run
 from orbitlab.constructor import ScheduleEntry, _within_decay, length
 from orbitlab.subspace import DenseFamilySpec, dense_family
+from conftest import exact_verdicts, replay_certify, replay_vector
 
 # Every product of these, their inverses and their powers is exact.
 DYADIC = [2.0, -2.0, 2j, -2j, 4.0]
@@ -69,29 +76,36 @@ def _schedule(lam, targets, extra):
     )
 
 
-def _rows(report):
+def _rows(rows):
     return [
-        (r.index, r.time, repr(r.defect), repr(r.distance), repr(r.bound), r.passed)
-        for r in report.entries
+        (r.index, r.time, repr(r.defect), repr(r.distance), repr(r.bound), r.passed) for r in rows
     ]
 
 
-def _both(sched, pattern):
-    """(windowed, replayed) certificates of the same schedule."""
-    f = assemble(sched)
-    return certify(f, sched, pattern), certify(f.vector(), sched, pattern)
+def _both(sched, pattern, op=None):
+    """(windowed, replayed) certificate rows of the same schedule."""
+    return certify(assemble(sched), pattern, op=op).entries, replay_certify(sched, pattern, op=op)
+
+
+def _plus_identity(lam, split):
+    """The paper's lam B + I, its identity block from index ``split`` on."""
+    return DirectSum(ScalarMultiple(lam, BackwardShift(1)), Identity(), split)
 
 
 @seed(14)
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(DYADIC), _case, _patterns)
-def test_dyadic_rows_equal_replay_bit_for_bit(lam, case, pattern):
+@given(st.sampled_from(DYADIC), _case, _patterns, st.one_of(st.none(), st.integers(1, 80)))
+def test_dyadic_rows_equal_replay_bit_for_bit(lam, case, pattern, split):
+    """For lam B, and for lam B + I split anywhere in or past the windows;
+    a split at 1 leaves only index 0 to lam B, and targets that meet the
+    entries that the identity block keeps."""
     sched = _schedule(lam, *case)
-    windowed, honest = _both(sched, pattern)
+    op = None if split is None else _plus_identity(lam, split)
+    windowed, honest = _both(sched, pattern, op)
     assert _rows(windowed) == _rows(honest)
     f = assemble(sched)
-    assert repr(f.norm()) == repr(norm(f.vector()))
-    assert f.length == length(f.vector())
+    assert repr(f.norm()) == repr(norm(replay_vector(sched)))
+    assert f.length == length(replay_vector(sched))
 
 
 @pytest.mark.parametrize("lam", DYADIC)
@@ -107,7 +121,62 @@ def test_dyadic_forbidden_landings_equal_replay(lam, pattern):
     sched = build_schedule(lam, [dense_family(spec, j) for j in range(13)])
     windowed, honest = _both(sched, pattern)
     assert _rows(windowed) == _rows(honest)
-    assert any(row.defect > 0.0 for row in windowed.entries)
+    assert any(row.defect > 0.0 for row in windowed)
+
+
+# (lam, split, target count, whether a window crosses the split).  Prefix-3
+# family members start at index 3, so at split 1 every window crosses.  At
+# lam = 4 a window past 512 is below the float range of a replay
+# (4**-487 < 1e-280), so there both counts stay below the split.
+_SIDES = {
+    2.0: ((1, 2, True), (1, 12, True), (40, 6, False), (40, 12, True), (512, 20, False), (512, 41, True)),
+    4.0: ((1, 2, True), (1, 12, True), (40, 6, False), (40, 12, True), (512, 20, False), (512, 29, False)),
+}
+_SPLIT_CASES = [
+    (lam, *case) for lam in (2.0, -2.0, 2j, 4.0) for case in _SIDES[4.0 if lam == 4.0 else 2.0]
+]
+
+
+@pytest.mark.parametrize("lam, split, count, crosses", _SPLIT_CASES)
+@pytest.mark.parametrize(
+    "pattern",
+    [PrefixZero(4), ResidueZero(0, 2), SupportIn(3), RightBlockZero(40)],
+    ids=["prefix", "residue", "supportIn", "rightBlock"],
+)
+def test_lam_b_plus_identity_rows_equal_replay(lam, split, count, crosses, pattern):
+    spec = DenseFamilySpec(PrefixZero(3), 6, 1)
+    sched = build_schedule(lam, [dense_family(spec, j) for j in range(count + 1)])
+    windowed, honest = _both(sched, pattern, _plus_identity(lam, split))
+    assert _rows(windowed) == _rows(honest)
+    f = assemble(sched)
+    assert (f.length > split) == crosses
+    if not crosses:  # nothing reaches the identity block: lam B's rows
+        assert windowed == certify(f, pattern).entries
+
+
+def test_tiny_distances_take_the_norm_rescaling():
+    """Below 2**-500 ``norm`` sums the squares again, divided by the largest
+    modulus; row 0 of a gap of 600 at lam = 2 must give that bit too."""
+    rng = random.Random(3)
+    for _ in range(40):
+        values = [complex(rng.randint(1, 7) / 4, rng.randint(-7, 7) / 4) for _ in range(3)]
+        far = ScheduleEntry(600, SeqVec(dict(enumerate(values))))
+        sched = HittingSchedule(2.0, (ScheduleEntry(0, SeqVec.basis(0)), far))
+        windowed, honest = _both(sched, PrefixZero(0))
+        assert _rows(windowed) == _rows(honest)
+        assert 0.0 < windowed[0].distance < 2.0**-500
+
+
+@pytest.mark.parametrize("preset", ["certify-direct-sum-prefix3", "certify-left-block"])
+def test_lam_b_plus_identity_verdicts_match_exact_replay(preset):
+    """At 200 targets most windows sit far below the float range; each row's
+    pass bit is the one that exact rationals give."""
+    cfg = ExperimentConfig.from_dict({"command": "preset", "preset": preset, "targets": 200})
+    rows = run(cfg).report["report"]["entries"]
+    sched = build_schedule(cfg.lam, [dense_family(cfg.family(), j) for j in range(201)])
+    exact = exact_verdicts(sched, cfg.pattern, cfg.tol, cfg.default_operator())
+    assert [r["pass"] for r in rows] == exact
+    assert any(exact) or preset == "certify-left-block"
 
 
 @seed(15)
@@ -123,16 +192,13 @@ def test_other_rows_match_replay_within_rounding(lam, case, pattern):
     sched = _schedule(lam, *case)
     windowed, honest = _both(sched, pattern)
     slack = 16 * (sched.times[-1] + 2) * 2.0**-53
-    for w, h, e in zip(windowed.entries, honest.entries, sched.entries):
+    for w, h, e in zip(windowed, honest, sched.entries):
         assert (w.index, w.time, w.bound) == (h.index, h.time, h.bound)
         assert (w.defect == 0.0) == (h.defect == 0.0)
         assert abs(w.defect - h.defect) <= slack * h.defect
         scale = h.distance + norm(e.target)
         assert abs(w.distance - h.distance) <= slack * scale
-        near_gate = abs(h.defect - 1e-9) <= slack * h.defect or (
-            abs(h.distance - h.bound - 1e-9) <= slack * scale
-        )
-        if not near_gate:
+        if not abs(h.distance - h.bound - 1e-9) <= slack * scale:
             assert w.passed == h.passed
 
 
@@ -142,7 +208,7 @@ def test_distances_against_exact_rationals():
     spec = DenseFamilySpec(PrefixZero(3), 6, 1)
     targets = [dense_family(spec, j) for j in range(count + 1)]
     sched = build_schedule(2.0, targets)
-    report = certify(assemble(sched), sched, PrefixZero(3))
+    report = certify(assemble(sched), PrefixZero(3))
     assert report.passes
     ks = sched.times
     squares = [
@@ -256,7 +322,7 @@ def _exactly_within(value, limit):
 @st.composite
 def _gate_case(draw):
     """A (defect, distance, tol), half the time with the distance on the gate."""
-    defect, tol = draw(_value), draw(_tol)
+    defect, tol = draw(st.one_of(st.just(0.0), _value)), draw(_tol)
     bound = 0.5  # row 0 of a two-entry schedule at lam = 2
     distance = draw(_value)
     if draw(st.booleans()):
@@ -276,22 +342,39 @@ _GATE_SCHED = HittingSchedule(
 @given(_gate_case())
 def test_certify_gate_passes_nothing_it_should_reject(case):
     defect, distance, tol = case
-    want = _exactly_within(defect, Fraction(tol)) and _exactly_within(
-        distance, Fraction(0.5) + Fraction(tol)
-    )
-    f = assemble(_GATE_SCHED)
+    want = defect == 0.0 and _exactly_within(distance, Fraction(0.5) + Fraction(tol))
     with pytest.MonkeyPatch.context() as mp:
-        # The windowed rows, then the replayed ones.
-        mp.setattr(constructor.WindowedVector, "defect", lambda self, n, pattern: defect)
-        mp.setattr(constructor.WindowedVector, "tail", lambda self, ref, start: distance)
-        windowed = certify(f, _GATE_SCHED, PrefixZero(0), float_tol=tol)
-        mp.undo()
-        vec = f.vector()
-        mp.setattr(constructor, "membership_defect", lambda image, pattern: defect)
-        mp.setattr(constructor, "norm", lambda v: distance)
-        replayed = certify(vec, _GATE_SCHED, PrefixZero(0), float_tol=tol)
-    assert windowed.entries[0].passed == want
-    assert replayed.entries[0].passed == want
+        mp.setattr(constructor.WindowedVector, "defect", lambda self, n, pattern, split: defect)
+        mp.setattr(constructor.WindowedVector, "distance", lambda self, n, split: distance)
+        report = certify(assemble(_GATE_SCHED), PrefixZero(0), float_tol=tol)
+    assert report.entries[0].passed == want
+
+
+@pytest.mark.parametrize("defect", [1e-300, 5e-324, math.ulp(0.0), -0.0])
+def test_membership_takes_no_tolerance(defect, monkeypatch):
+    # A defect of 1e-300 fails however large floatTol is; -0.0 is 0.0.
+    monkeypatch.setattr(constructor.WindowedVector, "defect", lambda self, n, pattern, split: defect)
+    report = certify(assemble(_GATE_SCHED), PrefixZero(0), float_tol=1e-3)
+    assert [row.passed for row in report.entries] == [defect == 0.0] * 2
+
+
+def test_rows_off_the_subspace_fail():
+    # lam B against rightBlock 40: past row 0, every orbit point has entries
+    # past index 40, with defects of 5e-15 to 1.8e-12, all below floatTol.
+    cfg = ExperimentConfig.from_dict(
+        {
+            "command": "certify",
+            "lambda": [2.0, 0.0],
+            "pattern": {"kind": "rightBlock", "split": 40},
+            "targets": 60,
+        }
+    )
+    result = run(cfg)
+    rows = result.report["report"]["entries"]
+    assert not result.passed
+    assert sum(r["membershipDefect"] != 0.0 for r in rows) == 60
+    assert all(r["pass"] == (r["membershipDefect"] == 0.0) for r in rows)
+    assert max(r["membershipDefect"] for r in rows) < 1e-9
 
 
 @seed(17)
