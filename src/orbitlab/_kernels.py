@@ -104,8 +104,8 @@ def orbit_points(mats, vecs, n_steps):
         if done == n_steps or not open_.any():
             return [rows[: ends[b] + 1, b] for b in range(stack)]
         start, done = done, min(done + _ZERO_CHECK, n_steps)
-        for n in range(start + 1, done + 1):
-            np.matmul(m, out[n - 1], out=out[n])
+        for prev, cur in zip(out[start:done], out[start + 1 : done + 1]):
+            np.matmul(m, prev, cur)
 
 
 def _real_rows(a):

@@ -106,8 +106,6 @@ eigen_orbit_pairing = _obstruction("eigen_orbit_pairing")
 generalized_pairing_polynomial = _obstruction("generalized_pairing_polynomial")
 jordan_orbit = _obstruction("jordan_orbit")
 orbit_span_rank = _obstruction("orbit_span_rank")
-planted_chain_instance = _obstruction("planted_chain_instance")
-planted_eigen_instance = _obstruction("planted_eigen_instance")
 spectral_dichotomy = _obstruction("spectral_dichotomy")
 unit_ball_net = _obstruction("unit_ball_net")
 
@@ -579,21 +577,6 @@ def _random_member(rng: np.random.Generator, pattern: ZeroPattern, dim: int) -> 
     return SeqVec(zip(allowed, vals))
 
 
-def _stepped(starts: list[tuple[np.ndarray, np.ndarray]], n_steps: int) -> list[np.ndarray]:
-    """The orbits of (matrix, start vector) pairs to n_steps, in the order
-    given, stepped as one ``orbit_points`` stack per dimension."""
-    by_dim: dict[int, list[int]] = {}
-    for i, (_, vec) in enumerate(starts):
-        by_dim.setdefault(vec.shape[0], []).append(i)
-    orbits: list = [None] * len(starts)
-    for group in by_dim.values():
-        mats = np.array([starts[i][0] for i in group])
-        vecs = np.array([starts[i][1] for i in group])
-        for i, orbit in zip(group, _kernels.orbit_points(mats, vecs, n_steps)):
-            orbits[i] = orbit
-    return orbits
-
-
 def _findim_start(rng: np.random.Generator, pattern: ZeroPattern, dim: int):
     """One findim trial's matrix, scaled to spectral radius 0.8 and keeping
     the pattern's subspace invariant, and its start vector in the subspace."""
@@ -621,8 +604,9 @@ def _run_findim(cfg: ExperimentConfig) -> RunResult:
     net = None  # one net for every trial, built where the first trial needs it
     for first in range(0, cfg.trials, width):
         last = min(first + width, cfg.trials)
-        starts = [_findim_start(rng, cfg.pattern, dim) for _ in range(first, last)]
-        for t, orbit in enumerate(_stepped(starts, steps), first):
+        mats, vecs = zip(*(_findim_start(rng, cfg.pattern, dim) for _ in range(first, last)))
+        orbits = _kernels.orbit_points(np.array(mats), np.array(vecs), steps)
+        for t, orbit in enumerate(orbits, first):
             rank_small = orbit_span_rank(orbit, dim - 1)
             rank_large = orbit_span_rank(orbit, 2 * dim)
             stabilized = rank_small == rank_large
@@ -702,26 +686,28 @@ def _run_spectrum(cfg: ExperimentConfig) -> RunResult:
 _KERNEL_MAX_DIM = 8
 
 
-def _worst_law(count: int, draw: Callable, n_steps: int) -> float:
-    """The worst of ``count`` pairing-law values, through ``max_or_nan``.
+def _worst_law(count: int, draw: Callable, law: Callable, n_steps: int) -> float:
+    """The worst of ``count`` values ``law(T, orbit, y, lam, *args, n_steps)``.
 
-    ``draw()`` makes one instance: its matrix, its start vector and the law
-    that reads its orbit.  Instances are drawn in chunks small enough that
-    each dimension's stack fits ``_kernels.stack_width``; a chunk's orbits
-    are stepped together and its laws read in draw order, so the first
-    instance that raises is the one that raises.
+    ``draw()`` draws one instance: its ``PlantedDraw``, start vector and
+    ``args``.  ``planted_orbits`` factors and steps the draws in chunks whose
+    stacks fit ``_kernels.stack_width``; the laws are read in draw order, so
+    the first instance that raises is the one that raises.
     """
+    from .obstructions import planted_orbits
+
     worst = 0.0
     chunk = _kernels.stack_width(n_steps + 1, _KERNEL_MAX_DIM)
     for first in range(0, count, chunk):
-        drawn = [draw() for _ in range(first, min(first + chunk, count))]
-        orbits = _stepped([(mat, vec) for mat, vec, _ in drawn], n_steps)
-        for (_, _, law), orbit in zip(drawn, orbits):
-            worst = max_or_nan(worst, law(orbit))
+        draws, starts, args = zip(*(draw() for _ in range(first, min(first + chunk, count))))
+        for extra, ((op, y, lam), orbit) in zip(args, planted_orbits(draws, starts, n_steps)):
+            worst = max_or_nan(worst, law(op, orbit, y, lam, *extra, n_steps))
     return worst
 
 
 def _run_kernel(cfg: ExperimentConfig) -> RunResult:
+    from .obstructions import draw_chain, draw_eigen
+
     rng = np.random.default_rng(cfg.seed)
     n_max = cfg.horizon
 
@@ -730,21 +716,15 @@ def _run_kernel(cfg: ExperimentConfig) -> RunResult:
 
     def eigen():
         dim = int(rng.integers(2, _KERNEL_MAX_DIM + 1))
-        op, y, lam = planted_eigen_instance(rng, dim)
-        return op.array, start(dim), lambda orbit: eigen_orbit_pairing(op, orbit, y, lam, n_max)
+        return draw_eigen(rng, dim), start(dim), ()
 
     def chain():
         p = int(rng.integers(1, 4))
         dim = int(rng.integers(p + 1, _KERNEL_MAX_DIM + 1))
-        op, y, lam = planted_chain_instance(rng, dim, p)
-        return (
-            op.array,
-            start(dim),
-            lambda orbit: generalized_pairing_polynomial(op, orbit, y, lam, p, n_max),
-        )
+        return draw_chain(rng, dim, p), start(dim), (p,)
 
-    worst_eigen = _worst_law(cfg.eigen_instances, eigen, n_max)
-    worst_chain = _worst_law(cfg.chain_instances, chain, n_max)
+    worst_eigen = _worst_law(cfg.eigen_instances, eigen, eigen_orbit_pairing, n_max)
+    worst_chain = _worst_law(cfg.chain_instances, chain, generalized_pairing_polynomial, n_max)
 
     eigen_ok = worst_eigen <= cfg.eigen_tol
     chain_ok = worst_chain <= cfg.chain_tol

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -375,41 +376,66 @@ def compression_orbit_check(
 # --------------------------------------------------------------------------
 # Seeded instance generators for the pairing laws.  Unitary conjugation
 # keeps the planted structure well conditioned, so observed deviations
-# measure the pairing law, not the generator.
+# measure the pairing law, not the generator.  An instance is drawn, taking
+# all its random numbers, then factored: T = Q middle Q*, or its adjoint if
+# ``adjoint``, with Q the unitary QR factor of ``gauss``; y = Q[:, column]
+# and T* y = lam y.
+PlantedDraw = namedtuple("PlantedDraw", "gauss middle column lam adjoint")
+Planted = tuple[FiniteMatrix, SeqVec, complex]
 
 
-def planted_eigen_instance(
-    rng: np.random.Generator, dim: int
-) -> tuple[FiniteMatrix, SeqVec, complex]:
-    """A matrix with a known adjoint eigenpair: returns (T, y, lam) with T* y = lam y."""
+def draw_eigen(rng: np.random.Generator, dim: int) -> PlantedDraw:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, _ = np.linalg.qr(g)
-    moduli = rng.uniform(0.2, 1.0, size=dim)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=dim)
-    eigs = moduli * np.exp(1j * phases)
-    t = q @ np.diag(eigs) @ q.conj().T
-    y = SeqVec.from_dense(q[:, 0])
+    eigs = rng.uniform(0.2, 1.0, size=dim) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=dim))
     # T* = Q conj(Lambda) Q*, so the adjoint eigenvalue at q_0 is conj(eigs[0])
-    return FiniteMatrix(t), y, complex(np.conj(eigs[0]))
+    return PlantedDraw(g, np.diag(eigs), 0, complex(np.conj(eigs[0])), False)
 
 
-def planted_chain_instance(
-    rng: np.random.Generator, dim: int, p: int
-) -> tuple[FiniteMatrix, SeqVec, complex]:
-    """A matrix whose adjoint has a planted rank-p chain: (T* - lam)^p y = 0."""
+def draw_chain(rng: np.random.Generator, dim: int, p: int) -> PlantedDraw:
     if not 1 <= p <= dim:
         raise ValueError("need 1 <= p <= dim")
     lam = complex(rng.uniform(0.3, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
-    block = np.diag(np.full(p, lam)) + np.diag(np.ones(p - 1), 1)
-    rest = np.diag(
+    adj = np.zeros((dim, dim), dtype=np.complex128)
+    adj[:p, :p] = np.diag(np.full(p, lam)) + np.diag(np.ones(p - 1), 1)
+    adj[p:, p:] = np.diag(
         rng.uniform(0.2, 0.95, size=dim - p)
         * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=dim - p))
     )
-    adj = np.zeros((dim, dim), dtype=np.complex128)
-    adj[:p, :p] = block
-    adj[p:, p:] = rest
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, _ = np.linalg.qr(g)
-    t = (q @ adj @ q.conj().T).conj().T
-    y = SeqVec.from_dense(q[:, p - 1])
-    return FiniteMatrix(t), y, lam
+    return PlantedDraw(g, adj, p - 1, lam, True)
+
+
+def _factored(draws: Sequence[PlantedDraw]) -> tuple[np.ndarray, list[Planted]]:
+    """Same-size draws of one kind as a C-ordered (B, d, d) stack of T, and
+    each (T, y, lam).  One ``qr`` and one Q @ middle @ Q* over the stack give
+    each instance the bits of factoring it alone; scaling Q's columns by a
+    diagonal middle factor would round differently."""
+    q, _ = np.linalg.qr(np.array([d.gauss for d in draws]))
+    t = q @ np.array([d.middle for d in draws]) @ q.conj().transpose(0, 2, 1)
+    t = np.ascontiguousarray(t.conj().transpose(0, 2, 1) if draws[0].adjoint else t)
+    ys = [SeqVec.from_dense(q[b, :, d.column]) for b, d in enumerate(draws)]
+    return t, [(FiniteMatrix(m), y, d.lam) for m, y, d in zip(t, ys, draws)]
+
+
+def planted_orbits(draws: Sequence[PlantedDraw], starts: Sequence, n_steps: int) -> list:
+    """((T, y, lam), orbit) for draws of one kind and their start vectors, in
+    draw order, each orbit to n_steps as ``orbit_rows`` steps it.  The draws
+    of each dimension are factored and stepped as one stack."""
+    out: list = [None] * len(draws)
+    for dim in {len(d.gauss) for d in draws}:
+        group = [i for i, d in enumerate(draws) if len(d.gauss) == dim]
+        mats, instances = _factored([draws[i] for i in group])
+        orbits = _kernels.orbit_points(mats, np.array([starts[i] for i in group]), n_steps)
+        for i, instance, orbit in zip(group, instances, orbits):
+            out[i] = instance, orbit
+    return out
+
+
+def planted_eigen_instance(rng: np.random.Generator, dim: int) -> Planted:
+    """A matrix with a known adjoint eigenpair: returns (T, y, lam) with T* y = lam y."""
+    return _factored([draw_eigen(rng, dim)])[1][0]
+
+
+def planted_chain_instance(rng: np.random.Generator, dim: int, p: int) -> Planted:
+    """A matrix whose adjoint has a planted rank-p chain: (T* - lam)^p y = 0."""
+    return _factored([draw_chain(rng, dim, p)])[1][0]

@@ -94,6 +94,49 @@ def plain_orbit(mat, vec, steps):
     return out
 
 
+# -- the planted instances' reference: one instance at a time -------------
+# Each instance is drawn and factored alone, with one ``qr`` of its own.
+# The stacked generators in ``obstructions`` must give every instance these
+# bits and leave the rng where these do.
+
+
+def reference_planted_eigen_instance(
+    rng: np.random.Generator, dim: int
+) -> tuple[FiniteMatrix, SeqVec, complex]:
+    """A matrix with a known adjoint eigenpair: returns (T, y, lam) with T* y = lam y."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(g)
+    moduli = rng.uniform(0.2, 1.0, size=dim)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=dim)
+    eigs = moduli * np.exp(1j * phases)
+    t = q @ np.diag(eigs) @ q.conj().T
+    y = SeqVec.from_dense(q[:, 0])
+    # T* = Q conj(Lambda) Q*, so the adjoint eigenvalue at q_0 is conj(eigs[0])
+    return FiniteMatrix(t), y, complex(np.conj(eigs[0]))
+
+
+def reference_planted_chain_instance(
+    rng: np.random.Generator, dim: int, p: int
+) -> tuple[FiniteMatrix, SeqVec, complex]:
+    """A matrix whose adjoint has a planted rank-p chain: (T* - lam)^p y = 0."""
+    if not 1 <= p <= dim:
+        raise ValueError("need 1 <= p <= dim")
+    lam = complex(rng.uniform(0.3, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+    block = np.diag(np.full(p, lam)) + np.diag(np.ones(p - 1), 1)
+    rest = np.diag(
+        rng.uniform(0.2, 0.95, size=dim - p)
+        * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=dim - p))
+    )
+    adj = np.zeros((dim, dim), dtype=np.complex128)
+    adj[:p, :p] = block
+    adj[p:, p:] = rest
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(g)
+    t = (q @ adj @ q.conj().T).conj().T
+    y = SeqVec.from_dense(q[:, p - 1])
+    return FiniteMatrix(t), y, lam
+
+
 class CountingOp:
     """Wraps an operator and counts its applications."""
 

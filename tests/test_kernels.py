@@ -293,6 +293,24 @@ def _stack_member(rng, dim, kind):
 STACK_KINDS = ("plain", "subnormal", "nilpotent", "zero-start", "regrow", "non-finite")
 
 
+def _assert_stack_matches(members, n_steps):
+    """Steps (matrix, start vector) pairs as one stack and checks each orbit
+    against ``plain_orbit``, sign bits included; returns the orbit lengths."""
+    got = _kernels.orbit_points(
+        np.array([m for m, _ in members]), np.array([v for _, v in members]), n_steps
+    )
+    assert len(got) == len(members)
+    lengths = set()
+    for orbit, (mat, vec) in zip(got, members):
+        want = plain_orbit(mat, vec, n_steps)
+        assert orbit.shape == want.shape
+        assert np.array_equal(orbit, want, equal_nan=True)
+        # == cannot tell -0.0 from 0.0; the sign bits can.
+        assert np.array_equal(np.signbit(orbit.view(float)), np.signbit(want.view(float)))
+        lengths.add(len(orbit))
+    return lengths
+
+
 @pytest.mark.usefixtures("zero_check")
 class TestStackedOrbitPoints:
     """One stack of B orbits gives each orbit the bits of stepping it alone."""
@@ -306,21 +324,19 @@ class TestStackedOrbitPoints:
                 if stack >= len(STACK_KINDS):
                     kinds[: len(STACK_KINDS)] = STACK_KINDS
                 members = [_stack_member(rng, dim, kind) for kind in kinds]
-                mats = np.array([m for m, _ in members])
-                vecs = np.array([v for _, v in members])
-                got = _kernels.orbit_points(mats, vecs, 90)
-                assert len(got) == stack
-                lengths = set()
-                for orbit, (mat, vec) in zip(got, members):
-                    want = plain_orbit(mat, vec, 90)
-                    assert orbit.shape == want.shape
-                    assert np.array_equal(orbit, want, equal_nan=True)
-                    # == cannot tell -0.0 from 0.0; the sign bits can.
-                    signs = np.signbit(orbit.view(float)), np.signbit(want.view(float))
-                    assert np.array_equal(*signs)
-                    lengths.add(len(orbit))
+                lengths = _assert_stack_matches(members, 90)
                 ended_apart += len(lengths) > 2
         assert ended_apart >= 3
+
+    # 0 steps, fewer than _ZERO_CHECK, exactly it, and past it by a remainder.
+    @pytest.mark.parametrize("n_steps", [0, 1, 2, 5, 63, 64, 65, 130])
+    def test_lengths_around_the_zero_check(self, rng, n_steps):
+        with np.errstate(invalid="ignore", over="ignore"):
+            for stack in (1, 3, len(STACK_KINDS)):
+                kinds = STACK_KINDS[:stack] if stack > 1 else ("plain",)
+                members = [_stack_member(rng, 4, kind) for kind in kinds]
+                lengths = _assert_stack_matches(members, n_steps)
+                assert max(lengths) == n_steps + 1
 
     def test_subnormal_rows_are_stepped(self, rng):
         members = [_stack_member(rng, 6, "subnormal") for _ in range(5)]

@@ -3,8 +3,9 @@ be those of stepping every orbit alone.
 
 The reference runners below are the one-orbit-at-a-time runners the stacked
 ones replaced: a 3-trial ``findim`` steps nine orbits (two rank orbits and
-one density orbit per trial), and each pairing-law instance steps its own.
-Each reference orbit is a plain ``np.matmul`` loop.  The stack cap
+one density orbit per trial), and each pairing-law instance is generated by
+the one-at-a-time references in ``conftest`` and steps its own orbit.  Each
+reference orbit is a plain ``np.matmul`` loop.  The stack cap
 ``_kernels._STACK`` is set to one orbit, three orbits and its default, as
 ``zero_check`` sets ``_ZERO_CHECK``.
 """
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from orbitlab import _kernels, cli
+from orbitlab import _kernels, cli, obstructions
 from orbitlab.cli import ExperimentConfig, RunResult, main
 from orbitlab.errors import ConfigError
 from orbitlab.obstructions import (
@@ -27,12 +28,17 @@ from orbitlab.obstructions import (
     eigen_orbit_pairing,
     generalized_pairing_polynomial,
     orbit_span_rank,
-    planted_chain_instance,
-    planted_eigen_instance,
     unit_ball_net,
 )
 from orbitlab.seqspace import FiniteMatrix, SeqVec, max_or_nan
-from conftest import gate_values, non_finite_error, plain_orbit, run_main
+from conftest import (
+    gate_values,
+    non_finite_error,
+    plain_orbit,
+    reference_planted_chain_instance,
+    reference_planted_eigen_instance,
+    run_main,
+)
 
 
 def _reference_findim(cfg: ExperimentConfig) -> RunResult:
@@ -86,7 +92,7 @@ def _reference_kernel(cfg: ExperimentConfig) -> RunResult:
     worst_eigen = 0.0
     for _ in range(cfg.eigen_instances):
         dim = int(rng.integers(2, 9))
-        op, y, lam = planted_eigen_instance(rng, dim)
+        op, y, lam = reference_planted_eigen_instance(rng, dim)
         x = SeqVec.from_dense(
             (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / math.sqrt(dim)
         )
@@ -97,7 +103,7 @@ def _reference_kernel(cfg: ExperimentConfig) -> RunResult:
     for _ in range(cfg.chain_instances):
         p = int(rng.integers(1, 4))
         dim = int(rng.integers(p + 1, 9))
-        op, y, lam = planted_chain_instance(rng, dim, p)
+        op, y, lam = reference_planted_chain_instance(rng, dim, p)
         x = SeqVec.from_dense(
             (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / math.sqrt(dim)
         )
@@ -261,6 +267,143 @@ def test_kernel_matches_one_orbit_at_a_time(
         assert sum(stacks) == eigen + chain
     if stack_cap.kind == "one":
         assert set(stacks) <= {1}
+
+
+# The chunk of a horizon-12 run at the default stack cap.
+CHUNK = _kernels.stack_width(13, cli._KERNEL_MAX_DIM)
+
+
+@pytest.mark.parametrize(
+    "eigen, chain, horizon",
+    [
+        (0, 0, 12),
+        (1, 0, 12),
+        (0, 1, 12),
+        (CHUNK - 1, CHUNK + 1, 12),
+        (CHUNK, CHUNK, 12),
+        (CHUNK + 1, CHUNK - 1, 12),
+        # One orbit per stack.
+        (1, 1, 100000),
+        # Horizon 2 fails ranks 2 and 3 with different messages, so the
+        # stderr line names the rank of the first instance that raises.
+        (0, 40, 2),
+        (5, CHUNK + 1, 2),
+    ],
+)
+def test_kernel_edges_match_the_reference(tmp_path, capsys, monkeypatch, eigen, chain, horizon):
+    data = {
+        "command": "kernel",
+        "eigenInstances": eigen,
+        "chainInstances": chain,
+        "horizon": horizon,
+        "seed": 3 * eigen + chain + horizon,
+    }
+    stacks = []
+    stepped = _kernels.orbit_points
+
+    def recorded(mats, vecs, n_steps):
+        stacks.append(len(vecs))
+        return stepped(mats, vecs, n_steps)
+
+    monkeypatch.setattr(_kernels, "orbit_points", recorded)
+    stacked, reference = _stacked_and_reference(tmp_path, data, capsys, monkeypatch)
+    assert stacked == reference
+    if horizon == 2:
+        assert stacked[0] == 2 and stacked[1].startswith("error: need n_max >= 2p - 1")
+        return
+    assert stacked[:2] == (0, "")
+    assert sum(stacks) == eigen + chain
+    assert max(stacks, default=1) <= (1 if horizon == 100000 else CHUNK)
+
+
+SIZES = (1, 2, 3, 17, 64, CHUNK)
+
+
+def _instance_bits(instance):
+    op, y, lam = instance
+    return op.array.view(np.uint64).tolist(), repr(y.items()), repr(lam)
+
+
+def _same_as_one_at_a_time(draw, reference, size):
+    """``size`` draws factored as one stack against the one-at-a-time
+    references, bit for bit, and the rng left in the same state."""
+    drawn, alone = np.random.default_rng(size), np.random.default_rng(size)
+    draws = [draw(drawn) for _ in range(size)]
+    want = [reference(alone) for _ in range(size)]
+    assert drawn.bit_generator.state == alone.bit_generator.state
+    mats, got = obstructions._factored(draws)
+    assert mats.flags.c_contiguous and len(got) == size
+    assert [_instance_bits(g) for g in got] == [_instance_bits(w) for w in want]
+    assert mats.view(np.uint64).tolist() == [w[0].array.view(np.uint64).tolist() for w in want]
+
+
+class TestStackedGenerators:
+    """A stack of draws factors to the bits of the one-at-a-time generators.
+
+    numpy's stacked ``qr`` and ``matmul`` run the LAPACK and BLAS calls of
+    one matrix on each matrix of the stack; if a numpy version stops doing
+    so, these tests fail.
+    """
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_eigen(self, dim, size):
+        _same_as_one_at_a_time(
+            lambda rng: obstructions.draw_eigen(rng, dim),
+            lambda rng: reference_planted_eigen_instance(rng, dim),
+            size,
+        )
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_chain(self, dim, p, size):
+        if p > dim:
+            with pytest.raises(ValueError, match="need 1 <= p <= dim"):
+                obstructions.draw_chain(np.random.default_rng(0), dim, p)
+            return
+        _same_as_one_at_a_time(
+            lambda rng: obstructions.draw_chain(rng, dim, p),
+            lambda rng: reference_planted_chain_instance(rng, dim, p),
+            size,
+        )
+
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_one_instance_is_a_stack_of_one(self, dim):
+        drawn, alone = np.random.default_rng(dim), np.random.default_rng(dim)
+        got = [obstructions.planted_eigen_instance(drawn, dim)]
+        want = [reference_planted_eigen_instance(alone, dim)]
+        for p in range(1, min(dim, 3) + 1):
+            got.append(obstructions.planted_chain_instance(drawn, dim, p))
+            want.append(reference_planted_chain_instance(alone, dim, p))
+        assert [_instance_bits(g) for g in got] == [_instance_bits(w) for w in want]
+        assert drawn.bit_generator.state == alone.bit_generator.state
+
+    def test_a_bad_rank_raises_before_any_draw(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        for dim, p in ((3, 4), (3, 0)):
+            with pytest.raises(ValueError, match="need 1 <= p <= dim"):
+                obstructions.planted_chain_instance(rng, dim, p)
+        assert rng.bit_generator.state == state
+
+    def test_planted_orbits_in_draw_order(self):
+        """Mixed dimensions and ranks: each instance and its orbit as alone."""
+        drawn, alone = np.random.default_rng(9), np.random.default_rng(9)
+        draws, starts, want = [], [], []
+        for k in range(40):
+            dim = 2 + k % 7
+            p = min(1 + k % 3, dim)
+            draws.append(obstructions.draw_chain(drawn, dim, p))
+            starts.append(drawn.standard_normal(dim) + 1j * drawn.standard_normal(dim))
+            op, y, lam = reference_planted_chain_instance(alone, dim, p)
+            x = alone.standard_normal(dim) + 1j * alone.standard_normal(dim)
+            want.append(((op, y, lam), plain_orbit(op.array, x, 9)))
+        got = obstructions.planted_orbits(draws, starts, 9)
+        assert len(got) == len(want)
+        for (instance, orbit), (ref, ref_orbit) in zip(got, want):
+            assert _instance_bits(instance) == _instance_bits(ref)
+            assert orbit.view(np.uint64).tolist() == ref_orbit.view(np.uint64).tolist()
 
 
 def _bad_on_call(fn, k, value):
