@@ -62,29 +62,6 @@ from .subspace import (
 )
 
 
-class _OnFirstUse:
-    """A module that is imported when one of its attributes is first read.
-
-    The dense runners reach numpy and ``_kernels`` through these, so
-    ``construct``, ``certify``, ``criterion`` and importing this module load
-    no numpy.  Attributes are read from the module on every access, so a
-    patch to the module is seen.
-    """
-
-    def __init__(self, name: str):
-        self._name = name
-        self._module = None
-
-    def __getattr__(self, attr: str):
-        if self._module is None:
-            self._module = importlib.import_module(self._name)
-        return getattr(self._module, attr)
-
-
-np = _OnFirstUse("numpy")
-_kernels = _OnFirstUse("orbitlab._kernels")
-
-
 def _obstruction(name: str) -> Callable:
     """A stand-in for ``obstructions.<name>`` that looks it up at its first
     call.  The stand-in stays bound here, so a wrapper that a test or a
@@ -107,7 +84,6 @@ generalized_pairing_polynomial = _obstruction("generalized_pairing_polynomial")
 jordan_orbit = _obstruction("jordan_orbit")
 orbit_span_rank = _obstruction("orbit_span_rank")
 spectral_dichotomy = _obstruction("spectral_dichotomy")
-unit_ball_net = _obstruction("unit_ball_net")
 
 __all__ = ["ExperimentConfig", "RunResult", "run", "main"]
 
@@ -568,68 +544,42 @@ def _run_probe(cfg: ExperimentConfig) -> RunResult:
     return RunResult(passed, report, ["found", "n"], [[found is not None, found]])
 
 
-def _random_member(rng: np.random.Generator, pattern: ZeroPattern, dim: int) -> SeqVec:
-    allowed = allowed_indices(pattern, dim)
-    if not allowed:
-        raise ConfigError("pattern forbids every coordinate below the dimension")
-    vals = rng.standard_normal(len(allowed)) + 1j * rng.standard_normal(len(allowed))
-    vals /= np.linalg.norm(vals)
-    return SeqVec(zip(allowed, vals))
-
-
-def _findim_start(rng: np.random.Generator, pattern: ZeroPattern, dim: int):
-    """One findim trial's matrix, scaled to spectral radius 0.8 and keeping
-    the pattern's subspace invariant, and its start vector in the subspace."""
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    for i in range(dim):
-        if pattern.forbids(i):
-            for j in range(dim):
-                if not pattern.forbids(j):
-                    m[i, j] = 0.0
-    radius = float(np.abs(np.linalg.eigvals(m)).max())
-    if radius > 1e-9:
-        m *= 0.8 / radius
-    return m, _random_member(rng, pattern, dim).to_dense(dim)
-
-
 def _run_findim(cfg: ExperimentConfig) -> RunResult:
     if not 2 <= cfg.truncation_dim <= 12:
         raise ConfigError("findim works on matrix dimensions 2..12")
-    rng = np.random.default_rng(cfg.seed)
     dim = cfg.truncation_dim
+    if not allowed_indices(cfg.pattern, dim):
+        raise ConfigError("pattern forbids every coordinate below the dimension")
+    from .obstructions import findim_orbits, unit_ball_net
+
     # The rank orbits and the density orbit are prefixes of this one.
     steps = max(cfg.horizon, 2 * dim)
-    width = _kernels.stack_width(steps + 1, dim)
     trials = []
     net = None  # one net for every trial, built where the first trial needs it
-    for first in range(0, cfg.trials, width):
-        last = min(first + width, cfg.trials)
-        mats, vecs = zip(*(_findim_start(rng, cfg.pattern, dim) for _ in range(first, last)))
-        orbits = _kernels.orbit_points(np.array(mats), np.array(vecs), steps)
-        for t, orbit in enumerate(orbits, first):
-            rank_small = orbit_span_rank(orbit, dim - 1)
-            rank_large = orbit_span_rank(orbit, 2 * dim)
-            stabilized = rank_small == rank_large
-            if net is None:
-                net = unit_ball_net(cfg.pattern, cfg.support_bound, cfg.net_level)
-            defect = density_defect(
-                orbit[: cfg.horizon + 1],
-                cfg.pattern,
-                cfg.net_level,
-                cfg.support_bound,
-                cfg.epsilon,
-                net=net,
-            )
-            trials.append(
-                {
-                    "trial": t,
-                    "rankAtDimMinus1": rank_small,
-                    "rankAtTwiceDim": rank_large,
-                    "stabilized": stabilized,
-                    "densityDefect": defect,
-                    "pass": stabilized and defect >= 0.5,
-                }
-            )
+    for t, orbit in enumerate(findim_orbits(cfg.pattern, dim, cfg.trials, cfg.seed, steps)):
+        rank_small = orbit_span_rank(orbit, dim - 1)
+        rank_large = orbit_span_rank(orbit, 2 * dim)
+        stabilized = rank_small == rank_large
+        if net is None:
+            net = unit_ball_net(cfg.pattern, cfg.support_bound, cfg.net_level)
+        defect = density_defect(
+            orbit[: cfg.horizon + 1],
+            cfg.pattern,
+            cfg.net_level,
+            cfg.support_bound,
+            cfg.epsilon,
+            net=net,
+        )
+        trials.append(
+            {
+                "trial": t,
+                "rankAtDimMinus1": rank_small,
+                "rankAtTwiceDim": rank_large,
+                "stabilized": stabilized,
+                "densityDefect": defect,
+                "pass": stabilized and defect >= 0.5,
+            }
+        )
     passed = all(tr["pass"] for tr in trials)
     report = {
         "dim": dim,
@@ -642,9 +592,11 @@ def _run_findim(cfg: ExperimentConfig) -> RunResult:
 
 
 def _run_spectrum(cfg: ExperimentConfig) -> RunResult:
+    from .obstructions import eigenvalue_moduli
+
     dim = cfg.truncation_dim
     mat = FiniteMatrix(to_matrix(cfg.operator, dim))
-    moduli = sorted(float(m) for m in np.abs(np.linalg.eigvals(mat.array)))
+    moduli = eigenvalue_moduli(mat)
     annulus = sum(1 for m in moduli if 0.9 <= m <= 1.1)
 
     probes = [
@@ -682,49 +634,17 @@ def _run_spectrum(cfg: ExperimentConfig) -> RunResult:
     return RunResult(passed, report, header, _rows(header, results))
 
 
-# The planted instances of ``kernel`` have dimensions 2..8.
-_KERNEL_MAX_DIM = 8
-
-
-def _worst_law(count: int, draw: Callable, law: Callable, n_steps: int) -> float:
-    """The worst of ``count`` values ``law(T, orbit, y, lam, *args, n_steps)``.
-
-    ``draw()`` draws one instance: its ``PlantedDraw``, start vector and
-    ``args``.  ``planted_orbits`` factors and steps the draws in chunks whose
-    stacks fit ``_kernels.stack_width``; the laws are read in draw order, so
-    the first instance that raises is the one that raises.
-    """
-    from .obstructions import planted_orbits
-
-    worst = 0.0
-    chunk = _kernels.stack_width(n_steps + 1, _KERNEL_MAX_DIM)
-    for first in range(0, count, chunk):
-        draws, starts, args = zip(*(draw() for _ in range(first, min(first + chunk, count))))
-        for extra, ((op, y, lam), orbit) in zip(args, planted_orbits(draws, starts, n_steps)):
-            worst = max_or_nan(worst, law(op, orbit, y, lam, *extra, n_steps))
-    return worst
-
-
 def _run_kernel(cfg: ExperimentConfig) -> RunResult:
-    from .obstructions import draw_chain, draw_eigen
+    from .obstructions import planted_streams
 
-    rng = np.random.default_rng(cfg.seed)
     n_max = cfg.horizon
-
-    def start(dim: int) -> np.ndarray:
-        return (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / math.sqrt(dim)
-
-    def eigen():
-        dim = int(rng.integers(2, _KERNEL_MAX_DIM + 1))
-        return draw_eigen(rng, dim), start(dim), ()
-
-    def chain():
-        p = int(rng.integers(1, 4))
-        dim = int(rng.integers(p + 1, _KERNEL_MAX_DIM + 1))
-        return draw_chain(rng, dim, p), start(dim), (p,)
-
-    worst_eigen = _worst_law(cfg.eigen_instances, eigen, eigen_orbit_pairing, n_max)
-    worst_chain = _worst_law(cfg.chain_instances, chain, generalized_pairing_polynomial, n_max)
+    eigens, chains = planted_streams(cfg.seed, cfg.eigen_instances, cfg.chain_instances, n_max)
+    # Read in order, so the first instance that raises is the one that raises.
+    worst_eigen = worst_chain = 0.0
+    for instance in eigens:
+        worst_eigen = max_or_nan(worst_eigen, eigen_orbit_pairing(*instance, n_max))
+    for instance in chains:
+        worst_chain = max_or_nan(worst_chain, generalized_pairing_polynomial(*instance, n_max))
 
     eigen_ok = worst_eigen <= cfg.eigen_tol
     chain_ok = worst_chain <= cfg.chain_tol
@@ -757,7 +677,8 @@ def _run_jordan(cfg: ExperimentConfig) -> RunResult:
     results = []
     for p in range(1, 5):
         for lam in _JORDAN_LAMBDAS:
-            block = np.diag(np.full(p, lam)) + np.diag(np.ones(p - 1), 1)
+            # lam on the diagonal, 1 just above it
+            block = [[lam if j == i else float(j == i + 1) for j in range(p)] for i in range(p)]
             op = FiniteMatrix(block)
             y = SeqVec.basis(p - 1)
             worst = 0.0
@@ -882,7 +803,7 @@ def main(argv=None) -> int:
     try:
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
@@ -891,11 +812,18 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # from reading, parsing or running a deeply nested config
+        print("config error: config is nested too deeply", file=sys.stderr)
+        return 2
     except (OrbitlabError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report_path, table_path = write_outputs(result, out_dir)
+    try:
+        report_path, table_path = write_outputs(result, out_dir)
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
     if args.verbose:
         print(",".join(str(h) for h in result.table_header))
         for row in result.table_rows:

@@ -4,8 +4,9 @@ Closed-form generalized-eigenvector orbits, adjoint pairing laws that pin
 orbit inner products to polynomial-times-power profiles, the grow-or-die
 norm dichotomy for matrices with spectrum off the unit circle, orbit span
 rank, the coverage defect of an orbit against a dyadic net, and the
-compressed-orbit identity on invariant-complement splits.  Orbits are
-iterated by the numpy kernels in ``_kernels``.
+compressed-orbit identity on invariant-complement splits.  The seeded
+draws of ``findim`` and ``kernel`` are made here and stepped in stacks.
+Orbits are iterated by the numpy kernels in ``_kernels``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     NotInGeneralizedKernel,
 )
 from .seqspace import FiniteMatrix, SeqVec, max_or_nan, norm
-from .subspace import ZeroPattern, dyadic_net
+from .subspace import ZeroPattern, allowed_indices, dyadic_net
 
 __all__ = [
     "jordan_orbit",
@@ -255,6 +256,11 @@ def spectral_dichotomy(op: FiniteMatrix, x: SeqVec, n_steps: int = 400) -> Dicho
     return DichotomyVerdict(cls, float(norms[0]), last, steps, trend)
 
 
+def eigenvalue_moduli(op: FiniteMatrix) -> list[float]:
+    """The moduli of the matrix's eigenvalues, in increasing order."""
+    return sorted(float(m) for m in np.abs(np.linalg.eigvals(op.array)))
+
+
 def orbit_span_rank(orbit: np.ndarray, n_steps: int) -> int:
     """Numerical rank of span{x, Tx, ..., T^n x} by pivoted Gram-Schmidt,
     read off the first n_steps + 1 rows of x's orbit (``orbit_rows``)."""
@@ -332,6 +338,34 @@ def density_defect(
 
     misses = _kernels.uncovered_count(net_arr, arr, eps)
     return misses / len(net)
+
+
+def findim_orbits(pattern: ZeroPattern, dim: int, trials: int, seed: int, n_steps: int):
+    """``findim``'s seeded trials, in trial order: the orbit to ``n_steps`` of
+    a unit start vector in the pattern's subspace under a matrix that keeps
+    the subspace invariant, at spectral radius 0.8.  Trials are drawn and
+    stepped in stacks that fit ``_kernels.stack_width``, each stack once the
+    orbits before it are read.  The pattern must allow a coordinate below
+    ``dim``."""
+    rng = np.random.default_rng(seed)
+    allowed = allowed_indices(pattern, dim)
+    forbidden = [i for i in range(dim) if pattern.forbids(i)]
+
+    def draw():
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m[np.ix_(forbidden, allowed)] = 0.0
+        radius = float(np.abs(np.linalg.eigvals(m)).max())
+        if radius > 1e-9:
+            m *= 0.8 / radius
+        vals = rng.standard_normal(len(allowed)) + 1j * rng.standard_normal(len(allowed))
+        x = np.zeros(dim, dtype=np.complex128)
+        x[allowed] = vals / np.linalg.norm(vals)
+        return m, x
+
+    width = _kernels.stack_width(n_steps + 1, dim)
+    for first in range(0, trials, width):
+        mats, vecs = zip(*(draw() for _ in range(first, min(first + width, trials))))
+        yield from _kernels.orbit_points(np.array(mats), np.array(vecs), n_steps)
 
 
 def compression_orbit_check(
@@ -439,3 +473,38 @@ def planted_eigen_instance(rng: np.random.Generator, dim: int) -> Planted:
 def planted_chain_instance(rng: np.random.Generator, dim: int, p: int) -> Planted:
     """A matrix whose adjoint has a planted rank-p chain: (T* - lam)^p y = 0."""
     return _factored([draw_chain(rng, dim, p)])[1][0]
+
+
+# The planted instances of ``kernel`` have dimensions 2..8.
+KERNEL_MAX_DIM = 8
+
+
+def planted_streams(seed: int, eigen_count: int, chain_count: int, n_steps: int):
+    """``kernel``'s eigen and chain instances as two lazy streams over one
+    ``default_rng(seed)``.  An item is (T, orbit, y, lam), then p for a chain
+    of rank p: the leading arguments of the pairing laws, with a random start
+    vector's orbit to ``n_steps``.  Each stream draws and steps a stack that
+    fits ``_kernels.stack_width`` once the items before it are read, so the
+    chain stream draws once the eigen stream is read to its end."""
+    rng = np.random.default_rng(seed)
+
+    def start(dim: int) -> np.ndarray:
+        return (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / math.sqrt(dim)
+
+    def eigen():
+        dim = int(rng.integers(2, KERNEL_MAX_DIM + 1))
+        return draw_eigen(rng, dim), start(dim), ()
+
+    def chain():
+        p = int(rng.integers(1, 4))
+        dim = int(rng.integers(p + 1, KERNEL_MAX_DIM + 1))
+        return draw_chain(rng, dim, p), start(dim), (p,)
+
+    def stream(count: int, draw):
+        chunk = _kernels.stack_width(n_steps + 1, KERNEL_MAX_DIM)
+        for first in range(0, count, chunk):
+            draws, starts, args = zip(*(draw() for _ in range(first, min(first + chunk, count))))
+            for extra, ((op, y, lam), orbit) in zip(args, planted_orbits(draws, starts, n_steps)):
+                yield (op, orbit, y, lam, *extra)
+
+    return stream(eigen_count, eigen), stream(chain_count, chain)

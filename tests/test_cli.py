@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -510,7 +511,18 @@ _REJECTION_TEXT = {
     "jordan-power-past-float-range": (
         "error: jordan_orbit: T^n y is past the float range for lambda = (2+0j), p = 1, n = 1024\n"
     ),
+    "no-allowed-coordinate": (
+        "config error: pattern forbids every coordinate below the dimension\n"
+    ),
+    "operator-nested-too-deeply": "config error: config is nested too deeply\n",
 }
+
+
+def _nested_scalars(depth):
+    op = {"kind": "identity"}
+    for _ in range(depth):
+        op = {"kind": "scalar", "factor": [1, 0], "of": op}
+    return op
 
 
 class TestConfigErrors:
@@ -523,6 +535,23 @@ class TestConfigErrors:
         path.write_text("{not json", encoding="utf-8")
         rc = main([str(path), "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    def test_a_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"command": "jordan", "note": "\u00e9"}'.encode("latin-1"))
+        rc = main([str(path), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: cannot read config: 'utf-8' codec can't decode")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_json_nested_past_the_recursion_limit_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        rc = main([str(path), "--out-dir", str(tmp_path / "out")])
+        assert (rc, capsys.readouterr().err) == (2, "config error: config is nested too deeply\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "data",
@@ -592,6 +621,10 @@ class TestConfigErrors:
             },
             {"command": "jordan", "horizon": 1000},
             {"command": "jordan", "horizon": 1100},
+            # Checked before any trial is drawn.
+            {"command": "findim", "pattern": {"kind": "prefix", "m": 9}, "truncationDim": 4},
+            # Past Python's recursion limit in the parser.
+            {"command": "spectrum", "operator": _nested_scalars(400)},
         ],
         ids=[
             "unknown-command",
@@ -621,6 +654,8 @@ class TestConfigErrors:
             "non-finite-report",
             "overflowing-jordan",
             "jordan-power-past-float-range",
+            "no-allowed-coordinate",
+            "operator-nested-too-deeply",
         ],
     )
     def test_rejected_configs(self, tmp_path, capsys, data, request):
@@ -833,6 +868,34 @@ class TestRunners:
         assert "PASS" in printed
 
 
+@pytest.mark.parametrize(
+    "data, want",
+    [
+        (
+            {"command": "spectrum", "operator": {"kind": "identity"}, "truncationDim": 4},
+            {"obstructions.spectral_dichotomy": 3},
+        ),
+        # Cases p = 1..4 at three lambdas, each checked at n = p..12.
+        ({"command": "jordan"}, {"obstructions.jordan_orbit": 126, "seqspace.apply_power": 126}),
+    ],
+    ids=["spectrum", "jordan"],
+)
+def test_traced_dense_runners_emit_their_spans(data, want, monkeypatch):
+    """perfbench's per-layer metrics read these spans; a runner that stops
+    calling through the names its tracer wraps would report them as 0."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        assert run(ExperimentConfig.from_dict(data)).passed
+        spans = [name for _, _, name, _, _ in tracer.spans]
+    finally:
+        tracer.uninstall()
+    assert {name: spans.count(name) for name in want} == want
+
+
 @pytest.mark.parametrize("preset", ["certify-left-block", "certify-direct-sum-prefix3"])
 def test_direct_sum_certify_reads_the_windows(preset, monkeypatch):
     # Patched on the class, so ``type(op) is DirectSum`` still holds.
@@ -919,6 +982,17 @@ class TestJordanPastNormOverflow:
 
 
 class TestOutputRouting:
+    def test_an_unwritable_out_dir_exits_two(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        rc, _ = _run(tmp_path, {"command": "jordan"}, out="file/out")
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write outputs: ")
+        assert str(blocker / "out") in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_env_var_overrides_flag(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env-out"
         monkeypatch.setenv("ORBITLAB_OUT", str(env_dir))

@@ -59,7 +59,10 @@ def _reference_findim(cfg: ExperimentConfig) -> RunResult:
         if radius > 1e-9:
             m *= 0.8 / radius
         op = FiniteMatrix(m)
-        x = cli._random_member(rng, cfg.pattern, dim).to_dense(dim)
+        allowed = [i for i in range(dim) if not cfg.pattern.forbids(i)]
+        vals = rng.standard_normal(len(allowed)) + 1j * rng.standard_normal(len(allowed))
+        vals /= np.linalg.norm(vals)
+        x = SeqVec(zip(allowed, vals)).to_dense(dim)
 
         rank_small = orbit_span_rank(plain_orbit(op.array, x, dim - 1), dim - 1)
         rank_large = orbit_span_rank(plain_orbit(op.array, x, 2 * dim), 2 * dim)
@@ -144,7 +147,7 @@ def _orbit_size(data):
     if data["command"] == "findim":
         dim = data["truncationDim"]
         return max(data["horizon"], 2 * dim) + 1, dim
-    return data["horizon"] + 1, cli._KERNEL_MAX_DIM
+    return data["horizon"] + 1, obstructions.KERNEL_MAX_DIM
 
 
 @pytest.fixture(params=["one", "three", "default"])
@@ -270,7 +273,7 @@ def test_kernel_matches_one_orbit_at_a_time(
 
 
 # The chunk of a horizon-12 run at the default stack cap.
-CHUNK = _kernels.stack_width(13, cli._KERNEL_MAX_DIM)
+CHUNK = _kernels.stack_width(13, obstructions.KERNEL_MAX_DIM)
 
 
 @pytest.mark.parametrize(
@@ -419,7 +422,7 @@ def _bad_on_call(fn, k, value):
 
 def _kernel_run(monkeypatch, eigen, chain, horizon=12):
     """The kernel runner on chunks of three instances."""
-    monkeypatch.setattr(_kernels, "_STACK", 3 * (horizon + 1) * cli._KERNEL_MAX_DIM)
+    monkeypatch.setattr(_kernels, "_STACK", 3 * (horizon + 1) * obstructions.KERNEL_MAX_DIM)
     cfg = ExperimentConfig.from_dict(
         {"command": "kernel", "eigenInstances": eigen, "chainInstances": chain, "horizon": horizon}
     )
@@ -464,7 +467,7 @@ class TestKernelGateSweep:
             monkeypatch.setattr(cli, name, lambda *args: next(values))
             tol_key = "eigen_tol" if family == "eigen" else "chain_tol"
             count = len(devs)
-            monkeypatch.setattr(_kernels, "_STACK", 3 * 13 * cli._KERNEL_MAX_DIM)
+            monkeypatch.setattr(_kernels, "_STACK", 3 * 13 * obstructions.KERNEL_MAX_DIM)
             base = {"command": "kernel", "eigenInstances": 0, "chainInstances": 0}
             base["eigenInstances" if family == "eigen" else "chainInstances"] = count
             cfg = dataclasses.replace(ExperimentConfig.from_dict(base), **{tol_key: tol})
