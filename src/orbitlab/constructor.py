@@ -517,8 +517,21 @@ def _identity_split(op: Operator | None, lam: complex) -> float:
         if _scaled_shift_parts(op.left) == lam_b:
             return op.split_index
     raise UnsupportedOperator(
-        f"certify reads only lam B and lam B + I off the windows (lam = {lam!r}), not {op!r}"
+        "certify reads only lam B and lam B + I off the windows"
+        f" (lam = {lam!r}), not {_clipped_repr(op)}"
     )
+
+
+# The most characters of an operator's repr that a rejection quotes.
+_REPR_CAP = 200
+
+
+def _clipped_repr(obj) -> str:
+    """``repr(obj)``, cut after ``_REPR_CAP`` characters with its full length noted."""
+    text = repr(obj)
+    if len(text) <= _REPR_CAP:
+        return text
+    return f"{text[:_REPR_CAP]}... ({len(text)} characters)"
 
 
 def certify(

@@ -10,6 +10,7 @@ and exponents actually supplied; no density claim is manufactured from them.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -281,6 +282,12 @@ def transitivity_probe(
     parts, which no modulus, prune test or norm sees.  So the earlier copy
     hits, and raises, at every power where the later one would, and is
     tried first.
+
+    For a scaled shift lam B^p, survivors are also grouped before a step of
+    d powers: T^d w depends only on w's entries at index >= d p, and the
+    lower ones matter only if they overflow on their way out.  When an
+    overflow gate shows that none can, only the first survivor of each
+    group of equal kept entries is applied (``_first_per_kept_part``).
     """
     if u_radius <= 0 or v_radius <= 0:
         raise ValueError("ball radii must be positive")
@@ -289,6 +296,7 @@ def transitivity_probe(
 
     grid = [t * v_radius for t in dyadic_net(pattern, grid_support, grid_level)]
     scale = _shift_scale(op)
+    parts = _scaled_shift_parts(op)
 
     def hits(image: SeqVec) -> bool:
         return is_member(image, pattern) and distance(image, u_center) < u_radius
@@ -308,7 +316,7 @@ def transitivity_probe(
         if scale is not None:
             v_image = apply_power(op, n - reached, v_image)
             preimage = v_center + _preimage(op, scale, n, u_center - v_image)
-        images, seen = survivors, set()
+        images, seen = _first_per_kept_part(parts, n - reached, survivors), set()
         survivors = []
         for image in images:
             image = apply_power(op, n - reached, image)
@@ -328,3 +336,50 @@ def transitivity_probe(
         ):
             return n
     return None
+
+
+# 2**996 is about 1e300.  A chain of products whose exact moduli stay below
+# it is computed, with every modulus, far from overflow, however it rounds.
+_GROUP_LOG2_LIMIT = 996.0
+
+
+def _first_per_kept_part(
+    parts: tuple[tuple[complex, ...], int] | None, steps: int, vecs: list[SeqVec]
+) -> list[SeqVec]:
+    """``vecs`` less each vector whose image after ``steps`` steps an earlier one fixes.
+
+    Under ``steps`` steps of the scaled shift ``parts = (factors, p)``, an
+    entry at index i >= cut = ``steps`` p takes every step and lands at
+    i - cut, while a lower entry takes fewer than ``steps`` and leaves.  So
+    the image, and any error from the kept entries, is fixed by the entries
+    at or past the cut.  A lower entry can only raise, by overflowing on
+    its way out; when max |lower entry| times (prod max(1, |f|))^(steps - 1)
+    is below 2**996, none can.  Then the vectors are grouped by their kept
+    entries, and the first of each group, which applying every vector
+    would try first, stands for the rest: it hits, and raises, wherever
+    they would.
+
+    Any other operator, or a step that fails the bound, keeps ``vecs``.
+    """
+    if parts is None:
+        return vecs
+    factors, p = parts
+    cut = steps * p
+    growth = (steps - 1) * sum(
+        math.log2(max(1.0, math.hypot(f.real, f.imag))) for f in factors
+    )
+    if growth >= _GROUP_LOG2_LIMIT:
+        return vecs
+    groups: dict[frozenset, SeqVec] = {}
+    low = 0.0
+    for vec in vecs:
+        kept = []
+        for i, z in vec._entries.items():
+            if i >= cut:
+                kept.append((i, z))
+            else:
+                low = max(low, abs(z))
+        groups.setdefault(frozenset(kept), vec)
+    if low and math.log2(low) + growth >= _GROUP_LOG2_LIMIT:
+        return vecs
+    return list(groups.values())

@@ -311,35 +311,33 @@ def dyadic_net(pattern: ZeroPattern, support_bound: int, level: int) -> list[Seq
     Deterministic order (index-major, digits ascending).  Includes the zero
     vector.  Guards against combinatorial blowup instead of thrashing.
 
-    The ball test runs in numpy, one coordinate at a time over the prefixes
-    still inside the ball.  Squared moduli of dyadic grid values, and sums
-    of a few of them, are exact in float64, so the test keeps exactly the
-    points an exactly rounded sum keeps, and a prefix already past 1 cannot
-    come back.  Only the kept points become ``SeqVec``s.
+    The ball test runs in integers.  A grid value z = (x + iy) 2^-level has
+    |z|^2 4^level = x^2 + y^2, so a point is in the ball exactly when its
+    coordinates' integer squares sum to at most 4^level.  Prefixes are
+    extended one coordinate at a time by the digits that fit what is left
+    of that budget, so a prefix past it is never extended, and only the
+    kept points become ``SeqVec``s.
     """
-    import numpy as np
-
     allowed = allowed_indices(pattern, support_bound)
     if not allowed:
         raise ValueError("no allowed indices below the support bound")
-    g = _grid_side(level) ** 2
+    side = _grid_side(level)
+    g = side**2
     if g ** len(allowed) > NET_POINT_CAP:
         raise ValueError(
             f"net of {g ** len(allowed)} raw points exceeds the cap {NET_POINT_CAP}"
         )
+    half = 2**level
+    squares = [(d // side - half) ** 2 + (d % side - half) ** 2 for d in range(g)]
     values = [_digit_value(d, level) for d in range(g)]
-    squares = np.array([z.real * z.real + z.imag * z.imag for z in values])
-    digits = np.zeros((1, 0), dtype=np.intp)  # kept prefixes, in order
-    sums = np.zeros(1)  # their squared norms
-    for _ in allowed:
-        extended = sums[:, None] + squares
-        rows, cols = np.nonzero(extended <= 1.0)  # row-major: the prefixes' order
-        digits = np.column_stack([digits[rows], cols])
-        sums = extended[rows, cols]
-    # The cap keeps 2^-level, the least nonzero modulus, far above the prune
-    # threshold, so a point is canonical once its zero values are dropped.
-    return [
-        SeqVec._from_canonical({i: values[d] for i, d in zip(allowed, row) if values[d]})
-        for row in digits.tolist()
-    ]
-
+    # fits[r]: (digit, budget left) for each digit whose square fits in r, ascending
+    fits: dict[int, list[tuple[int, int]]] = {}
+    prefixes = [((), 4**level)]  # kept prefixes' nonzero entries, in order, and budgets left
+    for i in allowed:
+        for r in {r for _, r in prefixes}.difference(fits):
+            fits[r] = [(d, r - s) for d, s in enumerate(squares) if s <= r]
+        # The cap keeps 2^-level, the least nonzero modulus, far above the
+        # prune threshold, so a point is canonical once its zeros are dropped.
+        entry = [((i, z),) if z else () for z in values]
+        prefixes = [(kept + entry[d], left) for kept, r in prefixes for d, left in fits[r]]
+    return [SeqVec._from_canonical(dict(kept)) for kept, _ in prefixes]

@@ -553,6 +553,21 @@ class TestConfigErrors:
         assert (rc, capsys.readouterr().err) == (2, "config error: config is nested too deeply\n")
         assert not (tmp_path / "out").exists()
 
+    def test_certify_quotes_a_deep_operator_in_part(self, tmp_path, capsys):
+        # The repr of 300 nested scalars is 11,710 characters; the line
+        # quotes the first 200 of them.  A short repr is quoted whole.
+        deep = {"command": "certify", "lambda": [2, 0], "pattern": _PREFIX3}
+        rc, _ = _run(tmp_path, {**deep, "operator": _nested_scalars(300)})
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1 and len(err.encode()) < 1024
+        assert err.endswith(", operand=ScalarMult... (11710 characters)\n")
+        rc, _ = _run(tmp_path, {**deep, "operator": {"kind": "identity"}}, out="short")
+        assert (rc, capsys.readouterr().err) == (
+            2,
+            "error: certify reads only lam B and lam B + I off the windows"
+            " (lam = (2+0j)), not Identity()\n",
+        )
+
     @pytest.mark.parametrize(
         "data",
         [

@@ -1,8 +1,8 @@
 """The sparse commands run without numpy; the dense layer loads it on demand.
 
-``construct``, ``certify`` and ``criterion`` compute with pure-Python
-sparse arithmetic, so a process that runs only them must never import
-numpy.  A child interpreter with ``sys.modules["numpy"] = None`` (which
+``construct``, ``certify``, ``criterion`` and ``probe`` compute with
+pure-Python sparse arithmetic, so a process that runs only them must never
+import numpy.  A child interpreter with ``sys.modules["numpy"] = None`` (which
 makes every ``import numpy`` raise) runs them through ``cli.main``; its
 outputs must be those of a run in this process, where numpy is loaded.
 """
@@ -26,6 +26,24 @@ SPARSE_CONFIGS = {
     "certify-direct-sum-prefix3": {"command": "preset", "preset": "certify-direct-sum-prefix3"},
     "criterion-odd-support": {"command": "preset", "preset": "criterion-odd-support"},
     "criterion-shift-squared": {"command": "preset", "preset": "criterion-shift-squared"},
+    # perfbench's two probes: a hit on residue 0 mod 2, and none on prefix-3.
+    "probe-residue-hit": {
+        "command": "probe",
+        "lambda": [1.2, 1.6],
+        "pattern": {"kind": "residue", "a": 0, "b": 2},
+        "truncationDim": 256,
+        "horizon": 50,
+        "probe": {"gridLevel": 2, "gridSupport": 4},
+        "expect": "found",
+    },
+    "probe-prefix-none": {
+        "command": "probe",
+        "lambda": [1.2, 1.6],
+        "pattern": {"kind": "prefix", "m": 3},
+        "truncationDim": 256,
+        "horizon": 50,
+        "expect": "none",
+    },
     "construct-prefix3": {
         "command": "construct",
         "lambda": [1.5, 0.5],

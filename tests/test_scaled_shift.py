@@ -4,7 +4,8 @@
 index arithmetic plus one value trajectory per entry, and steps a direct
 sum honestly, whatever its blocks; ``invariance_scan``
 runs one trajectory that all basis vectors share; ``transitivity_probe``
-filters its grid once, carries the survivors' images and drops the copies;
+filters its grid once, carries the survivors' images, applies one survivor
+per kept part and drops the copies;
 and condition II of ``check_criterion`` reads its norms off each entry's
 value trajectory.  These tests
 compare them with plain loops of ``op.apply`` (``conftest._plain_power``),
@@ -47,6 +48,7 @@ from orbitlab import (
     project,
     transitivity_probe,
 )
+from orbitlab import criterion
 from orbitlab.criterion import RecoveryRecord, backsolve
 from orbitlab.seqspace import max_or_nan
 from orbitlab.subspace import allowed_indices
@@ -416,6 +418,79 @@ def test_the_collapsing_grid_collapses():
     args = (counted, _RESIDUE, u_center, 1e-3, v_center, 0.25, 6, 16, 2, 4)
     assert transitivity_probe(*args) is None
     assert counted.calls < 2 * len(survivors) * 3 / 2
+
+
+def test_the_collapsing_grid_is_applied_once_per_kept_part(monkeypatch):
+    # At power 2 the 1257 survivors share 45 kept parts (entries at index
+    # >= 2), so the probe applies 45 of them, plus v_center and the
+    # preimage's forward shift: 47 calls where applying every survivor
+    # takes 1259.
+    calls = []
+
+    def counting(op, n, vec):
+        calls.append(n)
+        return apply_power(op, n, vec)
+
+    monkeypatch.setattr(criterion, "apply_power", counting)
+    op = ScalarMultiple(2.0, BackwardShift(1))
+    u_center, v_center = dense_family(_SPEC, 1), dense_family(_SPEC, 2)
+    args = (op, _RESIDUE, u_center, 1e-3, v_center, 0.25, 2, 16, 2, 4)
+    assert transitivity_probe(*args) is None
+    assert calls == [2] * len(calls) and len(calls) <= 50
+
+
+@pytest.mark.parametrize(
+    "op, pattern, u_center, v_center, v_radius, dim, grid, expected",
+    [
+        # Only index 1 of the grid is allowed, so at power 2 (power 1 is not
+        # invariant) every survivor has the kept part {3: 1e-100}.  Index 1
+        # takes one step and overflows for the survivors past 1.8e108; the
+        # first survivor's does not.  Not backsolvable, so no preimage
+        # raises first.
+        (
+            _nest(BackwardShift(1), [1e100, 1e100]),
+            _RESIDUE,
+            SeqVec({1: 1.0}),
+            SeqVec({1: 1e108, 3: 1e-100}),
+            2e108,
+            2,
+            (1, 2),
+            (ValueError, "non-finite coefficient (inf-1.0000000000000002e+308j)"),
+        ),
+        # The same shape with 1e-20 B: index 1, below 1e-280, prunes to zero
+        # in its one step, and the kept part {3: 1.0} lands on the U-center.
+        (
+            ScalarMultiple(1e-20, BackwardShift(1)),
+            _RESIDUE,
+            SeqVec({1: 1e-40}),
+            SeqVec({1: 1e-282, 3: 1.0}),
+            1e-282,
+            2,
+            (1, 2),
+            2,
+        ),
+        # A complex lam on residue 0 mod 3: power 3 is the first invariant
+        # one; indices 1 and 2 take one and two steps, 4 and 5 are kept, and
+        # the 577 survivors share 65 kept parts.
+        (
+            ScalarMultiple(1.5 * cmath.exp(0.7j), BackwardShift(1)),
+            ResidueZero(0, 3),
+            SeqVec({1: 0.5 - 0.25j, 2: 1.0}),
+            SeqVec({1: 0.5, 4: 0.1 + 0.2j, 5: -0.3j}),
+            1.0,
+            16,
+            (1, 6),
+            3,
+        ),
+    ],
+    ids=["low-entry-overflows", "low-entry-prunes", "complex-lam"],
+)
+def test_probe_grouping_boundaries_match_scratch(
+    op, pattern, u_center, v_center, v_radius, dim, grid, expected
+):
+    args = (op, pattern, u_center, 0.25, v_center, v_radius, 6, dim)
+    found = _outcome(lambda: transitivity_probe(*args, *grid))
+    assert found == _outcome(lambda: _scratch_probe(*args, grid)) == expected
 
 
 # Condition II of check_criterion against backsolve and the plain loop.  The

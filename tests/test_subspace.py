@@ -249,7 +249,7 @@ def _net_or_error(build, *args):
 
 
 class TestDyadicNetAgainstReference:
-    """The numpy ball test keeps the same points, in the same order, as one
+    """The integer ball test keeps the same points, in the same order, as one
     exactly rounded sum per raw grid point."""
 
     @pytest.mark.parametrize(
@@ -264,7 +264,14 @@ class TestDyadicNetAgainstReference:
             assert _net_or_error(dyadic_net, *args) == _net_or_error(_reference_net, *args)
 
     @pytest.mark.parametrize(
-        "args", [(PrefixZero(0), 6, 1), (PrefixZero(0), 5, 2), (ResidueZero(1, 3), 8, 1)]
+        "args",
+        [
+            (PrefixZero(0), 6, 1),
+            (PrefixZero(0), 5, 2),
+            (ResidueZero(1, 3), 8, 1),
+            # Level 2 over 4 coordinates: 81^4 raw points, the size after the largest below.
+            (PrefixZero(0), 4, 2),
+        ],
     )
     def test_same_cap_error(self, args):
         with pytest.raises(ValueError, match="exceeds the cap") as got:
@@ -272,6 +279,14 @@ class TestDyadicNetAgainstReference:
         with pytest.raises(ValueError) as want:
             _reference_net(*args)
         assert str(got.value) == str(want.value)
+
+    def test_the_largest_level_2_net_under_the_cap(self):
+        # Level 2 over 3 coordinates: 81^3 = 531,441 raw points, 23,793 kept.
+        args = (PrefixZero(0), 3, 2)
+        assert 81**3 <= NET_POINT_CAP < 81**4
+        net = _net_or_error(dyadic_net, *args)
+        assert len(net) == 23_793
+        assert net == _net_or_error(_reference_net, *args)
 
     def test_boundary_points_are_kept(self):
         # Squared norm exactly 1: (1/2 + i/2, 1/2 + i/2) and (1/2 + i/2, 1/2 - i/2).
