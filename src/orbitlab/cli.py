@@ -394,20 +394,17 @@ class RunResult:
     table_rows: list
 
 
-def _plain(obj, where: str | None = None):
-    """``obj`` with its tuples as lists, as json writes them.
-
-    A non-finite float raises: strict JSON has no spelling for it.  The
-    error names the field ``where`` leads to; without ``where`` the walk
-    builds no paths, and a caller that needs the name walks again with it.
-    """
+def _name_non_finite(obj, where: str) -> None:
+    """Raise ``ArithmeticError`` naming the first non-finite float under
+    ``obj``, which ``where`` leads to: strict JSON has no spelling for it."""
     if isinstance(obj, dict):
-        return {k: _plain(v, None if where is None else f"{where}.{k}") for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v, None if where is None else f"{where}[{i}]") for i, v in enumerate(obj)]
-    if isinstance(obj, float) and not math.isfinite(obj):
+        for k, v in obj.items():
+            _name_non_finite(v, f"{where}.{k}")
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            _name_non_finite(v, f"{where}[{i}]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
         raise ArithmeticError(f"{where} is {obj}; report.json holds only finite numbers")
-    return obj
 
 
 def _rows(header: list, records: list[dict]) -> list[list]:
@@ -745,7 +742,11 @@ _COMMANDS = {
 
 
 def run(cfg: ExperimentConfig) -> RunResult:
-    """Execute one configured experiment and wrap its verdict and tables."""
+    """Execute one configured experiment and wrap its verdict and tables.
+
+    The report is returned unchecked: ``write_outputs`` refuses one that
+    holds a non-finite float, naming the field.
+    """
     result = _COMMANDS[cfg.command].run(cfg)
     report = {
         "command": cfg.command,
@@ -756,21 +757,15 @@ def run(cfg: ExperimentConfig) -> RunResult:
         "verdict": "pass" if result.passed else "fail",
         "report": result.report,
     }
-    try:
-        report = {key: _plain(value) for key, value in report.items()}
-    except ArithmeticError:  # walk again to name the non-finite field
-        for key, value in report.items():
-            _plain(value, key)
-        raise
     return RunResult(result.passed, report, result.table_header, result.table_rows)
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> tuple[Path, Path]:
     try:
         text = json_text(result.report)
-    except ArithmeticError:  # a non-finite float: refuse it as ``run`` does
+    except ArithmeticError:
         for key, value in result.report.items():
-            _plain(value, key)
+            _name_non_finite(value, key)
         raise
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -809,20 +804,18 @@ def main(argv=None) -> int:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         cfg = ExperimentConfig.from_dict(raw)
         result = run(cfg)
+        report_path, table_path = write_outputs(result, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:  # from reading, parsing or running a deeply nested config
         print("config error: config is nested too deeply", file=sys.stderr)
         return 2
+    except OSError as exc:  # from write_outputs: reading the config raises ConfigError
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
     except (OrbitlabError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        report_path, table_path = write_outputs(result, out_dir)
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
     if args.verbose:
         print(",".join(str(h) for h in result.table_header))

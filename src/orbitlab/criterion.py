@@ -49,9 +49,9 @@ __all__ = [
 ]
 
 
-def _shift_scale(op: Operator) -> tuple[complex, int] | None:
-    """``(lam, b)`` when ``op`` is lam * B^b with at most one factor, else ``None``."""
-    parts = _scaled_shift_parts(op)
+def _shift_scale(parts: tuple[tuple[complex, ...], int] | None) -> tuple[complex, int] | None:
+    """``(lam, b)`` when ``parts = _scaled_shift_parts(op)`` is lam * B^b with
+    at most one factor, else ``None``."""
     if parts is None or len(parts[0]) > 1:
         return None
     factors, b = parts
@@ -64,11 +64,11 @@ def backsolve(op: Operator, n: int, target: SeqVec) -> SeqVec:
     Defined for any nonzero scaling; whether the preimages decay is exactly
     what the criterion check observes, so no modulus gate is imposed here.
     """
-    return _preimage(op, _shift_scale(op), n, target)
+    return _preimage(op, _shift_scale(_scaled_shift_parts(op)), n, target)
 
 
 def _preimage(op: Operator, scale: tuple[complex, int] | None, n: int, target: SeqVec) -> SeqVec:
-    """``backsolve`` for a caller that already holds ``scale = _shift_scale(op)``."""
+    """``backsolve`` for a caller that already holds ``op``'s ``scale``."""
     factor = _preimage_factor(op, scale, n)
     if n == 0:
         return target
@@ -87,11 +87,14 @@ def _preimage_factor(op: Operator, scale: tuple[complex, int] | None, n: int) ->
     if n < 0:
         raise ValueError("power must be >= 0")
     try:
-        return lam ** (-n)
-    except ArithmeticError as exc:  # lam^n underflows, or lam^-n overflows
+        factor = lam ** (-n)
+    except ArithmeticError:  # lam^n underflows, or lam^-n overflows
+        factor = cmath.nan
+    if not cmath.isfinite(factor):  # complex power may also return nan+nanj
         raise ArithmeticError(
             f"backsolve: lambda^-n is past the float range for lambda = {lam}, n = {n}"
-        ) from exc
+        )
+    return factor
 
 
 def _recovery(factor: complex, seq: tuple[complex, ...], y: SeqVec) -> tuple[float, float]:
@@ -212,9 +215,10 @@ def check_criterion(
                 first_zero = n
         decay.append(DecayRecord(i, final, first_zero, final <= tol))
 
-    scale = _shift_scale(op)
+    parts = _scaled_shift_parts(op)
+    scale = _shift_scale(parts)
     lam_abs = None if scale is None else abs(scale[0])
-    factors = () if scale is None else _scaled_shift_parts(op)[0]
+    factors = () if scale is None else parts[0]
 
     # n -> (lam^-n, op's factors n times), made when the first y needs them,
     # so that an error comes where the honest path raises it.
@@ -276,18 +280,11 @@ def transitivity_probe(
     preimage last, so the first hit, and any error an image raises, come
     where checking every power from scratch puts them.
 
-    After each step, a survivor whose stored entries equal an earlier
-    survivor's is dropped.  An operator's image depends on the stored
-    entries alone, and equal entries differ at most in the signs of zero
-    parts, which no modulus, prune test or norm sees.  So the earlier copy
-    hits, and raises, at every power where the later one would, and is
-    tried first.
-
-    For a scaled shift lam B^p, survivors are also grouped before a step of
-    d powers: T^d w depends only on w's entries at index >= d p, and the
-    lower ones matter only if they overflow on their way out.  When an
-    overflow gate shows that none can, only the first survivor of each
-    group of equal kept entries is applied (``_first_per_kept_part``).
+    Before each step, only the first of each group of survivors with equal
+    stored entries, or for a scaled shift equal kept entries, is applied
+    (``_first_per_kept_part``): it hits, and raises, wherever the rest
+    would, and is tried first.  So an image equal to an earlier one is
+    tried at the power that made it, and dropped before the next.
     """
     if u_radius <= 0 or v_radius <= 0:
         raise ValueError("ball radii must be positive")
@@ -295,8 +292,8 @@ def transitivity_probe(
         raise ValueError("ball centers must lie in the subspace")
 
     grid = [t * v_radius for t in dyadic_net(pattern, grid_support, grid_level)]
-    scale = _shift_scale(op)
     parts = _scaled_shift_parts(op)
+    scale = _shift_scale(parts)
 
     def hits(image: SeqVec) -> bool:
         return is_member(image, pattern) and distance(image, u_center) < u_radius
@@ -316,16 +313,12 @@ def transitivity_probe(
         if scale is not None:
             v_image = apply_power(op, n - reached, v_image)
             preimage = v_center + _preimage(op, scale, n, u_center - v_image)
-        images, seen = _first_per_kept_part(parts, n - reached, survivors), set()
+        images = _first_per_kept_part(parts, n - reached, survivors)
         survivors = []
         for image in images:
             image = apply_power(op, n - reached, image)
-            key = frozenset(image._entries.items())
-            if key in seen:
-                continue
             if hits(image):
                 return n
-            seen.add(key)
             survivors.append(image)
         reached = n
         if (
@@ -348,38 +341,40 @@ def _first_per_kept_part(
 ) -> list[SeqVec]:
     """``vecs`` less each vector whose image after ``steps`` steps an earlier one fixes.
 
+    The vectors are grouped by their kept entries, those at index >= cut,
+    and the first of each group, which applying every vector would try
+    first, stands for the rest.  An operator's image depends on the stored
+    entries alone, and equal entries differ at most in the signs of zero
+    parts, which no modulus, prune test or norm sees.  So with cut = 0 the
+    first hits, and raises, wherever the rest would.
+
     Under ``steps`` steps of the scaled shift ``parts = (factors, p)``, an
     entry at index i >= cut = ``steps`` p takes every step and lands at
-    i - cut, while a lower entry takes fewer than ``steps`` and leaves.  So
-    the image, and any error from the kept entries, is fixed by the entries
-    at or past the cut.  A lower entry can only raise, by overflowing on
-    its way out; when max |lower entry| times (prod max(1, |f|))^(steps - 1)
-    is below 2**996, none can.  Then the vectors are grouped by their kept
-    entries, and the first of each group, which applying every vector
-    would try first, stands for the rest: it hits, and raises, wherever
-    they would.
-
-    Any other operator, or a step that fails the bound, keeps ``vecs``.
+    i - cut, while a lower entry takes fewer than ``steps`` and leaves.  A
+    lower entry can only raise, by overflowing on its way out; when
+    max |lower entry| times (prod max(1, |f|))^(steps - 1) is below 2**996,
+    none can, and the kept entries fix the image and its errors.  Any
+    other operator, or a step that fails the bound, keeps cut = 0.
     """
-    if parts is None:
-        return vecs
-    factors, p = parts
-    cut = steps * p
-    growth = (steps - 1) * sum(
-        math.log2(max(1.0, math.hypot(f.real, f.imag))) for f in factors
-    )
-    if growth >= _GROUP_LOG2_LIMIT:
-        return vecs
-    groups: dict[frozenset, SeqVec] = {}
-    low = 0.0
-    for vec in vecs:
-        kept = []
-        for i, z in vec._entries.items():
-            if i >= cut:
-                kept.append((i, z))
-            else:
-                low = max(low, abs(z))
-        groups.setdefault(frozenset(kept), vec)
-    if low and math.log2(low) + growth >= _GROUP_LOG2_LIMIT:
-        return vecs
-    return list(groups.values())
+    cut = growth = 0
+    if parts is not None:
+        factors, p = parts
+        growth = (steps - 1) * sum(
+            math.log2(max(1.0, math.hypot(f.real, f.imag))) for f in factors
+        )
+        if growth < _GROUP_LOG2_LIMIT:
+            cut = steps * p
+    while True:
+        groups: dict[frozenset, SeqVec] = {}
+        low = 0.0
+        for vec in vecs:
+            kept = []
+            for i, z in vec._entries.items():
+                if i >= cut:
+                    kept.append((i, z))
+                else:
+                    low = max(low, abs(z))
+            groups.setdefault(frozenset(kept), vec)
+        if not low or math.log2(low) + growth < _GROUP_LOG2_LIMIT:
+            return list(groups.values())
+        cut = 0  # a lower entry may overflow: group by every entry

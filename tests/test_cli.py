@@ -32,6 +32,7 @@ from orbitlab.seqspace import (
     ScalarMultiple,
 )
 from orbitlab.subspace import PrefixZero, ResidueZero, RightBlockZero, SupportIn
+from conftest import non_finite_error
 
 
 def _write_cfg(tmp_path, data, name="cfg.json"):
@@ -297,12 +298,26 @@ def test_write_outputs_writes_json_dumps_bytes(tmp_path):
 def test_write_outputs_refuses_a_non_finite_float_as_plain_does(bad, tmp_path):
     report = {"command": "probe", "report": {"rows": [1.0, {"value": bad}], "n": 2.0}}
     with pytest.raises(ArithmeticError) as plain:
-        {key: cli._plain(value, key) for key, value in report.items()}
+        for key, value in report.items():
+            cli._name_non_finite(value, key)
     assert str(plain.value) == f"report.rows[1].value is {bad}; report.json holds only finite numbers"
     with pytest.raises(ArithmeticError) as written:
         write_outputs(cli.RunResult(False, report, ["n"], [[1]]), tmp_path)
     assert str(written.value) == str(plain.value)
     assert not (tmp_path / "report.json").exists()
+
+
+def test_run_returns_a_non_finite_report_that_main_refuses(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "eigen_orbit_pairing", lambda *args: math.nan)
+    data = {"command": "kernel", "eigenInstances": 1, "chainInstances": 1}
+    result = run(ExperimentConfig.from_dict(data))
+    assert math.isnan(result.report["report"]["eigen"]["maxDeviation"])
+    rc, out = _run(tmp_path, data)
+    assert (rc, capsys.readouterr().err) == (
+        2,
+        non_finite_error("report.eigen.maxDeviation", math.nan),
+    )
+    assert not (out / "report.json").exists() and not (out / "table.csv").exists()
 
 
 # One minimal config per command and the whole config echo it must produce:
@@ -552,6 +567,43 @@ class TestConfigErrors:
         rc = main([str(path), "--out-dir", str(tmp_path / "out")])
         assert (rc, capsys.readouterr().err) == (2, "config error: config is nested too deeply\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"command": "spectrum", "truncationDim": 2, "horizon": 4},
+            {"command": "probe", "pattern": _PREFIX3, "truncationDim": 8, "horizon": 2},
+        ],
+        ids=["spectrum", "probe"],
+    )
+    def test_the_nesting_boundary_is_where_parsing_fails(
+        self, tmp_path, capsys, monkeypatch, data
+    ):
+        # Found by bisection: the smallest depth of nested scalars that main
+        # refuses as nested too deeply.  There the config fails to parse, so
+        # nothing runs; one level less runs and writes both files.
+        runs = []
+        monkeypatch.setattr(cli, "run", lambda cfg: runs.append(cfg) or run(cfg))
+
+        def outcome(depth):
+            runs.clear()
+            rc, out = _run(tmp_path, {**data, "operator": _nested_scalars(depth)}, out=str(depth))
+            deep = capsys.readouterr().err == "config error: config is nested too deeply\n"
+            return rc, deep, out
+
+        low, high = 0, 800
+        assert outcome(high)[:2] == (2, True)
+        while high - low > 1:
+            mid = (low + high) // 2
+            if outcome(mid)[1]:
+                high = mid
+            else:
+                low = mid
+        rc, deep, out = outcome(high - 1)
+        assert rc in (0, 1) and not deep and len(runs) == 1
+        assert (out / "report.json").exists() and (out / "table.csv").exists()
+        rc, deep, out = outcome(high)
+        assert rc == 2 and deep and runs == [] and not out.exists()
 
     def test_certify_quotes_a_deep_operator_in_part(self, tmp_path, capsys):
         # The repr of 300 nested scalars is 11,710 characters; the line

@@ -412,7 +412,7 @@ def test_the_collapsing_grid_collapses():
     assert len(survivors) > 20 * len(images)
     # With a U-ball that nothing hits, carrying every survivor through
     # powers 2, 4 and 6 takes 2 applications per survivor and power.  The
-    # copies are dropped after power 2, so powers 4 and 6 cost almost nothing.
+    # copies are dropped before power 4, so powers 4 and 6 cost almost nothing.
     counted = CountingOp(op)
     u_center = dense_family(_SPEC, 1)
     args = (counted, _RESIDUE, u_center, 1e-3, v_center, 0.25, 6, 16, 2, 4)
@@ -437,6 +437,43 @@ def test_the_collapsing_grid_is_applied_once_per_kept_part(monkeypatch):
     args = (op, _RESIDUE, u_center, 1e-3, v_center, 0.25, 2, 16, 2, 4)
     assert transitivity_probe(*args) is None
     assert calls == [2] * len(calls) and len(calls) <= 50
+
+
+def test_survivors_of_any_operator_are_applied_once_per_distinct_entries(monkeypatch):
+    # Diagonal is no scaled shift, so survivors are grouped by all their
+    # entries.  Weight 0 on the allowed index 1 collapses the 1257 survivors
+    # of the V-ball onto their index-3 parts after one step, and each later
+    # step applies each distinct image of the step before once, in order.
+    op = Diagonal((1.0, 0.0, 1.0, 0.5))
+    u_center, v_center = SeqVec({3: 100.0}), dense_family(_SPEC, 2)
+    args = (op, _RESIDUE, u_center, 1e-3, v_center, 0.25, 3, 16)
+    assert _outcome(lambda: _scratch_probe(*args, (2, 4))) is None
+    applied = []
+
+    def counting(op, n, vec):
+        assert n == 1
+        applied.append(frozenset(vec.items()))
+        return apply_power(op, n, vec)
+
+    monkeypatch.setattr(criterion, "apply_power", counting)
+    assert transitivity_probe(*args, 2, 4) is None
+
+    step = [
+        w
+        for w in (v_center + 0.25 * g for g in dyadic_net(_RESIDUE, 4, 2))
+        if membership_defect(w, _RESIDUE) == 0.0 and norm(w - v_center) < 0.25
+    ]
+    expected, sizes = [], []
+    for _ in range(3):
+        firsts = {}
+        for w in step:
+            firsts.setdefault(frozenset(w.items()), w)
+        step = list(firsts.values())
+        expected += [frozenset(w.items()) for w in step]
+        sizes.append(len(step))
+        step = [op.apply(w) for w in step]
+    assert applied == expected
+    assert sizes[0] > 10 * sizes[1] > 0
 
 
 @pytest.mark.parametrize(
@@ -599,6 +636,13 @@ def test_condition_two_matches_backsolve_and_the_plain_loop(op, ys, nks):
         ),
         # Nothing fails: the recovery records themselves are compared.
         (ScalarMultiple(2 * cmath.exp(0.7j), BackwardShift(2)), {1: 0.5, 4: -1j}, [3, 9], None),
+        # 1e200^-2 is past the float range, though complex power gives nan+nanj.
+        (
+            ScalarMultiple(1e200, BackwardShift(1)),
+            {0: 1.0},
+            [1, 2],
+            (ArithmeticError, "backsolve: lambda^-n is past the float range"),
+        ),
     ],
 )
 def test_condition_two_fails_where_the_plain_loop_fails(op, y, nks, expected):
