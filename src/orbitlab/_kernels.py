@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from ._report import BACKEND  # noqa: F401 - this module's backend, by its old name
+from .seqspace import _RESCALE_BELOW
 
 # Bounds the point-by-target distance block of ``uncovered_count`` to
 # about 256 KB of float64, whatever the number of targets.
@@ -55,7 +56,7 @@ def _norm(v):
     underflow (a nonzero norm below 2**-500), the rule ``seqspace.norm``
     follows."""
     r = float(np.linalg.norm(v))
-    if (r == math.inf and np.isfinite(v).all()) or (r < 2.0**-500 and v.any()):
+    if (r == math.inf and np.isfinite(v).all()) or (r < _RESCALE_BELOW and v.any()):
         scale = float(np.abs(v).max())
         r = scale * float(np.linalg.norm(v / scale))
     return r

@@ -323,6 +323,11 @@ class ExperimentConfig:
             base.update(overlay)
             raw = base
             command = raw["command"]
+        elif raw.get("preset") is not None:
+            raise ConfigError(
+                f"preset {raw['preset']!r} is given with command {command!r};"
+                " a preset run has command 'preset' or none"
+            )
         if command not in _COMMANDS:
             raise ConfigError(f"command must be one of {tuple(_COMMANDS)}, got {command!r}")
         unknown = set(raw) - _KNOWN_KEYS

@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidModulus, UnsupportedOperator
 from .seqspace import (
+    _RESCALE_BELOW,
     DirectSum,
     Identity,
     Operator,
@@ -63,8 +64,6 @@ _MIN_NORMAL = sys.float_info.min
 # move the sum's rounding, except by breaking an exact tie; it is folded in
 # as one rounded-up remainder term instead of term by term.
 _NEGLIGIBLE_LOG2 = -1100
-# ``norm`` sums the squares again, rescaled, below this.
-_RESCALE_BELOW = 2.0**-500
 
 
 def length(vec: SeqVec) -> int:
@@ -175,9 +174,12 @@ def build_schedule(lam: complex, targets: Sequence[SeqVec]) -> HittingSchedule:
     """Choose hitting times for the targets in order.
 
     Each time is the smallest admissible one past the previous window,
-    which makes schedules reproducible.  The search starts two steps below
-    the gap that the logarithms give, where the norm constraint still fails
-    by more than a factor lam_abs, rounding included.
+    which makes schedules reproducible.  The float norm test is monotone in
+    the gap and first holds near j + q, q = log(norm) / log(lam_abs), so the
+    search starts two steps below j + q - |q| 2**-48: the steps cover the
+    test's rounding, and the margin over five times that of q, which
+    ``log1p`` keeps within three units in the last place however close
+    lam_abs is to 1.
     """
     lam_abs = abs(lam)
     if lam_abs <= 1.0:
@@ -185,16 +187,16 @@ def build_schedule(lam: complex, targets: Sequence[SeqVec]) -> HittingSchedule:
     if not targets:
         raise ValueError("need at least one target")
 
-    log_lam = math.log(lam_abs) if lam_abs > 1.0 + 2.0**-20 else None
+    log_lam = math.log1p(lam_abs - 1.0)
     times = [0]
     for j in range(1, len(targets)):
         k = times[-1] + length(targets[j - 1]) + 1
         target_norm = norm(targets[j])
         if target_norm == math.inf:
             raise ValueError(f"target {j}: norm past the float range")
-        if target_norm and log_lam is not None:
-            skip = j + math.floor(math.log(target_norm) / log_lam) - 2
-            k = max(k, times[-1] + skip)
+        if target_norm:
+            q = math.log(target_norm) / log_lam
+            k = max(k, times[-1] + j + math.floor(q - abs(q) * 2.0**-48) - 2)
         while not _within_decay(target_norm, lam_abs, k - times[-1], j):
             k += 1
         times.append(k)

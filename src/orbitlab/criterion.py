@@ -20,7 +20,6 @@ from .seqspace import (
     ForwardShift,
     Operator,
     SeqVec,
-    _checked,
     _pruned,
     _raise_first_bad,
     _rounds,
@@ -100,9 +99,9 @@ def _preimage_factor(op: Operator, scale: tuple[complex, int] | None, n: int) ->
 def _recovery(factor: complex, seq: tuple[complex, ...], y: SeqVec) -> tuple[float, float]:
     """``(norm(x), norm(apply_power(op, n, x) - y))`` for ``x = _preimage(op, scale, n, y)``.
 
-    ``op`` is lam B^b or B^b and n >= 1; ``factor`` is lam^-n, already
-    through ``SeqVec.__mul__``'s check, and ``seq`` is ``op``'s factors n
-    times.  Entry i of y goes to i + b n in x, scaled by lam^-n, and back
+    ``op`` is lam B^b or B^b and n >= 1; ``factor`` is lam^-n, the finite
+    complex that ``_preimage_factor`` gives, and ``seq`` is ``op``'s factors
+    n times.  Entry i of y goes to i + b n in x, scaled by lam^-n, and back
     to i after n rounds of ``seq``.  The honest path's three stages, the
     scaling of x, the rounds of ``apply_power`` and the difference, run
     one after another with the checks of the vector each makes, so the
@@ -231,8 +230,7 @@ def check_criterion(
         worst_law = 0.0
         for n in nks:
             if n not in steps:
-                factor = _checked(_preimage_factor(op, scale, n))  # as SeqVec.__mul__ checks it
-                steps[n] = factor, factors * n
+                steps[n] = _preimage_factor(op, scale, n), factors * n
             x_norm, error = _recovery(*steps[n], y)
             norms.append(x_norm)
             worst_recovery = max_or_nan(worst_recovery, error)

@@ -1,8 +1,10 @@
 """Stock run configurations.
 
-Each preset is a complete config dict; the CLI resolves a bare
+Each preset is an overlay of its command's defaults: it names the command
+and holds only the keys whose values differ from that command's defaults,
+which ``ExperimentConfig`` fills back in.  The CLI resolves a bare
 ``{"command": "preset", "preset": "<name>"}`` to one of these, and any keys
-the user supplies on top override the stored ones.
+the user supplies on top override the stored ones in turn.
 """
 
 from __future__ import annotations
@@ -30,12 +32,6 @@ PRESETS: dict[str, dict] = {
         "command": "certify",
         "lambda": [2.0, 0.0],
         "pattern": {"kind": "prefix", "m": 3},
-        "targets": 20,
-        "supportBound": 6,
-        "resolutionLevel": 1,
-        "truncationDim": 512,
-        "tol": 1e-9,
-        "seed": 0,
     },
     # Direct sum of the scaled shift with an identity block; the orbit is
     # dense in the left block but nowhere near the full space.
@@ -45,11 +41,6 @@ PRESETS: dict[str, dict] = {
         "lambda": [2.0, 0.0],
         "pattern": {"kind": "rightBlock", "split": 512},
         "targets": 12,
-        "supportBound": 6,
-        "resolutionLevel": 1,
-        "truncationDim": 512,
-        "tol": 1e-9,
-        "seed": 0,
     },
     # The direct sum certified against a prefix pattern instead of its own
     # left block: density transfers to the smaller subspace.
@@ -59,11 +50,6 @@ PRESETS: dict[str, dict] = {
         "lambda": [2.0, 0.0],
         "pattern": {"kind": "prefix", "m": 3},
         "targets": 12,
-        "supportBound": 6,
-        "resolutionLevel": 1,
-        "truncationDim": 512,
-        "tol": 1e-9,
-        "seed": 0,
     },
     # Criterion evidence on the odd-support subspace (even coordinates
     # pinned to zero), exponents n_k = 2k.
@@ -71,13 +57,7 @@ PRESETS: dict[str, dict] = {
         "command": "criterion",
         "lambda": [2.0, 0.0],
         "pattern": {"kind": "residue", "a": 0, "b": 2},
-        "targets": 50,
         "supportBound": 8,
-        "resolutionLevel": 1,
-        "truncationDim": 128,
-        "horizon": 30,
-        "tol": 1e-12,
-        "seed": 0,
     },
     # Square of the shift on the stride-2 support subspace.
     "criterion-shift-squared": {
@@ -91,11 +71,7 @@ PRESETS: dict[str, dict] = {
         "pattern": {"kind": "supportIn", "b": 2},
         "targets": 30,
         "supportBound": 8,
-        "resolutionLevel": 1,
-        "truncationDim": 128,
         "horizon": 45,
-        "tol": 1e-12,
-        "seed": 0,
     },
     # Truncated doubled shift direct-summed with a tripled identity:
     # eigenvalue moduli sit well off 1, so every probe must pick a side.
@@ -107,9 +83,6 @@ PRESETS: dict[str, dict] = {
             "right": {"kind": "scalar", "factor": [3.0, 0.0], "of": {"kind": "identity"}},
             "split": 32,
         },
-        "truncationDim": 64,
-        "horizon": 400,
-        "seed": 0,
     },
 }
 

@@ -40,6 +40,9 @@ __all__ = [
 # Stored moduli below this are treated as structural zeros and dropped.
 PRUNE_MODULUS = 1e-300
 
+# ``norm`` sums the squares again, rescaled, below this.
+_RESCALE_BELOW = 2.0**-500
+
 
 def _checked(value) -> complex:
     z = complex(value)
@@ -53,7 +56,10 @@ class SeqVec:
 
     Entries with modulus below ``PRUNE_MODULUS`` are never stored, so two
     vectors are equal exactly when their stored dictionaries are equal.
-    Instances are immutable; all arithmetic returns new vectors.
+    Values given at the same index are summed; each sum is then checked and
+    pruned by the rule arithmetic follows (``_pruned``), so a sum past the
+    float range raises ``ValueError``.  Instances are immutable; all
+    arithmetic returns new vectors.
     """
 
     __slots__ = ("_entries",)
@@ -75,7 +81,7 @@ class SeqVec:
                 acc[i] += z
             else:
                 acc[i] = z
-        self._entries = {i: z for i, z in acc.items() if abs(z) >= PRUNE_MODULUS}
+        self._entries = _pruned(acc)
 
     @classmethod
     def _from_canonical(cls, entries: dict[int, complex]) -> "SeqVec":
@@ -193,7 +199,7 @@ def distance(u: SeqVec, v: SeqVec) -> float:
     return _root_sum_squares(_pruned(_difference(u, v)).values())
 
 
-def _root_sum_squares(values, tiny: float = 2.0**-500) -> float:
+def _root_sum_squares(values, tiny: float = _RESCALE_BELOW) -> float:
     """``norm`` of the stored values ``values``, a collection that can be walked twice.
 
     ``tiny`` is where the rescaled sum takes over, for values given in
@@ -226,11 +232,11 @@ def _pruned(raw: dict[int, complex]) -> dict[int, complex]:
     """The entries ``SeqVec(raw)`` stores, and the errors it raises, in one pass.
 
     ``raw`` maps ints >= 0 to complex values, as arithmetic on stored
-    entries makes them.  The constructor checks every value for finiteness
-    before it prune-tests any, so here the first non-finite value raises
-    its ``ValueError`` at once, while a finite value whose modulus
-    overflows (``abs`` raises ``OverflowError``) is raised only once no
-    value is non-finite.
+    entries or the constructor's sums make them.  Entries below
+    ``PRUNE_MODULUS`` are dropped.  The first non-finite value raises its
+    ``ValueError`` at once, while a finite value whose modulus overflows
+    (``abs`` raises ``OverflowError``) is raised only once no value is
+    non-finite.
     """
     out = {}
     too_large = None

@@ -22,6 +22,7 @@ from orbitlab.cli import (
     write_outputs,
 )
 from orbitlab.errors import ConfigError
+from orbitlab.presets import PRESETS
 from orbitlab.seqspace import (
     BackwardShift,
     Diagonal,
@@ -106,6 +107,18 @@ PRESET_DIGESTS = {
         "112dd4ad83636e41230bcb25c13c662af6b3f7f7efb013c8bf8a132a186aab68",
     ),
 }
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_a_preset_states_only_what_differs_from_its_command(preset):
+    stored = PRESETS[preset]
+    defaults = cli._COMMANDS[stored["command"]].defaults
+    restated = {
+        key: value
+        for key, value in stored.items()
+        if key in cli._KEYS and value == defaults.get(key, cli._KEYS[key][2])
+    }
+    assert restated == {}
 
 
 @pytest.mark.parametrize("preset", sorted(PRESET_DIGESTS))
@@ -754,6 +767,25 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
         rc, _ = _run(tmp_path, {**data, "tol": 1e-300}, out="at-modulus")
         assert rc in (0, 1)
+
+    def test_a_preset_beside_another_command_is_refused(self, tmp_path, capsys):
+        plain = {"command": "certify", "lambda": [2, 0], "pattern": _PREFIX3, "targets": 2}
+        for out, preset in (("number", 17), ("name", "certify-prefix3")):
+            rc, _ = _run(tmp_path, {**plain, "preset": preset}, out=out)
+            assert (rc, capsys.readouterr().err) == (
+                2,
+                f"config error: preset {preset!r} is given with command 'certify';"
+                " a preset run has command 'preset' or none\n",
+            )
+            assert not (tmp_path / out).exists()
+        # A null preset reads as absent; the preset command, or none, expands a name.
+        rc, out = _run(tmp_path, {**plain, "preset": None}, out="null")
+        assert rc == 0 and _report(out)["preset"] is None
+        for out, data in (("preset", {"command": "preset"}), ("none", {})):
+            rc, out = _run(tmp_path, {**data, "preset": "certify-prefix3", "targets": 2}, out=out)
+            assert rc == 0 and _report(out)["preset"] == "certify-prefix3"
+        rc, _ = _run(tmp_path, {"command": "preset"}, out="nameless")
+        assert (rc, capsys.readouterr().err) == (2, "config error: preset runs need a preset name\n")
 
     def test_null_lambda_reads_as_absent(self, tmp_path, capsys):
         rc, out = _run(tmp_path, {"command": "jordan", "lambda": None}, out="null")

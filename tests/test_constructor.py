@@ -22,6 +22,7 @@ from orbitlab import (
     membership_defect,
     norm,
 )
+from orbitlab import constructor
 from orbitlab.constructor import ScheduleEntry, length, tail_bounds
 from orbitlab.subspace import DenseFamilySpec, dense_family
 from conftest import rand_vec, replay_certify, replay_vector
@@ -105,6 +106,82 @@ class TestBuildSchedule:
     def test_needs_expanding_modulus(self, lam):
         with pytest.raises(InvalidModulus):
             build_schedule(lam, [SeqVec.basis(3)])
+
+    # At 1 + 2**-21 the plain search takes about 230,000 steps for the
+    # target of norm 1.118; 1 + 2**-20 and below once had a search of their own.
+    @pytest.mark.parametrize(
+        "lam", [1 + 2**-21, 1 + 2**-20, -(1 + 2**-19), 1.1, 3j, 1e3], ids=repr
+    )
+    def test_times_match_the_step_by_one_search(self, lam):
+        spec = DenseFamilySpec(PrefixZero(3), 6, 1)
+        targets = [
+            dense_family(spec, 0),  # the zero vector
+            SeqVec({0: 0.75}),  # norm below 1
+            dense_family(spec, 2),  # norm 1.118
+            dense_family(spec, 3),  # norm exactly 1
+        ]
+        assert norm(targets[3]) == 1.0
+        assert build_schedule(lam, targets).times == _plain_times(lam, targets)
+
+    @pytest.mark.parametrize(
+        "lam", [1 + 2**-40, 1 + 2**-52, -(1 + 2**-52), (1 + 2**-52) * 1j], ids=repr
+    )
+    def test_a_modulus_next_to_one_takes_a_few_steps(self, lam, monkeypatch):
+        spec = DenseFamilySpec(PrefixZero(3), 6, 1)
+        targets = [dense_family(spec, j) for j in range(21)]
+        within_decay = _budget_norm_tests(monkeypatch, 50 * len(targets))
+        sched = build_schedule(lam, targets)
+        report = certify(assemble(sched), PrefixZero(3), op=ScalarMultiple(lam, BackwardShift()))
+        monkeypatch.undo()
+        assert report.passes
+        _assert_minimal(within_decay, lam, targets, sched.times)
+        # The tail bounds tend to sqrt(20 - n) as |lam| tends to 1.
+        assert sched.bounds[0] == pytest.approx(math.sqrt(20))
+
+    # Here q = log(norm) / log(lam_abs) is off by up to dozens of steps, more
+    # than the two the search starts below it; the margin |q| 2**-48 covers them.
+    @pytest.mark.parametrize("lam", [1 + 2**-52, 1 + 3 * 2**-52, 1 + 2**-46], ids=repr)
+    def test_far_norms_next_to_one_get_the_smallest_times(self, lam, monkeypatch):
+        targets = [SeqVec.basis(0)] + [SeqVec({0: 10.0**e}) for e in (-250, -20, 20, 100, 300)]
+        within_decay = _budget_norm_tests(monkeypatch, 40_000)
+        times = build_schedule(lam, targets).times
+        monkeypatch.undo()
+        _assert_minimal(within_decay, lam, targets, times)
+
+
+def _budget_norm_tests(monkeypatch, budget):
+    """Make ``constructor._within_decay`` fail past ``budget`` calls; return the original."""
+    within_decay = constructor._within_decay
+
+    def counted(*args):
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise AssertionError("the search made too many norm tests")
+        return within_decay(*args)
+
+    monkeypatch.setattr(constructor, "_within_decay", counted)
+    return within_decay
+
+
+def _assert_minimal(within_decay, lam, targets, times):
+    """Each time passes the norm test, and the one before it fails or has no room."""
+    for j in range(1, len(times)):
+        gap = times[j] - times[j - 1]
+        assert within_decay(norm(targets[j]), abs(lam), gap, j)
+        room = gap - 1 > length(targets[j - 1])
+        assert not (room and within_decay(norm(targets[j]), abs(lam), gap - 1, j))
+
+
+def _plain_times(lam, targets):
+    """``build_schedule``'s times, searched one gap at a time from each window."""
+    times = [0]
+    for j in range(1, len(targets)):
+        k = times[-1] + length(targets[j - 1]) + 1
+        while not constructor._within_decay(norm(targets[j]), abs(lam), k - times[-1], j):
+            k += 1
+        times.append(k)
+    return tuple(times)
 
 
 class TestAssemble:

@@ -28,6 +28,21 @@ finite_complex = st.complex_numbers(
     allow_nan=False, allow_infinity=False, max_magnitude=1e6
 )
 sparse_vecs = st.dictionaries(st.integers(0, 40), finite_complex, max_size=8).map(SeqVec)
+# Values whose sums at one index overflow, cancel, or fall below the
+# pruning modulus.
+summands = st.one_of(
+    finite_complex,
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.7e308, -1.7e308, 1e308j, 1.2e308 + 1.2e308j, 5e-301, -5e-301j, 0.0]),
+)
+
+
+def _built(entries):
+    """``SeqVec(entries)``'s items with their sign bits, or the error it raises."""
+    try:
+        return repr(SeqVec(entries).items())
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
 
 
 ALL_KINDS = [
@@ -64,6 +79,19 @@ class TestSeqVec:
             SeqVec({0: float("nan")})
         with pytest.raises(ValueError):
             SeqVec({0: complex(0, float("inf"))})
+
+    def test_repeated_indices_that_overflow_raise(self):
+        with pytest.raises(ValueError, match=r"non-finite coefficient \(inf\+0j\)"):
+            SeqVec([(0, 1.7e308), (0, 1.7e308)])
+
+    @seed(23)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), summands), max_size=8))
+    def test_pairs_build_what_their_sums_build(self, pairs):
+        sums = {}
+        for i, z in pairs:
+            sums[i] = sums[i] + z if i in sums else complex(z)
+        assert _built(pairs) == _built(sums)
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
