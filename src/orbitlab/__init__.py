@@ -5,70 +5,20 @@ operators, coordinate subspaces, hitting-time construction, criterion
 checks) and a dense numerical layer (finite-matrix obstructions) backed by
 numpy kernels.  ``orbitlab.cli`` drives both from JSON configs.  The dense
 layer's names are exported lazily: importing ``orbitlab`` loads no numpy.
+The top-level names are each module's ``__all__``.
 """
 
-from .constructor import (
-    CertReport,
-    HittingSchedule,
-    ScheduleEntry,
-    WindowedVector,
-    assemble,
-    build_schedule,
-    certify,
-    length,
-    tail_bounds,
-)
-from .criterion import (
-    CriterionReport,
-    backsolve,
-    check_criterion,
-    transitivity_probe,
-)
-from .errors import (
-    ComplementNotInvariant,
-    ConfigError,
-    DimensionMismatch,
-    InvalidModulus,
-    NotEigenvector,
-    NotInGeneralizedKernel,
-    OrbitlabError,
-    UnsupportedOperator,
-)
-from .seqspace import (
-    BackwardShift,
-    Diagonal,
-    DirectSum,
-    FiniteMatrix,
-    ForwardShift,
-    Identity,
-    Operator,
-    ScalarMultiple,
-    SeqVec,
-    apply_power,
-    distance,
-    inner,
-    norm,
-    to_matrix,
-)
-from .subspace import (
-    DenseFamilySpec,
-    PrefixZero,
-    ResidueZero,
-    RightBlockZero,
-    SupportIn,
-    ZeroPattern,
-    dense_family,
-    dyadic_net,
-    invariance_check,
-    invariance_scan,
-    is_member,
-    membership_defect,
-    project,
-)
+from . import constructor, criterion, errors, seqspace, subspace
+from .constructor import *  # noqa: F403
+from .criterion import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .seqspace import *  # noqa: F403
+from .subspace import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# Exported from ``obstructions``, which imports numpy, on first access.
+# Exported from ``obstructions``, which imports numpy, on first access; this
+# is the one list that can name them without importing it.
 _LAZY = frozenset(
     {
         "DichotomyVerdict",
@@ -98,72 +48,13 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(set(globals()) | _LAZY)
 
+
 __all__ = [
     "__version__",
-    # seqspace
-    "SeqVec",
-    "BackwardShift",
-    "ForwardShift",
-    "Identity",
-    "ScalarMultiple",
-    "Diagonal",
-    "DirectSum",
-    "FiniteMatrix",
-    "Operator",
-    "apply_power",
-    "distance",
-    "inner",
-    "norm",
-    "to_matrix",
-    # subspace
-    "PrefixZero",
-    "ResidueZero",
-    "SupportIn",
-    "RightBlockZero",
-    "ZeroPattern",
-    "membership_defect",
-    "is_member",
-    "project",
-    "invariance_check",
-    "invariance_scan",
-    "DenseFamilySpec",
-    "dense_family",
-    "dyadic_net",
-    # constructor
-    "length",
-    "ScheduleEntry",
-    "HittingSchedule",
-    "build_schedule",
-    "assemble",
-    "WindowedVector",
-    "tail_bounds",
-    "CertReport",
-    "certify",
-    # criterion
-    "backsolve",
-    "CriterionReport",
-    "check_criterion",
-    "transitivity_probe",
-    # obstructions
-    "jordan_orbit",
-    "eigen_orbit_pairing",
-    "generalized_pairing_polynomial",
-    "orbit_rows",
-    "DichotomyVerdict",
-    "spectral_dichotomy",
-    "orbit_span_rank",
-    "density_defect",
-    "unit_ball_net",
-    "compression_orbit_check",
-    "planted_eigen_instance",
-    "planted_chain_instance",
-    # errors
-    "OrbitlabError",
-    "DimensionMismatch",
-    "InvalidModulus",
-    "UnsupportedOperator",
-    "NotEigenvector",
-    "NotInGeneralizedKernel",
-    "ComplementNotInvariant",
-    "ConfigError",
+    *seqspace.__all__,
+    *subspace.__all__,
+    *constructor.__all__,
+    *criterion.__all__,
+    *sorted(_LAZY),
+    *errors.__all__,
 ]

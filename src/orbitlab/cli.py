@@ -822,6 +822,9 @@ def main(argv=None) -> int:
     except (OrbitlabError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy names the allocation; a bare MemoryError has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     if args.verbose:
         print(",".join(str(h) for h in result.table_header))
         for row in result.table_rows:

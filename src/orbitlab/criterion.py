@@ -204,14 +204,13 @@ def check_criterion(
     decay = []
     for i, x in enumerate(xs):
         first_zero = None
-        final = 0.0
         image, reached = x, 0
         for n in nks:
             image = apply_power(op, n - reached, image)
             reached = n
-            final = norm(image)
             if first_zero is None and not image:
                 first_zero = n
+        final = norm(image)
         decay.append(DecayRecord(i, final, first_zero, final <= tol))
 
     parts = _scaled_shift_parts(op)

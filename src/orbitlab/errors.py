@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "OrbitlabError",
+    "DimensionMismatch",
+    "InvalidModulus",
+    "UnsupportedOperator",
+    "NotEigenvector",
+    "NotInGeneralizedKernel",
+    "ComplementNotInvariant",
+    "ConfigError",
+]
+
 
 class OrbitlabError(Exception):
     """Base class for every orbitlab-specific error."""

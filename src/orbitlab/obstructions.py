@@ -56,15 +56,16 @@ RANK_REL_TOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
 
 
-def _kernel_residual(m: np.ndarray, lam: complex, y: np.ndarray, p: int) -> float:
-    """Norm of (m - lam)^p y.
+def _in_kernel(m: np.ndarray, lam: complex, y: SeqVec, p: int) -> bool:
+    """Whether (m - lam)^p y is ~ 0: its norm is at most
+    ``KERNEL_TOL * max(1, norm(y))``.
 
-    A step that overflows makes it NaN or inf; the gates test
-    ``not residual <= tol`` so that either fails them.
+    A step that overflows makes the residual NaN or inf, and either fails.
     """
+    residual = y.to_dense(len(m))
     for _ in range(p):
-        y = m @ y - lam * y
-    return float(np.linalg.norm(y))
+        residual = m @ residual - lam * residual
+    return float(np.linalg.norm(residual)) <= KERNEL_TOL * max(1.0, norm(y))
 
 
 def orbit_rows(op: FiniteMatrix, x: SeqVec, n_steps: int) -> np.ndarray:
@@ -123,12 +124,10 @@ def jordan_orbit(op: FiniteMatrix, lam: complex, p: int, y: SeqVec, n: int) -> S
     if n < p:
         raise ValueError(f"closed form needs n >= p, got n={n}, p={p}")
     m = op.array
-    y_dense = y.to_dense(op.dim)
-    scale = max(1.0, float(np.linalg.norm(y_dense)))
-    if not _kernel_residual(m, lam, y_dense, p) <= KERNEL_TOL * scale:
+    if not _in_kernel(m, lam, y, p):
         raise NotInGeneralizedKernel(f"(T - lam)^{p} y is not ~ 0")
 
-    powers = [y_dense]
+    powers = [y.to_dense(op.dim)]
     for _ in range(p - 1):
         powers.append(m @ powers[-1])
     # powers[p-k] = T^(p-k) y for k = 1..p
@@ -159,9 +158,7 @@ def eigen_orbit_pairing(
     gives them.  ``y`` must satisfy T* y = lam y within ``KERNEL_TOL``
     (relative to its norm); the pairing law then forces the whole profile.
     """
-    scale = max(1.0, norm(y))
-    adjoint = op.array.conj().T
-    if not _kernel_residual(adjoint, lam, y.to_dense(op.dim), 1) <= KERNEL_TOL * scale:
+    if not _in_kernel(op.array.conj().T, lam, y, 1):
         raise NotEigenvector("y is not an adjoint eigenvector for lam")
     pairings = _pairings(orbit, y, n_max)
     base = pairings[0]
@@ -186,9 +183,7 @@ def generalized_pairing_polynomial(
     """
     if p < 1:
         raise ValueError("rank p must be >= 1")
-    scale = max(1.0, norm(y))
-    adjoint = op.array.conj().T
-    if not _kernel_residual(adjoint, lam, y.to_dense(op.dim), p) <= KERNEL_TOL * scale:
+    if not _in_kernel(op.array.conj().T, lam, y, p):
         raise NotInGeneralizedKernel(f"(T* - lam)^{p} y is not ~ 0")
 
     pairings = _pairings(orbit, y, n_max)

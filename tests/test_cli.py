@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from orbitlab import cli, constructor, seqspace
+from orbitlab import _kernels, cli, constructor, seqspace
 from orbitlab._report import json_text
 from orbitlab.cli import (
     _KINDS,
@@ -1080,6 +1080,9 @@ class TestJordanPastNormOverflow:
                 assert not case["pass"]
 
 
+_TOO_LARGE = "Unable to allocate 58.2 TiB for an array with shape (1, 1000000000001, 4)"
+
+
 class TestOutputRouting:
     def test_an_unwritable_out_dir_exits_two(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -1091,6 +1094,32 @@ class TestOutputRouting:
         assert captured.err.startswith("error: cannot write outputs: ")
         assert str(blocker / "out") in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    # numpy's MemoryError names the allocation; Python's own carries no message.
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError(_TOO_LARGE), f"error: {_TOO_LARGE}\n"),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"command": "findim", "pattern": {"kind": "prefix", "m": 1}, "horizon": 50},
+            {"command": "kernel"},
+        ],
+        ids=lambda data: data["command"],
+    )
+    def test_an_allocation_failure_exits_two(self, tmp_path, capsys, monkeypatch, data, exc, line):
+        # The orbit stack raises as a too-large allocation would; none is made.
+        def refuse(*args):
+            raise exc
+
+        monkeypatch.setattr(_kernels, "orbit_points", refuse)
+        rc, out_dir = _run(tmp_path, data)
+        assert (rc, capsys.readouterr(), out_dir.exists()) == (2, ("", line), False)
 
     def test_env_var_overrides_flag(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env-out"

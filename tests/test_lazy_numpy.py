@@ -11,12 +11,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import orbitlab
-from orbitlab import cli, obstructions
+from orbitlab import cli, constructor, criterion, errors, obstructions, seqspace, subspace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -155,3 +156,31 @@ class TestLazyExports:
     def test_unknown_attribute_names_the_module(self):
         with pytest.raises(AttributeError, match="module 'orbitlab' has no attribute 'nope'"):
             orbitlab.nope
+
+
+# The modules whose ``__all__`` is the package's, ``obstructions`` lazily.
+_EXPORTING = (seqspace, subspace, constructor, criterion, errors, obstructions)
+
+
+class TestPublicNames:
+    def test_the_package_exports_each_modules_all(self):
+        names = {"__version__"}.union(*(m.__all__ for m in _EXPORTING))
+        assert len(orbitlab.__all__) == len(names)
+        assert set(orbitlab.__all__) == names
+
+    def test_no_two_modules_export_one_name(self):
+        # A star import would let the later module shadow the earlier silently.
+        assert sum(len(m.__all__) for m in _EXPORTING) == len(
+            set().union(*(m.__all__ for m in _EXPORTING))
+        )
+
+    def test_the_lazy_names_are_the_obstructions_all(self):
+        assert orbitlab._LAZY == set(obstructions.__all__)
+
+    def test_pyproject_reads_the_package_version(self):
+        from setuptools.config.pyprojecttoml import read_configuration
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # setuptools calls its pyproject support beta
+            config = read_configuration(SRC.parent / "pyproject.toml", expand=True)
+        assert config["project"]["version"] == orbitlab.__version__

@@ -154,6 +154,42 @@ class TestGeneralizedPairing:
             assert _chain_law(op, x, y, lam, p, 12) <= 1e-7
 
 
+# Each law behind the generalized-kernel gate, on the 1x1 matrix [[m]] at
+# rank 1: jordan_orbit gates (m - lam) y, the pairing laws (m* - lam) y.
+_GATED_LAWS = {
+    "jordan_orbit": lambda op, y, lam: jordan_orbit(op, lam, 1, y, 2),
+    "eigen_orbit_pairing": lambda op, y, lam: _eigen_law(op, SeqVec.basis(0), y, lam, 4),
+    "generalized_pairing_polynomial": lambda op, y, lam: _chain_law(
+        op, SeqVec.basis(0), y, lam, 1, 4
+    ),
+}
+
+
+class TestKernelGate:
+    """One gate for the three laws: ||(m - lam)^p y|| <= KERNEL_TOL * max(1, ||y||)."""
+
+    @pytest.mark.parametrize("law", _GATED_LAWS.values(), ids=_GATED_LAWS)
+    def test_a_residual_at_the_bound_passes(self, law):
+        # y = 2 e_0 and lam = 0: the residual is exactly 2 * KERNEL_TOL, the bound.
+        law(FiniteMatrix([[obstructions.KERNEL_TOL]]), SeqVec.basis(0, 2.0), 0.0)
+
+    @pytest.mark.parametrize("law", _GATED_LAWS.values(), ids=_GATED_LAWS)
+    def test_a_residual_just_above_the_bound_fails(self, law):
+        above = math.nextafter(obstructions.KERNEL_TOL, 1.0)
+        with pytest.raises((NotEigenvector, NotInGeneralizedKernel)):
+            law(FiniteMatrix([[above]]), SeqVec.basis(0, 2.0), 0.0)
+
+    @pytest.mark.parametrize("law", _GATED_LAWS.values(), ids=_GATED_LAWS)
+    def test_a_nan_residual_fails(self, law):
+        # m y and lam y both overflow to inf, so their difference is NaN.
+        op, y = FiniteMatrix([[1e200]]), SeqVec.basis(0, 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = op.array @ y.to_dense(1) - 1e200 * y.to_dense(1)
+            assert math.isnan(residual[0].real)
+            with pytest.raises((NotEigenvector, NotInGeneralizedKernel)):
+                law(op, y, 1e200)
+
+
 def _reference_pairings(op, x, y, n_max):
     """The pairings as the laws first computed them: one ``apply`` and one
     ``inner`` per step."""
