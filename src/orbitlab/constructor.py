@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 _MIN_NORMAL = sys.float_info.min
+_LN2 = math.log(2.0)
 # A tail at most 2**-1100 times the leading term of a sum of squares cannot
 # move the sum's rounding, except by breaking an exact tie; it is folded in
 # as one rounded-up remainder term instead of term by term.
@@ -78,7 +79,9 @@ def _within_decay(size: float, lam_abs: float, gap: int, j: int) -> bool:
     Where lam_abs**gap is finite and lam_abs**-j a normal float, the float
     test decides, with the bits it has always had.  Past that range a float
     saturates (``size / inf`` reads 0.0 and would pass anything), so the
-    constraint is decided exactly on rationals: size <= lam_abs**(gap - j).
+    constraint size <= lam_abs**(gap - j) is decided on base-2 logarithms
+    where its two sides differ by more than their error bound, and exactly
+    on rationals only where they do not.
     """
     try:
         grow = lam_abs**gap
@@ -87,7 +90,21 @@ def _within_decay(size: float, lam_abs: float, gap: int, j: int) -> bool:
     limit = lam_abs ** (-j)
     if grow < math.inf and limit >= _MIN_NORMAL:
         return not size / grow > limit
-    return size < math.inf and Fraction(size) <= Fraction(lam_abs) ** (gap - j)
+    if not 0.0 < size < math.inf:
+        return size == 0.0
+    left = _log2(size)
+    right = (gap - j) * _log2(lam_abs)
+    # Each side is within a few units in the last place of its exact value
+    # and the difference rounds once more; 2**-40 of their size covers all.
+    if abs(left - right) > (abs(left) + abs(right)) * 2.0**-40:
+        return left < right
+    return Fraction(size) <= Fraction(lam_abs) ** (gap - j)
+
+
+def _log2(x: float) -> float:
+    """log2 of a positive finite float, to a few units in the last place;
+    next to 1 through ``log1p`` of ``x - 1``, which is exact there."""
+    return math.log1p(x - 1.0) / _LN2 if 0.5 <= x <= 2.0 else math.log2(x)
 
 
 @dataclass(frozen=True)
@@ -269,7 +286,10 @@ class WindowedVector:
         self.schedule = schedule
         lam = complex(schedule.lam)
         lam_abs = abs(lam)
-        self.unit_inv = lam_abs / lam
+        # Complex division overflows its denominator for |lam| past about
+        # 1.27e308 near a 45-degree phase and reads 0; halving both sides is
+        # exact there.
+        self.unit_inv = lam_abs / lam or (0.5 * lam_abs) / (0.5 * lam)
         self.log2_lam = math.log2(lam_abs)
         self.log2_geometric = math.log2(1.0 - lam_abs**-2)
         entries = schedule.entries

@@ -20,9 +20,7 @@ from .seqspace import (
     ForwardShift,
     Operator,
     SeqVec,
-    _pruned,
-    _raise_first_bad,
-    _rounds,
+    _recovery,
     _scaled_shift_parts,
     apply_power,
     distance,
@@ -71,7 +69,7 @@ def _preimage(op: Operator, scale: tuple[complex, int] | None, n: int, target: S
     factor = _preimage_factor(op, scale, n)
     if n == 0:
         return target
-    return apply_power(ForwardShift(scale[1]), n, target) * factor
+    return ForwardShift(scale[1] * n).apply(target) * factor
 
 
 def _preimage_factor(op: Operator, scale: tuple[complex, int] | None, n: int) -> complex:
@@ -94,33 +92,6 @@ def _preimage_factor(op: Operator, scale: tuple[complex, int] | None, n: int) ->
             f"backsolve: lambda^-n is past the float range for lambda = {lam}, n = {n}"
         )
     return factor
-
-
-def _recovery(factor: complex, seq: tuple[complex, ...], y: SeqVec) -> tuple[float, float]:
-    """``(norm(x), norm(apply_power(op, n, x) - y))`` for ``x = _preimage(op, scale, n, y)``.
-
-    ``op`` is lam B^b or B^b and n >= 1; ``factor`` is lam^-n, the finite
-    complex that ``_preimage_factor`` gives, and ``seq`` is ``op``'s factors
-    n times.  Entry i of y goes to i + b n in x, scaled by lam^-n, and back
-    to i after n rounds of ``seq``.  The honest path's three stages, the
-    scaling of x, the rounds of ``apply_power`` and the difference, run
-    one after another with the checks of the vector each makes, so the
-    bits and the first error are the honest path's, with no forward shift
-    and no vector built through the checking constructor.
-    """
-    # x = S^(b n) y * lam^-n; the shift visits y's entries in index order.
-    x = _pruned({i: z * factor for i, z in y.items()})
-    stop = len(seq)
-    image: dict[int, complex] = {}
-    bad = []
-    for i, z in x.items():
-        z, r = _rounds(z, seq, 0, stop)
-        if r == stop:
-            image[i] = z
-        elif z is not None:
-            bad.append((r, cmath.isfinite(z), i, z))
-    _raise_first_bad(bad)
-    return norm(SeqVec._from_canonical(x)), distance(SeqVec._from_canonical(image), y)
 
 
 @dataclass(frozen=True)

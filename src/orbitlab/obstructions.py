@@ -178,8 +178,8 @@ def generalized_pairing_polynomial(
 
     Q is solved from the p pairings n = p..2p-1; the returned value is the
     worst |<T^n x, y> - conj(lam)^(n-p) Q(n)| over 2p <= n <= n_max.  For
-    lam = 0 the profile collapses: Q is the constant <T^p x, y> and every
-    later pairing must vanish outright.
+    lam = 0 the profile collapses: no Q is fitted, and every pairing from
+    n = 2p on must vanish outright.
     """
     if p < 1:
         raise ValueError("rank p must be >= 1")
@@ -189,12 +189,8 @@ def generalized_pairing_polynomial(
     pairings = _pairings(orbit, y, n_max)
 
     lam_bar = lam.conjugate()
-    if lam == 0:
-        coeffs = np.zeros(p, dtype=np.complex128)
-        coeffs[0] = pairings[p] if p <= n_max else 0j
-    else:
-        rows = min(p, n_max - p + 1)
-        if rows < p:
+    if lam != 0:
+        if n_max < 2 * p - 1:
             raise ValueError(f"need n_max >= 2p - 1 = {2 * p - 1} to fit Q")
         ns = np.arange(p, 2 * p)
         vander = np.vander(ns.astype(np.complex128), p, increasing=True)

@@ -485,6 +485,34 @@ def _scaled_shift_power(factors: tuple[complex, ...], p: int, n: int, vec: SeqVe
     return SeqVec._from_canonical(out)
 
 
+def _recovery(factor: complex, seq: tuple[complex, ...], y: SeqVec) -> tuple[float, float]:
+    """``(norm(x), norm(apply_power(op, n, x) - y))`` for the preimage
+    ``x = criterion._preimage(op, scale, n, y)``.
+
+    ``op`` is lam B^b or B^b and n >= 1; ``factor`` is lam^-n, the finite
+    complex that ``criterion._preimage_factor`` gives, and ``seq`` is
+    ``op``'s factors n times.  Entry i of y goes to i + b n in x, scaled by lam^-n, and back
+    to i after n rounds of ``seq``.  The honest path's three stages, the
+    scaling of x, the rounds of ``apply_power`` and the difference, run
+    one after another with the checks of the vector each makes, so the
+    bits and the first error are the honest path's, with no forward shift
+    and no vector built through the checking constructor.
+    """
+    # x = S^(b n) y * lam^-n; the shift visits y's entries in index order.
+    x = _pruned({i: z * factor for i, z in y.items()})
+    stop = len(seq)
+    image: dict[int, complex] = {}
+    bad = []
+    for i, z in x.items():
+        z, r = _rounds(z, seq, 0, stop)
+        if r == stop:
+            image[i] = z
+        elif z is not None:
+            bad.append((r, cmath.isfinite(z), i, z))
+    _raise_first_bad(bad)
+    return norm(SeqVec._from_canonical(x)), distance(SeqVec._from_canonical(image), y)
+
+
 def _raise_first_bad(bad: list[tuple[int, bool, int, complex]]) -> None:
     """Raise what building a SeqVec raises for the least (round, finite, index, product)."""
     if bad:
@@ -496,17 +524,14 @@ def _raise_first_bad(bad: list[tuple[int, bool, int, complex]]) -> None:
 def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
     """Apply ``op`` n times, with the bits and errors of n ``op.apply`` calls.
 
-    Four paths, each bit-identical to the honest loop, raised errors
-    included.  Each is chosen by exact type, so a subclass, whose ``apply``
-    may differ, takes the honest loop:
+    Two paths, each bit-identical to the honest loop, raised errors
+    included.  The fast one is chosen by exact type, so a subclass, whose
+    ``apply`` may differ, takes the honest loop:
 
     - *scaled shift*: nested scalar multiples of one backward shift (the
       paper's lam B and lam B^2, and a bare shift) run as index arithmetic
       plus one value trajectory per entry, the same products in the same
       order, and build one vector;
-    - *forward collapse*: a forward shift becomes one shift by
-      ``n * power``;
-    - *identity*: the vector itself;
     - *honest loop*: every other operator is applied n times, stopping
       early once the image is the zero vector: every kind maps zero to
       zero, so the stop is exact.
@@ -518,10 +543,6 @@ def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
     parts = _scaled_shift_parts(op)
     if parts is not None:
         return _scaled_shift_power(*parts, n, vec)
-    if type(op) is ForwardShift:
-        return ForwardShift(op.power * n).apply(vec)
-    if type(op) is Identity:
-        return vec
     out = vec
     for _ in range(n):
         if not out:

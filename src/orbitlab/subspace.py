@@ -230,6 +230,10 @@ def _trajectory_decider(op: Operator, p: int, pattern: ZeroPattern, allowed: lis
 # eventually passes within eps.
 
 
+# A level-L grid value is (x + iy) 2^-L with |x|, |y| <= 2^L, and 2^1024 is no float.
+_MAX_RESOLUTION_LEVEL = 1023
+
+
 @dataclass(frozen=True)
 class DenseFamilySpec:
     pattern: ZeroPattern
@@ -241,6 +245,11 @@ class DenseFamilySpec:
             raise ValueError("support bound must be >= 1")
         if self.resolution_level < 0:
             raise ValueError("resolution level must be >= 0")
+        if self.resolution_level > _MAX_RESOLUTION_LEVEL:
+            raise ValueError(
+                f"resolution level must be <= {_MAX_RESOLUTION_LEVEL}, the largest whose"
+                f" grid values are floats, got {self.resolution_level}"
+            )
 
 
 def _grid_side(level: int) -> int:
@@ -304,6 +313,10 @@ def dense_family(spec: DenseFamilySpec, j: int) -> SeqVec:
 # The most raw grid points ``dyadic_net`` will enumerate.
 NET_POINT_CAP = 2_000_000
 
+# A net of (2^(level+1) + 1)^(2r) raw points has more than 2^bits of them,
+# bits = 2r(level + 1).  From this many bits on its exact size is not built.
+_EXACT_COUNT_BITS = 128
+
 
 def dyadic_net(pattern: ZeroPattern, support_bound: int, level: int) -> list[SeqVec]:
     """All grid vectors of the given level inside the closed unit ball.
@@ -321,6 +334,9 @@ def dyadic_net(pattern: ZeroPattern, support_bound: int, level: int) -> list[Seq
     allowed = allowed_indices(pattern, support_bound)
     if not allowed:
         raise ValueError("no allowed indices below the support bound")
+    bits = 2 * len(allowed) * (level + 1)
+    if bits >= _EXACT_COUNT_BITS:
+        raise ValueError(f"net of more than 2**{bits} raw points exceeds the cap {NET_POINT_CAP}")
     side = _grid_side(level)
     g = side**2
     if g ** len(allowed) > NET_POINT_CAP:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from orbitlab import _kernels, cli, constructor, seqspace
+from orbitlab import _kernels, cli, constructor, seqspace, subspace
 from orbitlab._report import json_text
 from orbitlab.cli import (
     _KINDS,
@@ -768,6 +768,49 @@ class TestConfigErrors:
         rc, _ = _run(tmp_path, {**data, "tol": 1e-300}, out="at-modulus")
         assert rc in (0, 1)
 
+    # Each level is refused before any power of two its grid needs is built.
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (
+                {"command": "findim", "pattern": {"kind": "prefix", "m": 1}, "netLevel": level},
+                f"error: net of more than 2**{6 * (level + 1)} raw points exceeds the cap 2000000",
+            )
+            for level in (5000, 8000, 10**9)
+        ]
+        + [
+            (
+                {"command": "probe", "lambda": [2, 0], "pattern": _PREFIX3,
+                 "probe": {"gridLevel": 10**7}},
+                f"error: net of more than 2**{2 * (10**7 + 1)} raw points exceeds the cap 2000000",
+            ),
+        ]
+        + [
+            (
+                {"command": "certify", "lambda": [2, 0], "pattern": _PREFIX3, "targets": 3,
+                 "resolutionLevel": level},
+                "error: resolution level must be <= 1023, the largest whose grid values are"
+                f" floats, got {level}",
+            )
+            for level in (1024, 10**8)
+        ],
+        ids=["net5000", "net8000", "net1e9", "grid1e7", "res1024", "res1e8"],
+    )
+    def test_a_grid_level_past_its_limit_exits_two(
+        self, tmp_path, capsys, monkeypatch, data, line
+    ):
+        side = subspace._grid_side
+
+        def small_side(level):
+            assert level <= 1023, f"built the grid side of level {level}"
+            return side(level)
+
+        monkeypatch.setattr(subspace, "_grid_side", small_side)
+        rc, out = _run(tmp_path, data)
+        assert rc == 2
+        assert not (out / "report.json").exists()
+        assert capsys.readouterr().err == line + "\n"
+
     def test_a_preset_beside_another_command_is_refused(self, tmp_path, capsys):
         plain = {"command": "certify", "lambda": [2, 0], "pattern": _PREFIX3, "targets": 2}
         for out, preset in (("number", 17), ("name", "certify-prefix3")):
@@ -896,6 +939,13 @@ class TestRunners:
         assert rc == 0
         lines = (out / "table.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 7
+
+    @pytest.mark.parametrize("lam", [[1e308, 1e308], [-1.25e308, 1.25e308]])
+    def test_certify_near_the_float_maximum(self, tmp_path, lam):
+        data = {"command": "certify", "lambda": lam, "pattern": {"kind": "prefix", "m": 1}}
+        rc, out = _run(tmp_path, {**data, "targets": 5})
+        assert rc == 0
+        assert _report(out)["passed"] is True
 
     def test_findim_quick(self, tmp_path):
         data = {

@@ -1,7 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from orbitlab import (
     BackwardShift,
@@ -149,6 +152,59 @@ class TestBuildSchedule:
         _assert_minimal(within_decay, lam, targets, times)
 
 
+    # A target near the float maximum after 60 empty ones: lam**gap
+    # overflows at every gap the search tries, so the float test saturates.
+    @pytest.mark.parametrize("k, time", [(6, 45896), (8, 182164)])
+    def test_a_saturated_norm_test_keeps_its_times(self, k, time):
+        assert _saturated_schedule(k).times[-1] == time
+
+    @pytest.mark.parametrize("k", [10, 20])
+    def test_a_saturated_norm_test_next_to_one_returns(self, k):
+        import mpmath
+
+        times = _saturated_schedule(k).times
+        with mpmath.workprec(400):
+            q = mpmath.log(mpmath.mpf(1.7e308)) / mpmath.log(mpmath.mpf(1 + 2**-k))
+            assert q != mpmath.floor(q)
+            first = int(mpmath.ceil(q))
+        # Entry 60 sits at time 59 + gap, with gap the least g >= 1 that has
+        # 1.7e308 <= lam**(g - 60).
+        assert times[-1] == 59 + 60 + first
+
+    @pytest.mark.parametrize(
+        "size, want", [(2.0**1000, True), (math.nextafter(2.0**1000, math.inf), False)]
+    )
+    def test_a_saturated_tie_is_decided_on_rationals(self, size, want):
+        # 2**1030 overflows; 2**1000 is exactly lam**(gap - j).
+        assert constructor._within_decay(size, 2.0, 1030, 30) is want
+
+    @seed(11)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(1.5, 16.0),
+        st.integers(1, 40),
+        st.integers(0, 3),
+        st.sampled_from([0, 0, 0, -1, 1, -2**-40, 2**-40, -30, 30]),
+        st.integers(-3, 3),
+    )
+    def test_a_saturated_norm_test_matches_rationals(self, lam_abs, j, extra, shift, ulps):
+        # The least gap whose lam_abs**gap overflows, or one past it, and a
+        # size a few units in the last place from lam_abs**(gap - j) * 2**shift.
+        gap = math.floor(1024 / math.log2(lam_abs)) + extra
+        while Fraction(lam_abs) ** gap <= Fraction(sys.float_info.max):
+            gap += 1
+        exact = Fraction(lam_abs) ** (gap - j)
+        size = float(min(exact * Fraction(2.0**shift), Fraction(sys.float_info.max)))
+        for _ in range(abs(ulps)):
+            size = math.nextafter(size, math.copysign(math.inf, ulps))
+        got = constructor._within_decay(size, lam_abs, gap, j)
+        assert got is (size < math.inf and Fraction(size) <= exact)
+
+
+def _saturated_schedule(k):
+    return build_schedule(1 + 2.0**-k, [SeqVec()] * 60 + [SeqVec({0: 1.7e308})])
+
+
 def _budget_norm_tests(monkeypatch, budget):
     """Make ``constructor._within_decay`` fail past ``budget`` calls; return the original."""
     within_decay = constructor._within_decay
@@ -225,6 +281,31 @@ class TestAssemble:
         # The float vector of a replay cannot hold it.
         with pytest.raises(ValueError, match="below the float range"):
             replay_vector(sched)
+
+
+    # Past about 1.27e308 near a 45-degree phase, ``lam_abs / lam``
+    # overflows its denominator and reads 0, which zeroed every window value.
+    @pytest.mark.parametrize(
+        "lam", [complex(1e308, 1e308), complex(1.2e308, -1.2e308), complex(-1.25e308, -1.25e308)],
+        ids=repr,
+    )
+    def test_a_modulus_near_the_float_maximum_keeps_its_unit(self, lam):
+        f = assemble(build_schedule(lam, [SeqVec.basis(0), SeqVec.basis(1, 0.5j)]))
+        assert abs(f.unit_inv) == pytest.approx(1.0, rel=1e-15)
+        assert abs(f.unit_inv * lam - abs(lam)) <= 1e-15 * abs(lam)
+        assert certify(f, PrefixZero(0)).passes
+
+    # Elsewhere the unit keeps the quotient's bits, a subnormal part included,
+    # which halving both sides would round away.
+    @pytest.mark.parametrize(
+        "lam", [complex(1.5, 5e-324), complex(5e-324, -1.5), complex(3.0, 1e-310), 2j, -4.0],
+        ids=repr,
+    )
+    def test_the_unit_is_the_plain_quotient(self, lam):
+        unit = assemble(build_schedule(lam, [SeqVec.basis(0)])).unit_inv
+        want = abs(lam) / complex(lam)
+        assert (unit.real, unit.imag) == (want.real, want.imag)
+        assert repr(unit) == repr(want)
 
 
 class TestCertify:

@@ -21,7 +21,7 @@ from orbitlab import (
     norm,
     transitivity_probe,
 )
-from orbitlab import criterion
+from orbitlab import criterion, seqspace
 from orbitlab.seqspace import PRUNE_MODULUS
 from orbitlab.subspace import DenseFamilySpec, dense_family
 from conftest import rand_vec
@@ -189,7 +189,7 @@ def test_a_nan_recovery_error_fails_condition_two(monkeypatch):
     y = SeqVec.basis(1)
     args = (DOUBLING, ResidueZero(0, 2), [], [y], [2 * k for k in range(1, 26)], 64, 1e-12)
     assert check_criterion(*args).recovery_ok
-    monkeypatch.setattr(criterion, "distance", lambda u, v: distance(u, v) or math.nan)
+    monkeypatch.setattr(seqspace, "distance", lambda u, v: distance(u, v) or math.nan)
     report = check_criterion(*args)
     assert math.isnan(report.recovery[0].recovery_error)
     assert not report.recovery_ok and not report.passes

@@ -244,7 +244,7 @@ class TestApplyPower:
         assert norm(lhs - rhs) <= 1e-10 * max(1.0, norm(lhs))
 
     def test_subclasses_take_the_honest_loop(self):
-        # The forward-collapse and identity paths would skip these ``apply``s.
+        # Only the scaled-shift path is chosen by type; these take the honest loop.
         class Twice(Identity):
             def apply(self, vec):
                 return vec * 2
@@ -255,6 +255,21 @@ class TestApplyPower:
 
         assert apply_power(Twice(), 3, SeqVec.basis(0)) == SeqVec.basis(0, 8.0)
         assert apply_power(ForwardTwice(), 3, SeqVec.basis(0)) == SeqVec.basis(3, 8.0)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_a_forward_shift_steps_once_per_power(self, monkeypatch, p):
+        apply = ForwardShift.apply
+        calls = _count_applies(monkeypatch, ForwardShift)
+        v = SeqVec({0: 1.5, 2: -1j, 7: 3.0})
+        out = apply_power(ForwardShift(p), 4, v)
+        assert len(calls) == 4
+        assert out.items() == apply(ForwardShift(4 * p), v).items()
+
+    def test_the_identity_steps_once_per_power(self, monkeypatch):
+        calls = _count_applies(monkeypatch, Identity)
+        v = SeqVec({1: 2.0, 4: 0.5j})
+        assert apply_power(Identity(), 5, v) is v
+        assert len(calls) == 5
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
@@ -286,6 +301,19 @@ class TestApplyPower:
             assert apply_power(counted, n, vec) == expected
             assert bool(expected) == (n < dies_after)
             assert counted.calls == min(n, dies_after)
+
+
+def _count_applies(monkeypatch, kind):
+    """Record each ``kind.apply`` call in the returned list."""
+    calls = []
+    apply = kind.apply
+
+    def counted(op, vec):
+        calls.append(op)
+        return apply(op, vec)
+
+    monkeypatch.setattr(kind, "apply", counted)
+    return calls
 
 
 class TestInnerNorm:

@@ -22,6 +22,7 @@ from orbitlab import (
     norm,
     project,
 )
+from orbitlab import subspace
 from orbitlab.subspace import (
     NET_POINT_CAP,
     _digit_value,
@@ -194,6 +195,20 @@ class TestDenseFamily:
             best = min(norm(v - m) for m in members)
             assert best <= 0.3
 
+    def test_the_largest_level_is_1023(self):
+        spec = DenseFamilySpec(PrefixZero(0), 1, 1023)
+        # Digit 0 is the corner -1 - i, whose parts are -2^1023 * 2^-1023.
+        assert _digit_value(0, 1023) == complex(-1, -1)
+        assert dense_family(spec, 1) == SeqVec.basis(0, complex(-1, -1))
+        with pytest.raises(OverflowError):
+            _digit_value(0, 1024)
+
+    @pytest.mark.parametrize("level", [1024, 10**8])
+    def test_a_level_past_1023_is_rejected_first(self, level, monkeypatch):
+        monkeypatch.setattr(subspace, "_grid_side", _no_side)
+        with pytest.raises(ValueError, match=f"must be <= 1023, .* got {level}$"):
+            DenseFamilySpec(PrefixZero(0), 1, level)
+
     def test_rejects_empty_support(self):
         spec = DenseFamilySpec(PrefixZero(6), 6, 1)
         with pytest.raises(ValueError):
@@ -221,6 +236,29 @@ class TestDyadicNet:
     def test_cap_guard(self):
         with pytest.raises(ValueError):
             dyadic_net(PrefixZero(0), 16, 3)
+
+    # r = 4 coordinates; 2r(level + 1) = 8(level + 1) bits.
+    @pytest.mark.parametrize("level", [15, 5000, 8000, 10**9])
+    def test_a_net_past_128_bits_is_refused_by_its_bit_count(self, level, monkeypatch):
+        monkeypatch.setattr(subspace, "_grid_side", _no_side)
+        bits = 8 * (level + 1)
+        with pytest.raises(ValueError) as got:
+            dyadic_net(PrefixZero(0), 4, level)
+        assert str(got.value) == (
+            f"net of more than 2**{bits} raw points exceeds the cap {NET_POINT_CAP}"
+        )
+
+    def test_a_net_below_128_bits_names_its_size(self):
+        # 8 * 15 = 120 bits: the exact size, (2^15 + 1)^8, as ever.
+        with pytest.raises(ValueError) as got:
+            dyadic_net(PrefixZero(0), 4, 14)
+        assert str(got.value) == (
+            f"net of {(2**15 + 1) ** 8} raw points exceeds the cap {NET_POINT_CAP}"
+        )
+
+
+def _no_side(level):
+    raise AssertionError(f"built the grid side of level {level}")
 
 
 def _reference_net(pattern, support_bound, level):
