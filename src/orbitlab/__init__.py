@@ -18,7 +18,8 @@ from .subspace import *  # noqa: F403
 __version__ = "0.1.0"
 
 # Exported from ``obstructions``, which imports numpy, on first access; this
-# is the one list that can name them without importing it.
+# is the one list of them, so the package names them without importing it,
+# and ``obstructions.__all__`` reads it.
 _LAZY = frozenset(
     {
         "DichotomyVerdict",

@@ -24,8 +24,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -257,54 +257,45 @@ def _as_expect(val, where: str) -> str:
     return val
 
 
-# JSON key -> (attribute, parser, default); a command's defaults override
-# these.  Every key is echoed in report["config"], except the keys that
-# some command lists as its own extras, which only that command echoes.
-_KEYS = {
-    "targets": ("targets", _as_int, 0),
-    "supportBound": ("support_bound", _at_least_one, 6),
-    "resolutionLevel": ("resolution_level", _as_int, 1),
-    "truncationDim": ("truncation_dim", _at_least_one, None),
-    "horizon": ("horizon", _as_int, 0),
-    "tol": ("tol", _as_tol, 1e-9),
-    "seed": ("seed", _as_int, 0),
-    "netLevel": ("net_level", _as_int, 1),
-    "epsilon": ("epsilon", _as_float, 0.1),
-    "trials": ("trials", _at_least_one, 3),
-    "probe": ("probe", _as_probe, {}),
-    "expect": ("expect", _as_expect, "found"),
-    "eigenInstances": ("eigen_instances", _as_int, 100),
-    "chainInstances": ("chain_instances", _as_int, 50),
-    "eigenTol": ("eigen_tol", _as_float, 1e-8),
-    "chainTol": ("chain_tol", _as_float, 1e-7),
-}
-
-_KNOWN_KEYS = {"command", "preset", "lambda", "operator", "pattern", *_KEYS}
+def _key(key: str, parse: Callable, default: Any = None, write: Callable | None = None):
+    """The field that config key ``key`` sets: ``parse`` reads it from JSON.
+    A scalar takes ``default`` when absent, or its command's default.  An
+    object is optional, and ``write`` writes it back to JSON."""
+    return field(metadata={"config": (key, parse, default, write)})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's config: every field past ``preset`` is set by one config key.
+
+    Every scalar is echoed in report["config"], except those that some
+    command lists as its own extras, which only that command echoes.
+    """
+
     command: str
     preset: str | None
-    operator: Operator | None
-    lam: complex | None
-    pattern: ZeroPattern | None
-    targets: int
-    support_bound: int
-    resolution_level: int
-    truncation_dim: int
-    horizon: int
-    tol: float
-    seed: int
-    net_level: int
-    epsilon: float
-    trials: int
-    probe: dict
-    expect: str
-    eigen_instances: int
-    chain_instances: int
-    eigen_tol: float
-    chain_tol: float
+    # The objects, in the order they are read.
+    lam: complex | None = _key("lambda", _complex_from, write=_complex_to)
+    operator: Operator | None = _key("operator", operator_from_config, write=operator_to_config)
+    pattern: ZeroPattern | None = _key(
+        "pattern", partial(_from_config, "pattern"), write=partial(_to_config, "pattern")
+    )
+    targets: int = _key("targets", _as_int, 0)
+    support_bound: int = _key("supportBound", _at_least_one, 6)
+    resolution_level: int = _key("resolutionLevel", _as_int, 1)
+    truncation_dim: int = _key("truncationDim", _at_least_one)
+    horizon: int = _key("horizon", _as_int, 0)
+    tol: float = _key("tol", _as_tol, 1e-9)
+    seed: int = _key("seed", _as_int, 0)
+    net_level: int = _key("netLevel", _as_int, 1)
+    epsilon: float = _key("epsilon", _as_float, 0.1)
+    trials: int = _key("trials", _at_least_one, 3)
+    probe: dict = _key("probe", _as_probe, {})
+    expect: str = _key("expect", _as_expect, "found")
+    eigen_instances: int = _key("eigenInstances", _as_int, 100)
+    chain_instances: int = _key("chainInstances", _as_int, 50)
+    eigen_tol: float = _key("eigenTol", _as_float, 1e-8)
+    chain_tol: float = _key("chainTol", _as_float, 1e-7)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -335,49 +326,34 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         spec = _COMMANDS[command]
 
-        # An explicit null reads as absent, so a preset overlay can drop a key.
-        lam, operator, pattern = raw.get("lambda"), raw.get("operator"), raw.get("pattern")
-        given = {
-            "lambda": None if lam is None else _complex_from(lam, "lambda"),
-            "operator": None if operator is None else operator_from_config(operator),
-            "pattern": None if pattern is None else _from_config("pattern", pattern, "pattern"),
-        }
-        for key in spec.needs:
-            if given[key] is None:
+        # An explicit null reads as absent, so a preset overlay can drop an object.
+        values = {}
+        for name, key, parse, _, _ in _OBJECTS:
+            values[name] = None if raw.get(key) is None else parse(raw[key], key)
+        for name, key, *_ in _OBJECTS:
+            if name in spec.needs and values[name] is None:
                 raise ConfigError(f"{command} requires {key!r}")
-        lam = given["lambda"]
-        if "lambda" in spec.needs and abs(lam) <= 1.0:
+        lam = values["lam"]
+        if "lam" in spec.needs and abs(lam) <= 1.0:
             raise ConfigError(f"{command} requires |lambda| > 1, got modulus {abs(lam)}")
-
-        scalars = {}
-        for key, (attr, parse, default) in _KEYS.items():
-            scalars[attr] = parse(raw.get(key, spec.defaults.get(key, default)), key)
-        return cls(
-            command=command,
-            preset=raw.get("preset"),
-            operator=given["operator"],
-            lam=lam,
-            pattern=given["pattern"],
-            **scalars,
-        )
+        for name, key, parse, default, _ in _SCALARS:
+            values[name] = parse(raw.get(key, spec.defaults.get(key, default)), key)
+        return cls(command=command, preset=raw.get("preset"), **values)
 
     @cached_property
     def normalized(self) -> dict:
         """The config as report.json echoes it, defaults filled in."""
-        extras = {key for c in _COMMANDS.values() for key in c.echo}
         own = _COMMANDS[self.command].echo
         out: dict[str, Any] = {"command": self.command}
-        for key, (attr, _, _) in _KEYS.items():
-            if key not in extras or key in own:
-                out[key] = getattr(self, attr)
+        for name, key, *_ in _SCALARS:
+            if key not in _EXTRAS or key in own:
+                out[key] = getattr(self, name)
         if self.preset:
             out["preset"] = self.preset
-        if self.lam is not None:
-            out["lambda"] = _complex_to(self.lam)
-        if self.operator is not None:
-            out["operator"] = operator_to_config(self.operator)
-        if self.pattern is not None:
-            out["pattern"] = _to_config("pattern", self.pattern)
+        for name, key, _, _, write in _OBJECTS:
+            value = getattr(self, name)
+            if value is not None:
+                out[key] = write(value)
         return out
 
     def default_operator(self) -> Operator:
@@ -389,6 +365,13 @@ class ExperimentConfig:
 
     def family(self) -> DenseFamilySpec:
         return DenseFamilySpec(self.pattern, self.support_bound, self.resolution_level)
+
+
+# (attribute, key, parser, default, writer) of each config key's field.
+_FIELDS = [(f.name, *f.metadata["config"]) for f in fields(ExperimentConfig) if f.metadata]
+_OBJECTS = [f for f in _FIELDS if f[4]]
+_SCALARS = [f for f in _FIELDS if not f[4]]
+_KNOWN_KEYS = {"command", "preset", *(f[1] for f in _FIELDS)}
 
 
 @dataclass(frozen=True)
@@ -712,12 +695,12 @@ def _run_jordan(cfg: ExperimentConfig) -> RunResult:
 @dataclass(frozen=True)
 class _Command:
     run: Callable[[ExperimentConfig], RunResult]
-    needs: tuple[str, ...]  # of "lambda" (with modulus > 1), "pattern", "operator"
-    defaults: dict  # overrides of the _KEYS defaults
-    echo: tuple[str, ...] = ()  # _KEYS that only this command echoes
+    needs: tuple[str, ...]  # of the fields "lam" (with modulus > 1), "operator", "pattern"
+    defaults: dict  # by key, overrides of the scalars' defaults
+    echo: tuple[str, ...] = ()  # scalar keys that only this command echoes
 
 
-_SHIFT_NEEDS = ("lambda", "pattern")
+_SHIFT_NEEDS = ("lam", "pattern")
 _COMMANDS = {
     "construct": _Command(_run_construct, _SHIFT_NEEDS, {"targets": 20, "truncationDim": 512}),
     "certify": _Command(_run_certify, _SHIFT_NEEDS, {"targets": 20, "truncationDim": 512}),
@@ -744,6 +727,7 @@ _COMMANDS = {
     ),
     "jordan": _Command(_run_jordan, (), {"truncationDim": 4, "horizon": 12, "tol": 1e-10}),
 }
+_EXTRAS = {key for c in _COMMANDS.values() for key in c.echo}
 
 
 def run(cfg: ExperimentConfig) -> RunResult:

@@ -23,12 +23,13 @@ evaluation of an inequality that holds term by term.
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -81,8 +82,12 @@ def _within_decay(size: float, lam_abs: float, gap: int, j: int) -> bool:
     saturates (``size / inf`` reads 0.0 and would pass anything), so the
     constraint size <= lam_abs**(gap - j) is decided on base-2 logarithms
     where its two sides differ by more than their error bound, and exactly
-    on rationals only where they do not.
+    on rationals only where they do not.  From gap 2**53 on, a float gap
+    rounds, so the test would hold over runs of gaps at once: there the
+    constraint is decided on decimal logarithms (``_within_decay_ln``).
     """
+    if gap >= 2**53:
+        return _within_decay_ln(size, lam_abs, gap - j)
     try:
         grow = lam_abs**gap
     except OverflowError:
@@ -99,6 +104,35 @@ def _within_decay(size: float, lam_abs: float, gap: int, j: int) -> bool:
     if abs(left - right) > (abs(left) + abs(right)) * 2.0**-40:
         return left < right
     return Fraction(size) <= Fraction(lam_abs) ** (gap - j)
+
+
+def _within_decay_ln(size: float, lam_abs: float, n: int) -> bool:
+    """size <= lam_abs**n, for n = gap - j with gap >= 2**53, on decimal
+    logarithms given more digits until they tell the two sides apart.
+
+    The sides never tie at such n: lam_abs**n is past the float range when
+    lam_abs is a power of two, and has more than 53 bits otherwise.
+    """
+    if not 0.0 < size < math.inf:
+        return size == 0.0
+    digits = 40
+    while True:
+        with decimal.localcontext(prec=digits):
+            left = _ln(size, digits)
+            right = n * _ln(lam_abs, digits)
+            # The logarithms are correctly rounded and the product and the
+            # difference round once each: ten units in the last digit of
+            # the larger side cover all.
+            if abs(left - right) > (abs(left) + abs(right)).scaleb(2 - digits):
+                return left < right
+        digits *= 2
+
+
+@lru_cache(maxsize=16)
+def _ln(x: float, digits: int) -> decimal.Decimal:
+    """ln x correctly rounded to ``digits`` digits; a schedule search asks
+    for the same two many times."""
+    return decimal.Context(prec=digits).ln(decimal.Decimal(x))
 
 
 def _log2(x: float) -> float:
@@ -121,8 +155,8 @@ class HittingSchedule:
     entries: tuple[ScheduleEntry, ...]
 
     def __post_init__(self):
-        if abs(self.lam) <= 1.0:
-            raise InvalidModulus(f"|lam| = {abs(self.lam)} must exceed 1")
+        if not 1.0 < abs(self.lam) < math.inf:
+            raise InvalidModulus(f"|lam| = {abs(self.lam)} must be finite and exceed 1")
         if not self.entries:
             raise ValueError("schedule needs at least one entry")
         if self.entries[0].time != 0:
@@ -199,8 +233,8 @@ def build_schedule(lam: complex, targets: Sequence[SeqVec]) -> HittingSchedule:
     lam_abs is to 1.
     """
     lam_abs = abs(lam)
-    if lam_abs <= 1.0:
-        raise InvalidModulus(f"|lam| = {lam_abs} must exceed 1")
+    if not 1.0 < lam_abs < math.inf:
+        raise InvalidModulus(f"|lam| = {lam_abs} must be finite and exceed 1")
     if not targets:
         raise ValueError("need at least one target")
 

@@ -184,10 +184,10 @@ def check_criterion(
         final = norm(image)
         decay.append(DecayRecord(i, final, first_zero, final <= tol))
 
+    # Recognised once.  Unless op is lam B^b, _preimage_factor raises at the
+    # first y, so parts[0] and scale[0] are read only where they exist.
     parts = _scaled_shift_parts(op)
     scale = _shift_scale(parts)
-    lam_abs = None if scale is None else abs(scale[0])
-    factors = () if scale is None else parts[0]
 
     # n -> (lam^-n, op's factors n times), made when the first y needs them,
     # so that an error comes where the honest path raises it.
@@ -200,13 +200,13 @@ def check_criterion(
         worst_law = 0.0
         for n in nks:
             if n not in steps:
-                steps[n] = _preimage_factor(op, scale, n), factors * n
+                steps[n] = _preimage_factor(op, scale, n), parts[0] * n
             x_norm, error = _recovery(*steps[n], y)
             norms.append(x_norm)
             worst_recovery = max_or_nan(worst_recovery, error)
-            if lam_abs is not None and y_norm > 0.0:
-                expected = y_norm * lam_abs ** (-n)
-                worst_law = max_or_nan(worst_law, abs(norms[-1] - expected) / y_norm)
+            if y_norm > 0.0:
+                expected = y_norm * abs(scale[0]) ** (-n)
+                worst_law = max_or_nan(worst_law, abs(x_norm - expected) / y_norm)
         monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(norms, norms[1:]))
         passed = worst_recovery <= tol and norms[-1] <= tol and monotone
         recovery.append(
@@ -266,10 +266,12 @@ def transitivity_probe(
     def hits(image: SeqVec) -> bool:
         return is_member(image, pattern) and distance(image, u_center) < u_radius
 
-    # Images at power ``reached`` of the grid candidates in the subspace and the V-ball.
+    # Images at power ``reached`` of the grid candidates in the V-ball.  Each
+    # is a member: v_center is, grid points lie on allowed indices, and a
+    # sum only prunes.
     survivors: list[SeqVec] = []
     for w in [v_center + g for g in grid]:
-        if is_member(w, pattern) and distance(w, v_center) < v_radius:
+        if distance(w, v_center) < v_radius:
             if hits(w):
                 return 0
             survivors.append(w)

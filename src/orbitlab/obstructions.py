@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
+from . import _LAZY, _kernels
 from .errors import (
     ComplementNotInvariant,
     NotEigenvector,
@@ -29,20 +29,8 @@ from .errors import (
 from .seqspace import FiniteMatrix, SeqVec, max_or_nan, norm
 from .subspace import ZeroPattern, allowed_indices, dyadic_net
 
-__all__ = [
-    "jordan_orbit",
-    "eigen_orbit_pairing",
-    "generalized_pairing_polynomial",
-    "orbit_rows",
-    "DichotomyVerdict",
-    "spectral_dichotomy",
-    "orbit_span_rank",
-    "unit_ball_net",
-    "density_defect",
-    "compression_orbit_check",
-    "planted_eigen_instance",
-    "planted_chain_instance",
-]
+# The package names these without importing numpy, from this one list.
+__all__ = sorted(_LAZY)
 
 KERNEL_TOL = 1e-10
 

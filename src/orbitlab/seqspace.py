@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
@@ -44,6 +45,16 @@ PRUNE_MODULUS = 1e-300
 _RESCALE_BELOW = 2.0**-500
 
 
+def _index(index) -> int:
+    """``index`` as an int, for any integer type but bool."""
+    if not isinstance(index, bool):
+        try:
+            return operator.index(index)
+        except TypeError:
+            pass
+    raise TypeError(f"index {index!r} is not an integer")
+
+
 def _checked(value) -> complex:
     z = complex(value)
     if not cmath.isfinite(z):
@@ -58,8 +69,9 @@ class SeqVec:
     vectors are equal exactly when their stored dictionaries are equal.
     Values given at the same index are summed; each sum is then checked and
     pruned by the rule arithmetic follows (``_pruned``), so a sum past the
-    float range raises ``ValueError``.  Instances are immutable; all
-    arithmetic returns new vectors.
+    float range raises ``ValueError``.  An index is an int >= 0 of any
+    integer type but bool; another type raises ``TypeError``.  Instances
+    are immutable; all arithmetic returns new vectors.
     """
 
     __slots__ = ("_entries",)
@@ -73,7 +85,7 @@ class SeqVec:
             items = entries
         acc: dict[int, complex] = {}
         for index, raw in items:
-            i = int(index)
+            i = index if type(index) is int else _index(index)
             if i < 0:
                 raise ValueError(f"negative index {i}")
             z = _checked(raw)

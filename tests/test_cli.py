@@ -1,7 +1,9 @@
 import cmath
 import hashlib
+import importlib.util
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -113,10 +115,11 @@ PRESET_DIGESTS = {
 def test_a_preset_states_only_what_differs_from_its_command(preset):
     stored = PRESETS[preset]
     defaults = cli._COMMANDS[stored["command"]].defaults
+    scalars = {key: default for _, key, _, default, _ in cli._SCALARS}
     restated = {
         key: value
         for key, value in stored.items()
-        if key in cli._KEYS and value == defaults.get(key, cli._KEYS[key][2])
+        if key in scalars and value == defaults.get(key, scalars[key])
     }
     assert restated == {}
 
@@ -261,6 +264,40 @@ def test_runs_past_the_presets_keep_their_bytes(name, tmp_path, capsys, monkeypa
         for p in (out / "report.json", out / "table.csv")
     ]
     assert digests == [report, table]
+
+
+def _perfbench_configs():
+    """``(name, config)`` for every perfbench experiment at seeds 0-3."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_test_cli_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    written, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave perfbench/ as it is
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.dont_write_bytecode = written
+    return [
+        (f"{workload}/{name}@seed{seed}", config)
+        for workload in workloads.WORKLOADS
+        for seed in range(4)
+        for name, config in workloads.experiments(workload, seed)
+    ]
+
+
+_ECHOED = {
+    **{f"preset/{name}": {"command": "preset", "preset": name} for name in PRESETS},
+    **dict(_perfbench_configs()),
+    **{f"pinned/{name}": run[0] for name, run in PINNED_RUNS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ECHOED))
+def test_a_config_echo_parses_to_itself(name):
+    # A preset beside a command is a config error, so the echo's preset goes.
+    echo = dict(ExperimentConfig.from_dict(_ECHOED[name]).normalized)
+    echo.pop("preset", None)
+    again = ExperimentConfig.from_dict(echo).normalized
+    assert json_text(again) == json_text(echo)
 
 
 # report.json is written by a one-pass writer that must give json.dumps's

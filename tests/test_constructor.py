@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,12 @@ class TestBuildSchedule:
         with pytest.raises(InvalidModulus):
             build_schedule(lam, [SeqVec.basis(3)])
 
+    @pytest.mark.parametrize("lam", [complex("nan"), complex("inf"), math.nan, -math.inf])
+    def test_needs_a_finite_modulus(self, lam):
+        # NaN fails the test |lam| <= 1 and inf passes it, so each needs its own.
+        with pytest.raises(InvalidModulus):
+            build_schedule(lam, [SeqVec.basis(0), SeqVec.basis(0, 0.5)])
+
     # At 1 + 2**-21 the plain search takes about 230,000 steps for the
     # target of norm 1.118; 1 + 2**-20 and below once had a search of their own.
     @pytest.mark.parametrize(
@@ -170,6 +177,36 @@ class TestBuildSchedule:
         # Entry 60 sits at time 59 + gap, with gap the least g >= 1 that has
         # 1.7e308 <= lam**(g - 60).
         assert times[-1] == 59 + 60 + first
+
+    def test_a_gap_past_two_to_the_53_gets_the_least_time(self):
+        import mpmath
+
+        start = time.perf_counter()
+        times = _saturated_schedule(52).times
+        assert time.perf_counter() - start < 1.0
+        with mpmath.workprec(400):
+            q = mpmath.log(mpmath.mpf(1.7e308)) / mpmath.log(mpmath.mpf(1 + 2**-52))
+            first = int(mpmath.ceil(q))
+        # A float gap rounds to a multiple of 512 here and ends at …184,187.
+        assert times[-1] == 59 + 60 + first == 3_196_325_518_167_183_974
+
+    @pytest.mark.parametrize(
+        "lam_abs, n", [(1 + 2**-52, 2**61), (1 + 2**-50, 2**55), (1.5, 1749), (3.0, 600)]
+    )
+    def test_a_gap_past_two_to_the_53_is_decided_beside_its_bound(self, lam_abs, n):
+        # lam_abs**n is no float, so the floats either side of it are told
+        # apart; the gap is at least 2**53 and n = gap - j.
+        import mpmath
+
+        with mpmath.workprec(400):
+            exact = mpmath.mpf(lam_abs) ** n
+            below = float(exact)
+            if below > exact:
+                below = math.nextafter(below, 0.0)
+        above = math.nextafter(below, math.inf)
+        gap = max(n, 2**53)
+        assert constructor._within_decay(below, lam_abs, gap, gap - n)
+        assert not constructor._within_decay(above, lam_abs, gap, gap - n)
 
     @pytest.mark.parametrize(
         "size, want", [(2.0**1000, True), (math.nextafter(2.0**1000, math.inf), False)]
@@ -402,6 +439,11 @@ class TestCertify:
 
 
 class TestScheduleValidation:
+    @pytest.mark.parametrize("lam", [complex("nan"), complex("inf"), math.nan, math.inf])
+    def test_needs_a_finite_modulus(self, lam):
+        with pytest.raises(InvalidModulus):
+            HittingSchedule(lam, (ScheduleEntry(0, SeqVec.basis(0)),))
+
     def test_literal_inequality_checked(self):
         entries = (
             ScheduleEntry(0, SeqVec.basis(0)),

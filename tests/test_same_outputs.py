@@ -2,6 +2,7 @@
 and finds one planted in a copy."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -32,9 +33,10 @@ def _copy(tmp_path, name):
     return tree
 
 
-def _tool(*args):
+def _tool(*args, cwd=None):
     return subprocess.run(
-        [sys.executable, str(TOOL), *map(str, args)], capture_output=True, text=True, timeout=300
+        [sys.executable, str(TOOL), *map(str, args)],
+        capture_output=True, text=True, timeout=300, cwd=cwd,
     )
 
 
@@ -48,8 +50,11 @@ def _configs(tmp_path):
 
 
 def test_a_copy_gives_the_same_outputs(tmp_path):
-    # Every preset, every perfbench config at seeds 0-3 and the named files.
-    got = _tool(_copy(tmp_path, "copy"), ROOT, *_configs(tmp_path))
+    # Every preset, every perfbench config at seeds 0-3 and the named files,
+    # with the trees named relative to the working directory.
+    _copy(tmp_path, "copy")
+    configs = [path.name for path in _configs(tmp_path)]
+    got = _tool("copy", os.path.relpath(ROOT, tmp_path), *configs, cwd=tmp_path)
     assert (got.returncode, got.stdout) == (0, ""), got.stderr
     assert got.stderr.startswith("0 of ")
     assert int(got.stderr.split()[2]) > len(_CONFIGS) + 90
@@ -74,3 +79,9 @@ def test_a_planted_difference_is_reported(tmp_path):
     assert not any(line.startswith(str(bad)) for line in lines)
     differ, total = int(got.stderr.split()[0]), int(got.stderr.split()[2])
     assert differ == len(lines) == total - 1
+
+
+def test_a_missing_tree_is_named(tmp_path):
+    got = _tool(ROOT, "absent", cwd=tmp_path)
+    assert (got.returncode, got.stdout) == (2, "")
+    assert got.stderr == "error: absent holds no src/orbitlab\n"

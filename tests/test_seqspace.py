@@ -97,6 +97,20 @@ class TestSeqVec:
         with pytest.raises(ValueError):
             SeqVec({-1: 1.0})
 
+    @pytest.mark.parametrize(
+        "entries",
+        [{2.7: 1.0}, [(2.9, 1.0), (2, 1.0)], {"3": 1.0}, {True: 2.0}, {2.0: 1.0}, {None: 1.0}],
+        ids=repr,
+    )
+    def test_rejects_an_index_that_is_not_an_integer(self, entries):
+        # No float is truncated, no string parsed, and True is no 1.
+        with pytest.raises(TypeError, match="is not an integer"):
+            SeqVec(entries)
+
+    def test_takes_any_integer_type(self):
+        assert SeqVec({np.int64(3): 1.0, np.uint8(1): 2.0}) == SeqVec({3: 1.0, 1: 2.0})
+        assert type(SeqVec({np.int64(3): 1.0}).support()[0]) is int
+
     def test_cancellation_restores_canonical_form(self):
         v = SeqVec({4: 1.5})
         assert not (v - v)

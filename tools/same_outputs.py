@@ -146,6 +146,11 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="the tree under test")
     parser.add_argument("configs", nargs="*", type=Path, help="more config files to run")
     args = parser.parse_args(argv)
+    for tree in (args.parent, args.change):
+        if not (tree / "src" / "orbitlab").is_dir():
+            print(f"error: {tree} holds no src/orbitlab", file=sys.stderr)
+            return 2
+    parent, change = args.parent.resolve(), args.change.resolve()
     missing = [str(path) for path in args.configs if not path.is_file()]
     if missing:
         print(f"error: no config file {', '.join(missing)}", file=sys.stderr)
@@ -153,7 +158,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            names = sorted(set(preset_names(args.parent)) | set(preset_names(args.change)))
+            names = sorted(set(preset_names(parent)) | set(preset_names(change)))
             builtin = [(f"preset/{n}", {"command": "preset", "preset": n}) for n in names]
             jobs = []
             for k, (name, config) in enumerate(builtin + workload_configs()):
@@ -161,7 +166,7 @@ def main(argv=None) -> int:
                 path.write_text(json.dumps(config))
                 jobs.append((name, str(path)))
             jobs.extend((str(path), str(path.resolve())) for path in args.configs)
-            differing = compare(args.parent, args.change, jobs)
+            differing = compare(parent, change, jobs)
         except (RuntimeError, subprocess.CalledProcessError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
