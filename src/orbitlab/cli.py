@@ -269,7 +269,8 @@ class ExperimentConfig:
     """A run's config: every field past ``preset`` is set by one config key.
 
     Every scalar is echoed in report["config"], except those that some
-    command lists as its own extras, which only that command echoes.
+    command lists as its own extras, which only that command echoes; any
+    other command rejects them.
     """
 
     command: str
@@ -325,6 +326,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         spec = _COMMANDS[command]
+        foreign = (set(raw) & _EXTRAS) - set(spec.echo)
+        if foreign:
+            raise ConfigError(f"{command} does not read {sorted(foreign)}")
 
         # An explicit null reads as absent, so a preset overlay can drop an object.
         values = {}

@@ -61,7 +61,6 @@ __all__ = [
 ]
 
 _MIN_NORMAL = sys.float_info.min
-_LN2 = math.log(2.0)
 # A tail at most 2**-1100 times the leading term of a sum of squares cannot
 # move the sum's rounding, except by breaking an exact tie; it is folded in
 # as one rounded-up remainder term instead of term by term.
@@ -79,42 +78,35 @@ def _within_decay(size: float, lam_abs: float, gap: int, j: int) -> bool:
 
     Where lam_abs**gap is finite and lam_abs**-j a normal float, the float
     test decides, with the bits it has always had.  Past that range a float
-    saturates (``size / inf`` reads 0.0 and would pass anything), so the
-    constraint size <= lam_abs**(gap - j) is decided on base-2 logarithms
-    where its two sides differ by more than their error bound, and exactly
-    on rationals only where they do not.  From gap 2**53 on, a float gap
-    rounds, so the test would hold over runs of gaps at once: there the
-    constraint is decided on decimal logarithms (``_within_decay_ln``).
+    saturates (``size / inf`` reads 0.0 and would pass anything), and from
+    gap 2**53 on a float gap rounds, so the test would hold over runs of
+    gaps at once: there size <= lam_abs**(gap - j) is decided exactly.
     """
-    if gap >= 2**53:
-        return _within_decay_ln(size, lam_abs, gap - j)
     try:
-        grow = lam_abs**gap
+        grow = lam_abs**gap if gap < 2**53 else math.inf
     except OverflowError:
         grow = math.inf
     limit = lam_abs ** (-j)
     if grow < math.inf and limit >= _MIN_NORMAL:
         return not size / grow > limit
-    if not 0.0 < size < math.inf:
-        return size == 0.0
-    left = _log2(size)
-    right = (gap - j) * _log2(lam_abs)
-    # Each side is within a few units in the last place of its exact value
-    # and the difference rounds once more; 2**-40 of their size covers all.
-    if abs(left - right) > (abs(left) + abs(right)) * 2.0**-40:
-        return left < right
-    return Fraction(size) <= Fraction(lam_abs) ** (gap - j)
+    return _at_most_power(size, lam_abs, gap - j)
 
 
-def _within_decay_ln(size: float, lam_abs: float, n: int) -> bool:
-    """size <= lam_abs**n, for n = gap - j with gap >= 2**53, on decimal
-    logarithms given more digits until they tell the two sides apart.
+def _at_most_power(size: float, lam_abs: float, n: int) -> bool:
+    """size <= lam_abs**n exactly, for a float lam_abs > 1 and any integer n.
 
-    The sides never tie at such n: lam_abs**n is past the float range when
-    lam_abs is a power of two, and has more than 53 bits otherwise.
+    With each float written odd * 2**e, the sides tie only where
+    e(size) = n e(lam_abs) and odd(size) = odd(lam_abs)**n: a power past
+    2**53 from n = 54 on, and no integer below n = 0, unless odd(lam_abs)
+    is 1.  Otherwise decimal logarithms, given more digits until they tell
+    the two sides apart, decide.
     """
     if not 0.0 < size < math.inf:
         return size == 0.0
+    odd_s, e_s = _odd_part(size)
+    odd_l, e_l = _odd_part(lam_abs)
+    if e_s == n * e_l and odd_s == odd_l ** min(n, 54):
+        return True
     digits = 40
     while True:
         with decimal.localcontext(prec=digits):
@@ -135,10 +127,12 @@ def _ln(x: float, digits: int) -> decimal.Decimal:
     return decimal.Context(prec=digits).ln(decimal.Decimal(x))
 
 
-def _log2(x: float) -> float:
-    """log2 of a positive finite float, to a few units in the last place;
-    next to 1 through ``log1p`` of ``x - 1``, which is exact there."""
-    return math.log1p(x - 1.0) / _LN2 if 0.5 <= x <= 2.0 else math.log2(x)
+@lru_cache(maxsize=16)
+def _odd_part(x: float) -> tuple[int, int]:
+    """``(odd, e)`` with odd * 2**e the positive float x and odd an odd integer."""
+    num, den = x.as_integer_ratio()
+    zeros = (num & -num).bit_length() - 1
+    return num >> zeros, zeros - den.bit_length() + 1
 
 
 @dataclass(frozen=True)
@@ -225,12 +219,12 @@ def build_schedule(lam: complex, targets: Sequence[SeqVec]) -> HittingSchedule:
     """Choose hitting times for the targets in order.
 
     Each time is the smallest admissible one past the previous window,
-    which makes schedules reproducible.  The float norm test is monotone in
-    the gap and first holds near j + q, q = log(norm) / log(lam_abs), so the
-    search starts two steps below j + q - |q| 2**-48: the steps cover the
-    test's rounding, and the margin over five times that of q, which
-    ``log1p`` keeps within three units in the last place however close
-    lam_abs is to 1.
+    which makes schedules reproducible.  The norm test is monotone in the
+    gap and first holds near j + q, q = log(norm) / log(lam_abs), so the
+    search starts two steps below j + q: the steps cover the test's
+    rounding, and q's too.  ``log1p`` keeps a float q within three units in
+    the last place however close lam_abs is to 1, under 2**-10 of a step
+    below |q| = 2**40; from there on, q is taken from decimal logarithms.
     """
     lam_abs = abs(lam)
     if not 1.0 < lam_abs < math.inf:
@@ -247,7 +241,10 @@ def build_schedule(lam: complex, targets: Sequence[SeqVec]) -> HittingSchedule:
             raise ValueError(f"target {j}: norm past the float range")
         if target_norm:
             q = math.log(target_norm) / log_lam
-            k = max(k, times[-1] + j + math.floor(q - abs(q) * 2.0**-48) - 2)
+            if abs(q) >= 2**40:
+                with decimal.localcontext(prec=40):
+                    q = _ln(target_norm, 40) / _ln(lam_abs, 40)
+            k = max(k, times[-1] + j + math.floor(q) - 2)
         while not _within_decay(target_norm, lam_abs, k - times[-1], j):
             k += 1
         times.append(k)

@@ -184,7 +184,8 @@ _PROBE_SHIFT_SQUARED = {
 # and bounds past the normal range.  From 31 targets on, the direct sum's
 # windows cross its split at 512: at 41 and 42 targets it fails honestly,
 # on the rows whose window sits in the identity block, and row 30 reads a
-# distance that only the entries kept there make (1.5e-155).
+# distance that only the entries kept there make (1.5e-155).  The last
+# three runs decide norm tests past the float range exactly.
 PINNED_RUNS = {
     "certify-prefix3-t1000": (
         {"command": "preset", "preset": "certify-prefix3", "targets": 1000},
@@ -247,6 +248,27 @@ PINNED_RUNS = {
         0,
         "0b669a5ca299edb80d76de8c2c36995227a918b2a1c00ddc1a8808bad4b382c9",
         "8a10efb57324656060823b5878196decf7a5976d6b57963fe81d1b32f68b7f8a",
+        "",
+    ),
+    "certify-lam1e10i-prefix2-t120": (
+        {"command": "certify", "lambda": [0, 1e10], "pattern": {"kind": "prefix", "m": 2}, "targets": 120},
+        0,
+        "9a825e6e13e9982efd76bc638e07ad826574453cf0b16b29ac96ae1866077414",
+        "8ef7d2f40ff05bca41f0160750903ee0cba07fdbc1199fdce76c03da34ca787e",
+        "",
+    ),
+    "certify-lam3-prefix3-t700": (
+        {"command": "certify", "lambda": [3, 0], "pattern": _PREFIX3, "targets": 700},
+        0,
+        "e1643ff387c7b5b9466178fe7412a8c7109c5401c4188aaababbf83d06d2fdd0",
+        "63d81eec55cd119162ef64a627985be44d052be802faf48c9cb2abb801a503bd",
+        "",
+    ),
+    "construct-lam1e200-prefix1-t40": (
+        {"command": "construct", "lambda": [1e200, 0], "pattern": {"kind": "prefix", "m": 1}, "targets": 40},
+        0,
+        "22a30171eb818b22c623e10e299dc8ef1848329a8bcc0e8b426d9885ad0e2919",
+        "0ed649e20a50a4e5936a4977ef025b028ea466c70a66cf0e6781cb19e98a8534",
         "",
     ),
 }
@@ -462,6 +484,26 @@ def test_config_echo(tmp_path, command):
     rc, out = _run(tmp_path, data)
     assert rc in (0, 1)
     assert _report(out)["config"] == echo
+
+
+# A valid value for every key that only one command reads, from its echo.
+_EXTRA_VALUES = {key: echo[key] for _, echo in ECHOES.values() for key in echo if key in cli._EXTRAS}
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(c, key) for c in ECHOES for key in sorted(cli._EXTRAS - set(cli._COMMANDS[c].echo))],
+)
+def test_a_key_only_another_command_reads_is_refused(command, key):
+    with pytest.raises(ConfigError, match=rf"^{command} does not read \['{key}'\]$"):
+        ExperimentConfig.from_dict({**ECHOES[command][0], key: _EXTRA_VALUES[key]})
+
+
+def test_a_preset_overlay_with_a_foreign_key_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ORBITLAB_OUT", raising=False)
+    rc, out = _run(tmp_path, {"command": "preset", "preset": "certify-prefix3", "netLevel": 2})
+    assert (rc, capsys.readouterr().err) == (2, "config error: certify does not read ['netLevel']\n")
+    assert not out.exists()
 
 
 def _noun(cfg) -> str:

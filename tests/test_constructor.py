@@ -178,9 +178,12 @@ class TestBuildSchedule:
         # 1.7e308 <= lam**(g - 60).
         assert times[-1] == 59 + 60 + first
 
-    def test_a_gap_past_two_to_the_53_gets_the_least_time(self):
+    def test_a_gap_past_two_to_the_53_gets_the_least_time(self, monkeypatch):
         import mpmath
 
+        # q is about 3.2e18: the search starts from its decimal logarithms,
+        # not from a margin that grows with it.
+        _budget_norm_tests(monkeypatch, 200)
         start = time.perf_counter()
         times = _saturated_schedule(52).times
         assert time.perf_counter() - start < 1.0
@@ -235,6 +238,46 @@ class TestBuildSchedule:
         for _ in range(abs(ulps)):
             size = math.nextafter(size, math.copysign(math.inf, ulps))
         got = constructor._within_decay(size, lam_abs, gap, j)
+        assert got is (size < math.inf and Fraction(size) <= exact)
+
+    @pytest.mark.parametrize("lam_abs", [3.0, 1.5, 6.0, 3.0 * 2**10], ids=repr)
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 33])
+    def test_an_exact_tie_passes_and_the_next_float_fails(self, lam_abs, n):
+        # 3**33 has 53 bits, so lam_abs**n is a float.
+        size = float(Fraction(lam_abs) ** n)
+        assert Fraction(size) == Fraction(lam_abs) ** n
+        assert constructor._at_most_power(size, lam_abs, n)
+        assert constructor._at_most_power(math.nextafter(size, 0.0), lam_abs, n)
+        assert not constructor._at_most_power(math.nextafter(size, math.inf), lam_abs, n)
+        # The same odd part at -n and exponent -e(size) is no tie: it is at
+        # least 1, and lam_abs**-n below 1.
+        odd, e = constructor._odd_part(size)
+        assert constructor._at_most_power(math.ldexp(odd, -e), lam_abs, -n) is (n == 0)
+
+    # Powers of two tie wherever lam_abs**n is a float, subnormal ones too.
+    @pytest.mark.parametrize("lam_abs, n", [(2.0, -1074), (4.0, -537), (2.0, 1023), (4.0, 511), (2.0, -1)])
+    def test_a_dyadic_tie_passes_and_the_next_float_fails(self, lam_abs, n):
+        size = float(Fraction(lam_abs) ** n)
+        assert constructor._at_most_power(size, lam_abs, n)
+        assert not constructor._at_most_power(math.nextafter(size, math.inf), lam_abs, n)
+
+    @seed(27)
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.sampled_from([2.0, 4.0, 1.5, 3.0, 2 + 2**-51] + [1 + 2.0**-k for k in range(1, 53)]),
+        st.integers(-1100, 1100),
+        st.integers(-3, 3),
+        st.none() | st.floats(2.0**-1074, sys.float_info.max),
+    )
+    def test_the_exact_decider_matches_rationals(self, lam_abs, n, ulps, size):
+        # size is random, or lam_abs**n rounded into the float range and
+        # moved a few units in the last place.
+        exact = Fraction(lam_abs) ** n
+        if size is None:
+            size = float(min(exact, Fraction(sys.float_info.max)))
+            for _ in range(abs(ulps)):
+                size = max(math.nextafter(size, math.copysign(math.inf, ulps)), 0.0)
+        got = constructor._at_most_power(size, lam_abs, n)
         assert got is (size < math.inf and Fraction(size) <= exact)
 
 
