@@ -623,7 +623,19 @@ def _run_spectrum(cfg: ExperimentConfig) -> RunResult:
     return RunResult(passed, report, header, _rows(header, results))
 
 
+def _fixed_size(cfg: ExperimentConfig) -> None:
+    """Refuse a truncationDim other than the command's default: ``kernel``
+    plants matrices of dimension up to 8 and ``jordan`` checks ranks 1..4,
+    sizes that the echoed key names but does not set."""
+    dim = _COMMANDS[cfg.command].defaults["truncationDim"]
+    if cfg.truncation_dim != dim:
+        raise ConfigError(
+            f"{cfg.command} works at truncationDim {dim} only, got {cfg.truncation_dim}"
+        )
+
+
 def _run_kernel(cfg: ExperimentConfig) -> RunResult:
+    _fixed_size(cfg)
     from .obstructions import planted_streams
 
     n_max = cfg.horizon
@@ -663,6 +675,7 @@ _JORDAN_LAMBDAS = (2.0 + 0.0j, 0.7 + 0.7j, -1.1 + 0.0j)
 
 
 def _run_jordan(cfg: ExperimentConfig) -> RunResult:
+    _fixed_size(cfg)
     results = []
     for p in range(1, 5):
         for lam in _JORDAN_LAMBDAS:

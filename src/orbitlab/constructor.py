@@ -28,7 +28,6 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -179,32 +178,43 @@ def tail_bounds(lam_abs: float, count: int) -> list[float]:
     """sqrt of sum_{i=j+1..count} lam_abs^(-2i) for j = 0..count, in one pass:
     the certified residual after entry j of a schedule with count + 1 entries.
 
-    The terms are summed from the end as exact rationals: the float
-    lam_abs**(-2i) while it is a normal float, the exact power past that.
-    A sum in the normal range takes ``math.sqrt`` of its correctly rounded
-    float; a smaller one its correctly rounded root (``_root``), so a bound
-    is 0.0 only where that root is.
+    The terms are summed from the end, exactly, as one integer multiple of
+    1/q: the float lam_abs**(-2i) while it is a normal float, a multiple of
+    2**-1074, and the exact power past that.  With lam_abs = num / 2**s the
+    exact power is 2**(2 i s) / num**(2 i), so q = 2**1074 num**(2 count)
+    once any term is exact.  A sum in the normal range takes ``math.sqrt``
+    of its correctly rounded float; a smaller one its correctly rounded root
+    (``_root``), so a bound is 0.0 only where that root is.
     """
+    num, den = lam_abs.as_integer_ratio()
+    s = den.bit_length() - 1
+    # The terms fall with i, so the last is exact if any is.
+    big = num ** (2 * count) if lam_abs ** (-2 * count) < _MIN_NORMAL else 1
+    q = big << 1074
     out = [0.0] * (count + 1)
-    total = Fraction(0)
+    total = 0
+    power = 1  # num**(2 (count - i)) over the exact terms
     for i in range(count, 0, -1):
         term = lam_abs ** (-2 * i)
-        normal = term >= _MIN_NORMAL
-        total += Fraction(term) if normal else Fraction(lam_abs) ** (-2 * i)
-        out[i - 1] = math.sqrt(total) if normal or total >= _MIN_NORMAL else _root(total)
+        if term >= _MIN_NORMAL:
+            m, d = term.as_integer_ratio()  # d = 2**k, k <= 1074
+            total += (m * big) << (1075 - d.bit_length())
+        else:
+            total += power << (1074 + 2 * i * s)
+            power *= num * num
+        out[i - 1] = math.sqrt(total / q) if total << 1022 >= q else _root(total, q)
     return out
 
 
-def _root(x: Fraction) -> float:
-    """sqrt(x) correctly rounded to a float, for an exact rational 0 <= x < 1."""
-    n, d = x.numerator, x.denominator
+def _root(n: int, d: int) -> float:
+    """sqrt(n / d) correctly rounded to a float, for integers 0 <= n < d."""
     if not n:
         return 0.0
-    log2 = n.bit_length() - d.bit_length()  # floor(log2 x) is log2 or log2 - 1
+    log2 = n.bit_length() - d.bit_length()  # floor(log2 (n / d)) is log2 or log2 - 1
     if n << -log2 < d:
         log2 -= 1
-    # 2**-e is the float spacing at sqrt(x), or the subnormal one below it,
-    # so the root scaled by 2**e is below 2**53 and rounds to an integer.
+    # 2**-e is the float spacing at sqrt(n / d), or the subnormal one below
+    # it, so the root scaled by 2**e is below 2**53 and rounds to an integer.
     e = min(52 - log2 // 2, 1074)
     n <<= 2 * e
     q = math.isqrt(n // d)

@@ -201,7 +201,7 @@ def check_criterion(
         for n in nks:
             if n not in steps:
                 steps[n] = _preimage_factor(op, scale, n), parts[0] * n
-            x_norm, error = _recovery(*steps[n], y)
+            x_norm, error = _recovery(*steps[n], parts[1], n, y)
             norms.append(x_norm)
             worst_recovery = max_or_nan(worst_recovery, error)
             if y_norm > 0.0:

@@ -448,89 +448,61 @@ def _scaled_shift_parts(op: Operator) -> tuple[tuple[complex, ...], int] | None:
     return tuple(reversed(factors)), op.power
 
 
-def _rounds(z: complex, seq, start: int, stop: int) -> tuple[complex | None, int]:
-    """Multiply ``z`` by ``seq[start:stop]`` one round at a time, with SeqVec's checks.
+def _scaled_shift_power(seq: tuple[complex, ...], p: int, n: int, items) -> SeqVec:
+    """``apply_power`` of a scaled shift over ``B^p``, bit for bit.
 
-    Returns ``(z, stop)`` when every product is kept.  Otherwise returns
-    ``(None, r)`` if round r's product is pruned, or ``(product, r)`` if it
-    fails a check, which ``_scaled_shift_power`` raises.  A product is bad
-    iff its modulus is not finite, or too large to compute for a finite
-    product.
+    ``seq`` holds its factors, innermost first, n times over, and ``items``
+    the vector's entries in index order.  Entry i takes part in
+    min(n, i // p) steps of the honest loop and lands at i - n p if it
+    survives all n.  Its value goes through the same products in the same
+    order, so only the bookkeeping is saved.  The honest loop raises at the
+    first bad round, and within a round checks every product for finiteness
+    in ascending index before any prune test; so once every entry is
+    stepped, this one raises what building a SeqVec raises for the least
+    (round, finite, index).
     """
-    for r in range(start, stop):
-        z = z * seq[r]
-        try:
-            a = abs(z)
-        except OverflowError:
-            return z, r
-        if a < PRUNE_MODULUS:
-            return None, r
-        if not a < math.inf:
-            return z, r
-    return z, stop
-
-
-def _scaled_shift_power(factors: tuple[complex, ...], p: int, n: int, vec: SeqVec) -> SeqVec:
-    """``apply_power`` of the scaled shift ``(factors, p)``, bit for bit.
-
-    Entry i takes part in min(n, i // p) steps of the honest loop and lands
-    at i - n p if it survives all n.  Its value goes through the same
-    products in the same order, so only the bookkeeping is saved.  The
-    loop raises at the first bad round; within a round it checks every
-    product for finiteness in ascending index before any prune test, so
-    the first error is the least (round, finite, index).
-    """
-    seq = factors * n
-    m = len(factors)
+    m = len(seq) // n
     cut = n * p
     out: dict[int, complex] = {}
     bad = []
-    for i, z in vec.items():
-        stop = min(n, i // p) * m
-        z, r = _rounds(z, seq, 0, stop)
-        if r == stop:
+    for i, z in items:
+        for r in range(min(n, i // p) * m):
+            z = z * seq[r]
+            try:
+                a = abs(z)
+            except OverflowError:  # a finite product too large for its modulus
+                a = math.inf
+            if a < PRUNE_MODULUS:
+                break
+            if not a < math.inf:
+                bad.append((r, cmath.isfinite(z), i, z))
+                break
+        else:
             if i >= cut:
                 out[i - cut] = z
-        elif z is not None:
-            bad.append((r, cmath.isfinite(z), i, z))
-    _raise_first_bad(bad)
+    if bad:
+        _pruned({0: min(bad)[3]})  # what building a SeqVec raises for it
     return SeqVec._from_canonical(out)
 
 
-def _recovery(factor: complex, seq: tuple[complex, ...], y: SeqVec) -> tuple[float, float]:
-    """``(norm(x), norm(apply_power(op, n, x) - y))`` for the preimage
+def _recovery(
+    factor: complex, seq: tuple[complex, ...], p: int, n: int, y: SeqVec
+) -> tuple[float, float]:
+    """``(norm(x), distance(apply_power(op, n, x), y))`` for the preimage
     ``x = criterion._preimage(op, scale, n, y)``.
 
-    ``op`` is lam B^b or B^b and n >= 1; ``factor`` is lam^-n, the finite
+    ``op`` is lam B^p or B^p and n >= 1; ``factor`` is lam^-n, the finite
     complex that ``criterion._preimage_factor`` gives, and ``seq`` is
-    ``op``'s factors n times.  Entry i of y goes to i + b n in x, scaled by lam^-n, and back
-    to i after n rounds of ``seq``.  The honest path's three stages, the
-    scaling of x, the rounds of ``apply_power`` and the difference, run
-    one after another with the checks of the vector each makes, so the
-    bits and the first error are the honest path's, with no forward shift
-    and no vector built through the checking constructor.
+    ``op``'s factors n times.  x is built as ``backsolve`` builds it, the
+    same products in the same index order, and stepped by ``apply_power``'s
+    scaled-shift loop: each entry sits at n p or above, so it takes all n
+    rounds and lands back at its index in y.  So the bits and the first
+    error are the honest path's, with no vector built through the checking
+    constructor.
     """
-    # x = S^(b n) y * lam^-n; the shift visits y's entries in index order.
-    x = _pruned({i: z * factor for i, z in y.items()})
-    stop = len(seq)
-    image: dict[int, complex] = {}
-    bad = []
-    for i, z in x.items():
-        z, r = _rounds(z, seq, 0, stop)
-        if r == stop:
-            image[i] = z
-        elif z is not None:
-            bad.append((r, cmath.isfinite(z), i, z))
-    _raise_first_bad(bad)
-    return norm(SeqVec._from_canonical(x)), distance(SeqVec._from_canonical(image), y)
-
-
-def _raise_first_bad(bad: list[tuple[int, bool, int, complex]]) -> None:
-    """Raise what building a SeqVec raises for the least (round, finite, index, product)."""
-    if bad:
-        z = min(bad)[3]
-        _checked(z)  # ValueError for a non-finite product
-        abs(z)  # OverflowError from the prune test for a finite one
+    x = _pruned({i + n * p: z * factor for i, z in y.items()})
+    image = _scaled_shift_power(seq, p, n, x.items())
+    return _root_sum_squares(x.values()), distance(image, y)
 
 
 def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
@@ -554,7 +526,8 @@ def apply_power(op: Operator, n: int, vec: SeqVec) -> SeqVec:
         return vec
     parts = _scaled_shift_parts(op)
     if parts is not None:
-        return _scaled_shift_power(*parts, n, vec)
+        factors, p = parts
+        return _scaled_shift_power(factors * n, p, n, vec.items())
     out = vec
     for _ in range(n):
         if not out:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -327,3 +328,33 @@ def _exact_sum(qs):
         return sum(qs, Fraction(0))
     top = max((q.denominator.bit_length() for q in qs), default=1)
     return Fraction(sum(q.numerator << (top - q.denominator.bit_length()) for q in qs), 1 << (top - 1))
+
+
+def fraction_tail_bounds(lam_abs, count):
+    """``tail_bounds`` summed as ``Fraction``s, the reference for its integer sum:
+    the float term while it is normal, the exact power past that."""
+    out = [0.0] * (count + 1)
+    total = Fraction(0)
+    for i in range(count, 0, -1):
+        term = lam_abs ** (-2 * i)
+        normal = term >= sys.float_info.min
+        total += Fraction(term) if normal else Fraction(lam_abs) ** (-2 * i)
+        out[i - 1] = math.sqrt(total) if normal or total >= sys.float_info.min else _fraction_root(total)
+    return out
+
+
+def _fraction_root(x):
+    """sqrt(x) correctly rounded to a float, for an exact rational 0 <= x < 1."""
+    n, d = x.numerator, x.denominator
+    if not n:
+        return 0.0
+    log2 = n.bit_length() - d.bit_length()  # floor(log2 x) is log2 or log2 - 1
+    if n << -log2 < d:
+        log2 -= 1
+    e = min(52 - log2 // 2, 1074)
+    n <<= 2 * e
+    q = math.isqrt(n // d)
+    over = 4 * n - (2 * q + 1) ** 2 * d
+    if over > 0 or (over == 0 and q & 1):
+        q += 1
+    return math.ldexp(q, -e)

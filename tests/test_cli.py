@@ -184,8 +184,10 @@ _PROBE_SHIFT_SQUARED = {
 # and bounds past the normal range.  From 31 targets on, the direct sum's
 # windows cross its split at 512: at 41 and 42 targets it fails honestly,
 # on the rows whose window sits in the identity block, and row 30 reads a
-# distance that only the entries kept there make (1.5e-155).  The last
-# three runs decide norm tests past the float range exactly.
+# distance that only the entries kept there make (1.5e-155).  The three
+# runs before the last decide norm tests past the float range exactly.  The
+# last one's bounds sum exact powers of a modulus one ulp below 2, whose
+# odd part is 2**53 - 1.
 PINNED_RUNS = {
     "certify-prefix3-t1000": (
         {"command": "preset", "preset": "certify-prefix3", "targets": 1000},
@@ -269,6 +271,13 @@ PINNED_RUNS = {
         0,
         "22a30171eb818b22c623e10e299dc8ef1848329a8bcc0e8b426d9885ad0e2919",
         "0ed649e20a50a4e5936a4977ef025b028ea466c70a66cf0e6781cb19e98a8534",
+        "",
+    ),
+    "certify-lam2ulp-prefix3-t600": (
+        {"command": "certify", "lambda": [1.9999999999999998, 0], "pattern": _PREFIX3, "targets": 600},
+        0,
+        "d651331d07a6547e13b2e9a725294df686f532f6e8474451883e517d8045f7fd",
+        "1a4bbfba392a6ab08ee6f70da0ad2a7219aaf44917e6070b8e1043bc58ae9e93",
         "",
     ),
 }
@@ -618,6 +627,9 @@ _REJECTION_TEXT = {
     "jordan-power-past-float-range": (
         "error: jordan_orbit: T^n y is past the float range for lambda = (2+0j), p = 1, n = 1024\n"
     ),
+    "kernel-smaller-size": "config error: kernel works at truncationDim 8 only, got 3\n",
+    "kernel-larger-size": "config error: kernel works at truncationDim 8 only, got 12\n",
+    "jordan-other-size": "config error: jordan works at truncationDim 4 only, got 2\n",
     "no-allowed-coordinate": (
         "config error: pattern forbids every coordinate below the dimension\n"
     ),
@@ -780,6 +792,10 @@ class TestConfigErrors:
             },
             {"command": "jordan", "horizon": 1000},
             {"command": "jordan", "horizon": 1100},
+            # The fixed sizes, which the echoed truncationDim names.
+            {"command": "kernel", "truncationDim": 3},
+            {"command": "kernel", "truncationDim": 12},
+            {"command": "jordan", "truncationDim": 2},
             # Checked before any trial is drawn.
             {"command": "findim", "pattern": {"kind": "prefix", "m": 9}, "truncationDim": 4},
             # Past Python's recursion limit in the parser.
@@ -813,6 +829,9 @@ class TestConfigErrors:
             "non-finite-report",
             "overflowing-jordan",
             "jordan-power-past-float-range",
+            "kernel-smaller-size",
+            "kernel-larger-size",
+            "jordan-other-size",
             "no-allowed-coordinate",
             "operator-nested-too-deeply",
         ],

@@ -29,7 +29,7 @@ from orbitlab import (
 from orbitlab import constructor
 from orbitlab.constructor import ScheduleEntry, length, tail_bounds
 from orbitlab.subspace import DenseFamilySpec, dense_family
-from conftest import rand_vec, replay_certify, replay_vector
+from conftest import fraction_tail_bounds, rand_vec, replay_certify, replay_vector
 
 
 class TestLength:
@@ -39,7 +39,53 @@ class TestLength:
         assert length(SeqVec({0: 1.0, 7: 2.0})) == 8
 
 
+# Dyadic moduli, odd parts 3 and 5**k, one ulp either side of 2, and next
+# to 1; counts up to 150 reach exact terms at 1e10, 1e200 and above about 10.6.
+_TAIL_MODULI = [2.0, 4.0, 1.5, 3.0, math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0)]
+_TAIL_MODULI += [10.0, 1e10] + [1.0 + 2.0**-k for k in range(1, 53)]
+
+
 class TestTailBounds:
+    @seed(28)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=st.one_of(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from(_TAIL_MODULI),
+                    st.floats(1.0, 50.0, exclude_min=True, exclude_max=True),
+                ),
+                st.integers(1, 150),
+            ),
+            # At 1e200 the reference's gcds take 0.1 s at 40 terms and 5.6 s at 150.
+            st.tuples(st.just(1e200), st.integers(1, 40)),
+        )
+    )
+    def test_the_integer_sum_matches_the_fraction_sum(self, case):
+        lam_abs, count = case
+        assert tail_bounds(lam_abs, count) == fraction_tail_bounds(lam_abs, count)
+
+    # Counts past the last normal term: 27 to 90 exact terms each.
+    @pytest.mark.parametrize(
+        "lam_abs, count",
+        [
+            (math.nextafter(2.0, 3.0), 600),
+            (math.nextafter(2.0, 0.0), 600),
+            (4.0, 300),
+            (3.0, 400),
+            (1.5, 900),
+            (10.0, 200),
+        ],
+    )
+    def test_exact_terms_match_the_fraction_sum(self, lam_abs, count):
+        assert tail_bounds(lam_abs, count) == fraction_tail_bounds(lam_abs, count)
+
+    def test_eight_hundred_exact_terms_stay_cheap(self):
+        # The Fraction sum took 3.7 s here; its denominators grow with each term.
+        start = time.perf_counter()
+        tail_bounds(math.nextafter(2.0, 3.0), 800)
+        assert time.perf_counter() - start < 0.5
+
     def test_finite_tail(self):
         assert tail_bounds(2.0, 1) == [0.5, 0.0]
         two_terms = math.sqrt(2.0**-2 + 2.0**-4)
