@@ -268,9 +268,9 @@ def _key(key: str, parse: Callable, default: Any = None, write: Callable | None 
 class ExperimentConfig:
     """A run's config: every field past ``preset`` is set by one config key.
 
-    Every scalar is echoed in report["config"], except those that some
-    command lists as its own extras, which only that command echoes; any
-    other command rejects them.
+    report["config"] echoes each object given and each scalar but the
+    extras, which only their command echoes.  A command refuses a key its
+    run does not read, unless a shared scalar at the value echoed anyway.
     """
 
     command: str
@@ -326,28 +326,34 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         spec = _COMMANDS[command]
-        foreign = (set(raw) & _EXTRAS) - set(spec.echo)
-        if foreign:
-            raise ConfigError(f"{command} does not read {sorted(foreign)}")
-
         # An explicit null reads as absent, so a preset overlay can drop an object.
         values = {}
         for name, key, parse, _, _ in _OBJECTS:
             values[name] = None if raw.get(key) is None else parse(raw[key], key)
         for name, key, *_ in _OBJECTS:
-            if name in spec.needs and values[name] is None:
+            if key in spec.needs and values[name] is None:
                 raise ConfigError(f"{command} requires {key!r}")
         lam = values["lam"]
-        if "lam" in spec.needs and abs(lam) <= 1.0:
+        if "lambda" in spec.needs and abs(lam) <= 1.0:
             raise ConfigError(f"{command} requires |lambda| > 1, got modulus {abs(lam)}")
         for name, key, parse, default, _ in _SCALARS:
             values[name] = parse(raw.get(key, spec.defaults.get(key, default)), key)
+        # An unread key may hold only what is echoed anyway: a shared scalar's default.
+        unread = [
+            key
+            for name, key, _, default, _ in _FIELDS
+            if key in raw
+            and key not in spec.reads
+            and (key in _EXTRAS or values[name] != spec.defaults.get(key, default))
+        ]
+        if unread:
+            raise ConfigError(f"{command} does not read {sorted(unread)}")
         return cls(command=command, preset=raw.get("preset"), **values)
 
     @cached_property
     def normalized(self) -> dict:
         """The config as report.json echoes it, defaults filled in."""
-        own = _COMMANDS[self.command].echo
+        own = _COMMANDS[self.command].reads
         out: dict[str, Any] = {"command": self.command}
         for name, key, *_ in _SCALARS:
             if key not in _EXTRAS or key in own:
@@ -376,6 +382,11 @@ _FIELDS = [(f.name, *f.metadata["config"]) for f in fields(ExperimentConfig) if 
 _OBJECTS = [f for f in _FIELDS if f[4]]
 _SCALARS = [f for f in _FIELDS if not f[4]]
 _KNOWN_KEYS = {"command", "preset", *(f[1] for f in _FIELDS)}
+# The scalars that only the command that reads them echoes.
+_EXTRAS = {
+    "netLevel", "epsilon", "trials", "probe", "expect",
+    "eigenInstances", "chainInstances", "eigenTol", "chainTol",
+}
 
 
 @dataclass(frozen=True)
@@ -459,6 +470,8 @@ def _run_certify(cfg: ExperimentConfig) -> RunResult:
 
 
 def _run_criterion(cfg: ExperimentConfig) -> RunResult:
+    if cfg.targets < 2:  # sample 0 is the zero vector, which checks nothing
+        raise ConfigError(f"criterion needs targets >= 2, got {cfg.targets}")
     spec = cfg.family()
     samples = [dense_family(spec, j) for j in range(cfg.targets)]
     rep = check_criterion(
@@ -623,19 +636,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> RunResult:
     return RunResult(passed, report, header, _rows(header, results))
 
 
-def _fixed_size(cfg: ExperimentConfig) -> None:
-    """Refuse a truncationDim other than the command's default: ``kernel``
-    plants matrices of dimension up to 8 and ``jordan`` checks ranks 1..4,
-    sizes that the echoed key names but does not set."""
-    dim = _COMMANDS[cfg.command].defaults["truncationDim"]
-    if cfg.truncation_dim != dim:
-        raise ConfigError(
-            f"{cfg.command} works at truncationDim {dim} only, got {cfg.truncation_dim}"
-        )
-
-
 def _run_kernel(cfg: ExperimentConfig) -> RunResult:
-    _fixed_size(cfg)
     from .obstructions import planted_streams
 
     n_max = cfg.horizon
@@ -675,7 +676,9 @@ _JORDAN_LAMBDAS = (2.0 + 0.0j, 0.7 + 0.7j, -1.1 + 0.0j)
 
 
 def _run_jordan(cfg: ExperimentConfig) -> RunResult:
-    _fixed_size(cfg)
+    # Rank p is checked at the powers n = p..horizon.
+    if cfg.horizon < 4:
+        raise ConfigError(f"jordan needs horizon >= 4, its largest rank, got {cfg.horizon}")
     results = []
     for p in range(1, 5):
         for lam in _JORDAN_LAMBDAS:
@@ -712,39 +715,48 @@ def _run_jordan(cfg: ExperimentConfig) -> RunResult:
 @dataclass(frozen=True)
 class _Command:
     run: Callable[[ExperimentConfig], RunResult]
-    needs: tuple[str, ...]  # of the fields "lam" (with modulus > 1), "operator", "pattern"
+    needs: tuple[str, ...]  # of the keys "lambda" (with modulus > 1), "operator", "pattern"
     defaults: dict  # by key, overrides of the scalars' defaults
-    echo: tuple[str, ...] = ()  # scalar keys that only this command echoes
+    reads: tuple[str, ...]  # every key the run reads
 
 
-_SHIFT_NEEDS = ("lam", "pattern")
+_SHIFT_NEEDS = ("lambda", "pattern")
+_FAMILY = ("pattern", "supportBound", "resolutionLevel")
 _COMMANDS = {
-    "construct": _Command(_run_construct, _SHIFT_NEEDS, {"targets": 20, "truncationDim": 512}),
-    "certify": _Command(_run_certify, _SHIFT_NEEDS, {"targets": 20, "truncationDim": 512}),
+    "construct": _Command(
+        _run_construct, _SHIFT_NEEDS, {"targets": 20, "truncationDim": 512},
+        ("lambda", *_FAMILY, "targets"),
+    ),
+    "certify": _Command(
+        _run_certify, _SHIFT_NEEDS, {"targets": 20, "truncationDim": 512},
+        ("lambda", "operator", *_FAMILY, "targets", "tol"),
+    ),
     "criterion": _Command(
-        _run_criterion,
-        _SHIFT_NEEDS,
+        _run_criterion, _SHIFT_NEEDS,
         {"targets": 50, "truncationDim": 128, "tol": 1e-12, "horizon": 30},
+        ("lambda", "operator", *_FAMILY, "targets", "truncationDim", "horizon", "tol"),
     ),
     "probe": _Command(
-        _run_probe, ("pattern",), {"truncationDim": 256, "horizon": 50}, ("probe", "expect")
+        _run_probe, ("pattern",), {"truncationDim": 256, "horizon": 50},
+        ("lambda", "operator", *_FAMILY, "truncationDim", "horizon", "probe", "expect"),
     ),
     "findim": _Command(
-        _run_findim,
-        ("pattern",),
-        {"truncationDim": 4, "horizon": 10000, "supportBound": 4},
-        ("netLevel", "epsilon", "trials"),
+        _run_findim, ("pattern",), {"truncationDim": 4, "horizon": 10000, "supportBound": 4},
+        ("pattern", "supportBound", "truncationDim", "horizon", "seed",
+         "netLevel", "epsilon", "trials"),
     ),
-    "spectrum": _Command(_run_spectrum, ("operator",), {"truncationDim": 64, "horizon": 400}),
+    "spectrum": _Command(
+        _run_spectrum, ("operator",), {"truncationDim": 64, "horizon": 400},
+        ("operator", "truncationDim", "horizon"),
+    ),
     "kernel": _Command(
-        _run_kernel,
-        (),
-        {"truncationDim": 8, "horizon": 12},
-        ("eigenInstances", "chainInstances", "eigenTol", "chainTol"),
+        _run_kernel, (), {"truncationDim": 8, "horizon": 12},
+        ("horizon", "seed", "eigenInstances", "chainInstances", "eigenTol", "chainTol"),
     ),
-    "jordan": _Command(_run_jordan, (), {"truncationDim": 4, "horizon": 12, "tol": 1e-10}),
+    "jordan": _Command(
+        _run_jordan, (), {"truncationDim": 4, "horizon": 12, "tol": 1e-10}, ("horizon", "tol")
+    ),
 }
-_EXTRAS = {key for c in _COMMANDS.values() for key in c.echo}
 
 
 def run(cfg: ExperimentConfig) -> RunResult:

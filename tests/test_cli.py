@@ -3,7 +3,6 @@ import hashlib
 import importlib.util
 import json
 import math
-import sys
 import warnings
 from pathlib import Path
 
@@ -297,27 +296,19 @@ def test_runs_past_the_presets_keep_their_bytes(name, tmp_path, capsys, monkeypa
     assert digests == [report, table]
 
 
-def _perfbench_configs():
-    """``(name, config)`` for every perfbench experiment at seeds 0-3."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_test_cli_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    written, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave perfbench/ as it is
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        sys.dont_write_bytecode = written
-    return [
-        (f"{workload}/{name}@seed{seed}", config)
-        for workload in workloads.WORKLOADS
-        for seed in range(4)
-        for name, config in workloads.experiments(workload, seed)
-    ]
+def _same_outputs():
+    """``tools/same_outputs.py``, whose ``workload_configs`` lists every
+    perfbench experiment at seeds 0-3."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
+    spec = importlib.util.spec_from_file_location("_test_cli_same_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 _ECHOED = {
     **{f"preset/{name}": {"command": "preset", "preset": name} for name in PRESETS},
-    **dict(_perfbench_configs()),
+    **dict(_same_outputs().workload_configs()),
     **{f"pinned/{name}": run[0] for name, run in PINNED_RUNS.items()},
 }
 
@@ -498,14 +489,81 @@ def test_config_echo(tmp_path, command):
 # A valid value for every key that only one command reads, from its echo.
 _EXTRA_VALUES = {key: echo[key] for _, echo in ECHOES.values() for key in echo if key in cli._EXTRAS}
 
+# A valid value for every config key that is no command's default.
+_OTHER_VALUES = {
+    "lambda": [3, 0],
+    "operator": {"kind": "identity"},
+    "pattern": {"kind": "prefix", "m": 2},
+    "targets": 7,
+    "supportBound": 5,
+    "resolutionLevel": 2,
+    "truncationDim": 3,
+    "horizon": 5,
+    "tol": 1e-6,
+    "seed": 5,
+    "netLevel": 2,
+    "epsilon": 0.2,
+    "trials": 2,
+    "probe": {"gridLevel": 2},
+    "expect": "none",
+    "eigenInstances": 7,
+    "chainInstances": 7,
+    "eigenTol": 1e-6,
+    "chainTol": 1e-6,
+}
+_UNREAD = [
+    (c, key)
+    for c in ECHOES
+    for key in sorted({key for _, key, *_ in cli._FIELDS} - set(cli._COMMANDS[c].reads))
+]
 
-@pytest.mark.parametrize(
-    "command, key",
-    [(c, key) for c in ECHOES for key in sorted(cli._EXTRAS - set(cli._COMMANDS[c].echo))],
-)
-def test_a_key_only_another_command_reads_is_refused(command, key):
+
+@pytest.mark.parametrize("command, key", _UNREAD)
+def test_a_key_only_another_command_reads_is_refused(command, key, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ORBITLAB_OUT", raising=False)
+    rc, out = _run(tmp_path, {**ECHOES[command][0], key: _OTHER_VALUES[key]})
+    assert (rc, capsys.readouterr().err) == (2, f"config error: {command} does not read ['{key}']\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", _UNREAD)
+def test_an_unread_key_passes_only_at_the_value_echoed_anyway(command, key):
+    data, echo = ECHOES[command]
+    if key in echo:  # a shared scalar, echoed at the command's default
+        assert ExperimentConfig.from_dict({**data, key: echo[key]}).normalized == echo
+        return
+    # An extra or an object, which the command never echoes: null reads as
+    # absent, and any value is refused, an extra's default too.
+    if key not in cli._EXTRAS:
+        assert ExperimentConfig.from_dict({**data, key: None}).normalized == echo
     with pytest.raises(ConfigError, match=rf"^{command} does not read \['{key}'\]$"):
-        ExperimentConfig.from_dict({**ECHOES[command][0], key: _EXTRA_VALUES[key]})
+        ExperimentConfig.from_dict({**data, key: _EXTRA_VALUES.get(key, _OTHER_VALUES[key])})
+
+
+_KEY_OF = {name: key for name, key, *_ in cli._FIELDS}
+_RUN_CONFIGS = [data for data, _ in ECHOES.values()] + [
+    {"command": "preset", "preset": name} for name in sorted(PRESETS)
+]
+
+
+@pytest.mark.parametrize("command", list(ECHOES))
+def test_a_command_reads_exactly_the_keys_it_declares(command, monkeypatch):
+    """Each run touches only config fields whose keys its command reads,
+    and every key it reads is touched by some ECHOES config or preset."""
+    touched = set()
+    plain = ExperimentConfig.__getattribute__
+
+    def recorded(self, name):
+        if name in _KEY_OF:
+            touched.add(_KEY_OF[name])
+        return plain(self, name)
+
+    parsed = (ExperimentConfig.from_dict(data) for data in _RUN_CONFIGS)
+    configs = [cfg for cfg in parsed if cfg.command == command]
+    monkeypatch.setattr(ExperimentConfig, "__getattribute__", recorded)
+    for cfg in configs:
+        cli._COMMANDS[command].run(cfg)
+    assert touched == set(cli._COMMANDS[command].reads)
 
 
 def test_a_preset_overlay_with_a_foreign_key_is_refused(tmp_path, capsys, monkeypatch):
@@ -627,12 +685,16 @@ _REJECTION_TEXT = {
     "jordan-power-past-float-range": (
         "error: jordan_orbit: T^n y is past the float range for lambda = (2+0j), p = 1, n = 1024\n"
     ),
-    "kernel-smaller-size": "config error: kernel works at truncationDim 8 only, got 3\n",
-    "kernel-larger-size": "config error: kernel works at truncationDim 8 only, got 12\n",
-    "jordan-other-size": "config error: jordan works at truncationDim 4 only, got 2\n",
+    "kernel-smaller-size": "config error: kernel does not read ['truncationDim']\n",
+    "kernel-larger-size": "config error: kernel does not read ['truncationDim']\n",
+    "jordan-other-size": "config error: jordan does not read ['truncationDim']\n",
     "no-allowed-coordinate": (
         "config error: pattern forbids every coordinate below the dimension\n"
     ),
+    "jordan-horizon-2": "config error: jordan needs horizon >= 4, its largest rank, got 2\n",
+    "jordan-horizon-3": "config error: jordan needs horizon >= 4, its largest rank, got 3\n",
+    "criterion-no-targets": "config error: criterion needs targets >= 2, got 0\n",
+    "criterion-zero-target-only": "config error: criterion needs targets >= 2, got 1\n",
     "operator-nested-too-deeply": "config error: config is nested too deeply\n",
 }
 
@@ -792,7 +854,7 @@ class TestConfigErrors:
             },
             {"command": "jordan", "horizon": 1000},
             {"command": "jordan", "horizon": 1100},
-            # The fixed sizes, which the echoed truncationDim names.
+            # A size that these commands do not read, away from the echoed default.
             {"command": "kernel", "truncationDim": 3},
             {"command": "kernel", "truncationDim": 12},
             {"command": "jordan", "truncationDim": 2},
@@ -800,6 +862,12 @@ class TestConfigErrors:
             {"command": "findim", "pattern": {"kind": "prefix", "m": 9}, "truncationDim": 4},
             # Past Python's recursion limit in the parser.
             {"command": "spectrum", "operator": _nested_scalars(400)},
+            # jordan checks rank p at the powers p..horizon, and criterion's
+            # sample 0 is the zero vector: each run would check nothing somewhere.
+            {"command": "jordan", "horizon": 2},
+            {"command": "jordan", "horizon": 3},
+            {"command": "criterion", **_SCALED, "targets": 0},
+            {"command": "criterion", **_SCALED, "targets": 1},
         ],
         ids=[
             "unknown-command",
@@ -834,6 +902,10 @@ class TestConfigErrors:
             "jordan-other-size",
             "no-allowed-coordinate",
             "operator-nested-too-deeply",
+            "jordan-horizon-2",
+            "jordan-horizon-3",
+            "criterion-no-targets",
+            "criterion-zero-target-only",
         ],
     )
     def test_rejected_configs(self, tmp_path, capsys, data, request):
@@ -927,6 +999,13 @@ class TestConfigErrors:
             assert rc == 0 and _report(out)["preset"] == "certify-prefix3"
         rc, _ = _run(tmp_path, {"command": "preset"}, out="nameless")
         assert (rc, capsys.readouterr().err) == (2, "config error: preset runs need a preset name\n")
+
+    def test_the_least_sizes_run(self, tmp_path):
+        rc, out = _run(tmp_path, {"command": "jordan", "horizon": 4}, out="jordan")
+        assert rc == 0 and len(_report(out)["report"]["cases"]) == 12
+        rc, out = _run(tmp_path, {"command": "criterion", **_SCALED, "targets": 2}, out="criterion")
+        rep = _report(out)["report"]
+        assert rc in (0, 1) and len(rep["condI"]) == len(rep["condII"]) == 2
 
     def test_null_lambda_reads_as_absent(self, tmp_path, capsys):
         rc, out = _run(tmp_path, {"command": "jordan", "lambda": None}, out="null")

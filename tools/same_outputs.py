@@ -50,10 +50,13 @@ def preset_names(tree: Path) -> list[str]:
 
 def workload_configs() -> list[tuple[str, dict]]:
     """``(name, config)`` for every perfbench experiment at every seed in ``SEEDS``."""
-    sys.dont_write_bytecode = True  # leave perfbench/ as it is
     spec = importlib.util.spec_from_file_location("_same_outputs_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    written, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave perfbench/ as it is
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.dont_write_bytecode = written
     return [
         (f"{workload}/{name}@seed{seed}", config)
         for workload in workloads.WORKLOADS
