@@ -23,6 +23,7 @@ __version__ = "0.1.0"
 _LAZY = frozenset(
     {
         "DichotomyVerdict",
+        "PairingChunk",
         "compression_orbit_check",
         "density_defect",
         "eigen_orbit_pairing",
@@ -30,6 +31,7 @@ _LAZY = frozenset(
         "jordan_orbit",
         "orbit_rows",
         "orbit_span_rank",
+        "pairing_chunk",
         "planted_chain_instance",
         "planted_eigen_instance",
         "spectral_dichotomy",

@@ -330,11 +330,14 @@ class ExperimentConfig:
         values = {}
         for name, key, parse, _, _ in _OBJECTS:
             values[name] = None if raw.get(key) is None else parse(raw[key], key)
+        needs = spec.needs
+        if spec.shift_default and values["operator"] is None:
+            needs = ("lambda", *needs)
         for name, key, *_ in _OBJECTS:
-            if key in spec.needs and values[name] is None:
+            if key in needs and values[name] is None:
                 raise ConfigError(f"{command} requires {key!r}")
         lam = values["lam"]
-        if "lambda" in spec.needs and abs(lam) <= 1.0:
+        if "lambda" in needs and abs(lam) <= 1.0:
             raise ConfigError(f"{command} requires |lambda| > 1, got modulus {abs(lam)}")
         for name, key, parse, default, _ in _SCALARS:
             values[name] = parse(raw.get(key, spec.defaults.get(key, default)), key)
@@ -348,6 +351,11 @@ class ExperimentConfig:
         ]
         if unread:
             raise ConfigError(f"{command} does not read {sorted(unread)}")
+        # Chains have rank 1..3, and fitting rank 3's Q takes n_max >= 2p - 1.
+        if command == "kernel" and values["chain_instances"] and values["horizon"] < 5:
+            raise ConfigError(
+                f"kernel needs horizon >= 5 to fit its rank-3 chains, got {values['horizon']}"
+            )
         return cls(command=command, preset=raw.get("preset"), **values)
 
     @cached_property
@@ -643,10 +651,10 @@ def _run_kernel(cfg: ExperimentConfig) -> RunResult:
     eigens, chains = planted_streams(cfg.seed, cfg.eigen_instances, cfg.chain_instances, n_max)
     # Read in order, so the first instance that raises is the one that raises.
     worst_eigen = worst_chain = 0.0
-    for instance in eigens:
-        worst_eigen = max_or_nan(worst_eigen, eigen_orbit_pairing(*instance, n_max))
-    for instance in chains:
-        worst_chain = max_or_nan(worst_chain, generalized_pairing_polynomial(*instance, n_max))
+    for chunk in eigens:
+        worst_eigen = max_or_nan(worst_eigen, eigen_orbit_pairing(chunk, n_max))
+    for chunk in chains:
+        worst_chain = max_or_nan(worst_chain, generalized_pairing_polynomial(chunk, n_max))
 
     eigen_ok = worst_eigen <= cfg.eigen_tol
     chain_ok = worst_chain <= cfg.chain_tol
@@ -718,6 +726,8 @@ class _Command:
     needs: tuple[str, ...]  # of the keys "lambda" (with modulus > 1), "operator", "pattern"
     defaults: dict  # by key, overrides of the scalars' defaults
     reads: tuple[str, ...]  # every key the run reads
+    # Without an operator the run is on lambda B, so it needs "lambda" too.
+    shift_default: bool = False
 
 
 _SHIFT_NEEDS = ("lambda", "pattern")
@@ -732,9 +742,10 @@ _COMMANDS = {
         ("lambda", "operator", *_FAMILY, "targets", "tol"),
     ),
     "criterion": _Command(
-        _run_criterion, _SHIFT_NEEDS,
+        _run_criterion, ("pattern",),
         {"targets": 50, "truncationDim": 128, "tol": 1e-12, "horizon": 30},
         ("lambda", "operator", *_FAMILY, "targets", "truncationDim", "horizon", "tol"),
+        shift_default=True,
     ),
     "probe": _Command(
         _run_probe, ("pattern",), {"truncationDim": 256, "horizon": 50},

@@ -7,16 +7,30 @@ rank, the coverage defect of an orbit against a dyadic net, and the
 compressed-orbit identity on invariant-complement splits.  The seeded
 draws of ``findim`` and ``kernel`` are made here and stepped in stacks.
 Orbits are iterated by the numpy kernels in ``_kernels``.
+
+The pairing laws read a ``PairingChunk`` of instances in one pass, and
+give each instance the bits of Python's scalar arithmetic on it alone.
+These numpy forms reproduce those scalar operations bit for bit:
+
+- a Python complex product a * b, and numpy's scalar one: the real form
+  ``ar*br - ai*bi`` and ``ar*bi + ai*br`` on float64 arrays.  numpy's array
+  complex product rounds differently.
+- Python's ``abs`` of a complex, and numpy's scalar ``abs``: ``np.hypot``
+  of the parts.  ``np.abs`` of a complex array rounds differently.
+- numpy's scalar complex power and division: ``np.power`` and division on
+  complex arrays.
+- ``np.linalg.solve`` of one system: the same solve over a stack.
+
+Python's complex pow has no numpy form, so conj(lam)^n is taken by it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,13 +40,15 @@ from .errors import (
     NotEigenvector,
     NotInGeneralizedKernel,
 )
-from .seqspace import FiniteMatrix, SeqVec, max_or_nan, norm
+from .seqspace import PRUNE_MODULUS, FiniteMatrix, SeqVec, max_or_nan, norm
 from .subspace import ZeroPattern, allowed_indices, dyadic_net
 
 # The package names these without importing numpy, from this one list.
 __all__ = sorted(_LAZY)
 
 KERNEL_TOL = 1e-10
+
+_EPS = float(np.finfo(np.float64).eps)
 
 EXIT_LOW_FACTOR = 1e-6
 EXIT_HIGH_FACTOR = 1e6
@@ -76,28 +92,19 @@ def _prefix(orbit: np.ndarray, n_steps: int) -> np.ndarray:
     one.  A shorter orbit must end at a zero row, past which every row is
     zero.
     """
-    if n_steps < 0:
-        raise ValueError("orbit length must be >= 0")
-    if len(orbit) <= n_steps and (len(orbit) == 0 or orbit[-1].any()):
-        raise ValueError(f"an orbit of {len(orbit)} rows does not reach step {n_steps}")
+    error = _unreached(orbit, n_steps)
+    if error is not None:
+        raise error
     return orbit[: n_steps + 1]
 
 
-def _pairings(orbit: np.ndarray, y: SeqVec, n_max: int) -> list[complex]:
-    """<T^n x, y> for n = 0..n_max, read off the orbit rows of x.
-
-    Each pairing sums over y's support in increasing index order with
-    Python complex products, as ``inner`` does; an orbit that ends at a zero
-    row pairs to 0j from there on.
-    """
-    points = _prefix(orbit, n_max)
-    if not np.isfinite(points).all():
-        raise ValueError("non-finite orbit entry")
-    entries = y.items()
-    indices = [i for i, _ in entries]
-    y_bar = [z.conjugate() for _, z in entries]
-    pairings = [sum(map(operator.mul, row, y_bar), 0j) for row in points[:, indices].tolist()]
-    return pairings + [0j] * (n_max + 1 - len(pairings))
+def _unreached(orbit: np.ndarray, n_steps: int) -> ValueError | None:
+    """The error of ``_prefix(orbit, n_steps)``, or None if it has none."""
+    if n_steps < 0:
+        return ValueError("orbit length must be >= 0")
+    if len(orbit) <= n_steps and (len(orbit) == 0 or orbit[-1].any()):
+        return ValueError(f"an orbit of {len(orbit)} rows does not reach step {n_steps}")
+    return None
 
 
 def jordan_orbit(op: FiniteMatrix, lam: complex, p: int, y: SeqVec, n: int) -> SeqVec:
@@ -137,65 +144,319 @@ def jordan_orbit(op: FiniteMatrix, lam: complex, p: int, y: SeqVec, n: int) -> S
         ) from exc
 
 
-def eigen_orbit_pairing(
-    op: FiniteMatrix, orbit: np.ndarray, y: SeqVec, lam: complex, n_max: int
-) -> float:
-    """Worst deviation of <T^n x, y> from conj(lam)^n <x, y> over n <= n_max.
+# --------------------------------------------------------------------------
+# The adjoint pairing laws, read over a chunk of instances in one pass.
 
-    ``orbit`` holds the rows T^n x of some x, as ``orbit_rows(op, x, n_max)``
-    gives them.  ``y`` must satisfy T* y = lam y within ``KERNEL_TOL``
-    (relative to its norm); the pairing law then forces the whole profile.
+
+class PairingChunk(NamedTuple):
+    """Instances of the pairing laws as arrays, in order, zero-padded to the
+    chunk's widest dimension D and its longest orbit.
+
+    Instance b has dimension d = ``dims[b]``: T is ``mats[b, :d, :d]`` and y
+    is ``ys[b, :d]``, whose entries of modulus below ``PRUNE_MODULUS`` are
+    zero, as a ``SeqVec`` stores them.  ``orbits[b]`` holds the rows T^n x
+    of a start vector x; an orbit that ended at a zero row is zero from
+    there on.  ``ranks[b]`` is the rank p that the chain law reads.
     """
-    if not _in_kernel(op.array.conj().T, lam, y, 1):
-        raise NotEigenvector("y is not an adjoint eigenvector for lam")
-    pairings = _pairings(orbit, y, n_max)
-    base = pairings[0]
-    lam_bar = lam.conjugate()
+
+    mats: np.ndarray  # (B, D, D) complex128
+    dims: np.ndarray  # (B,) int
+    orbits: np.ndarray  # (B, rows, D) complex128
+    ys: np.ndarray  # (B, D) complex128
+    lams: np.ndarray  # (B,) complex128
+    ranks: np.ndarray  # (B,) int
+
+
+def _zero_chunk(count: int, width: int, rows: int) -> PairingChunk:
+    c = np.complex128
+    return PairingChunk(
+        np.zeros((count, width, width), c),
+        np.zeros(count, np.intp),
+        np.zeros((count, rows, width), c),
+        np.zeros((count, width), c),
+        np.zeros(count, c),
+        np.ones(count, np.intp),
+    )
+
+
+def pairing_chunk(instances: Sequence[tuple]) -> PairingChunk:
+    """The chunk of ``(op, orbit, y, lam)`` or ``(op, orbit, y, lam, p)``
+    instances, in order; p defaults to 1.  ``orbit`` holds the rows T^n x,
+    as ``orbit_rows(op, x, n)`` gives them.  An orbit shorter than the
+    longest must end at a zero row."""
+    rows = max((len(instance[1]) for instance in instances), default=0)
+    chunk = _zero_chunk(
+        len(instances), max((instance[0].dim for instance in instances), default=0), rows
+    )
+    for b, (op, orbit, y, lam, *p) in enumerate(instances):
+        d = op.dim
+        if len(orbit) < rows:
+            _prefix(orbit, rows - 1)
+        chunk.dims[b] = d
+        chunk.mats[b, :d, :d] = op.array
+        chunk.orbits[b, : len(orbit), :d] = orbit
+        chunk.ys[b, :d] = y.to_dense(d)
+        chunk.lams[b] = lam
+        chunk.ranks[b] = p[0] if p else 1
+    return chunk
+
+
+def _head(chunk: PairingChunk, count: int) -> PairingChunk:
+    return PairingChunk._make(field[:count] for field in chunk)
+
+
+# The stacked gate decides an instance on its own only this far, relative,
+# from the bound, beyond the rounding that two summation orders can differ by.
+_GATE_SLACK = 1e-6
+
+
+def _gate(chunk: PairingChunk, ranks: np.ndarray) -> np.ndarray:
+    """``_in_kernel(T*, lam, y, p)`` for each instance, p = ``ranks[b]``.
+
+    The residuals are stepped and measured over the whole chunk.  Their
+    matrix products may sum in another order than ``_in_kernel``'s, so an
+    instance is left to ``_in_kernel`` alone when its stacked residual norm
+    is NaN or inf, or lies within ``_GATE_SLACK`` of the bound, relative,
+    plus a rounding bound.  Each of the p steps rounds an entry by at most
+    (D + 2) eps times terms no larger than (||T|| + |lam|)^p ||y||, so
+    64 D p eps times that covers both orders and both norms.
+    """
+    mats, residual = chunk.mats, chunk.ys
+    with np.errstate(all="ignore"):
+        for k in range(1, int(ranks.max(initial=0)) + 1):
+            # T* r as conj(conj(r) T), so that no copy of the matrices is made
+            stepped = np.conj(np.matmul(residual.conj()[:, None], mats)[:, 0])
+            stepped -= chunk.lams[:, None] * residual
+            residual = np.where((ranks >= k)[:, None], stepped, residual)
+        norms = np.linalg.norm(residual, axis=-1)
+        y_norms = np.linalg.norm(chunk.ys, axis=-1)
+        bounds = KERNEL_TOL * np.maximum(1.0, y_norms)
+        squares = np.einsum("bij,bij->b", mats.real, mats.real)
+        squares += np.einsum("bij,bij->b", mats.imag, mats.imag)
+        terms = (np.sqrt(squares) + np.abs(chunk.lams)) ** ranks * y_norms
+        slack = _GATE_SLACK * bounds + 64 * _EPS * chunk.mats.shape[-1] * ranks * terms
+        decided = np.abs(norms - bounds) > slack
+    passed = norms <= bounds
+    for b in np.flatnonzero(~decided):
+        d = chunk.dims[b]
+        # The layout of ``op.array.conj().T``, so that ``m @`` sums as it did.
+        adjoint = np.ascontiguousarray(chunk.mats[b, :d, :d]).conj().T
+        y = SeqVec.from_dense(chunk.ys[b, :d])
+        passed[b] = _in_kernel(adjoint, complex(chunk.lams[b]), y, int(ranks[b]))
+    return passed
+
+
+def _orbit_checks(chunk: PairingChunk, n_max: int) -> list:
+    """The checks on the orbit rows 0..n_max, in order: the orbit reaches
+    step n_max or ended at a zero row before it, and the rows are finite."""
+    count, rows = chunk.orbits.shape[:2]
+    if n_max < 0 or rows == 0:
+        short = np.ones(count, dtype=bool)
+    elif rows <= n_max:
+        short = chunk.orbits[:, -1].any(axis=1)
+    else:
+        short = np.zeros(count, dtype=bool)
+    finite = np.isfinite(chunk.orbits[:, : max(n_max + 1, 0)]).all(axis=(1, 2))
+    return [
+        (short, lambda b: _unreached(chunk.orbits[b], n_max)),
+        (~finite, lambda b: ValueError("non-finite orbit entry")),
+    ]
+
+
+def _screen(checks: list) -> tuple[int, Exception | None]:
+    """The first instance, in chunk order, that fails one of ``checks``,
+    and the error of the first check it fails; the chunk's length and None
+    if none fails.  Each check pairs the mask of failing instances with a
+    function from an instance to its error."""
+    masks = np.array([mask for mask, _ in checks])
+    failing = masks.any(axis=0)
+    if not failing.any():
+        return masks.shape[1], None
+    b = int(np.argmax(failing))
+    return b, checks[int(np.argmax(masks[:, b]))][1](b)
+
+
+def _pairings(chunk: PairingChunk, n_max: int) -> np.ndarray:
+    """<T^n x, y> for n = 0..n_max, one row per instance, from orbit rows
+    that reach step n_max or end at a zero row, all finite.
+
+    Each pairing is Python's complex sum of ``row[j] * conj(y[j])`` over j
+    in increasing order, in real form on float64 arrays: ``ar*br - ai*bi``
+    and ``ar*bi + ai*br``, summed from +0.0.  A sum from +0.0 never turns
+    -0.0, so the zero entries past y's support, or past an orbit's zero
+    row, leave every bit of it as it is.
+    """
+    rows = chunk.orbits[:, : max(n_max + 1, 0)]
+    out = np.zeros((len(rows), max(n_max + 1, 0)), dtype=np.complex128)
+    re, im = out.real[:, : rows.shape[1]], out.imag[:, : rows.shape[1]]
+    y_re, y_im = chunk.ys.real, -chunk.ys.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(rows.shape[2]):
+            a_re, a_im = rows[:, :, j].real, rows[:, :, j].imag
+            b_re, b_im = y_re[:, j, None], y_im[:, j, None]
+            re += a_re * b_re - a_im * b_im
+            im += a_re * b_im + a_im * b_re
+    return out
+
+
+def _powers(bases: np.ndarray, exponents: range) -> tuple[np.ndarray, np.ndarray]:
+    """``base ** n`` by Python's complex pow, one row per base, and where
+    each row's first overflow is (``len(exponents)`` if none); a row is NaN
+    from its overflow on."""
+    bases = bases.tolist()
+    overflows = np.full(len(bases), len(exponents), dtype=np.intp)
+    shape = len(bases), len(exponents)
+    try:
+        powers = (base**n for base in bases for n in exponents)
+        return np.fromiter(powers, np.complex128, shape[0] * shape[1]).reshape(shape), overflows
+    except OverflowError:
+        table = []
+        for b, base in enumerate(bases):
+            for k, n in enumerate(exponents):
+                try:
+                    table.append(base**n)
+                except OverflowError:
+                    overflows[b] = k
+                    table.extend([complex(math.nan, math.nan)] * (len(exponents) - k))
+                    break
+    return np.array(table, dtype=np.complex128).reshape(shape), overflows
+
+
+def _worst(worst: float, deviations: np.ndarray) -> float:
+    """``max_or_nan`` of ``worst`` and every deviation, as a builtin float."""
+    return max_or_nan(worst, float(np.max(deviations))) if deviations.size else worst
+
+
+def eigen_orbit_pairing(chunk: PairingChunk, n_max: int) -> float:
+    """Worst deviation of <T^n x, y> from conj(lam)^n <x, y> over n <= n_max
+    and over the chunk's instances.
+
+    Each y must satisfy T* y = lam y within ``KERNEL_TOL`` (relative to its
+    norm); the pairing law then forces the whole profile.  The first
+    instance that fails a check raises its error: the gate, then the orbit
+    rows.  conj(lam)^n is Python's complex pow; the product with <x, y> and
+    the difference are Python's complex arithmetic in real form, and the
+    modulus is ``np.hypot``, which is Python's ``abs``.
+    """
+    ones = np.ones(len(chunk.lams), dtype=np.intp)
+    first, error = _screen(
+        [(~_gate(chunk, ones), lambda b: NotEigenvector("y is not an adjoint eigenvector for lam"))]
+        + _orbit_checks(chunk, n_max)
+    )
+    head = _head(chunk, first)
+    pairings = _pairings(head, n_max)
+    lam_bars = head.lams.conj()
+    powers, overflows = _powers(lam_bars, range(n_max + 1))
+    base = pairings[:, :1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = pairings.real - (powers.real * base.real - powers.imag * base.imag)
+        im = pairings.imag - (powers.real * base.imag + powers.imag * base.real)
+        deviations = np.hypot(re, im)
+    too_large = np.isfinite(re) & np.isfinite(im) & np.isinf(deviations)
+    overflowing = (overflows <= n_max) | too_large.any(axis=1)
+    if overflowing.any():
+        # The first such instance, one Python operation at a time, so that
+        # pow or abs raises its own OverflowError where it did.
+        g = int(np.argmax(overflowing))
+        lam_bar, base = complex(lam_bars[g]), complex(pairings[g, 0])
+        for n, pairing in enumerate(pairings[g].tolist()):
+            abs(pairing - lam_bar**n * base)
+    if error is not None:
+        raise error
+    return _worst(0.0, deviations)
+
+
+def generalized_pairing_polynomial(chunk: PairingChunk, n_max: int) -> float:
+    """Fit <T^n x, y> = conj(lam)^(n-p) Q(n), deg Q < p, and report the
+    worst residual over the chunk's instances, p = ``chunk.ranks[b]``.
+
+    Q is solved from the p pairings n = p..2p-1; the residual is the worst
+    |<T^n x, y> - conj(lam)^(n-p) Q(n)| over 2p <= n <= n_max.  For lam = 0
+    the profile collapses: no Q is fitted, and every pairing from n = 2p on
+    must vanish outright.  The first instance that fails a check raises its
+    error: p < 1, the gate, the orbit rows, then n_max < 2p - 1.
+
+    The fit reproduces numpy's scalar arithmetic: the right-hand sides are
+    numpy's power and division, which its array forms match; each rank's
+    systems are one ``np.linalg.solve`` over the stack; Q(n) and
+    conj(lam)^(n-p) Q(n), with the power by Python's pow, are numpy's
+    scalar complex products, which the real form matches; the modulus is
+    ``np.hypot``, which is numpy's scalar ``abs``.
+    """
+    ranks = chunk.ranks
+    fits = chunk.lams != 0
+    first, error = _screen(
+        [
+            (ranks < 1, lambda b: ValueError("rank p must be >= 1")),
+            (
+                ~_gate(chunk, ranks),
+                lambda b: NotInGeneralizedKernel(f"(T* - lam)^{ranks[b]} y is not ~ 0"),
+            ),
+            *_orbit_checks(chunk, n_max),
+            (
+                fits & (n_max < 2 * ranks - 1),
+                lambda b: ValueError(f"need n_max >= 2p - 1 = {2 * ranks[b] - 1} to fit Q"),
+            ),
+        ]
+    )
+    head = _head(chunk, first)
+    pairings = _pairings(head, n_max)
+    lam_bars = head.lams.conj()
+    overflowing = np.zeros(first, dtype=bool)
     worst = 0.0
-    for n, pairing in enumerate(pairings):
-        worst = max_or_nan(worst, abs(pairing - lam_bar**n * base))
+    for p in sorted(set(head.ranks.tolist())):
+        ns = range(2 * p, n_max + 1)
+        for fit in (False, True):
+            group = np.flatnonzero((head.ranks == p) & (fits[:first] == fit))
+            if not group.size or not ns:
+                continue
+            predicted = 0.0
+            if fit:
+                predicted, overflows = _fitted(pairings[group], lam_bars[group], p, ns)
+                overflowing[group] = overflows < len(ns)
+            observed = pairings[group, 2 * p :]
+            with np.errstate(over="ignore", invalid="ignore"):
+                re, im = observed.real - np.real(predicted), observed.imag - np.imag(predicted)
+                deviations = np.hypot(re, im)
+            if not fit:  # Python's abs, of Python's complex difference with 0j
+                too_large = np.isfinite(re) & np.isfinite(im) & np.isinf(deviations)
+                overflowing[group] = too_large.any(axis=1)
+            worst = _worst(worst, deviations)
+    if overflowing.any():
+        # The first such instance, one Python operation at a time, so that
+        # pow or abs raises its own OverflowError where it did.
+        g = int(np.argmax(overflowing))
+        p, lam_bar = int(head.ranks[g]), complex(lam_bars[g])
+        for n in range(2 * p, n_max + 1):
+            lam_bar ** (n - p) if fits[g] else abs(complex(pairings[g, n]) - 0j)
+    if error is not None:
+        raise error
     return worst
 
 
-def generalized_pairing_polynomial(
-    op: FiniteMatrix, orbit: np.ndarray, y: SeqVec, lam: complex, p: int, n_max: int
-) -> float:
-    """Fit <T^n x, y> = conj(lam)^(n-p) Q(n), deg Q < p, and report the residual.
-
-    ``orbit`` holds the rows T^n x, as for ``eigen_orbit_pairing``.
-
-    Q is solved from the p pairings n = p..2p-1; the returned value is the
-    worst |<T^n x, y> - conj(lam)^(n-p) Q(n)| over 2p <= n <= n_max.  For
-    lam = 0 the profile collapses: no Q is fitted, and every pairing from
-    n = 2p on must vanish outright.
-    """
-    if p < 1:
-        raise ValueError("rank p must be >= 1")
-    if not _in_kernel(op.array.conj().T, lam, y, p):
-        raise NotInGeneralizedKernel(f"(T* - lam)^{p} y is not ~ 0")
-
-    pairings = _pairings(orbit, y, n_max)
-
-    lam_bar = lam.conjugate()
-    if lam != 0:
-        if n_max < 2 * p - 1:
-            raise ValueError(f"need n_max >= 2p - 1 = {2 * p - 1} to fit Q")
-        ns = np.arange(p, 2 * p)
-        vander = np.vander(ns.astype(np.complex128), p, increasing=True)
-        rhs = np.array(
-            [pairings[n] / lam_bar ** (n - p) for n in ns], dtype=np.complex128
-        )
-        coeffs = np.linalg.solve(vander, rhs)
-
-    worst = 0.0
-    for n in range(2 * p, n_max + 1):
-        if lam == 0:
-            predicted = 0j
-        else:
-            q = sum(coeffs[i] * n**i for i in range(p))
-            predicted = lam_bar ** (n - p) * q
-        worst = max_or_nan(worst, abs(pairings[n] - predicted))
-    return float(worst)  # a numpy float from the fitted Q, as a builtin
+def _fitted(
+    pairings: np.ndarray, lam_bars: np.ndarray, p: int, ns: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """conj(lam)^(n-p) Q(n) for n in ``ns``, one row per rank-p instance,
+    with Q fitted to its pairings n = p..2p-1, and where each row's Python
+    pow first overflows, as ``_powers`` gives it."""
+    vander = np.vander(np.arange(p, 2 * p).astype(np.complex128), p, increasing=True)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rhs = pairings[:, p : 2 * p] / lam_bars[:, None] ** np.arange(p)
+        coeffs = np.linalg.solve(vander, rhs[..., None])[..., 0]
+        # Q(n) = sum of coeffs[i] * n**i from 0: a product with (n**i, 0.0).
+        q_re = np.zeros((len(coeffs), len(ns)))
+        q_im = np.zeros((len(coeffs), len(ns)))
+        for i in range(p):
+            m = np.array([float(n**i) for n in ns])
+            c_re, c_im = coeffs[:, i, None].real, coeffs[:, i, None].imag
+            q_re += c_re * m - c_im * 0.0
+            q_im += c_re * 0.0 + c_im * m
+        powers, overflows = _powers(lam_bars, range(ns.start - p, ns.stop - p))
+        out = np.empty(powers.shape, dtype=np.complex128)
+        out.real = powers.real * q_re - powers.imag * q_im
+        out.imag = powers.real * q_im + powers.imag * q_re
+    return out, overflows
 
 
 @dataclass(frozen=True)
@@ -418,40 +679,55 @@ def draw_chain(rng: np.random.Generator, dim: int, p: int) -> PlantedDraw:
     return PlantedDraw(g, adj, p - 1, lam, True)
 
 
-def _factored(draws: Sequence[PlantedDraw]) -> tuple[np.ndarray, list[Planted]]:
+def _factored(draws: Sequence[PlantedDraw]) -> tuple[np.ndarray, np.ndarray]:
     """Same-size draws of one kind as a C-ordered (B, d, d) stack of T, and
-    each (T, y, lam).  One ``qr`` and one Q @ middle @ Q* over the stack give
-    each instance the bits of factoring it alone; scaling Q's columns by a
-    diagonal middle factor would round differently."""
+    the (B, d) stack of their dense y.  One ``qr`` and one Q @ middle @ Q*
+    over the stack give each instance the bits of factoring it alone;
+    scaling Q's columns by a diagonal middle factor would round
+    differently."""
     q, _ = np.linalg.qr(np.array([d.gauss for d in draws]))
     t = q @ np.array([d.middle for d in draws]) @ q.conj().transpose(0, 2, 1)
     t = np.ascontiguousarray(t.conj().transpose(0, 2, 1) if draws[0].adjoint else t)
-    ys = [SeqVec.from_dense(q[b, :, d.column]) for b, d in enumerate(draws)]
-    return t, [(FiniteMatrix(m), y, d.lam) for m, y, d in zip(t, ys, draws)]
+    return t, q[np.arange(len(draws)), :, [d.column for d in draws]]
 
 
-def planted_orbits(draws: Sequence[PlantedDraw], starts: Sequence, n_steps: int) -> list:
-    """((T, y, lam), orbit) for draws of one kind and their start vectors, in
-    draw order, each orbit to n_steps as ``orbit_rows`` steps it.  The draws
-    of each dimension are factored and stepped as one stack."""
-    out: list = [None] * len(draws)
-    for dim in {len(d.gauss) for d in draws}:
-        group = [i for i, d in enumerate(draws) if len(d.gauss) == dim]
-        mats, instances = _factored([draws[i] for i in group])
+def planted_orbits(draws: Sequence[PlantedDraw], starts: Sequence, n_steps: int) -> PairingChunk:
+    """The chunk of draws of one kind and their start vectors, in draw
+    order, each orbit to n_steps as ``orbit_rows`` steps it; a draw's rank
+    is its y's place in the chain, ``column + 1``.  The draws of each
+    dimension are factored and stepped as one stack."""
+    dims = np.array([len(d.gauss) for d in draws])
+    chunk = _zero_chunk(len(draws), int(dims.max()), n_steps + 1)
+    chunk.dims[:] = dims
+    chunk.lams[:] = [d.lam for d in draws]
+    chunk.ranks[:] = [d.column + 1 for d in draws]
+    # Not np.unique: its first call maps about 1.6 MB more of numpy into memory.
+    for dim in sorted(set(dims.tolist())):
+        group = np.flatnonzero(dims == dim)
+        mats, ys = _factored([draws[i] for i in group])
+        chunk.mats[group, :dim, :dim] = mats
+        chunk.ys[group, :dim] = ys
         orbits = _kernels.orbit_points(mats, np.array([starts[i] for i in group]), n_steps)
-        for i, instance, orbit in zip(group, instances, orbits):
-            out[i] = instance, orbit
-    return out
+        for i, orbit in zip(group.tolist(), orbits):
+            chunk.orbits[i, : len(orbit), :dim] = orbit
+    # y as ``SeqVec.from_dense`` stores it; np.hypot is Python's abs.
+    chunk.ys[np.hypot(chunk.ys.real, chunk.ys.imag) < PRUNE_MODULUS] = 0.0
+    return chunk
+
+
+def _planted(draw: PlantedDraw) -> Planted:
+    mats, ys = _factored([draw])
+    return FiniteMatrix(mats[0]), SeqVec.from_dense(ys[0]), draw.lam
 
 
 def planted_eigen_instance(rng: np.random.Generator, dim: int) -> Planted:
     """A matrix with a known adjoint eigenpair: returns (T, y, lam) with T* y = lam y."""
-    return _factored([draw_eigen(rng, dim)])[1][0]
+    return _planted(draw_eigen(rng, dim))
 
 
 def planted_chain_instance(rng: np.random.Generator, dim: int, p: int) -> Planted:
     """A matrix whose adjoint has a planted rank-p chain: (T* - lam)^p y = 0."""
-    return _factored([draw_chain(rng, dim, p)])[1][0]
+    return _planted(draw_chain(rng, dim, p))
 
 
 # The planted instances of ``kernel`` have dimensions 2..8.
@@ -459,12 +735,12 @@ KERNEL_MAX_DIM = 8
 
 
 def planted_streams(seed: int, eigen_count: int, chain_count: int, n_steps: int):
-    """``kernel``'s eigen and chain instances as two lazy streams over one
-    ``default_rng(seed)``.  An item is (T, orbit, y, lam), then p for a chain
-    of rank p: the leading arguments of the pairing laws, with a random start
-    vector's orbit to ``n_steps``.  Each stream draws and steps a stack that
-    fits ``_kernels.stack_width`` once the items before it are read, so the
-    chain stream draws once the eigen stream is read to its end."""
+    """``kernel``'s eigen and chain instances as two lazy streams of
+    ``PairingChunk``s over one ``default_rng(seed)``, each orbit that of a
+    random start vector to ``n_steps``.  A chunk is a stack that fits
+    ``_kernels.stack_width``, drawn and stepped once the chunks before it
+    are read, so the chain stream draws once the eigen stream is read to
+    its end."""
     rng = np.random.default_rng(seed)
 
     def start(dim: int) -> np.ndarray:
@@ -472,18 +748,17 @@ def planted_streams(seed: int, eigen_count: int, chain_count: int, n_steps: int)
 
     def eigen():
         dim = int(rng.integers(2, KERNEL_MAX_DIM + 1))
-        return draw_eigen(rng, dim), start(dim), ()
+        return draw_eigen(rng, dim), start(dim)
 
     def chain():
         p = int(rng.integers(1, 4))
         dim = int(rng.integers(p + 1, KERNEL_MAX_DIM + 1))
-        return draw_chain(rng, dim, p), start(dim), (p,)
+        return draw_chain(rng, dim, p), start(dim)
 
     def stream(count: int, draw):
         chunk = _kernels.stack_width(n_steps + 1, KERNEL_MAX_DIM)
         for first in range(0, count, chunk):
-            draws, starts, args = zip(*(draw() for _ in range(first, min(first + chunk, count))))
-            for extra, ((op, y, lam), orbit) in zip(args, planted_orbits(draws, starts, n_steps)):
-                yield (op, orbit, y, lam, *extra)
+            # No name holds the draws, so they are freed while the chunk is read.
+            yield planted_orbits(*zip(*(draw() for _ in range(first, min(first + chunk, count)))), n_steps)
 
     return stream(eigen_count, eigen), stream(chain_count, chain)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import operator
 import sys
 import tempfile
 from fractions import Fraction
@@ -16,6 +17,8 @@ from orbitlab import (
     DirectSum,
     FiniteMatrix,
     Identity,
+    NotEigenvector,
+    NotInGeneralizedKernel,
     OrbitlabError,
     ScalarMultiple,
     SeqVec,
@@ -23,8 +26,10 @@ from orbitlab import (
     membership_defect,
     norm,
 )
+from orbitlab import obstructions
 from orbitlab.cli import main
 from orbitlab.constructor import CertEntry, _passes, _power
+from orbitlab.seqspace import max_or_nan
 
 
 @pytest.fixture
@@ -136,6 +141,71 @@ def reference_planted_chain_instance(
     t = (q @ adj @ q.conj().T).conj().T
     y = SeqVec.from_dense(q[:, p - 1])
     return FiniteMatrix(t), y, lam
+
+
+# -- the pairing laws' reference: one instance at a time ----------------
+# The laws as they read one instance before they read chunks.  The stacked
+# laws in ``obstructions`` must give every instance these bits and raise
+# these errors; a chunk's worst value is ``max_or_nan`` over its instances.
+
+
+def reference_pairings(orbit, y, n_max):
+    """<T^n x, y> for n = 0..n_max, read off the orbit rows of x, summed over
+    y's support in increasing index order with Python complex products."""
+    points = obstructions._prefix(orbit, n_max)
+    if not np.isfinite(points).all():
+        raise ValueError("non-finite orbit entry")
+    entries = y.items()
+    indices = [i for i, _ in entries]
+    y_bar = [z.conjugate() for _, z in entries]
+    pairings = [sum(map(operator.mul, row, y_bar), 0j) for row in points[:, indices].tolist()]
+    return pairings + [0j] * (n_max + 1 - len(pairings))
+
+
+def reference_eigen_orbit_pairing(op, orbit, y, lam, n_max):
+    """Worst deviation of <T^n x, y> from conj(lam)^n <x, y> over n <= n_max."""
+    if not obstructions._in_kernel(op.array.conj().T, lam, y, 1):
+        raise NotEigenvector("y is not an adjoint eigenvector for lam")
+    pairings = reference_pairings(orbit, y, n_max)
+    base = pairings[0]
+    lam_bar = lam.conjugate()
+    worst = 0.0
+    for n, pairing in enumerate(pairings):
+        worst = max_or_nan(worst, abs(pairing - lam_bar**n * base))
+    return worst
+
+
+def reference_generalized_pairing_polynomial(op, orbit, y, lam, p, n_max):
+    """Worst |<T^n x, y> - conj(lam)^(n-p) Q(n)| over 2p <= n <= n_max, Q of
+    degree < p fitted to the pairings n = p..2p-1; for lam = 0 the worst
+    |<T^n x, y>| from n = 2p on."""
+    if p < 1:
+        raise ValueError("rank p must be >= 1")
+    if not obstructions._in_kernel(op.array.conj().T, lam, y, p):
+        raise NotInGeneralizedKernel(f"(T* - lam)^{p} y is not ~ 0")
+
+    pairings = reference_pairings(orbit, y, n_max)
+
+    lam_bar = lam.conjugate()
+    if lam != 0:
+        if n_max < 2 * p - 1:
+            raise ValueError(f"need n_max >= 2p - 1 = {2 * p - 1} to fit Q")
+        ns = np.arange(p, 2 * p)
+        vander = np.vander(ns.astype(np.complex128), p, increasing=True)
+        rhs = np.array(
+            [pairings[n] / lam_bar ** (n - p) for n in ns], dtype=np.complex128
+        )
+        coeffs = np.linalg.solve(vander, rhs)
+
+    worst = 0.0
+    for n in range(2 * p, n_max + 1):
+        if lam == 0:
+            predicted = 0j
+        else:
+            q = sum(coeffs[i] * n**i for i in range(p))
+            predicted = lam_bar ** (n - p) * q
+        worst = max_or_nan(worst, abs(pairings[n] - predicted))
+    return float(worst)
 
 
 class CountingOp:

@@ -38,6 +38,7 @@ from orbitlab import (
     norm,
     orbit_rows,
     orbit_span_rank,
+    pairing_chunk,
     planted_chain_instance,
     planted_eigen_instance,
     spectral_dichotomy,
@@ -153,14 +154,15 @@ class TestAcceptance:
             dim = 2 + i % 7
             op, y, lam = planted_eigen_instance(rng, dim)
             x = rand_dense_vec(rng, dim)
-            ok = ok and eigen_orbit_pairing(op, orbit_rows(op, x, 12), y, lam, 12) <= 1e-8
+            chunk = pairing_chunk([(op, orbit_rows(op, x, 12), y, lam)])
+            ok = ok and eigen_orbit_pairing(chunk, 12) <= 1e-8
         for i in range(50):
             p = 1 + i % 3
             dim = p + 1 + i % 4
             op, y, lam = planted_chain_instance(rng, dim, p)
             x = rand_dense_vec(rng, dim)
-            orbit = orbit_rows(op, x, 12)
-            ok = ok and generalized_pairing_polynomial(op, orbit, y, lam, p, 12) <= 1e-7
+            chunk = pairing_chunk([(op, orbit_rows(op, x, 12), y, lam, p)])
+            ok = ok and generalized_pairing_polynomial(chunk, 12) <= 1e-7
         _verdict(6, "pairing laws hold on 150 planted instances", ok)
 
     def test_07_norm_dichotomy_classification(self):

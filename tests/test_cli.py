@@ -693,6 +693,16 @@ _REJECTION_TEXT = {
     ),
     "jordan-horizon-2": "config error: jordan needs horizon >= 4, its largest rank, got 2\n",
     "jordan-horizon-3": "config error: jordan needs horizon >= 4, its largest rank, got 3\n",
+    "kernel-horizon-4": (
+        "config error: kernel needs horizon >= 5 to fit its rank-3 chains, got 4\n"
+    ),
+    "kernel-horizon-0": (
+        "config error: kernel needs horizon >= 5 to fit its rank-3 chains, got 0\n"
+    ),
+    "criterion-lambda-b-no-lambda": "config error: criterion requires 'lambda'\n",
+    "criterion-lambda-b-unimodular": (
+        "config error: criterion requires |lambda| > 1, got modulus 1.0\n"
+    ),
     "criterion-no-targets": "config error: criterion needs targets >= 2, got 0\n",
     "criterion-zero-target-only": "config error: criterion needs targets >= 2, got 1\n",
     "operator-nested-too-deeply": "config error: config is nested too deeply\n",
@@ -868,6 +878,13 @@ class TestConfigErrors:
             {"command": "jordan", "horizon": 3},
             {"command": "criterion", **_SCALED, "targets": 0},
             {"command": "criterion", **_SCALED, "targets": 1},
+            # Chains have rank 1..3, and rank 3's fit needs horizon >= 5,
+            # whatever the seed draws.
+            {"command": "kernel", "eigenInstances": 1, "chainInstances": 1, "horizon": 4},
+            {"command": "kernel", "eigenInstances": 0, "chainInstances": 9, "horizon": 0},
+            # Without an operator, criterion runs on lambda B.
+            {"command": "criterion", "pattern": _PREFIX3},
+            {"command": "criterion", "lambda": [0, 1], "pattern": _PREFIX3},
         ],
         ids=[
             "unknown-command",
@@ -906,6 +923,10 @@ class TestConfigErrors:
             "jordan-horizon-3",
             "criterion-no-targets",
             "criterion-zero-target-only",
+            "kernel-horizon-4",
+            "kernel-horizon-0",
+            "criterion-lambda-b-no-lambda",
+            "criterion-lambda-b-unimodular",
         ],
     )
     def test_rejected_configs(self, tmp_path, capsys, data, request):
@@ -1006,6 +1027,29 @@ class TestConfigErrors:
         rc, out = _run(tmp_path, {"command": "criterion", **_SCALED, "targets": 2}, out="criterion")
         rep = _report(out)["report"]
         assert rc in (0, 1) and len(rep["condI"]) == len(rep["condII"]) == 2
+
+    def test_kernel_horizons_that_run(self, tmp_path):
+        # Without chains no Q is fitted; with them, horizon 5 fits rank 3.
+        for eigen, chain, horizon in ((3, 0, 0), (3, 0, 4), (2, 9, 5)):
+            data = {"command": "kernel", "eigenInstances": eigen, "chainInstances": chain}
+            rc, out = _run(tmp_path, {**data, "horizon": horizon}, out=f"{chain}-{horizon}")
+            assert rc == 0 and _report(out)["report"]["chain"]["instances"] == chain
+
+    def test_criterion_with_an_operator_reads_no_lambda(self, tmp_path, capsys):
+        # The operator is the one the run reads: without a lambda, or with
+        # one of modulus at most 1, the body and the table are the same,
+        # and the echo names only the lambda that was given.
+        preset = {"command": "preset", "preset": "criterion-shift-squared"}
+        rc, out = _run(tmp_path, preset, out="preset")
+        want = _report(out)
+        for lam in (None, [0.5, 0.0], [5.0, 0.0]):
+            got_rc, got = _run(tmp_path, {**preset, "lambda": lam}, out=str(lam))
+            report = _report(got)
+            assert (got_rc, capsys.readouterr().err) == (rc, "")
+            assert report["report"] == want["report"]
+            assert (got / "table.csv").read_bytes() == (out / "table.csv").read_bytes()
+            assert report["config"].get("lambda") == lam
+            assert {**report["config"], "lambda": [2.0, 0.0]} == want["config"]
 
     def test_null_lambda_reads_as_absent(self, tmp_path, capsys):
         rc, out = _run(tmp_path, {"command": "jordan", "lambda": None}, out="null")
@@ -1266,6 +1310,8 @@ class TestNanGates:
         ],
     )
     def test_a_nan_deviation_fails_the_run(self, command, name, monkeypatch):
+        # One instance per kernel chunk, so that each law call is one instance.
+        monkeypatch.setattr(_kernels, "_STACK", 13 * 8)  # horizon 12, width 8
         cfg = ExperimentConfig.from_dict(
             {"command": command, "eigenInstances": 3, "chainInstances": 3}
             if command == "kernel"

@@ -25,6 +25,7 @@ from orbitlab import (
     norm,
     orbit_rows,
     orbit_span_rank,
+    pairing_chunk,
     planted_chain_instance,
     planted_eigen_instance,
     spectral_dichotomy,
@@ -35,13 +36,15 @@ from conftest import gate_values, non_finite_error, rand_dense_vec, run_main, sp
 
 
 def _eigen_law(op, x, y, lam, n_max):
-    """``eigen_orbit_pairing`` on the orbit of the start vector x."""
-    return eigen_orbit_pairing(op, orbit_rows(op, x, n_max), y, lam, n_max)
+    """``eigen_orbit_pairing`` on a chunk of one: the orbit of the start vector x."""
+    return eigen_orbit_pairing(pairing_chunk([(op, orbit_rows(op, x, n_max), y, lam)]), n_max)
 
 
 def _chain_law(op, x, y, lam, p, n_max):
-    """``generalized_pairing_polynomial`` on the orbit of the start vector x."""
-    return generalized_pairing_polynomial(op, orbit_rows(op, x, n_max), y, lam, p, n_max)
+    """``generalized_pairing_polynomial`` on a chunk of one: the orbit of the
+    start vector x."""
+    chunk = pairing_chunk([(op, orbit_rows(op, x, n_max), y, lam, p)])
+    return generalized_pairing_polynomial(chunk, n_max)
 
 
 def _span_rank(op, x, n_steps):
@@ -213,8 +216,9 @@ N_MAXES = [0, 1, 12, 200]
 
 
 class TestPairingsAgainstStepping:
-    """``_pairings`` reads one dense orbit; it must give the stepping loop's
-    pairings bit for bit, and the pairing laws the same values."""
+    """``_pairings`` reads a chunk's dense orbits; on a chunk of one it must
+    give the stepping loop's pairings bit for bit, and the pairing laws the
+    same values."""
 
     def _cases(self, rng):
         for k in range(12):
@@ -238,8 +242,9 @@ class TestPairingsAgainstStepping:
 
     @pytest.mark.parametrize("n_max", N_MAXES)
     def test_pairings_equal_stepping_bit_for_bit(self, rng, n_max):
-        for op, x, y, _, _ in self._cases(rng):
-            got = obstructions._pairings(orbit_rows(op, x, n_max), y, n_max)
+        for op, x, y, lam, _ in self._cases(rng):
+            chunk = pairing_chunk([(op, orbit_rows(op, x, n_max), y, lam)])
+            got = obstructions._pairings(chunk, n_max)[0].tolist()
             want = _reference_pairings(op, x, y, n_max)
             assert len(got) == n_max + 1
             assert got == want
@@ -259,7 +264,9 @@ class TestPairingsAgainstStepping:
             monkeypatch.setattr(
                 obstructions,
                 "_pairings",
-                lambda orbit, y, n_max, op=op, x=x: _reference_pairings(op, x, y, n_max),
+                lambda chunk, n_max, op=op, x=x, y=y: np.array(
+                    [_reference_pairings(op, x, y, n_max)], dtype=np.complex128
+                ),
             )
             want += [_outcome(law, op, x, y, lam, p) for law in laws]
         assert got == want
@@ -271,8 +278,9 @@ class TestPairingsAgainstStepping:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError):
                 _reference_pairings(op, x, y, 3)
-            with pytest.raises(ValueError):
-                obstructions._pairings(orbit_rows(op, x, 3), y, 3)
+            chunk = pairing_chunk([(op, orbit_rows(op, x, 3), y, 1.0)])
+            _, error = obstructions._screen(obstructions._orbit_checks(chunk, 3))
+        assert type(error) is ValueError and str(error) == "non-finite orbit entry"
 
     def test_overflowing_gate_rejects(self):
         # T* y is inf - inf = NaN: the gates must fail it, not let it pass.
@@ -498,7 +506,8 @@ class TestOrbitSpanRank:
         with pytest.raises(ValueError, match="does not reach step 5"):
             orbit_span_rank(orbit_rows(op, x, 3), 5)
         with pytest.raises(ValueError, match="does not reach step 5"):
-            eigen_orbit_pairing(op, orbit_rows(op, x, 3), SeqVec.basis(0), 1.0, 5)
+            chunk = pairing_chunk([(op, orbit_rows(op, x, 3), SeqVec.basis(0), 1.0)])
+            eigen_orbit_pairing(chunk, 5)
         # An orbit that ended at a zero row reaches every later step.
         nilpotent = _jordan_block(0.0, 3)
         orbit = orbit_rows(nilpotent, SeqVec.basis(2), 10)
@@ -633,8 +642,8 @@ class TestNanDeviations:
         pairings = obstructions._pairings
 
         def patched(*args):
-            out = list(pairings(*args))
-            out[k] = complex(math.nan, 0.0)
+            out = pairings(*args)
+            out[:, k] = complex(math.nan, 0.0)
             return out
 
         monkeypatch.setattr(obstructions, "_pairings", patched)

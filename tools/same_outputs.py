@@ -4,8 +4,9 @@
 
 Each tree is a directory holding ``src/orbitlab``.  The configs are every
 preset of either tree, every experiment of this checkout's
-``perfbench/workloads.py`` at seeds 0-3 (read, never written), and the
-config files named on the command line.  Each tree runs them all through
+``perfbench/workloads.py`` at seeds 0-3 (read, never written), the
+``kernel`` sweep of ``kernel_configs``, and the config files named on the
+command line.  Each tree runs them all through
 ``orbitlab.cli.main --verbose``, in order, in one fresh interpreter of its
 own, and each run's exit code, stdout, stderr, ``report.json`` and ``table.csv`` are compared.
 Output paths are normalised in stdout and stderr.  The name of every
@@ -28,6 +29,10 @@ from pathlib import Path
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 FIELDS = ("exit", "stdout", "stderr", "report.json", "table.csv")
 SEEDS = range(4)
+
+# ``kernel``'s instance chunk at horizon 12: stack_width(13, 8) at the
+# default stack cap of 2**17 entries.
+KERNEL_CHUNK = (1 << 17) // (13 * 8)
 
 
 def _child_env(tree: Path) -> dict[str, str]:
@@ -62,6 +67,29 @@ def workload_configs() -> list[tuple[str, dict]]:
         for workload in workloads.WORKLOADS
         for seed in SEEDS
         for name, config in workloads.experiments(workload, seed)
+    ]
+
+
+def kernel_configs() -> list[tuple[str, dict]]:
+    """``(name, config)`` for the ``kernel`` sweep at horizon 12: seeds 0-40
+    at (eigen, chain) instance counts (1, 1), (7, 4) and (60, 30), and
+    seeds 0-3 at one instance past a chunk of eigen instances and one short
+    of a chunk of chains."""
+    sizes = [((1, 1), range(41)), ((7, 4), range(41)), ((60, 30), range(41))]
+    sizes.append(((KERNEL_CHUNK + 1, KERNEL_CHUNK - 1), SEEDS))
+    return [
+        (
+            f"kernel/{eigen}-{chain}@seed{seed}",
+            {
+                "command": "kernel",
+                "eigenInstances": eigen,
+                "chainInstances": chain,
+                "horizon": 12,
+                "seed": seed,
+            },
+        )
+        for (eigen, chain), seeds in sizes
+        for seed in seeds
     ]
 
 
@@ -164,7 +192,7 @@ def main(argv=None) -> int:
             names = sorted(set(preset_names(parent)) | set(preset_names(change)))
             builtin = [(f"preset/{n}", {"command": "preset", "preset": n}) for n in names]
             jobs = []
-            for k, (name, config) in enumerate(builtin + workload_configs()):
+            for k, (name, config) in enumerate(builtin + workload_configs() + kernel_configs()):
                 path = Path(tmp, f"{k}.json")
                 path.write_text(json.dumps(config))
                 jobs.append((name, str(path)))
