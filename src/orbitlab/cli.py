@@ -10,9 +10,9 @@ configuration, with any other keys supplied on top taking precedence.  Each
 run writes ``report.json`` and ``table.csv`` to the output directory (the
 ``ORBITLAB_OUT`` environment variable overrides ``--out-dir``), prints a
 verdict line, and exits 0 on pass, 1 on a negative verdict, 2 on a bad
-config or on a run that rejects its parameters.  Outputs carry no
-timestamps and all randomness is seeded, so a given config always produces
-byte-identical files.
+config, which is refused before the run starts, or on a failed run.  Outputs
+carry no timestamps and all randomness is seeded, so a given config always
+produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ._report import BACKEND, json_text
-from .constructor import assemble, build_schedule, certify, length
-from .criterion import check_criterion, transitivity_probe
+from .constructor import _identity_split, assemble, build_schedule, certify, length
+from .criterion import backsolve, check_criterion, transitivity_probe
 from .errors import ConfigError, OrbitlabError
 from .presets import preset_config
 from .seqspace import (
@@ -351,12 +351,10 @@ class ExperimentConfig:
         ]
         if unread:
             raise ConfigError(f"{command} does not read {sorted(unread)}")
-        # Chains have rank 1..3, and fitting rank 3's Q takes n_max >= 2p - 1.
-        if command == "kernel" and values["chain_instances"] and values["horizon"] < 5:
-            raise ConfigError(
-                f"kernel needs horizon >= 5 to fit its rank-3 chains, got {values['horizon']}"
-            )
-        return cls(command=command, preset=raw.get("preset"), **values)
+        cfg = cls(command=command, preset=raw.get("preset"), **values)
+        if (refusal := spec.check(cfg)) is not None:
+            raise ConfigError(refusal)
+        return cfg
 
     @cached_property
     def normalized(self) -> dict:
@@ -377,8 +375,6 @@ class ExperimentConfig:
     def default_operator(self) -> Operator:
         if self.operator is not None:
             return self.operator
-        if self.lam is None:
-            raise ConfigError(f"{self.command} needs an operator or a lambda")
         return ScalarMultiple(self.lam, BackwardShift(1))
 
     def family(self) -> DenseFamilySpec:
@@ -420,11 +416,6 @@ def _name_non_finite(obj, where: str) -> None:
 
 def _rows(header: list, records: list[dict]) -> list[list]:
     return [[r[key] for key in header] for r in records]
-
-
-def _exponents(cfg: ExperimentConfig) -> list[int]:
-    stride = cfg.pattern.b if isinstance(cfg.pattern, ResidueZero) else 1
-    return [stride * k for k in range(1, cfg.horizon + 1)]
 
 
 def _run_construct(cfg: ExperimentConfig) -> RunResult:
@@ -478,16 +469,15 @@ def _run_certify(cfg: ExperimentConfig) -> RunResult:
 
 
 def _run_criterion(cfg: ExperimentConfig) -> RunResult:
-    if cfg.targets < 2:  # sample 0 is the zero vector, which checks nothing
-        raise ConfigError(f"criterion needs targets >= 2, got {cfg.targets}")
     spec = cfg.family()
     samples = [dense_family(spec, j) for j in range(cfg.targets)]
+    stride = cfg.pattern.b if isinstance(cfg.pattern, ResidueZero) else 1
     rep = check_criterion(
         cfg.default_operator(),
         cfg.pattern,
         samples,
         samples,
-        _exponents(cfg),
+        [stride * k for k in range(1, cfg.horizon + 1)],
         cfg.truncation_dim,
         cfg.tol,
     )
@@ -555,11 +545,7 @@ def _run_probe(cfg: ExperimentConfig) -> RunResult:
 
 
 def _run_findim(cfg: ExperimentConfig) -> RunResult:
-    if not 2 <= cfg.truncation_dim <= 12:
-        raise ConfigError("findim works on matrix dimensions 2..12")
     dim = cfg.truncation_dim
-    if not allowed_indices(cfg.pattern, dim):
-        raise ConfigError("pattern forbids every coordinate below the dimension")
     from .obstructions import findim_orbits, unit_ball_net
 
     # The rank orbits and the density orbit are prefixes of this one.
@@ -628,10 +614,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> RunResult:
             }
         )
 
-    if annulus == 0:
-        passed = all(r["classification"] != "neither" for r in results)
-    else:
-        passed = True
+    passed = annulus > 0 or all(r["classification"] != "neither" for r in results)
     report = {
         "dim": dim,
         "eigenvalueModuli": moduli,
@@ -684,9 +667,6 @@ _JORDAN_LAMBDAS = (2.0 + 0.0j, 0.7 + 0.7j, -1.1 + 0.0j)
 
 
 def _run_jordan(cfg: ExperimentConfig) -> RunResult:
-    # Rank p is checked at the powers n = p..horizon.
-    if cfg.horizon < 4:
-        raise ConfigError(f"jordan needs horizon >= 4, its largest rank, got {cfg.horizon}")
     results = []
     for p in range(1, 5):
         for lam in _JORDAN_LAMBDAS:
@@ -720,6 +700,25 @@ def _run_jordan(cfg: ExperimentConfig) -> RunResult:
     return RunResult(passed, report, header, rows)
 
 
+def _check_certify(cfg: ExperimentConfig) -> None:
+    _identity_split(cfg.operator, cfg.lam)  # raises on all but lam B and lam B + I
+
+
+def _check_criterion(cfg: ExperimentConfig) -> str | None:
+    if cfg.targets < 2:  # sample 0 is the zero vector, which checks nothing
+        return f"criterion needs targets >= 2, got {cfg.targets}"
+    backsolve(cfg.default_operator(), 0, SeqVec())  # raises unless op is lam B^b, lam != 0
+    return None
+
+
+def _check_findim(cfg: ExperimentConfig) -> str | None:
+    if not 2 <= cfg.truncation_dim <= 12:
+        return "findim works on matrix dimensions 2..12"
+    if not allowed_indices(cfg.pattern, cfg.truncation_dim):
+        return "pattern forbids every coordinate below the dimension"
+    return None
+
+
 @dataclass(frozen=True)
 class _Command:
     run: Callable[[ExperimentConfig], RunResult]
@@ -728,6 +727,7 @@ class _Command:
     reads: tuple[str, ...]  # every key the run reads
     # Without an operator the run is on lambda B, so it needs "lambda" too.
     shift_default: bool = False
+    check: Callable[[ExperimentConfig], str | None] = lambda cfg: None  # refusal text, or None
 
 
 _SHIFT_NEEDS = ("lambda", "pattern")
@@ -739,22 +739,24 @@ _COMMANDS = {
     ),
     "certify": _Command(
         _run_certify, _SHIFT_NEEDS, {"targets": 20, "truncationDim": 512},
-        ("lambda", "operator", *_FAMILY, "targets", "tol"),
+        ("lambda", "operator", *_FAMILY, "targets", "tol"), check=_check_certify,
     ),
     "criterion": _Command(
         _run_criterion, ("pattern",),
         {"targets": 50, "truncationDim": 128, "tol": 1e-12, "horizon": 30},
         ("lambda", "operator", *_FAMILY, "targets", "truncationDim", "horizon", "tol"),
-        shift_default=True,
+        shift_default=True, check=_check_criterion,
     ),
     "probe": _Command(
         _run_probe, ("pattern",), {"truncationDim": 256, "horizon": 50},
         ("lambda", "operator", *_FAMILY, "truncationDim", "horizon", "probe", "expect"),
+        check=lambda cfg: "probe needs an operator or a lambda"
+        if cfg.operator is None and cfg.lam is None else None,
     ),
     "findim": _Command(
         _run_findim, ("pattern",), {"truncationDim": 4, "horizon": 10000, "supportBound": 4},
         ("pattern", "supportBound", "truncationDim", "horizon", "seed",
-         "netLevel", "epsilon", "trials"),
+         "netLevel", "epsilon", "trials"), check=_check_findim,
     ),
     "spectrum": _Command(
         _run_spectrum, ("operator",), {"truncationDim": 64, "horizon": 400},
@@ -763,9 +765,15 @@ _COMMANDS = {
     "kernel": _Command(
         _run_kernel, (), {"truncationDim": 8, "horizon": 12},
         ("horizon", "seed", "eigenInstances", "chainInstances", "eigenTol", "chainTol"),
+        # Chains have rank 1..3, and fitting rank 3's Q takes n_max >= 2p - 1.
+        check=lambda cfg: f"kernel needs horizon >= 5 to fit its rank-3 chains, got {cfg.horizon}"
+        if cfg.chain_instances and cfg.horizon < 5 else None,
     ),
     "jordan": _Command(
-        _run_jordan, (), {"truncationDim": 4, "horizon": 12, "tol": 1e-10}, ("horizon", "tol")
+        _run_jordan, (), {"truncationDim": 4, "horizon": 12, "tol": 1e-10}, ("horizon", "tol"),
+        # Rank p is checked at the powers n = p..horizon.
+        check=lambda cfg: f"jordan needs horizon >= 4, its largest rank, got {cfg.horizon}"
+        if cfg.horizon < 4 else None,
     ),
 }
 

@@ -1,4 +1,6 @@
+import ast
 import cmath
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -22,7 +24,7 @@ from orbitlab.cli import (
     run,
     write_outputs,
 )
-from orbitlab.errors import ConfigError
+from orbitlab.errors import ConfigError, UnsupportedOperator
 from orbitlab.presets import PRESETS
 from orbitlab.seqspace import (
     BackwardShift,
@@ -706,6 +708,7 @@ _REJECTION_TEXT = {
     "criterion-no-targets": "config error: criterion needs targets >= 2, got 0\n",
     "criterion-zero-target-only": "config error: criterion needs targets >= 2, got 1\n",
     "operator-nested-too-deeply": "config error: config is nested too deeply\n",
+    "probe-no-operator": "config error: probe needs an operator or a lambda\n",
 }
 
 
@@ -714,6 +717,119 @@ def _nested_scalars(depth):
     for _ in range(depth):
         op = {"kind": "scalar", "factor": [1, 0], "of": op}
     return op
+
+
+# The configs main refuses with exit code 2, by test id.  All but
+# _RUN_REJECTIONS are refused by ExperimentConfig.from_dict, before any run.
+_REJECTED = {
+    "unknown-command": {"command": "fly"},
+    "unimodular-lambda": {"command": "certify", "lambda": [1, 0], "pattern": _PREFIX3},
+    "unknown-key": {"command": "certify", "lambda": [2, 0], "pattern": _PREFIX3, "bogus": 1},
+    "bad-pattern": {"command": "certify", "lambda": [2, 0], "pattern": {"kind": "weird"}},
+    "missing-pattern": {"command": "certify", "lambda": [2, 0]},
+    "missing-operator": {"command": "spectrum"},
+    "missing-preset": {"command": "preset", "preset": "no-such-preset"},
+    "huge-matrix-dim": {"command": "findim", "pattern": {"kind": "prefix", "m": 1}, "truncationDim": 40},
+    "zero-radius": {
+        "command": "probe", "lambda": [2, 0], "pattern": {"kind": "prefix", "m": 1},
+        "probe": {"uRadius": 0},
+    },
+    # Non-finite numbers (json.loads reads NaN and Infinity).
+    "nan-lambda": {"command": "construct", "lambda": [math.nan, 0], "pattern": _PREFIX3, "targets": 3},
+    "nan-tol": {"command": "certify", "lambda": [2, 0], "pattern": _PREFIX3, "tol": math.nan},
+    "infinite-epsilon": {"command": "findim", "pattern": _PREFIX3, "epsilon": math.inf},
+    "nan-probe-radius": {"command": "probe", **_SCALED, "probe": {"uRadius": math.nan}},
+    "nan-eigen-tol": {"command": "kernel", "eigenTol": math.nan},
+    "tol-past-float-range": {"command": "jordan", "tol": 10**400},
+    # Non-integer or unknown fields in pattern and operator objects.
+    "fractional-pattern-field": {
+        "command": "construct", "lambda": [2, 0], "pattern": {"kind": "prefix", "m": 2.9},
+    },
+    "fractional-power": {"command": "spectrum", "operator": {"kind": "backwardShift", "power": 1.9}},
+    "boolean-power": {"command": "spectrum", "operator": {"kind": "backwardShift", "power": True}},
+    "string-split": {
+        "command": "spectrum",
+        "operator": {
+            "kind": "directSum",
+            "left": {"kind": "identity"},
+            "right": {"kind": "identity"},
+            "split": "4",
+        },
+    },
+    "unknown-operator-field": {"command": "spectrum", "operator": {"kind": "identity", "power": 3}},
+    # Accepted by the parser, rejected by the run with ValueError.
+    "no-criterion-exponents": {
+        "command": "criterion", "lambda": [2, 0], "pattern": _PREFIX3, "horizon": 0,
+    },
+    "net-over-point-cap": {
+        "command": "findim",
+        "pattern": {"kind": "prefix", "m": 1},
+        "truncationDim": 8,
+        "supportBound": 8,
+        "horizon": 100,
+        "trials": 1,
+    },
+    # Accepted by the parser, overflowing in the run.
+    "overflowing-probe": {
+        "command": "probe",
+        "lambda": [1.3e154, 4.1e153],
+        "pattern": {"kind": "residue", "a": 0, "b": 2},
+        "truncationDim": 64,
+        "horizon": 6,
+    },
+    # Accepted by the parser, underflowing in the run.
+    "underflowing-probe": {
+        "command": "probe",
+        "lambda": [1e-170, 0],
+        "pattern": {"kind": "residue", "a": 0, "b": 2},
+        "truncationDim": 64,
+        "horizon": 6,
+    },
+    # A finite config whose report would hold a non-finite value.
+    "non-finite-report": {
+        "command": "spectrum",
+        "operator": {"kind": "finiteMatrix", "entries": [[[1e308, 0]] * 2] * 2},
+        "truncationDim": 2,
+        "horizon": 5,
+    },
+    "overflowing-jordan": {"command": "jordan", "horizon": 1000},
+    "jordan-power-past-float-range": {"command": "jordan", "horizon": 1100},
+    # A size that these commands do not read, away from the echoed default.
+    "kernel-smaller-size": {"command": "kernel", "truncationDim": 3},
+    "kernel-larger-size": {"command": "kernel", "truncationDim": 12},
+    "jordan-other-size": {"command": "jordan", "truncationDim": 2},
+    # Checked before any trial is drawn.
+    "no-allowed-coordinate": {
+        "command": "findim", "pattern": {"kind": "prefix", "m": 9}, "truncationDim": 4,
+    },
+    # Past Python's recursion limit in the parser.
+    "operator-nested-too-deeply": {"command": "spectrum", "operator": _nested_scalars(400)},
+    # jordan checks rank p at the powers p..horizon, and criterion's
+    # sample 0 is the zero vector: each run would check nothing somewhere.
+    "jordan-horizon-2": {"command": "jordan", "horizon": 2},
+    "jordan-horizon-3": {"command": "jordan", "horizon": 3},
+    "criterion-no-targets": {"command": "criterion", **_SCALED, "targets": 0},
+    "criterion-zero-target-only": {"command": "criterion", **_SCALED, "targets": 1},
+    # Chains have rank 1..3, and rank 3's fit needs horizon >= 5,
+    # whatever the seed draws.
+    "kernel-horizon-4": {"command": "kernel", "eigenInstances": 1, "chainInstances": 1, "horizon": 4},
+    "kernel-horizon-0": {"command": "kernel", "eigenInstances": 0, "chainInstances": 9, "horizon": 0},
+    # Without an operator, criterion runs on lambda B.
+    "criterion-lambda-b-no-lambda": {"command": "criterion", "pattern": _PREFIX3},
+    "criterion-lambda-b-unimodular": {"command": "criterion", "lambda": [0, 1], "pattern": _PREFIX3},
+    # probe runs on lambda B without an operator, of any modulus.
+    "probe-no-operator": {"command": "probe", "pattern": _PREFIX3},
+}
+# The configs only the run rejects: at a size or float-range limit of the library.
+_RUN_REJECTIONS = {
+    "no-criterion-exponents",
+    "net-over-point-cap",
+    "overflowing-probe",
+    "underflowing-probe",
+    "non-finite-report",
+    "overflowing-jordan",
+    "jordan-power-past-float-range",
+}
 
 
 class TestConfigErrors:
@@ -796,139 +912,7 @@ class TestConfigErrors:
             " (lam = (2+0j)), not Identity()\n",
         )
 
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {"command": "fly"},
-            {"command": "certify", "lambda": [1, 0], "pattern": {"kind": "prefix", "m": 3}},
-            {"command": "certify", "lambda": [2, 0], "pattern": {"kind": "prefix", "m": 3}, "bogus": 1},
-            {"command": "certify", "lambda": [2, 0], "pattern": {"kind": "weird"}},
-            {"command": "certify", "lambda": [2, 0]},
-            {"command": "spectrum"},
-            {"command": "preset", "preset": "no-such-preset"},
-            {"command": "findim", "pattern": {"kind": "prefix", "m": 1}, "truncationDim": 40},
-            {"command": "probe", "lambda": [2, 0], "pattern": {"kind": "prefix", "m": 1}, "probe": {"uRadius": 0}},
-            # Non-finite numbers (json.loads reads NaN and Infinity).
-            {"command": "construct", "lambda": [math.nan, 0], "pattern": _PREFIX3, "targets": 3},
-            {"command": "certify", "lambda": [2, 0], "pattern": _PREFIX3, "tol": math.nan},
-            {"command": "findim", "pattern": _PREFIX3, "epsilon": math.inf},
-            {"command": "probe", **_SCALED, "probe": {"uRadius": math.nan}},
-            {"command": "kernel", "eigenTol": math.nan},
-            {"command": "jordan", "tol": 10**400},
-            # Non-integer or unknown fields in pattern and operator objects.
-            {"command": "construct", "lambda": [2, 0], "pattern": {"kind": "prefix", "m": 2.9}},
-            {"command": "spectrum", "operator": {"kind": "backwardShift", "power": 1.9}},
-            {"command": "spectrum", "operator": {"kind": "backwardShift", "power": True}},
-            {
-                "command": "spectrum",
-                "operator": {
-                    "kind": "directSum",
-                    "left": {"kind": "identity"},
-                    "right": {"kind": "identity"},
-                    "split": "4",
-                },
-            },
-            {"command": "spectrum", "operator": {"kind": "identity", "power": 3}},
-            # Accepted by the parser, rejected by the run with ValueError.
-            {"command": "criterion", "lambda": [2, 0], "pattern": {"kind": "prefix", "m": 3}, "horizon": 0},
-            {
-                "command": "findim",
-                "pattern": {"kind": "prefix", "m": 1},
-                "truncationDim": 8,
-                "supportBound": 8,
-                "horizon": 100,
-                "trials": 1,
-            },
-            # Accepted by the parser, overflowing in the run.
-            {
-                "command": "probe",
-                "lambda": [1.3e154, 4.1e153],
-                "pattern": {"kind": "residue", "a": 0, "b": 2},
-                "truncationDim": 64,
-                "horizon": 6,
-            },
-            # Accepted by the parser, underflowing in the run.
-            {
-                "command": "probe",
-                "lambda": [1e-170, 0],
-                "pattern": {"kind": "residue", "a": 0, "b": 2},
-                "truncationDim": 64,
-                "horizon": 6,
-            },
-            # A finite config whose report would hold a non-finite value.
-            {
-                "command": "spectrum",
-                "operator": {"kind": "finiteMatrix", "entries": [[[1e308, 0]] * 2] * 2},
-                "truncationDim": 2,
-                "horizon": 5,
-            },
-            {"command": "jordan", "horizon": 1000},
-            {"command": "jordan", "horizon": 1100},
-            # A size that these commands do not read, away from the echoed default.
-            {"command": "kernel", "truncationDim": 3},
-            {"command": "kernel", "truncationDim": 12},
-            {"command": "jordan", "truncationDim": 2},
-            # Checked before any trial is drawn.
-            {"command": "findim", "pattern": {"kind": "prefix", "m": 9}, "truncationDim": 4},
-            # Past Python's recursion limit in the parser.
-            {"command": "spectrum", "operator": _nested_scalars(400)},
-            # jordan checks rank p at the powers p..horizon, and criterion's
-            # sample 0 is the zero vector: each run would check nothing somewhere.
-            {"command": "jordan", "horizon": 2},
-            {"command": "jordan", "horizon": 3},
-            {"command": "criterion", **_SCALED, "targets": 0},
-            {"command": "criterion", **_SCALED, "targets": 1},
-            # Chains have rank 1..3, and rank 3's fit needs horizon >= 5,
-            # whatever the seed draws.
-            {"command": "kernel", "eigenInstances": 1, "chainInstances": 1, "horizon": 4},
-            {"command": "kernel", "eigenInstances": 0, "chainInstances": 9, "horizon": 0},
-            # Without an operator, criterion runs on lambda B.
-            {"command": "criterion", "pattern": _PREFIX3},
-            {"command": "criterion", "lambda": [0, 1], "pattern": _PREFIX3},
-        ],
-        ids=[
-            "unknown-command",
-            "unimodular-lambda",
-            "unknown-key",
-            "bad-pattern",
-            "missing-pattern",
-            "missing-operator",
-            "missing-preset",
-            "huge-matrix-dim",
-            "zero-radius",
-            "nan-lambda",
-            "nan-tol",
-            "infinite-epsilon",
-            "nan-probe-radius",
-            "nan-eigen-tol",
-            "tol-past-float-range",
-            "fractional-pattern-field",
-            "fractional-power",
-            "boolean-power",
-            "string-split",
-            "unknown-operator-field",
-            "no-criterion-exponents",
-            "net-over-point-cap",
-            "overflowing-probe",
-            "underflowing-probe",
-            "non-finite-report",
-            "overflowing-jordan",
-            "jordan-power-past-float-range",
-            "kernel-smaller-size",
-            "kernel-larger-size",
-            "jordan-other-size",
-            "no-allowed-coordinate",
-            "operator-nested-too-deeply",
-            "jordan-horizon-2",
-            "jordan-horizon-3",
-            "criterion-no-targets",
-            "criterion-zero-target-only",
-            "kernel-horizon-4",
-            "kernel-horizon-0",
-            "criterion-lambda-b-no-lambda",
-            "criterion-lambda-b-unimodular",
-        ],
-    )
+    @pytest.mark.parametrize("data", list(_REJECTED.values()), ids=list(_REJECTED))
     def test_rejected_configs(self, tmp_path, capsys, data, request):
         rc, out = _run(tmp_path, data)
         assert rc == 2
@@ -936,6 +920,7 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(("config error: ", "error: "))
+        assert err.startswith("error: ") == (request.node.callspec.id in _RUN_REJECTIONS)
         if request.node.callspec.id in _REJECTION_TEXT:
             assert err == _REJECTION_TEXT[request.node.callspec.id]
 
@@ -1062,6 +1047,120 @@ class TestConfigErrors:
         assert rc == 2
         assert not (out / "report.json").exists()
         assert capsys.readouterr().err == "config error: certify requires 'lambda'\n"
+
+
+def _never(name):
+    def called(*args, **kwargs):
+        pytest.fail(f"{name} was called")
+
+    return called
+
+
+def _runs_disabled(monkeypatch):
+    """Every command's run fails the test if it is called."""
+    for command, spec in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, command, dataclasses.replace(spec, run=_never(command)))
+
+
+_REFUSED = {name: data for name, data in _REJECTED.items() if name not in _RUN_REJECTIONS}
+
+
+@pytest.mark.parametrize("data", list(_REFUSED.values()), ids=list(_REFUSED))
+def test_from_dict_alone_refuses_each_config_error(data, monkeypatch):
+    _runs_disabled(monkeypatch)
+    with pytest.raises((ConfigError, RecursionError)):
+        ExperimentConfig.from_dict(data)
+
+
+_DIAGONAL = {"kind": "diagonal", "weights": [[2, 0]] * 4}
+_CERTIFY_IDENTITY = (
+    "error: certify reads only lam B and lam B + I off the windows (lam = (2+0j)), not Identity()\n"
+)
+_NOT_A_SHIFT = "error: backsolve needs a (scaled) backward shift, got Diagonal\n"
+_NO_OPERATOR = "config error: probe needs an operator or a lambda\n"
+
+# Refused by the library's own operator test before anything runs, at sizes
+# whose run takes 0.1-0.2 s before it meets the operator.
+_OPERATOR_REFUSALS = {
+    "certify-identity": (
+        {"command": "certify", **_SCALED, "operator": IDENTITY, "targets": 4000},
+        _CERTIFY_IDENTITY,
+    ),
+    "criterion-diagonal": (
+        {
+            "command": "criterion",
+            "pattern": {"kind": "residue", "a": 0, "b": 2},
+            "operator": {"kind": "diagonal", "weights": [[2, 0]] * 64},
+            "targets": 200,
+            "horizon": 200,
+        },
+        _NOT_A_SHIFT,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATOR_REFUSALS))
+def test_an_operator_the_run_cannot_read_is_refused_first(name, tmp_path, capsys, monkeypatch):
+    data, line = _OPERATOR_REFUSALS[name]
+    for stage in ("build_schedule", "check_criterion"):
+        monkeypatch.setattr(cli, stage, _never(stage))
+    rc, out = _run(tmp_path, data)
+    assert (rc, capsys.readouterr().err) == (2, line)
+    assert not out.exists()
+    with pytest.raises(UnsupportedOperator):
+        ExperimentConfig.from_dict(data)
+
+
+# Configs that also hold an error the run would raise: the refusal, decided
+# before the run, is the line printed.
+_TWO_ERRORS = {
+    "probe-resolution-2000": (
+        {"command": "probe", "pattern": _PREFIX3, "resolutionLevel": 2000}, _NO_OPERATOR,
+    ),
+    "probe-prefix-10": ({"command": "probe", "pattern": {"kind": "prefix", "m": 10}}, _NO_OPERATOR),
+    "certify-identity-prefix-6": (
+        {"command": "certify", "lambda": [2, 0], "pattern": {"kind": "prefix", "m": 6},
+         "operator": IDENTITY},
+        _CERTIFY_IDENTITY,
+    ),
+    "criterion-diagonal-horizon-0": (
+        {"command": "criterion", "pattern": _PREFIX3, "operator": _DIAGONAL, "horizon": 0},
+        _NOT_A_SHIFT,
+    ),
+    "criterion-diagonal-resolution-2000": (
+        {"command": "criterion", "pattern": _PREFIX3, "operator": _DIAGONAL,
+         "resolutionLevel": 2000},
+        _NOT_A_SHIFT,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TWO_ERRORS))
+def test_the_refusal_comes_before_the_run_error(name, tmp_path, capsys, monkeypatch):
+    data, line = _TWO_ERRORS[name]
+    _runs_disabled(monkeypatch)
+    rc, out = _run(tmp_path, data)
+    assert (rc, capsys.readouterr().err) == (2, line)
+    assert not out.exists()
+
+
+def test_no_runner_raises_a_config_error():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    runners = [name for name in defs if name.startswith("_run_")]
+    assert len(runners) == len(cli._COMMANDS)
+    for name in [*runners, "default_operator"]:
+        raised = [node.exc for node in ast.walk(defs[name]) if isinstance(node, ast.Raise)]
+        assert not any("ConfigError" in ast.unparse(exc) for exc in raised if exc), name
+    # from_dict compares the command with no command's name.
+    names = {
+        side.value
+        for node in ast.walk(defs["from_dict"])
+        if isinstance(node, ast.Compare)
+        for side in (node.left, *node.comparators)
+        if isinstance(side, ast.Constant)
+    }
+    assert not names & set(cli._COMMANDS)
 
 
 class TestVerdicts:

@@ -5,10 +5,11 @@
 Each tree is a directory holding ``src/orbitlab``.  The configs are every
 preset of either tree, every experiment of this checkout's
 ``perfbench/workloads.py`` at seeds 0-3 (read, never written), the
-``kernel`` sweep of ``kernel_configs``, and the config files named on the
-command line.  Each tree runs them all through
-``orbitlab.cli.main --verbose``, in order, in one fresh interpreter of its
-own, and each run's exit code, stdout, stderr, ``report.json`` and ``table.csv`` are compared.
+``kernel`` sweep of ``kernel_configs``, the refused configs of
+``rejected_configs``, and the config files named on the command line.
+Each tree runs them all through ``orbitlab.cli.main --verbose``, in order,
+in one fresh interpreter of its own, and each run's exit code, stdout,
+stderr, ``report.json`` and ``table.csv`` are compared.
 Output paths are normalised in stdout and stderr.  The name of every
 config whose outputs differ is printed with the parts that differ; the
 exit code is 1 if any differ, 0 if none do, and 2 if a tree cannot run.
@@ -91,6 +92,59 @@ def kernel_configs() -> list[tuple[str, dict]]:
         for (eigen, chain), seeds in sizes
         for seed in seeds
     ]
+
+
+def rejected_configs() -> list[tuple[str, dict]]:
+    """``(name, config)`` for configs that ``cli.main`` refuses before a run
+    starts: each refusal of a command's ``check``, the two operator refusals
+    at sizes whose run takes 0.1-0.2 s, and configs that also hold an error
+    the run would raise, whose refusal is the error reported."""
+    prefix3 = {"kind": "prefix", "m": 3}
+    scaled = {"lambda": [2, 0], "pattern": prefix3}
+    diagonal = {"kind": "diagonal", "weights": [[2, 0]] * 4}
+    not_a_shift = {"command": "criterion", "pattern": prefix3, "operator": diagonal}
+    configs = {
+        "kernel-horizon-4": {"command": "kernel", "chainInstances": 1, "horizon": 4},
+        "kernel-horizon-0": {"command": "kernel", "eigenInstances": 0, "horizon": 0},
+        "criterion-targets-0": {"command": "criterion", **scaled, "targets": 0},
+        "criterion-targets-1": {"command": "criterion", **scaled, "targets": 1},
+        "findim-dim-1": {"command": "findim", "pattern": prefix3, "truncationDim": 1},
+        "findim-dim-13": {"command": "findim", "pattern": prefix3, "truncationDim": 13},
+        "findim-no-allowed-coordinate": {
+            "command": "findim", "pattern": {"kind": "prefix", "m": 4}, "truncationDim": 4,
+        },
+        "jordan-horizon-2": {"command": "jordan", "horizon": 2},
+        "jordan-horizon-3": {"command": "jordan", "horizon": 3},
+        "probe-no-operator": {"command": "probe", "pattern": prefix3},
+        "certify-identity-4000": {
+            "command": "certify", **scaled, "operator": {"kind": "identity"}, "targets": 4000,
+        },
+        "criterion-diagonal-64": {
+            "command": "criterion",
+            "pattern": {"kind": "residue", "a": 0, "b": 2},
+            "operator": {"kind": "diagonal", "weights": [[2, 0]] * 64},
+            "targets": 200,
+            "horizon": 200,
+        },
+        "criterion-zero-factor": {
+            "command": "criterion", **scaled,
+            "operator": {"kind": "scalar", "factor": [0, 0], "of": {"kind": "backwardShift"}},
+        },
+        # Each of these also holds an error that the run would raise.
+        "probe-no-operator-resolution-2000": {
+            "command": "probe", "pattern": prefix3, "resolutionLevel": 2000,
+        },
+        "probe-no-operator-prefix-10": {
+            "command": "probe", "pattern": {"kind": "prefix", "m": 10},
+        },
+        "certify-identity-prefix-6": {
+            "command": "certify", "lambda": [2, 0], "pattern": {"kind": "prefix", "m": 6},
+            "operator": {"kind": "identity"},
+        },
+        "criterion-diagonal-horizon-0": {**not_a_shift, "horizon": 0},
+        "criterion-diagonal-resolution-2000": {**not_a_shift, "resolutionLevel": 2000},
+    }
+    return [(f"rejected/{name}", config) for name, config in configs.items()]
 
 
 def run_tree(jobs_path: str, result_path: str) -> None:
@@ -191,8 +245,9 @@ def main(argv=None) -> int:
         try:
             names = sorted(set(preset_names(parent)) | set(preset_names(change)))
             builtin = [(f"preset/{n}", {"command": "preset", "preset": n}) for n in names]
+            configs = builtin + workload_configs() + kernel_configs() + rejected_configs()
             jobs = []
-            for k, (name, config) in enumerate(builtin + workload_configs() + kernel_configs()):
+            for k, (name, config) in enumerate(configs):
                 path = Path(tmp, f"{k}.json")
                 path.write_text(json.dumps(config))
                 jobs.append((name, str(path)))
