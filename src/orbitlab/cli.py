@@ -676,8 +676,7 @@ def _run_jordan(cfg: ExperimentConfig) -> RunResult:
             y = SeqVec.basis(p - 1)
             worst = 0.0
             power, reached = y, 0  # T^reached y, carried from one n to the next
-            for n in range(p, cfg.horizon + 1):
-                closed = jordan_orbit(op, lam, p, y, n)
+            for n, closed in enumerate(jordan_orbit(op, lam, p, y, cfg.horizon), start=p):
                 power = apply_power(op, n - reached, power)
                 reached = n
                 err = norm(closed - power) / max(norm(power), 1e-30)

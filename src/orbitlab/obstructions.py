@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -107,17 +106,29 @@ def _unreached(orbit: np.ndarray, n_steps: int) -> ValueError | None:
     return None
 
 
-def jordan_orbit(op: FiniteMatrix, lam: complex, p: int, y: SeqVec, n: int) -> SeqVec:
-    """n-th orbit point of a rank-p generalized eigenvector, in closed form.
+def jordan_orbit(
+    op: FiniteMatrix, lam: complex, p: int, y: SeqVec, horizon: int
+) -> list[SeqVec]:
+    """Orbit points T^n y of a rank-p generalized eigenvector, in closed form,
+    for n = p..horizon: the point of power n is item n - p.
 
-    Exact integer binomials carry the combinatorial part; only the powers of
-    ``lam`` and the p matrix applications touch floats.  Requires n >= p and
-    (op - lam)^p y = 0 within ``KERNEL_TOL``.
+    Requires horizon >= p >= 1 and (op - lam)^p y = 0 within ``KERNEL_TOL``.
+    The gate runs once, and the powers T^(p-k) y are built once, for all n.
+    Each point is
+
+        T^n y = sum over k = 1..p of (-1)^(k-1) c(n, k) lam^(n-p+k) T^(p-k) y,
+        c(n, k) = comb(p, k) comb(n, p) k / (n - p + k),
+
+    its terms added in k order onto zeros.  The binomials are exact integers
+    and c(n, k) is their int true division, which rounds correctly to a
+    float, so only the powers of ``lam`` and the p - 1 matrix applications
+    touch floats.  The first n whose point leaves the float range raises
+    ``ArithmeticError``.
     """
     if p < 1:
         raise ValueError("rank p must be >= 1")
-    if n < p:
-        raise ValueError(f"closed form needs n >= p, got n={n}, p={p}")
+    if horizon < p:
+        raise ValueError(f"closed form needs horizon >= p, got horizon={horizon}, p={p}")
     m = op.array
     if not _in_kernel(m, lam, y, p):
         raise NotInGeneralizedKernel(f"(T - lam)^{p} y is not ~ 0")
@@ -127,21 +138,24 @@ def jordan_orbit(op: FiniteMatrix, lam: complex, p: int, y: SeqVec, n: int) -> S
         powers.append(m @ powers[-1])
     # powers[p-k] = T^(p-k) y for k = 1..p
 
-    total = np.zeros(op.dim, dtype=np.complex128)
+    points = []
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, p + 1):
-                coeff = Fraction(math.comb(p, k) * math.comb(n, p) * k, n - p + k)
-                if (k - 1) % 2 == 1:
-                    coeff = -coeff
-                total += float(coeff) * lam ** (n - p + k) * powers[p - k]
-        return SeqVec.from_dense(total)
-    # OverflowError from float(coeff) or lam ** (n - p + k); ValueError from
+            for n in range(p, horizon + 1):
+                total = np.zeros(op.dim, dtype=np.complex128)
+                for k in range(1, p + 1):
+                    coeff = math.comb(p, k) * math.comb(n, p) * k / (n - p + k)
+                    if (k - 1) % 2 == 1:
+                        coeff = -coeff
+                    total += coeff * lam ** (n - p + k) * powers[p - k]
+                points.append(SeqVec.from_dense(total))
+    # OverflowError from the division or lam ** (n - p + k); ValueError from
     # a non-finite entry of the sum.
     except (OverflowError, ValueError) as exc:
         raise ArithmeticError(
             f"jordan_orbit: T^n y is past the float range for lambda = {lam}, p = {p}, n = {n}"
         ) from exc
+    return points
 
 
 # --------------------------------------------------------------------------

@@ -117,10 +117,12 @@ class SeqVec:
 
     @classmethod
     def from_dense(cls, values) -> "SeqVec":
+        """The vector of a 1-D array's entries, cast to complex128, stored
+        and checked as ``_pruned`` stores and checks them."""
         import numpy as np
 
-        arr = np.asarray(values)
-        return cls((i, complex(z)) for i, z in enumerate(arr))
+        arr = np.asarray(values, dtype=np.complex128)
+        return cls._from_canonical(_pruned(dict(enumerate(arr.tolist()))))
 
     def items(self) -> tuple[tuple[int, complex], ...]:
         """Entries sorted by index; the canonical external view."""

@@ -143,6 +143,47 @@ def reference_planted_chain_instance(
     return FiniteMatrix(t), y, lam
 
 
+def reference_from_dense(values):
+    """``SeqVec.from_dense`` as it first built a vector: each entry through
+    ``complex`` and the constructor's checks, one at a time."""
+    return SeqVec((i, complex(z)) for i, z in enumerate(np.asarray(values)))
+
+
+# -- jordan's reference: one power at a time ------------------------------
+# ``jordan_orbit`` as it gave one point per call.  Its points for every n
+# must have these bits and raise these errors.
+
+
+def reference_jordan_orbit(op, lam, p, y, n):
+    """n-th orbit point of a rank-p generalized eigenvector, in closed form,
+    its coefficients exact ``Fraction``s until their float is taken."""
+    if p < 1:
+        raise ValueError("rank p must be >= 1")
+    if n < p:
+        raise ValueError(f"closed form needs n >= p, got n={n}, p={p}")
+    m = op.array
+    if not obstructions._in_kernel(m, lam, y, p):
+        raise NotInGeneralizedKernel(f"(T - lam)^{p} y is not ~ 0")
+
+    powers = [y.to_dense(op.dim)]
+    for _ in range(p - 1):
+        powers.append(m @ powers[-1])
+
+    total = np.zeros(op.dim, dtype=np.complex128)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, p + 1):
+                coeff = Fraction(math.comb(p, k) * math.comb(n, p) * k, n - p + k)
+                if (k - 1) % 2 == 1:
+                    coeff = -coeff
+                total += float(coeff) * lam ** (n - p + k) * powers[p - k]
+        return reference_from_dense(total)
+    except (OverflowError, ValueError) as exc:
+        raise ArithmeticError(
+            f"jordan_orbit: T^n y is past the float range for lambda = {lam}, p = {p}, n = {n}"
+        ) from exc
+
+
 # -- the pairing laws' reference: one instance at a time ----------------
 # The laws as they read one instance before they read chunks.  The stacked
 # laws in ``obstructions`` must give every instance these bits and raise

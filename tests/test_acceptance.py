@@ -139,8 +139,7 @@ class TestAcceptance:
                 block = np.diag(np.full(p, lam)) + np.diag(np.ones(p - 1), 1)
                 op = FiniteMatrix(block.astype(np.complex128))
                 y = SeqVec.basis(p - 1)
-                for n in range(p, 13):
-                    closed = jordan_orbit(op, lam, p, y, n)
+                for n, closed in enumerate(jordan_orbit(op, lam, p, y, 12), start=p):
                     brute = apply_power(op, n, y)
                     rel = norm(closed - brute) / max(1.0, norm(brute))
                     ok = ok and rel <= 1e-10

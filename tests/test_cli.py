@@ -1344,8 +1344,9 @@ class TestRunners:
             {"command": "spectrum", "operator": {"kind": "identity"}, "truncationDim": 4},
             {"obstructions.spectral_dichotomy": 3},
         ),
-        # Cases p = 1..4 at three lambdas, each checked at n = p..12.
-        ({"command": "jordan"}, {"obstructions.jordan_orbit": 126, "seqspace.apply_power": 126}),
+        # Cases p = 1..4 at three lambdas: one closed form for each, checked
+        # by one honest step at each n = p..12.
+        ({"command": "jordan"}, {"obstructions.jordan_orbit": 12, "seqspace.apply_power": 126}),
     ],
     ids=["spectrum", "jordan"],
 )
@@ -1439,9 +1440,10 @@ class TestJordanPastNormOverflow:
         # 1e-6 there, which a norm read as inf would hide as 0.0.
         closed_form = cli.jordan_orbit
 
-        def skewed(op, lam, p, y, n):
-            out = closed_form(op, lam, p, y, n)
-            return out * (1 + 1e-6) if n == bad_n else out
+        def skewed(op, lam, p, y, horizon):
+            points = closed_form(op, lam, p, y, horizon)
+            points[bad_n - p] = points[bad_n - p] * (1 + 1e-6)
+            return points
 
         monkeypatch.setattr(cli, "jordan_orbit", skewed)
         cfg = ExperimentConfig.from_dict({"command": "jordan", "horizon": 700})

@@ -32,7 +32,14 @@ from orbitlab import (
     unit_ball_net,
 )
 from orbitlab import _kernels, cli, obstructions
-from conftest import gate_values, non_finite_error, rand_dense_vec, run_main, spread_matrix
+from conftest import (
+    gate_values,
+    non_finite_error,
+    rand_dense_vec,
+    reference_jordan_orbit,
+    run_main,
+    spread_matrix,
+)
 
 
 def _eigen_law(op, x, y, lam, n_max):
@@ -60,37 +67,97 @@ def _jordan_block(lam, p):
 class TestJordanOrbit:
     def test_rank_one_is_plain_power(self):
         op = FiniteMatrix(np.diag([2.0, 5.0]).astype(np.complex128))
-        for n in range(1, 8):
-            got = jordan_orbit(op, 2.0, 1, SeqVec.basis(0), n)
-            assert got == SeqVec.basis(0, 2.0**n)
+        got = jordan_orbit(op, 2.0, 1, SeqVec.basis(0), 7)
+        assert got == [SeqVec.basis(0, 2.0**n) for n in range(1, 8)]
 
     def test_frozen_two_by_two(self):
         op = _jordan_block(2.0, 2)
         got = jordan_orbit(op, 2.0, 2, SeqVec.basis(1), 3)
-        assert got == SeqVec({0: 12.0, 1: 8.0})
+        assert got == [SeqVec({0: 4.0, 1: 4.0}), SeqVec({0: 12.0, 1: 8.0})]
 
     @pytest.mark.parametrize("lam", [2.0, 0.7 + 0.7j, -1.1])
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_matches_iterated_apply(self, lam, p):
         op = _jordan_block(lam, p)
         y = SeqVec.basis(p - 1)
-        for n in range(p, 13):
+        points = jordan_orbit(op, lam, p, y, 12)
+        assert len(points) == 13 - p
+        for n, got in enumerate(points, start=p):
             expected = apply_power(op, n, y)
-            got = jordan_orbit(op, lam, p, y, n)
             rel = norm(got - expected) / max(1.0, norm(expected))
             assert rel <= 1e-10
 
-    def test_requires_generalized_kernel(self):
+    @pytest.fixture
+    def gate_calls(self, monkeypatch):
+        """The arguments of every ``_in_kernel`` call."""
+        calls, gate = [], obstructions._in_kernel
+        monkeypatch.setattr(
+            obstructions, "_in_kernel", lambda *args: calls.append(args) or gate(*args)
+        )
+        return calls
+
+    def test_requires_generalized_kernel(self, gate_calls):
         op = _jordan_block(2.0, 2)
         with pytest.raises(NotInGeneralizedKernel):
-            jordan_orbit(op, 2.0, 1, SeqVec.basis(1), 3)
+            jordan_orbit(op, 2.0, 1, SeqVec.basis(1), 12)
+        assert len(gate_calls) == 1
+
+    def test_gates_once_for_every_power(self, gate_calls):
+        assert len(jordan_orbit(_jordan_block(2.0, 3), 2.0, 3, SeqVec.basis(2), 40)) == 38
+        assert len(gate_calls) == 1
 
     def test_requires_n_at_least_p(self):
         op = _jordan_block(2.0, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="horizon >= p"):
             jordan_orbit(op, 2.0, 3, SeqVec.basis(2), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rank p"):
             jordan_orbit(op, 2.0, 0, SeqVec.basis(2), 3)
+
+
+def _point_bits(point, dim):
+    return point.to_dense(dim).view(np.uint64).tolist()
+
+
+def _same_as_one_power_at_a_time(lam, p, horizon):
+    op = _jordan_block(lam, p)
+    y = SeqVec.basis(p - 1)
+    points = jordan_orbit(op, lam, p, y, horizon)
+    assert len(points) == horizon - p + 1
+    for n, point in enumerate(points, start=p):
+        assert _point_bits(point, p) == _point_bits(reference_jordan_orbit(op, lam, p, y, n), p)
+
+
+class TestJordanOrbitBits:
+    """Every point of one call has the bits of the closed form taken one
+    power at a time, with ``Fraction`` coefficients (``conftest``)."""
+
+    @pytest.mark.parametrize("lam", cli._JORDAN_LAMBDAS)
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_the_jordan_lambdas(self, lam, p):
+        _same_as_one_power_at_a_time(lam, p, 60)
+
+    @seed(32)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(0.5, 2.5),
+        st.floats(0.0, 2 * math.pi),
+        st.integers(1, 4),
+        st.integers(4, 60),
+    )
+    def test_drawn_lambdas(self, modulus, phase, p, horizon):
+        lam = complex(modulus * math.cos(phase), modulus * math.sin(phase))
+        _same_as_one_power_at_a_time(lam, p, horizon)
+
+    @pytest.mark.parametrize("p, n", [(1, 1024), (2, 1015), (4, 996)])
+    def test_the_first_power_past_the_float_range_is_named(self, p, n):
+        op, y = _jordan_block(2.0, p), SeqVec.basis(p - 1)
+        with pytest.raises(ArithmeticError) as want:
+            reference_jordan_orbit(op, 2.0 + 0j, p, y, n)
+        reference_jordan_orbit(op, 2.0 + 0j, p, y, n - 1)
+        with pytest.raises(ArithmeticError) as got:
+            jordan_orbit(op, 2.0 + 0j, p, y, n + 50)
+        assert str(got.value) == str(want.value)
+        assert type(got.value.__cause__) is type(want.value.__cause__)
 
 
 class TestEigenPairing:

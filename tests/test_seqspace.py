@@ -21,8 +21,8 @@ from orbitlab import (
     norm,
     to_matrix,
 )
-from orbitlab.seqspace import max_or_nan
-from conftest import CountingOp, _plain_power, rand_vec
+from orbitlab.seqspace import PRUNE_MODULUS, max_or_nan
+from conftest import CountingOp, _plain_power, rand_vec, reference_from_dense
 
 finite_complex = st.complex_numbers(
     allow_nan=False, allow_infinity=False, max_magnitude=1e6
@@ -36,11 +36,36 @@ summands = st.one_of(
     st.sampled_from([1.7e308, -1.7e308, 1e308j, 1.2e308 + 1.2e308j, 5e-301, -5e-301j, 0.0]),
 )
 
+# Dense entries: infinite and NaN parts, subnormals, moduli at the pruning
+# modulus, and finite values near 1e308 whose modulus overflows.
+dense_entries = st.one_of(
+    st.builds(complex, st.floats(), st.floats()),
+    st.sampled_from(
+        [
+            PRUNE_MODULUS,
+            math.nextafter(PRUNE_MODULUS, 0.0),
+            -PRUNE_MODULUS * 1j,
+            complex(PRUNE_MODULUS * 0.6, PRUNE_MODULUS * 0.8),
+            5e-324,
+            -5e-324j,
+            2.2e-308 + 1e-310j,
+            1e308 + 1e308j,
+            1.2e308 - 1.2e308j,
+            1.5e308 + 1.5e308j,
+            1.7e308,
+            -1.7e308j,
+            0.0,
+            -0.0,
+            complex(-0.0, -0.0),
+        ]
+    ),
+)
 
-def _built(entries):
-    """``SeqVec(entries)``'s items with their sign bits, or the error it raises."""
+
+def _built(entries, build=SeqVec):
+    """``build(entries)``'s items with their sign bits, or the error it raises."""
     try:
-        return repr(SeqVec(entries).items())
+        return repr(build(entries).items())
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
 
@@ -121,6 +146,22 @@ class TestSeqVec:
         assert SeqVec.from_dense(v.to_dense(5)) == v
         with pytest.raises(DimensionMismatch):
             v.to_dense(3)
+
+    @seed(32)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(dense_entries, max_size=8), st.booleans())
+    def test_from_dense_builds_what_one_entry_at_a_time_builds(self, values, real):
+        arr = np.array(values, dtype=np.complex128)
+        if real:
+            arr = arr.real.copy()
+        assert _built(arr, SeqVec.from_dense) == _built(arr, reference_from_dense)
+
+    def test_from_dense_names_the_first_non_finite_entry(self):
+        arr = np.array([1.5e308 + 1.5e308j, math.inf, math.nan], dtype=np.complex128)
+        with pytest.raises(ValueError, match=r"^non-finite coefficient \(inf\+0j\)$"):
+            SeqVec.from_dense(arr)
+        with pytest.raises(OverflowError):
+            SeqVec.from_dense(arr[:1])
 
     def test_scalar_and_addition(self):
         v = SeqVec({1: 2.0})

@@ -5,8 +5,9 @@
 Each tree is a directory holding ``src/orbitlab``.  The configs are every
 preset of either tree, every experiment of this checkout's
 ``perfbench/workloads.py`` at seeds 0-3 (read, never written), the
-``kernel`` sweep of ``kernel_configs``, the refused configs of
-``rejected_configs``, and the config files named on the command line.
+``kernel`` sweep of ``kernel_configs``, the ``jordan`` horizons of
+``jordan_configs``, the refused configs of ``rejected_configs``, and the
+config files named on the command line.
 Each tree runs them all through ``orbitlab.cli.main --verbose``, in order,
 in one fresh interpreter of its own, and each run's exit code, stdout,
 stderr, ``report.json`` and ``table.csv`` are compared.
@@ -92,6 +93,15 @@ def kernel_configs() -> list[tuple[str, dict]]:
         for (eigen, chain), seeds in sizes
         for seed in seeds
     ]
+
+
+def jordan_configs() -> list[tuple[str, dict]]:
+    """``(name, config)`` for ``jordan`` at horizons 4-40, and at horizons
+    past n = 512, where the lambda = 2 orbit's squared norms overflow, and
+    about the powers where its closed form leaves the float range: from
+    horizon 996 each run stops at its first such power, with an error."""
+    horizons = [*range(4, 41), 512, 513, 700, 996, 1000, 1015, 1023, 1024, 1100]
+    return [(f"jordan/h{h}", {"command": "jordan", "horizon": h}) for h in horizons]
 
 
 def rejected_configs() -> list[tuple[str, dict]]:
@@ -245,7 +255,8 @@ def main(argv=None) -> int:
         try:
             names = sorted(set(preset_names(parent)) | set(preset_names(change)))
             builtin = [(f"preset/{n}", {"command": "preset", "preset": n}) for n in names]
-            configs = builtin + workload_configs() + kernel_configs() + rejected_configs()
+            configs = builtin + workload_configs() + kernel_configs() + jordan_configs()
+            configs += rejected_configs()
             jobs = []
             for k, (name, config) in enumerate(configs):
                 path = Path(tmp, f"{k}.json")
