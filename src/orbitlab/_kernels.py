@@ -140,10 +140,13 @@ def uncovered_count(targets, points, eps):
     and such targets are never covered.
 
     The points are sorted by norm and the targets are taken in norm-sorted
-    blocks of ``_TARGET_BLOCK``; ``searchsorted`` finds each block's band of
-    points, which is scanned in chunks of at most ``_BLOCK`` pairs.  Covered
-    targets are dropped after each chunk, and a block ends once none of its
-    targets is left.
+    blocks of ``_TARGET_BLOCK``; ``searchsorted`` finds each target's band
+    of points, and a block scans the union of its targets' bands in chunks
+    of at most ``_BLOCK`` pairs.  Covered targets are dropped after each
+    chunk, and the scan range then shrinks to the union of the remaining
+    targets' bands: the bands' edges rise with the norm, so that is the
+    first remaining target's lower edge to the last one's upper edge.  A
+    block ends once none of its targets is left, or its range is scanned.
     """
     t = _real_rows(targets)
     p = _real_rows(points)
@@ -166,7 +169,8 @@ def uncovered_count(targets, points, eps):
         for first in range(0, t.shape[0], _TARGET_BLOCK):
             last = min(first + _TARGET_BLOCK, t.shape[0])
             bt, btn = t[first:last], tn[first:last]
-            start, end = int(lo[first]), int(hi[last - 1])
+            blo, bhi = lo[first:last], hi[first:last]
+            start, end = int(blo[0]), int(bhi[-1])
             while start < end and bt.shape[0]:
                 # |p - t|^2 expanded as ||p||^2 + ||t||^2 - 2 Re <p, t>
                 stop = min(end, start + max(1, _BLOCK // bt.shape[0]))
@@ -175,9 +179,12 @@ def uncovered_count(targets, points, eps):
                 d2 = np.add.outer(pn[start:stop], btn)
                 d2 -= cross
                 hit = (d2 <= eps2).any(axis=0)
-                if hit.any():
-                    bt, btn = bt[~hit], btn[~hit]
                 start = stop
+                if hit.any():
+                    keep = ~hit
+                    bt, btn, blo, bhi = bt[keep], btn[keep], blo[keep], bhi[keep]
+                    if bt.shape[0]:
+                        start, end = max(stop, int(blo[0])), int(bhi[-1])
             uncovered += bt.shape[0]
     return uncovered
 

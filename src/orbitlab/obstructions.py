@@ -545,7 +545,11 @@ def unit_ball_net(pattern: ZeroPattern, support_bound: int, net_level: int) -> n
     """The ``dyadic_net`` that ``density_defect`` covers, as dense rows of
     width ``support_bound``."""
     net = dyadic_net(pattern, support_bound, net_level)
-    return np.array([v.to_dense(support_bound) for v in net], dtype=np.complex128)
+    rows = [r for r, v in enumerate(net) for _ in v._entries]
+    cols = [i for v in net for i in v._entries]
+    out = np.zeros((len(net), support_bound), dtype=np.complex128)
+    out[rows, cols] = [z for v in net for z in v._entries.values()]
+    return out
 
 
 def density_defect(

@@ -370,11 +370,11 @@ class DirectSum:
 
     def apply(self, vec: SeqVec) -> SeqVec:
         s = self.split_index
-        left_in = SeqVec((i, z) for i, z in vec.items() if i < s)
-        right_in = SeqVec((i - s, z) for i, z in vec.items() if i >= s)
-        out = [(i, z) for i, z in self.left.apply(left_in).items() if i < s]
-        out.extend((i + s, z) for i, z in self.right.apply(right_in).items())
-        return SeqVec(out)
+        left_in = SeqVec._from_canonical({i: z for i, z in vec.items() if i < s})
+        right_in = SeqVec._from_canonical({i - s: z for i, z in vec.items() if i >= s})
+        out = {i: z for i, z in self.left.apply(left_in).items() if i < s}
+        out.update((i + s, z) for i, z in self.right.apply(right_in).items())
+        return SeqVec._from_canonical(out)
 
 
 @dataclass(frozen=True, eq=False)

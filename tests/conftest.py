@@ -149,6 +149,21 @@ def reference_from_dense(values):
     return SeqVec((i, complex(z)) for i, z in enumerate(np.asarray(values)))
 
 
+def reference_apply(op, vec):
+    """``op.apply`` with every ``DirectSum`` in it, at any depth, building its
+    inputs and its output through the checking ``SeqVec`` constructor."""
+    if type(op) is DirectSum:
+        s = op.split_index
+        left_in = SeqVec((i, z) for i, z in vec.items() if i < s)
+        right_in = SeqVec((i - s, z) for i, z in vec.items() if i >= s)
+        out = [(i, z) for i, z in reference_apply(op.left, left_in).items() if i < s]
+        out.extend((i + s, z) for i, z in reference_apply(op.right, right_in).items())
+        return SeqVec(out)
+    if type(op) is ScalarMultiple:
+        return reference_apply(op.operand, vec) * op.factor
+    return op.apply(vec)
+
+
 # -- jordan's reference: one power at a time ------------------------------
 # ``jordan_orbit`` as it gave one point per call.  Its points for every n
 # must have these bits and raise these errors.

@@ -469,6 +469,20 @@ def _radial(targets, offsets):
     return np.concatenate([targets * ((norms + d) / norms)[:, None] for d in offsets])
 
 
+def _directions(rng, count, dim):
+    rows = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+def _findim_shaped(rng, dim=4):
+    """``findim``'s shape: the net's zero target sorted first into a block
+    of 63 targets of norm 0.5, against a contracting orbit's cloud of 3,000
+    points of norm 1e-3 down to 1e-300 and 30 larger ones, up to norm 1.2."""
+    targets = np.concatenate([np.zeros((1, dim)), 0.5 * _directions(rng, 63, dim)])
+    norms = np.concatenate([np.geomspace(1e-3, 1e-300, 3000), np.geomspace(1.2, 1e-3, 30, False)])
+    return targets, norms[:, None] * _directions(rng, norms.size, dim)
+
+
 @pytest.mark.usefixtures("chunks")
 class TestUncoveredCountBand:
     """The norm band leaves out only pairs the expanded test rejects: the
@@ -544,3 +558,82 @@ class TestUncoveredCountBand:
                 assert _kernels.uncovered_count(targets, points, eps) == _unbanded_uncovered(
                     targets, points, eps
                 )
+
+    def test_zero_target_in_a_block_of_half_norm_targets(self, rng):
+        targets, points = _findim_shaped(rng)
+        for eps in (0.05, 0.1, 0.3, 0.5, 0.6):
+            got = _kernels.uncovered_count(targets, points, eps)
+            assert got == _unbanded_uncovered(targets, points, eps)
+
+    def test_eps_sweep_covers_a_block_part_way_through_its_band(self, rng):
+        # Targets at norms 0..2 with points next to every third one and a
+        # cloud near zero: each eps covers some of a block's targets in one
+        # chunk and leaves the rest to later chunks, past gaps in the bands.
+        targets = np.linspace(0.0, 2.0, 150)[:, None] * _directions(rng, 150, 3)
+        near = targets[::3] + 0.2 * _directions(rng, 50, 3) * rng.uniform(0, 1, (50, 1))
+        tiny = np.geomspace(1e-2, 1e-200, 400)[:, None] * _directions(rng, 400, 3)
+        points = np.concatenate([near, tiny, 2.5 * _directions(rng, 20, 3)])
+        counts = []
+        for eps in (0.01, 0.03, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 1.0, 1.5):
+            got = _kernels.uncovered_count(targets, points, eps)
+            assert got == _unbanded_uncovered(targets, points, eps)
+            counts.append(got)
+        assert counts == sorted(counts, reverse=True)
+        assert sum(0 < c < len(targets) for c in counts) >= 6  # covered part way
+
+    def test_staircase_of_bands(self):
+        # Targets at norms 1..64 on one axis, each behind 20 points of norm
+        # 0.1 less on the other axis that cover nothing, and covered by a
+        # point at its norm (every target, or every other one).  A chunk
+        # covers some of a block's targets, and the others are covered
+        # further up the block's band.
+        norms = np.arange(1.0, 65.0)
+        targets = np.zeros((64, 2), dtype=np.complex128)
+        targets[:, 0] = norms
+        fillers = np.zeros((64 * 20, 2), dtype=np.complex128)
+        fillers[:, 1] = np.repeat(norms - 0.1, 20)
+        for covers, eps, want in (
+            (targets, 0.5, 0),
+            (targets[::2], 0.5, 32),
+            (targets[::2], 0.9, 32),
+            (targets[::2], 1.0, 0),
+        ):
+            points = np.concatenate([fillers, covers])
+            assert _kernels.uncovered_count(targets, points, eps) == want
+            assert _unbanded_uncovered(targets, points, eps) == want
+
+    def test_log_uniform_clouds(self, rng):
+        for _ in range(40):
+            dim = int(rng.integers(1, 9))
+            targets = 10.0 ** rng.uniform(-300, 0.5, (int(rng.integers(1, 200)), 1))
+            points = 10.0 ** rng.uniform(-300, 0.5, (int(rng.integers(1, 600)), 1))
+            targets = targets * _directions(rng, targets.shape[0], dim)
+            points = points * _directions(rng, points.shape[0], dim)
+            targets[rng.uniform(size=targets.shape[0]) < 0.05] = 0.0
+            eps = 10.0 ** rng.uniform(-3, 0.3)
+            got = _kernels.uncovered_count(targets, points, eps)
+            assert got == _unbanded_uncovered(targets, points, eps)
+
+
+def test_the_scan_follows_the_remaining_targets_bands(rng, monkeypatch):
+    # Once the zero target is covered, only the band of the norm-0.5
+    # targets is scanned, not the block's band from norm 0 up.
+    targets, points = _findim_shaped(rng)
+    rows = []
+    cross = _kernels._cross
+
+    def counting_cross(a, b):
+        rows.append(a.shape[0])
+        return cross(a, b)
+
+    monkeypatch.setattr(_kernels, "_cross", counting_cross)
+    eps = 0.1
+    assert _kernels.uncovered_count(targets, points, eps) == _unbanded_uncovered(
+        targets, points, eps
+    )
+    norms = np.linalg.norm(points, axis=1)
+    first_chunk = _kernels._BLOCK // len(targets)
+    in_band = np.count_nonzero(np.abs(norms - 0.5) <= 1.01 * eps)
+    block_band = np.count_nonzero(norms <= 0.5 + 1.01 * eps)
+    assert sum(rows) <= first_chunk + in_band
+    assert 4 * (first_chunk + in_band) < block_band

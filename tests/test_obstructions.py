@@ -13,7 +13,9 @@ from orbitlab import (
     NotEigenvector,
     NotInGeneralizedKernel,
     PrefixZero,
+    ResidueZero,
     SeqVec,
+    SupportIn,
     apply_power,
     compression_orbit_check,
     density_defect,
@@ -625,6 +627,26 @@ class TestDensityDefect:
         sparse = dyadic_net(PrefixZero(1), 3, 1)
         assert net.shape == (len(sparse), 3)
         assert all(SeqVec.from_dense(row) == v for row, v in zip(net, sparse))
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize(
+        "pattern, support_bound",
+        [
+            (PrefixZero(1), 4),
+            (ResidueZero(0, 2), 4),
+            (SupportIn(2), 4),  # the last allowed index is 2
+            (ResidueZero(0, 2), 5),  # 3
+            (SupportIn(3), 7),  # 6
+            (SupportIn(4), 7),  # 4
+        ],
+        ids=repr,
+    )
+    def test_unit_ball_net_has_the_bits_of_dense_rows(self, pattern, support_bound, level):
+        net = unit_ball_net(pattern, support_bound, level)
+        sparse = dyadic_net(pattern, support_bound, level)
+        rows = np.array([v.to_dense(support_bound) for v in sparse], dtype=np.complex128)
+        assert net.dtype == np.complex128 and net.shape == rows.shape
+        assert np.array_equal(net.view(np.uint64), rows.view(np.uint64))
 
     @pytest.mark.parametrize("width", [2, 5])
     def test_given_net_matches_built_net(self, rng, width):

@@ -21,8 +21,9 @@ from orbitlab import (
     norm,
     to_matrix,
 )
+from orbitlab.errors import OrbitlabError
 from orbitlab.seqspace import PRUNE_MODULUS, max_or_nan
-from conftest import CountingOp, _plain_power, rand_vec, reference_from_dense
+from conftest import CountingOp, _plain_power, rand_vec, reference_apply, reference_from_dense
 
 finite_complex = st.complex_numbers(
     allow_nan=False, allow_infinity=False, max_magnitude=1e6
@@ -60,6 +61,43 @@ dense_entries = st.one_of(
         ]
     ),
 )
+
+
+# Operators for ``DirectSum``: left blocks that push past the split (forward
+# shifts, matrices wider than it), matrices too narrow for their input,
+# factors whose products overflow or fall below the pruning modulus, and
+# nested sums.
+_factors = st.sampled_from([2.0, -0.5, 1j, 0.75 - 0.25j, 0.0, 1e300, 1e-300, 1.5e308])
+_matrices = st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.lists(_factors, min_size=d, max_size=d), min_size=d, max_size=d)
+).map(FiniteMatrix)
+_operators = st.recursive(
+    st.one_of(
+        st.builds(ForwardShift, st.integers(1, 4)),
+        st.builds(BackwardShift, st.integers(1, 3)),
+        st.just(Identity()),
+        st.builds(Diagonal, st.lists(_factors, max_size=6).map(tuple)),
+        _matrices,
+    ),
+    lambda kids: st.one_of(
+        st.builds(ScalarMultiple, _factors, kids),
+        st.builds(DirectSum, kids, kids, st.integers(1, 6)),
+    ),
+    max_leaves=5,
+)
+_sum_inputs = st.dictionaries(
+    st.integers(0, 12), st.one_of(finite_complex, st.sampled_from([1e308, -1e-299j])), max_size=8
+).map(SeqVec)
+
+
+def _stored(fn):
+    """The entries ``fn()`` stores, in their order and with their bits, or the
+    type and message of the error it raises."""
+    try:
+        vec = fn()
+    except (OrbitlabError, ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [(i, z.real.hex(), z.imag.hex()) for i, z in vec._entries.items()]
 
 
 def _built(entries, build=SeqVec):
@@ -221,6 +259,13 @@ class TestOtherKinds:
         op = DirectSum(ForwardShift(1), Identity(), 2)
         out = op.apply(SeqVec({0: 1.0, 1: 1.0}))
         assert out == SeqVec({1: 1.0})
+
+    @seed(37)
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(DirectSum, _operators, _operators, st.integers(1, 8)), _sum_inputs)
+    def test_direct_sum_stores_what_the_checking_constructor_stores(self, op, vec):
+        with np.errstate(over="ignore", invalid="ignore"):  # in FiniteMatrix products
+            assert _stored(lambda: op.apply(vec)) == _stored(lambda: reference_apply(op, vec))
 
     def test_finite_matrix_matches_numpy(self, rng):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

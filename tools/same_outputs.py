@@ -6,8 +6,9 @@ Each tree is a directory holding ``src/orbitlab``.  The configs are every
 preset of either tree, every experiment of this checkout's
 ``perfbench/workloads.py`` at seeds 0-3 (read, never written), the
 ``kernel`` sweep of ``kernel_configs``, the ``jordan`` horizons of
-``jordan_configs``, the refused configs of ``rejected_configs``, and the
-config files named on the command line.
+``jordan_configs``, the ``findim`` grid of ``findim_configs``, the refused
+configs of ``rejected_configs``, and the config files named on the command
+line.
 Each tree runs them all through ``orbitlab.cli.main --verbose``, in order,
 in one fresh interpreter of its own, and each run's exit code, stdout,
 stderr, ``report.json`` and ``table.csv`` are compared.
@@ -102,6 +103,38 @@ def jordan_configs() -> list[tuple[str, dict]]:
     horizon 996 each run stops at its first such power, with an error."""
     horizons = [*range(4, 41), 512, 513, 700, 996, 1000, 1015, 1023, 1024, 1100]
     return [(f"jordan/h{h}", {"command": "jordan", "horizon": h}) for h in horizons]
+
+
+def findim_configs() -> list[tuple[str, dict]]:
+    """``(name, config)`` for ``findim`` at dimensions 2, 4, 8 and 12, on
+    prefix, residue and ``supportIn`` patterns, at net levels 1 and 2 and
+    epsilon 0.05-1.0, each at one of the seeds 0-3 in turn.  The nets have
+    2 or 3 allowed coordinates (89 to 1,281 points), and the orbits 1,001
+    rows, most of them near zero."""
+    patterns = [
+        ({"kind": "prefix", "m": 1}, {1: 4, 2: 3}),  # supportBound by net level
+        ({"kind": "residue", "a": 0, "b": 2}, {1: 4, 2: 4}),
+        ({"kind": "supportIn", "b": 2}, {1: 4, 2: 4}),
+    ]
+    configs = []
+    for dim in (2, 4, 8, 12):
+        for pattern, bounds in patterns:
+            for level in (1, 2):
+                for eps in (0.05, 0.1, 0.3, 0.6, 1.0):
+                    seed = len(configs) % len(SEEDS)
+                    name = f"findim/d{dim}-{pattern['kind']}-l{level}-e{eps}@seed{seed}"
+                    configs.append((name, {
+                        "command": "findim",
+                        "pattern": pattern,
+                        "truncationDim": dim,
+                        "supportBound": bounds[level],
+                        "horizon": 1000,
+                        "netLevel": level,
+                        "epsilon": eps,
+                        "trials": 2,
+                        "seed": seed,
+                    }))
+    return configs
 
 
 def rejected_configs() -> list[tuple[str, dict]]:
@@ -256,7 +289,7 @@ def main(argv=None) -> int:
             names = sorted(set(preset_names(parent)) | set(preset_names(change)))
             builtin = [(f"preset/{n}", {"command": "preset", "preset": n}) for n in names]
             configs = builtin + workload_configs() + kernel_configs() + jordan_configs()
-            configs += rejected_configs()
+            configs += findim_configs() + rejected_configs()
             jobs = []
             for k, (name, config) in enumerate(configs):
                 path = Path(tmp, f"{k}.json")
