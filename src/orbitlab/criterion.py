@@ -12,10 +12,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import UnsupportedOperator
 from .seqspace import (
+    _RESCALE_BELOW,
     PRUNE_MODULUS,
     ForwardShift,
     Operator,
@@ -29,6 +30,7 @@ from .seqspace import (
 )
 from .subspace import (
     ZeroPattern,
+    allowed_indices,
     dyadic_net,
     invariance_check,  # unused here, but perfbench's tracer wraps this binding
     invariance_scan,
@@ -243,6 +245,13 @@ def transitivity_probe(
 
     Membership and the V-ball do not depend on n, so the grid candidates
     are filtered once and, since T^0 = I, tried as they are for n = 0.
+    That screen works per entry (``_grid_screen``): each entry of a
+    candidate, and its terms in the two distances, depend only on its
+    index and grid value, so each is computed once per call.  When some
+    such value leaves the plain float range, the screen gives way to one
+    that builds and measures every candidate; either way the bits, the
+    first hit and the first error are the same.
+
     Each survivor's image is then carried from one invariant power to the
     next.  Within a power the survivors are tried in grid order and the
     preimage last, so the first hit, and any error an image raises, come
@@ -254,27 +263,36 @@ def transitivity_probe(
     would, and is tried first.  So an image equal to an earlier one is
     tried at the power that made it, and dropped before the next.
     """
-    if u_radius <= 0 or v_radius <= 0:
-        raise ValueError("ball radii must be positive")
+    if not (0 < u_radius < math.inf and 0 < v_radius < math.inf):
+        raise ValueError("ball radii must be finite and positive")
     if not (is_member(u_center, pattern) and is_member(v_center, pattern)):
         raise ValueError("ball centers must lie in the subspace")
 
-    grid = [t * v_radius for t in dyadic_net(pattern, grid_support, grid_level)]
+    net = dyadic_net(pattern, grid_support, grid_level)
     parts = _scaled_shift_parts(op)
     scale = _shift_scale(parts)
 
     def hits(image: SeqVec) -> bool:
         return is_member(image, pattern) and distance(image, u_center) < u_radius
 
-    # Images at power ``reached`` of the grid candidates in the V-ball.  Each
-    # is a member: v_center is, grid points lie on allowed indices, and a
-    # sum only prunes.
+    # (candidate, its distance to u_center) for each grid candidate in the
+    # V-ball.  Each candidate is a member: v_center is, grid points lie on
+    # allowed indices, and a sum only prunes.
+    screened = _grid_screen(
+        net, allowed_indices(pattern, grid_support), u_center, v_center, v_radius
+    )
+    if screened is None:
+        grid = [t * v_radius for t in net]
+        screened = (
+            (w, distance(w, u_center))
+            for w in [v_center + g for g in grid]
+            if distance(w, v_center) < v_radius
+        )
     survivors: list[SeqVec] = []
-    for w in [v_center + g for g in grid]:
-        if distance(w, v_center) < v_radius:
-            if hits(w):
-                return 0
-            survivors.append(w)
+    for w, to_u in screened:
+        if to_u < u_radius:
+            return 0
+        survivors.append(w)
     v_image, reached = v_center, 0
     powers = range(1, horizon + 1)
     for n, invariant in zip(powers, invariance_scan(op, pattern, powers, dim)):
@@ -299,6 +317,138 @@ def transitivity_probe(
         ):
             return n
     return None
+
+
+# A stored entry of modulus at least this has a square term of about 2**-999
+# or more, so the root of a sum of such terms is at least about 2**-499.5,
+# clear of ``_root_sum_squares``' rescaled branch below 2**-500.
+_PLAIN_BELOW = 2.0 * _RESCALE_BELOW
+
+
+def _grid_screen(
+    net: list[SeqVec],
+    allowed: list[int],
+    u_center: SeqVec,
+    v_center: SeqVec,
+    v_radius: float,
+) -> Iterator[tuple[SeqVec, float]] | None:
+    """``(w, distance(w, u_center))`` for each w = v_center + t v_radius, t in
+    ``net``, with ``distance(w, v_center) < v_radius``, in net order; or
+    ``None`` when an entry leaves the plain float range.
+
+    Entry i of w, and its terms in the two distances, depend only on i and
+    t's value there (0 where t has none), so each is computed once per
+    distinct pair, by the float operations of ``SeqVec``'s ``*`` and ``+``
+    and of ``distance``.  A distance is then the root of the exact sum of a
+    candidate's terms: ``fsum`` rounds that sum once, so their order cannot
+    change a bit.  That holds while no product, sum or difference overflows
+    or is not finite, no difference lies below ``_PLAIN_BELOW`` and no
+    distance reaches inf.  The distinct values decide it before any
+    candidate is tested; when it fails, the caller builds and measures
+    every candidate, and so raises what that raises.  Each w is stored as
+    ``+`` stores it: v_center's keys, then the new ones in index order.
+    """
+    r = complex(v_radius)
+    vc, uc = v_center._entries, u_center._entries
+    # Per allowed index: grid value -> (w's entry or None, term against
+    # v_center, term against u_center).
+    tables: list[tuple[int, dict]] = [(i, {}) for i in allowed]
+    for t in net:
+        entries = t._entries
+        for i, table in tables:
+            g = entries.get(i, 0j)
+            if g not in table:
+                table[g] = _grid_entry(g * r, vc.get(i), uc.get(i))
+                if table[g] is None:
+                    return None
+    # Off the grid, w keeps v_center's entry: no term against it.
+    u_fixed = [
+        _plain_term(_difference_entry(vc.get(i), uc.get(i)))
+        for i in (vc.keys() | uc.keys()).difference(allowed)
+    ]
+    if None in u_fixed:
+        return None
+    # A candidate's sum of terms is at most the sum of each index's largest
+    # term: while that is finite, no distance reaches inf.
+    try:
+        top_v = math.fsum(max(e[1] for e in table.values()) for _, table in tables)
+        top_u = math.fsum(u_fixed + [max(e[2] for e in table.values()) for _, table in tables])
+    except OverflowError:  # partial sums past the float range
+        return None
+    if not (top_v < math.inf and top_u < math.inf):
+        return None
+
+    def screened():
+        for t in net:
+            entries = t._entries
+            cached = [table[entries.get(i, 0j)] for i, table in tables]
+            if math.sqrt(math.fsum([e[1] for e in cached])) < v_radius:
+                w = dict(vc)
+                for i, (z, _, _) in zip(allowed, cached):
+                    if z is None:
+                        w.pop(i, None)
+                    else:
+                        w[i] = z
+                to_u = math.sqrt(math.fsum(u_fixed + [e[2] for e in cached]))
+                yield SeqVec._from_canonical(w), to_u
+
+    return screened()
+
+
+def _grid_entry(
+    product: complex, v: complex | None, u: complex | None
+) -> tuple[complex | None, float, float] | None:
+    """``(w, v_term, u_term)`` at an index where the centers hold ``v`` and
+    ``u`` and the scaled grid point ``product``: w is the candidate's
+    entry, as ``v_center + grid`` stores it, and the terms are its
+    differences' (``_plain_term``); ``None`` outside the plain range."""
+    a = _modulus(product)
+    if a < PRUNE_MODULUS:
+        w = v
+    elif a < math.inf:
+        w = (0j if v is None else v) + product
+        a = _modulus(w)
+        if not a < math.inf:
+            return None
+        if a < PRUNE_MODULUS:
+            w = None
+    else:
+        return None
+    v_term = _plain_term(_difference_entry(w, v))
+    u_term = _plain_term(_difference_entry(w, u))
+    if v_term is None or u_term is None:
+        return None
+    return w, v_term, u_term
+
+
+def _difference_entry(w: complex | None, c: complex | None) -> complex | None:
+    """The entry ``_difference`` makes of entries ``w`` and ``c`` at one
+    index, ``None`` standing for no entry."""
+    if w is None:
+        return None if c is None else 0j - c
+    return w if c is None else w - c
+
+
+def _plain_term(z: complex | None) -> float | None:
+    """``z``'s term in ``_root_sum_squares`` after ``_pruned``: 0.0 for no
+    entry or a pruned one, ``None`` for a modulus that overflows, is not
+    finite or lies below ``_PLAIN_BELOW``."""
+    if z is None:
+        return 0.0
+    a = _modulus(z)
+    if a < PRUNE_MODULUS:
+        return 0.0
+    if not _PLAIN_BELOW <= a < math.inf:
+        return None
+    return z.real * z.real + z.imag * z.imag  # _root_sum_squares' expression
+
+
+def _modulus(z: complex) -> float:
+    """``abs(z)``, or inf where it overflows."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 # 2**996 is about 1e300.  A chain of products whose exact moduli stay below

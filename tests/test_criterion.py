@@ -317,6 +317,23 @@ class TestTransitivityProbe:
                 dim=32,
             )
 
+    @pytest.mark.parametrize("side", ["u", "v"])
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -0.25, 0.0])
+    def test_rejects_radii_that_are_not_finite_and_positive(self, side, radius):
+        # With both radii 0.25 the probe hits at n = 2.  A NaN U-radius
+        # used to miss every candidate and return None, and an infinite
+        # V-radius to fail in the grid's scaling.
+        spec = DenseFamilySpec(ResidueZero(0, 2), 8, 1)
+        u, v = dense_family(spec, 17), dense_family(spec, 2)
+
+        def probe(u_radius, v_radius):
+            args = (u, u_radius, v, v_radius, 4, 16, 2, 4)
+            return transitivity_probe(DOUBLING, ResidueZero(0, 2), *args)
+
+        assert probe(0.25, 0.25) == 2
+        with pytest.raises(ValueError, match="^ball radii must be finite and positive$"):
+            probe(*((radius, 0.25) if side == "u" else (0.25, radius)))
+
 
 class TestRecognisedOnce:
     """The operator is recognised as lam B^b once per call, not once per

@@ -93,6 +93,7 @@ def test_a_planted_difference_is_reported(tmp_path):
     assert not any(line.split(": ")[0] in unreported for line in lines)
     assert "jordan/h40: stdout, report.json" in lines
     assert sum(line.startswith("findim/") for line in lines) == 120
+    assert sum(line.startswith("probe/") for line in lines) == 48
     differ, total = int(got.stderr.split()[0]), int(got.stderr.split()[2])
     assert differ == len(lines) == total - len(unreported)
 

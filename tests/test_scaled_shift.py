@@ -4,8 +4,8 @@
 index arithmetic plus one value trajectory per entry, and steps a direct
 sum honestly, whatever its blocks; ``invariance_scan``
 runs one trajectory that all basis vectors share; ``transitivity_probe``
-filters its grid once, carries the survivors' images, applies one survivor
-per kept part and drops the copies;
+screens its grid once from per-entry terms, carries the survivors' images,
+applies one survivor per kept part and drops the copies;
 and condition II of ``check_criterion`` reads its norms off each entry's
 value trajectory.  These tests
 compare them with plain loops of ``op.apply`` (``conftest._plain_power``),
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from orbitlab import (
@@ -40,6 +40,7 @@ from orbitlab import (
     apply_power,
     check_criterion,
     dense_family,
+    distance,
     dyadic_net,
     invariance_check,
     invariance_scan,
@@ -357,8 +358,8 @@ probe_ops = st.one_of(
     patterns,
     vectors,
     vectors,
-    st.sampled_from([0.25, 1.0, 3.0]),
-    st.sampled_from([0.5, 1.0, 2.5]),
+    st.sampled_from([0.25, 1.0, 3.0, 1e-310, 2.0**-499, 1e-160, 1e154, 1e300, 1.7e308]),
+    st.sampled_from([0.5, 1.0, 2.5, 1e-310, 2.0**-499, 2.0**-497, 1e-160, 1e300, 1.7e308]),
     st.integers(0, 8),
     st.integers(0, 16),
     st.sampled_from([(0, 1), (0, 3), (1, 2)]),
@@ -528,6 +529,178 @@ def test_probe_grouping_boundaries_match_scratch(
     args = (op, pattern, u_center, 0.25, v_center, v_radius, 6, dim)
     found = _outcome(lambda: transitivity_probe(*args, *grid))
     assert found == _outcome(lambda: _scratch_probe(*args, grid)) == expected
+
+
+def _stored(vec):
+    """Stored entries in insertion order, with their exact bits."""
+    return [(i, z.real.hex(), z.imag.hex()) for i, z in vec._entries.items()]
+
+
+def _screened(screen):
+    return [(_stored(w), to_u.hex()) for w, to_u in screen]
+
+
+def _built(net, u_center, v_center, v_radius):
+    """What ``criterion._grid_screen`` yields, from the candidates
+    v_center + t v_radius themselves."""
+    return [
+        (_stored(w), distance(w, u_center).hex())
+        for w in [v_center + t * v_radius for t in net]
+        if distance(w, v_center) < v_radius
+    ]
+
+
+_DOUBLING = ScalarMultiple(2.0, BackwardShift(1))
+
+
+@pytest.mark.parametrize(
+    "op, u_center, u_radius, v_center, v_radius, grid, fallback, expected",
+    [
+        # Adding the grid to v_center overflows before the zero point, which
+        # lies on the U-center, is tested.
+        (
+            _DOUBLING,
+            SeqVec({1: 1e308}),
+            0.25,
+            SeqVec({1: 1e308}),
+            1.7e308,
+            (1, 4),
+            True,
+            (OverflowError, "absolute value too large"),
+        ),
+        # The grid value 0.5 cancels v_center's entry to 0, and the candidate
+        # {3: 0.5} is the U-center.
+        (_DOUBLING, SeqVec({3: 0.5}), 0.1, SeqVec({1: -0.5}), 1.0, (1, 4), False, 0),
+        # {1: 1.0} is at distance exactly 1.0 from v_center: outside the open
+        # V-ball, though it is the U-center.
+        (Identity(), SeqVec({1: 1.0}), 0.25, SeqVec(), 1.0, (1, 4), False, None),
+        # Every scaled grid value prunes, so every candidate is v_center.
+        (
+            _DOUBLING,
+            SeqVec({1: 0.5}),
+            0.25,
+            SeqVec({1: -1 - 0.5j}),
+            1e-310,
+            (2, 4),
+            False,
+            None,
+        ),
+        # Differences of modulus 2**-500 against v_center, next to the
+        # rescaled sum, and 2**-498, clear of it.
+        (_DOUBLING, SeqVec({1: 2.0**-499}), 2.0**-500, SeqVec(), 2.0**-499, (1, 4), True, 2),
+        (_DOUBLING, SeqVec({1: 2.0**-497}), 2.0**-498, SeqVec(), 2.0**-497, (1, 4), False, 2),
+        # Distances to the U-center whose squares all underflow: summed
+        # unscaled, they would read 0 and hit at n = 0.
+        (Identity(), SeqVec({1: 3e-170}), 1e-171, SeqVec({1: 1e-170}), 1e-170, (1, 4), True, None),
+        # Squares of 1.44e308 each: their sum overflows, and the distance,
+        # 1.697e154 once rescaled, puts v_center in the U-ball.
+        (
+            _DOUBLING,
+            SeqVec({1: 1.2e154, 3: 1.2e154}),
+            1.7e154,
+            SeqVec(),
+            0.25,
+            (1, 4),
+            True,
+            0,
+        ),
+        # The difference to the U-center overflows in the first hit test.
+        (
+            _DOUBLING,
+            SeqVec({1: -1e308}),
+            0.25,
+            SeqVec({1: 1e308}),
+            0.25,
+            (1, 4),
+            True,
+            (ValueError, "non-finite coefficient (inf+0j)"),
+        ),
+    ],
+    ids=[
+        "add-overflows-before-a-hit",
+        "cancels-to-zero",
+        "on-the-sphere",
+        "every-product-prunes",
+        "radius-2**-499",
+        "radius-2**-497",
+        "u-terms-underflow",
+        "squares-overflow",
+        "hit-test-overflows",
+    ],
+)
+def test_probe_range_edges_match_scratch(
+    op, u_center, u_radius, v_center, v_radius, grid, fallback, expected
+):
+    args = (op, _RESIDUE, u_center, u_radius, v_center, v_radius, 4, 16)
+    found = _outcome(lambda: transitivity_probe(*args, *grid))
+    assert found == _outcome(lambda: _scratch_probe(*args, grid)) == expected
+    net = dyadic_net(_RESIDUE, grid[1], grid[0])
+    screen = criterion._grid_screen(net, [1, 3], u_center, v_center, v_radius)
+    assert (screen is None) == fallback
+    if screen is not None:
+        assert _screened(screen) == _built(net, u_center, v_center, v_radius)
+
+
+@seed(18)
+@settings(max_examples=120, deadline=None)
+@given(
+    patterns,
+    vectors,
+    vectors,
+    st.sampled_from([0.25, 1.0, 2.5, 1e-310, 1e-300, 2.0**-497, 1e-160, 1e154, 1e300]),
+    st.sampled_from([(0, 1), (0, 3), (1, 2), (1, 3), (2, 2)]),
+)
+def test_the_grid_screen_builds_and_measures_what_the_sums_do(pattern, u, v, v_radius, grid):
+    # Where the gate lets it run, the screen yields each candidate in the
+    # V-ball with the stored entries, in order, that v_center + t v_radius
+    # holds, and with its distance to u_center; the sums raise nothing.
+    u_center, v_center = project(u, pattern), project(v, pattern)
+    level, support = grid
+    allowed = allowed_indices(pattern, support)
+    assume(allowed)
+    net = dyadic_net(pattern, support, level)
+    screen = criterion._grid_screen(net, allowed, u_center, v_center, v_radius)
+    assume(screen is not None)
+    assert _screened(screen) == _built(net, u_center, v_center, v_radius)
+
+
+@pytest.fixture
+def arithmetic(monkeypatch):
+    """Counts of ``distance`` calls in ``criterion`` and of ``SeqVec``'s
+    ``+`` and ``*``."""
+    counts = {"distance": 0, "+": 0, "*": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(criterion, "distance", counted("distance", criterion.distance))
+    monkeypatch.setattr(SeqVec, "__add__", counted("+", SeqVec.__add__))
+    monkeypatch.setattr(SeqVec, "__mul__", counted("*", SeqVec.__mul__))
+    return counts
+
+
+def test_the_grid_screen_does_no_per_point_arithmetic(arithmetic):
+    # The collapsing grid's 1281 points are screened from their distinct
+    # entries; what is left is the 45 images at power 2 and the preimage.
+    u_center, v_center = dense_family(_SPEC, 1), dense_family(_SPEC, 2)
+    args = (_DOUBLING, _RESIDUE, u_center, 1e-3, v_center, 0.25, 2, 16, 2, 4)
+    assert len(dyadic_net(_RESIDUE, 4, 2)) == 1281
+    assert transitivity_probe(*args) is None
+    assert sum(arithmetic.values()) < 100
+
+
+def test_the_grid_screen_falls_back_past_the_float_range(arithmetic):
+    # Every grid point is scaled, and the sums raise before any is tested.
+    center = SeqVec({1: 1e308})
+    args = (_DOUBLING, _RESIDUE, center, 0.25, center, 1.7e308, 4, 16, 1, 4)
+    with pytest.raises(OverflowError, match="absolute value too large"):
+        transitivity_probe(*args)
+    assert arithmetic["*"] == len(dyadic_net(_RESIDUE, 4, 1)) and arithmetic["+"] > 0
+    assert arithmetic["distance"] == 0
 
 
 # Condition II of check_criterion against backsolve and the plain loop.  The

@@ -6,9 +6,9 @@ Each tree is a directory holding ``src/orbitlab``.  The configs are every
 preset of either tree, every experiment of this checkout's
 ``perfbench/workloads.py`` at seeds 0-3 (read, never written), the
 ``kernel`` sweep of ``kernel_configs``, the ``jordan`` horizons of
-``jordan_configs``, the ``findim`` grid of ``findim_configs``, the refused
-configs of ``rejected_configs``, and the config files named on the command
-line.
+``jordan_configs``, the ``findim`` grid of ``findim_configs``, the ``probe``
+grids of ``probe_configs``, the refused configs of ``rejected_configs``, and
+the config files named on the command line.
 Each tree runs them all through ``orbitlab.cli.main --verbose``, in order,
 in one fresh interpreter of its own, and each run's exit code, stdout,
 stderr, ``report.json`` and ``table.csv`` are compared.
@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -134,6 +135,51 @@ def findim_configs() -> list[tuple[str, dict]]:
                         "trials": 2,
                         "seed": seed,
                     }))
+    return configs
+
+
+def probe_configs() -> list[tuple[str, dict]]:
+    """``(name, config)`` for ``probe`` on prefix, residue, ``supportIn`` and
+    ``rightBlock`` patterns, at grid levels 1 and 2 and grid supports 3-6
+    (13 to 1,713 grid points).  Each grid is probed with each U-radius of
+    1e-300, 0.25, 1.0 and 1e300, beside a V-radius from the same list that
+    turns with the grid, so that the 12 grids meet all 16 pairs; lambda
+    runs through moduli 0.5, 2 and 3 at phases 0, 0.7, pi/2 and pi, and
+    ``expect`` alternates between 'found' and 'none'."""
+    prefix, residue = {"kind": "prefix", "m": 1}, {"kind": "residue", "a": 0, "b": 2}
+    stride, block = {"kind": "supportIn", "b": 2}, {"kind": "rightBlock", "split": 2}
+    grids = [
+        (prefix, 3, 1), (prefix, 3, 2), (prefix, 5, 1),
+        (residue, 3, 1), (residue, 3, 2), (residue, 4, 2), (residue, 6, 1),
+        (stride, 4, 2), (stride, 6, 1),
+        (block, 3, 1), (block, 4, 2), ({"kind": "rightBlock", "split": 3}, 6, 1),
+    ]
+    radii = (1e-300, 0.25, 1.0, 1e300)
+    lambdas = [
+        [r * math.cos(t), r * math.sin(t)]
+        for r in (0.5, 2.0, 3.0)
+        for t in (0.0, 0.7, math.pi / 2, math.pi)
+    ]
+    configs = []
+    for g, (pattern, support, level) in enumerate(grids):
+        for j, u_radius in enumerate(radii):
+            k = len(configs)
+            v_radius = radii[(j + g) % len(radii)]
+            name = f"probe/{pattern['kind']}-s{support}-l{level}-u{u_radius}-v{v_radius}"
+            configs.append((name, {
+                "command": "probe",
+                "lambda": lambdas[k % len(lambdas)],
+                "pattern": pattern,
+                "truncationDim": 64,
+                "horizon": 20,
+                "probe": {
+                    "uRadius": u_radius,
+                    "vRadius": v_radius,
+                    "gridLevel": level,
+                    "gridSupport": support,
+                },
+                "expect": ("found", "none")[k % 2],
+            }))
     return configs
 
 
@@ -289,7 +335,7 @@ def main(argv=None) -> int:
             names = sorted(set(preset_names(parent)) | set(preset_names(change)))
             builtin = [(f"preset/{n}", {"command": "preset", "preset": n}) for n in names]
             configs = builtin + workload_configs() + kernel_configs() + jordan_configs()
-            configs += findim_configs() + rejected_configs()
+            configs += findim_configs() + probe_configs() + rejected_configs()
             jobs = []
             for k, (name, config) in enumerate(configs):
                 path = Path(tmp, f"{k}.json")
